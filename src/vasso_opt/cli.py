@@ -2,16 +2,14 @@
 
 Every subcommand requires --seed (there is no hidden nondeterminism) and
 writes plot-ready CSV.  Exit codes: 0 success, 1 usage error, 2 runtime
-failure.  Flags override config-file values.  Worker count comes from
---threads, falling back to the VASSO_OPT_THREADS environment variable, and
-never changes results.
+failure.  Flags override config-file values.  Seeds run one after another
+in a single process, in the order given.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from functools import partial
 
@@ -59,12 +57,6 @@ def _float_list(text: str) -> list[float]:
     return vals
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("VASSO_OPT_THREADS", "1"))
-
-
 def _write_csv(path: str, header: str, lines) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -86,9 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated seed list; overrides the config")
         else:
             p.add_argument("--seed", required=True, type=int, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: $VASSO_OPT_THREADS or 1); "
-                            "never changes results")
         return p
 
     p = add("train", "run a training experiment from a JSON config")
@@ -203,8 +192,7 @@ def cmd_train(args) -> int:
     cfg = _override_config(args, args.seed)
     if cfg.output_path is None:
         raise VassoOptError("no metrics path: give --out or set output_path in the config")
-    result = run_experiment(cfg, max_workers=_threads(args),
-                            record_wallclock=args.record_wallclock)
+    result = run_experiment(cfg, record_wallclock=args.record_wallclock)
     if result.aggregate["n_aborted"] == len(cfg.seeds):
         raise VassoOptError("every seed aborted on non-finite loss; see " +
                             str(result.summary_path))
@@ -216,8 +204,7 @@ def cmd_tradeoff(args) -> int:
     cfg = load_config(args.config)
     rows = tradeoff_sweep(cfg, args.p_values, args.seed,
                           include_esam_analog=not args.no_esam,
-                          record_wallclock=args.record_wallclock,
-                          max_workers=_threads(args))
+                          record_wallclock=args.record_wallclock)
     _write_csv(args.out, TRADEOFF_HEADER, (r.to_csv() for r in rows))
     print(f"wrote {args.out}")
     return 0
@@ -229,7 +216,7 @@ def cmd_compare(args) -> int:
     da, db = cfg_a.to_dict(), cfg_b.to_dict()
     da["seeds"] = db["seeds"] = args.seed
     result = paired_compare(parse_config(da), parse_config(db), args.seed,
-                            metric=args.metric, max_workers=_threads(args))
+                            metric=args.metric)
     if args.out:
         lines = (",".join(fmt(v) for v in row) for row in
                  zip(result.seeds, result.values_a, result.values_b, result.diffs))

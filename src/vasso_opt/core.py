@@ -49,13 +49,6 @@ def as_param_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """alpha*x + y, with a shape check."""
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"axpy operands differ: {x.shape} vs {y.shape}")
-    return alpha * x + y
-
-
 def norm2(x: np.ndarray) -> float:
     """Euclidean norm."""
     return float(np.linalg.norm(x))

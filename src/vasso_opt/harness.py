@@ -23,7 +23,7 @@ Config schema (JSON, unknown keys are errors)::
                     "theta": 0.2?, "p": 1.0?, "lr": {"kind": "constant",
                     "base": 0.01, "horizon": null?}, "rho_schedule": {...}?,
                     "momentum": 0.0?, "weight_decay": 0.0?,
-                    "adv_batch_size": null?},
+                    "adv_batch_size": null? (sam_db only)},
       "T": 1000, "batch_size": 8, "seeds": [0, 1],
       "metrics_every": 1?, "output_path": "metrics.csv"?
     }
@@ -34,7 +34,6 @@ held-out split, and the full (noise-free) objective value otherwise.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import logging
 import time
@@ -48,13 +47,19 @@ from .core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE, STREAM_INIT,
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import (inject_label_noise, load_dataset_csv,
                          make_blobs_dataset, mlp_objective, NoisyQuadratic)
-from .optimizers import (OptimizerConfig, evasso_step, sam_step, samdb_step,
-                         sgd_step, vasso_step)
+from .optimizers import OptimizerConfig, vasso_step
 
 log = logging.getLogger("vasso_opt")
 log.addHandler(logging.NullHandler())
 
-OPTIMIZER_KINDS = ("sgd", "sam", "vasso", "evasso", "sam_db")
+# Each optimizer kind is a setting of the one step, vasso_step: theta=1 makes
+# the slope the raw gradient (SAM), p=0 skips the second gradient (SGD) and
+# p=1 always takes it (VASSO).  Knobs not fixed here come from the config;
+# sam_db also draws an independent adversary batch (see run_seed).
+KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
+              "vasso": {"p": 1.0}, "evasso": {},
+              "sam_db": {"theta": 1.0, "p": 1.0}}
+OPTIMIZER_KINDS = tuple(KIND_KNOBS)
 OBJECTIVE_KINDS = ("quadratic", "blobs", "dataset")
 
 METRICS_HEADER = "seed,t,loss,full_grad_norm,eps_drift,grad_evals_cum,wallclock_ms"
@@ -153,9 +158,10 @@ class ExperimentConfig:
         rs = o.get("rho_schedule")
         rho_schedule = None if rs is None else \
             _parse_schedule(rs, "optimizer.rho_schedule", self.T)
-        return OptimizerConfig(rho=o["rho"], theta=o["theta"], p=o["p"], lr=lr,
-                               rho_schedule=rho_schedule, momentum=o["momentum"],
-                               weight_decay=o["weight_decay"], seed=seed)
+        knobs = {"theta": o["theta"], "p": o["p"], **KIND_KNOBS[o["kind"]]}
+        return OptimizerConfig(rho=o["rho"], lr=lr, rho_schedule=rho_schedule,
+                               momentum=o["momentum"],
+                               weight_decay=o["weight_decay"], seed=seed, **knobs)
 
 
 def _parse_objective(raw) -> dict:
@@ -242,6 +248,9 @@ def _parse_optimizer(raw, T: int) -> dict:
     out["weight_decay"] = _as_number(f.take("weight_decay", default=0.0),
                                      "optimizer.weight_decay", lo=0.0)
     abs_ = f.take("adv_batch_size")
+    if abs_ is not None and kind != "sam_db":
+        raise ConfigError("optimizer.adv_batch_size",
+                          f"applies only to kind 'sam_db', not {kind!r}")
     out["adv_batch_size"] = None if abs_ is None else \
         _as_number(abs_, "optimizer.adv_batch_size", lo=1, integer=True)
     f.finish()
@@ -354,11 +363,10 @@ def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
     """
     obj = build_objective(cfg.objective, seed)
     x = init_x(obj, cfg.objective, seed)
-    kind = cfg.optimizer["kind"]
     ocfg = cfg.optimizer_config(seed)
     sampler = obj.make_sampler(cfg.batch_size, make_rng(seed, STREAM_BATCH))
     adv_sampler = None
-    if kind == "sam_db":
+    if cfg.optimizer["kind"] == "sam_db":
         adv_bs = cfg.optimizer.get("adv_batch_size") or cfg.batch_size
         adv_sampler = obj.make_sampler(adv_bs, make_rng(seed, STREAM_ADV_BATCH))
     gate_rng = make_rng(seed, STREAM_GATE)
@@ -384,22 +392,11 @@ def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
             last_epoch = sampler.epoch
             epoch_losses = []
         fg_norm = norm2(obj.full_grad(x)) if t % cfg.metrics_every == 0 else None
+        adv_batch = None if adv_sampler is None else adv_sampler()
         try:
-            if kind == "sgd":
-                x, rep, buf = sgd_step(obj, x, batch, ocfg, None, t=t,
-                                       momentum_buffer=buf)
-            elif kind == "sam":
-                x, rep, buf = sam_step(obj, x, batch, ocfg, None, t=t,
-                                       momentum_buffer=buf)
-            elif kind == "vasso":
-                x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, None,
-                                                t=t, momentum_buffer=buf)
-            elif kind == "evasso":
-                x, state, rep, buf = evasso_step(obj, x, state, batch, ocfg,
-                                                 gate_rng, t=t, momentum_buffer=buf)
-            else:  # sam_db
-                x, rep, buf = samdb_step(obj, x, batch, adv_sampler(), ocfg, None,
-                                         t=t, momentum_buffer=buf)
+            x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gate_rng,
+                                            t=t, momentum_buffer=buf,
+                                            adv_batch=adv_batch)
         except NonFiniteError:
             aborted_at = t
             break
@@ -451,23 +448,14 @@ def _aggregate(summaries: list[dict]) -> dict:
     return agg
 
 
-def _run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool,
-               max_workers: int):
-    if max_workers <= 1 or len(seeds) == 1:
-        return [run_seed(cfg, s, record_wallclock) for s in seeds]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(run_seed, cfg, s, record_wallclock) for s in seeds]
-        return [f.result() for f in futures]   # seed order preserved
-
-
-def run_experiment(cfg: ExperimentConfig, max_workers: int = 1,
+def run_experiment(cfg: ExperimentConfig,
                    record_wallclock: bool = False) -> ExperimentResult:
     """Run every seed, write the metrics CSV and a JSON summary.
 
     Output goes to cfg.output_path (the summary beside it with a
     ``.summary.json`` suffix); passing output_path=None skips file output.
     """
-    results = _run_seeds(cfg, cfg.seeds, record_wallclock, max_workers)
+    results = [run_seed(cfg, s, record_wallclock) for s in cfg.seeds]
     summaries = [summary for _, summary in results]
     aggregate = _aggregate(summaries)
     metrics_path = summary_path = None
@@ -501,23 +489,26 @@ class PairedCompareResult:
     wins_b: int
     ties: int
     p_value: float
+    summaries_a: list[dict]   # each seed's run_seed summary, with final_x
+    summaries_b: list[dict]
 
 
-def _seed_metric(cfg: ExperimentConfig, seed: int, metric: str) -> float:
-    _, summary = run_seed(cfg, seed)
+def _seed_summary(cfg: ExperimentConfig, seed: int) -> dict:
+    _, summary = run_seed(cfg, seed, keep_final_x=True)
     if summary["aborted"]:
         raise NonFiniteError(f"seed {seed} aborted", t=summary["aborted_at"])
-    return summary[metric]
+    return summary
 
 
 def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
-                   metric: str = "final_loss", max_workers: int = 1
-                   ) -> PairedCompareResult:
+                   metric: str = "final_loss") -> PairedCompareResult:
     """Two-sided sign test of metric_a vs metric_b over paired seeds.
 
     The configs must agree on everything except the optimizer spec.  Lower is
     better for both metrics; a win for A on a seed means metric_a < metric_b.
-    Ties are excluded from the test.
+    Ties are excluded from the test.  The result keeps every seed's summary,
+    final iterate included, so callers can derive other metrics without
+    rerunning.
     """
     if metric not in ("final_loss", "mean_drift"):
         raise ConfigError("metric", f"must be final_loss or mean_drift, got {metric!r}")
@@ -527,25 +518,21 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     if da != db:
         raise ConfigError("config", "paired configs may differ only in the optimizer spec")
     seeds = list(seeds)
-
-    def one(seed):
-        return (_seed_metric(cfg_a, seed, metric), _seed_metric(cfg_b, seed, metric))
-
-    if max_workers > 1 and len(seeds) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            pairs = list(pool.map(one, seeds))
-    else:
-        pairs = [one(s) for s in seeds]
-    values_a = [p[0] for p in pairs]
-    values_b = [p[1] for p in pairs]
-    diffs = [a - b for a, b in pairs]
+    summaries_a, summaries_b = [], []
+    for seed in seeds:
+        summaries_a.append(_seed_summary(cfg_a, seed))
+        summaries_b.append(_seed_summary(cfg_b, seed))
+    values_a = [s[metric] for s in summaries_a]
+    values_b = [s[metric] for s in summaries_b]
+    diffs = [a - b for a, b in zip(values_a, values_b)]
     wins_a = sum(1 for d in diffs if d < 0)
     wins_b = sum(1 for d in diffs if d > 0)
     ties = len(diffs) - wins_a - wins_b
     n_eff = wins_a + wins_b
     p_value = binomtest(wins_a, n_eff, 0.5).pvalue if n_eff else 1.0
     return PairedCompareResult(metric, seeds, values_a, values_b, diffs,
-                               wins_a, wins_b, ties, float(p_value))
+                               wins_a, wins_b, ties, float(p_value),
+                               summaries_a, summaries_b)
 
 
 @dataclass
@@ -572,8 +559,8 @@ def _with_optimizer(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
 
 
 def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
-                   include_esam_analog: bool = True, record_wallclock: bool = False,
-                   max_workers: int = 1) -> list[TradeoffRow]:
+                   include_esam_analog: bool = True,
+                   record_wallclock: bool = False) -> list[TradeoffRow]:
     """Loss/computation table across gate probabilities.
 
     Rows cover eVASSO at each p (p=1 is VASSO), the eSAM analog (theta=1,
@@ -586,7 +573,7 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
 
     def mean_row(name: str, cfg: ExperimentConfig, p: float | None) -> TradeoffRow:
         t0 = time.perf_counter()
-        results = _run_seeds(cfg, seeds, False, max_workers)
+        results = [run_seed(cfg, s) for s in seeds]
         wall = (time.perf_counter() - t0) * 1e3 / len(seeds) if record_wallclock else None
         finals = [s["final_loss"] for _, s in results]
         evals = [s["total_grad_evals"] for _, s in results]

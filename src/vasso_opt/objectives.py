@@ -130,11 +130,6 @@ class NoisyQuadratic:
             self.sigma * rng.standard_normal((n, self.dim))
 
 
-def quadratic_objective(A, b=None, sigma: float = 0.0, rng=None) -> NoisyQuadratic:
-    """Construct a NoisyQuadratic (thin alias kept for a uniform factory API)."""
-    return NoisyQuadratic(A, b=b, sigma=sigma)
-
-
 # ---------------------------------------------------------------------------
 # datasets
 
@@ -460,6 +455,14 @@ _MS_DATA = ((0.0, 1.0), (0.0, -1.0), (-1.0, 0.0), (1.0, 0.0))  # (a_i, b_i)
 _MS_PARTITIONS = {"by_b": ((0, 1), (2, 3)), "by_a": ((0, 2), (1, 3))}
 
 
+def _pair_coefficients(partition: str) -> list[tuple[float, float]]:
+    """(a_P, b_P) of each pair: the sums of its samples' coefficients."""
+    if partition not in _MS_PARTITIONS:
+        raise InvalidParameterError(f"partition must be one of {sorted(_MS_PARTITIONS)}")
+    return [(sum(_MS_DATA[i][0] for i in group), sum(_MS_DATA[i][1] for i in group))
+            for group in _MS_PARTITIONS[partition]]
+
+
 def m_sharpness_example(partition: str):
     """Two per-partition losses of the 4-sample scalar problem.
 
@@ -468,12 +471,8 @@ def m_sharpness_example(partition: str):
     parameter w and its own perturbation delta) is the sum over the pair:
     f_P(w, delta) = a_P (w+delta)^2 + b_P (w+delta).
     """
-    if partition not in _MS_PARTITIONS:
-        raise InvalidParameterError(f"partition must be one of {sorted(_MS_PARTITIONS)}")
     fns = []
-    for group in _MS_PARTITIONS[partition]:
-        a = sum(_MS_DATA[i][0] for i in group)
-        b = sum(_MS_DATA[i][1] for i in group)
+    for a, b in _pair_coefficients(partition):
 
         def f(w, delta, a=a, b=b):
             u = w + delta
@@ -497,15 +496,5 @@ def m_sharpness_objective(partition: str, w: float, rho: float) -> float:
     """Sum over partitions of max_{|delta|<=rho} f_P(w, delta), in closed form."""
     if rho < 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    total = 0.0
-    for group in _MS_PARTITIONS[_check_partition(partition)]:
-        a = sum(_MS_DATA[i][0] for i in group)
-        b = sum(_MS_DATA[i][1] for i in group)
-        total += _max_quadratic_on_interval(a, b, w - rho, w + rho)
-    return total
-
-
-def _check_partition(partition: str) -> str:
-    if partition not in _MS_PARTITIONS:
-        raise InvalidParameterError(f"partition must be one of {sorted(_MS_PARTITIONS)}")
-    return partition
+    return sum(_max_quadratic_on_interval(a, b, w - rho, w + rho)
+               for a, b in _pair_coefficients(partition))

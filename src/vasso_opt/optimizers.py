@@ -1,4 +1,4 @@
-"""The optimizer family: SGD, SAM, VASSO, eVASSO, SAM-db, and stochastic Frank-Wolfe.
+"""The optimizer family: one sharpness-aware step, and stochastic Frank-Wolfe.
 
 All steps are pure functions over the objective interface.  State (the EMA
 adversary slope, the momentum buffer) is threaded explicitly: each step
@@ -6,13 +6,14 @@ returns its updated state alongside the new iterate, so a training loop is
 just a fold.  Iteration index ``t`` drives the learning-rate and radius
 schedules and is passed keyword-only.
 
-SAM perturbs along the current stochastic gradient; VASSO perturbs along an
-exponential moving average of gradients (variance-suppressed adversary);
-eVASSO additionally gates the second gradient evaluation with a Bernoulli
-draw, reusing the unperturbed gradient on skipped steps.  SAM-db decouples
-the adversary's batch from the update batch.  ``sfw_solve`` runs the
-Frank-Wolfe recursion over the sphere that the one-step adversary is a
-special case of.
+``vasso_step`` is the one step the harness runs.  Its adversary follows an
+exponential moving average of the gradient with weight theta, and a
+Bernoulli(p) gate decides whether the second gradient is taken; on skipped
+steps the unperturbed gradient is reused.  theta=1 gives SAM, p=0 gives SGD,
+p=1 gives VASSO, 0<p<1 gives eVASSO, and an independently sampled adversary
+batch gives SAM-db.  ``sgd_step`` and ``sam_step`` are independent reference
+implementations of the two limits.  ``sfw_solve`` runs the Frank-Wolfe
+recursion over the sphere that the one-step adversary is a special case of.
 """
 
 from __future__ import annotations
@@ -151,27 +152,23 @@ def sam_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
 
 
 def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig,
-               rng, *, t: int = 0, momentum_buffer=None):
-    """SAM with the adversary taken along the EMA slope instead of g_t."""
-    loss, g = _checked_loss_grad(obj, x, batch, t)
-    state, eps = vasso_update(state, g, cfg.theta, cfg.rho_at(t))
-    g_upd = _checked_grad(obj, x + eps, batch, t)
-    x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
-    return x_new, state, StepReport(loss, 2, eps, True), buf
+               rng, *, t: int = 0, momentum_buffer=None, adv_batch=None):
+    """One sharpness-aware step with knobs theta, p and rho from ``cfg``.
 
-
-def evasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig,
-                rng, *, t: int = 0, momentum_buffer=None):
-    """VASSO with a Bernoulli(p) gate on the second gradient evaluation.
-
-    The EMA slope is updated every step, gated or not.  One uniform draw is
-    consumed from ``rng`` per call even when p forces the outcome, so the
-    p=1 / p=0 trajectories are bit-identical to VASSO / SGD respectively.
+    The EMA slope is fed the gradient on ``adv_batch`` when one is given
+    (SAM-db) and on ``batch`` otherwise; for p > 0 it is updated on every
+    step, whether or not the gate opens.  ``rng`` draws the Bernoulli(p) gate
+    only when 0 < p < 1; a forced outcome consumes no draw.  p=0 returns
+    right after the base update: one gradient evaluation and no slope work,
+    exactly SGD.
     """
     loss, g = _checked_loss_grad(obj, x, batch, t)
-    state, eps = vasso_update(state, g, cfg.theta, cfg.rho_at(t))
-    gate = rng.random() < cfg.p
-    if gate:
+    if cfg.p == 0.0:
+        x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
+        return x_new, state, StepReport(loss, 1, np.zeros_like(x), False), buf
+    g_adv = g if adv_batch is None else _checked_grad(obj, x, adv_batch, t)
+    state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))
+    if cfg.p == 1.0 or rng.random() < cfg.p:
         g_upd = _checked_grad(obj, x + eps, batch, t)
         report = StepReport(loss, 2, eps, True)
     else:
@@ -179,22 +176,6 @@ def evasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfi
         report = StepReport(loss, 1, np.zeros_like(x), False)
     x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
     return x_new, state, report, buf
-
-
-def samdb_step(obj, x, batch, adv_batch, cfg: OptimizerConfig, rng, *, t: int = 0,
-               momentum_buffer=None):
-    """SAM with the adversary computed on an independently sampled batch.
-
-    With adv_batch == batch this is SAM exactly, bit for bit.
-    """
-    g_adv = _checked_grad(obj, x, adv_batch, t)
-    eps = sam_adversary(g_adv, cfg.rho_at(t))
-    loss = obj.loss(x, batch)
-    if not np.isfinite(loss):
-        raise NonFiniteError("non-finite loss", t=t)
-    g_upd = _checked_grad(obj, x + eps, batch, t)
-    x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
-    return x_new, StepReport(loss, 2, eps, True), buf
 
 
 def sfw_solve(linear_obj_grad_sampler, constraint_radius: float, T: int,

@@ -60,7 +60,7 @@ def test_help_text_is_pinned(name, capsys):
 
 def test_every_flag_appears_in_the_help_text():
     text = (DATA / "help_train.txt").read_text()
-    for flag in ("--seed", "--threads", "--config", "--out", "--T",
+    for flag in ("--seed", "--config", "--out", "--T",
                  "--metrics-every", "--rho", "--theta", "--p",
                  "--record-wallclock"):
         assert flag in text
@@ -188,19 +188,6 @@ def test_progress_goes_to_stderr_results_to_stdout(tmp_path, capsys):
     assert captured.out.startswith("wrote ")
     assert "seed=0 done" in captured.err
     assert "seed=0 done" not in captured.out
-
-
-def test_thread_flag_and_env_var_never_change_results(tmp_path, monkeypatch):
-    cfg = _write_cfg(tmp_path)
-    out = tmp_path / "m.csv"
-    base = ["train", "--config", cfg, "--seed", "0,1,2", "--out", str(out)]
-    main(base + ["--threads", "1"])
-    sequential = out.read_bytes()
-    main(base + ["--threads", "4"])
-    assert out.read_bytes() == sequential
-    monkeypatch.setenv("VASSO_OPT_THREADS", "3")
-    main(base)
-    assert out.read_bytes() == sequential
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,9 @@ from hypothesis import strategies as st
 from vasso_opt.core import (DEGENERATE_NORM_TOL, STREAM_ADV_BATCH,
                             STREAM_BATCH, STREAM_DATA, STREAM_DIRECTION,
                             STREAM_GATE, STREAM_INIT, Schedule,
-                            as_param_vector, axpy, make_rng, norm2,
+                            as_param_vector, make_rng, norm2,
                             normalize_to_sphere, schedule_value)
 from vasso_opt.errors import DimensionMismatchError, InvalidParameterError
-
-
-def test_axpy_basic():
-    out = axpy(2.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(out, [5.0, 8.0])
-
-
-def test_axpy_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
 
 
 def test_norm2_values():

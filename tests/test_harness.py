@@ -5,11 +5,14 @@ import logging
 import numpy as np
 import pytest
 
+from vasso_opt.core import STREAM_ADV_BATCH, STREAM_BATCH, make_rng
 from vasso_opt.errors import ConfigError
 from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
-                               ExperimentConfig, fmt, load_config,
-                               paired_compare, parse_config, parse_config_text,
-                               run_experiment, run_seed, tradeoff_sweep)
+                               ExperimentConfig, build_objective, fmt, init_x,
+                               load_config, paired_compare, parse_config,
+                               parse_config_text, run_experiment, run_seed,
+                               tradeoff_sweep)
+from vasso_opt.optimizers import vasso_step
 
 
 def _raw(**over):
@@ -119,6 +122,38 @@ def test_optimizer_config_is_built_per_seed():
     assert ocfg.rho_schedule is None
 
 
+def test_adversary_batch_size_applies_only_to_decoupled_batches():
+    lr = {"kind": "constant", "base": 0.1}
+    for kind in ("sgd", "sam", "vasso", "evasso"):
+        with pytest.raises(ConfigError) as err:
+            _cfg(optimizer={"kind": kind, "lr": lr, "adv_batch_size": 4})
+        assert err.value.path == "optimizer.adv_batch_size"
+    blobs = {"kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,
+             "hidden": [4]}
+    cfg = _cfg(objective=blobs, batch_size=2, T=30, seeds=[0],
+               optimizer={"kind": "sam_db", "rho": 0.1, "lr": lr,
+                          "adv_batch_size": 4})
+    rows, summary = run_seed(cfg, 0)
+    assert summary["total_grad_evals"] == 2 * 30 and not summary["aborted"]
+    # the same run by hand: adversary batches of 4 from their own stream
+    obj = build_objective(cfg.objective, 0)
+    x, state, buf = init_x(obj, cfg.objective, 0), None, None
+    sampler = obj.make_sampler(2, make_rng(0, STREAM_BATCH))
+    adv_sampler = obj.make_sampler(4, make_rng(0, STREAM_ADV_BATCH))
+    ocfg = cfg.optimizer_config(0)
+    losses = []
+    for t in range(30):
+        batch, adv_batch = sampler(), adv_sampler()
+        assert len(adv_batch) == 4
+        x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, None, t=t,
+                                        momentum_buffer=buf, adv_batch=adv_batch)
+        losses.append(rep.loss)
+    assert [r.loss for r in rows] == losses
+    shared, _ = run_seed(_cfg(objective=blobs, batch_size=2, T=30, seeds=[0],
+                              optimizer={"kind": "sam_db", "rho": 0.1, "lr": lr}), 0)
+    assert [r.loss for r in shared] != losses
+
+
 def test_schedule_horizon_defaults_to_t():
     cfg = _cfg(optimizer={"kind": "sgd",
                           "lr": {"kind": "theory", "base": 1.0}})
@@ -209,17 +244,6 @@ def test_divergent_seed_is_reported_as_aborted():
     assert result.aggregate == {"n_seeds": 2, "n_aborted": 2}
 
 
-def test_thread_pool_reproduces_the_sequential_run(tmp_path):
-    out_seq = tmp_path / "seq.csv"
-    out_par = tmp_path / "par.csv"
-    cfg_seq = _cfg(seeds=[0, 1, 2, 3], output_path=str(out_seq))
-    cfg_par = _cfg(seeds=[0, 1, 2, 3], output_path=str(out_par))
-    res_seq = run_experiment(cfg_seq, max_workers=1)
-    res_par = run_experiment(cfg_par, max_workers=4)
-    assert res_seq.summaries == res_par.summaries
-    assert out_seq.read_bytes() == out_par.read_bytes()
-
-
 def test_dataset_objective_runs_from_csv(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "toy.csv"
@@ -277,8 +301,7 @@ def test_averaged_adversary_drifts_less_on_a_noisy_quadratic():
     cfg_s = parse_config(_noisy_quad_raw({
         "kind": "sam", "rho": 0.1,
         "lr": {"kind": "constant", "base": 0.05}}))
-    res = paired_compare(cfg_v, cfg_s, range(20), metric="mean_drift",
-                         max_workers=4)
+    res = paired_compare(cfg_v, cfg_s, range(20), metric="mean_drift")
     assert res.wins_a >= 18
     assert res.p_value < 0.01
 
@@ -346,5 +369,5 @@ def test_gated_averaging_beats_gated_raw_on_final_loss():
     cfg_es = parse_config(_noisy_quad_raw({
         "kind": "evasso", "rho": 0.1, "theta": 1.0, "p": 0.3,
         "lr": {"kind": "constant", "base": 0.05}}))
-    res = paired_compare(cfg_ev, cfg_es, range(20), max_workers=4)
+    res = paired_compare(cfg_ev, cfg_es, range(20))
     assert res.wins_a >= 15

@@ -10,8 +10,7 @@ from vasso_opt.objectives import (Dataset, EpochSampler, Mlp, MlpObjective,
                                   NoisyQuadratic, hvp_finite_difference,
                                   inject_label_noise, load_dataset_csv,
                                   m_sharpness_example, m_sharpness_objective,
-                                  make_blobs_dataset, mlp_objective,
-                                  quadratic_objective)
+                                  make_blobs_dataset, mlp_objective)
 
 # ---------------------------------------------------------------------------
 # minibatch sampling
@@ -49,7 +48,7 @@ def test_epoch_sampler_rejects_bad_batch_size():
 
 
 def test_quadratic_identity_gradient():
-    obj = quadratic_objective(np.eye(2))
+    obj = NoisyQuadratic(np.eye(2))
     assert np.array_equal(obj.full_grad(np.array([1.0, 2.0])), [1.0, 2.0])
 
 

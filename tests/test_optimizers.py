@@ -9,9 +9,8 @@ from vasso_opt.core import Schedule, make_rng, norm2
 from vasso_opt.errors import InvalidParameterError, NonFiniteError
 from vasso_opt.objectives import NoisyQuadratic
 from vasso_opt.optimizers import (AdversaryState, OptimizerConfig, base_update,
-                                  evasso_step, sam_adversary, sam_step,
-                                  samdb_step, sfw_solve, sgd_step, vasso_step,
-                                  vasso_update)
+                                  sam_adversary, sam_step, sfw_solve, sgd_step,
+                                  vasso_step, vasso_update)
 
 
 def _cfg(**kw):
@@ -235,7 +234,7 @@ def test_gate_probability_one_identical_to_ungated():
     sb = obj.make_sampler(1, make_rng(2, 1))
     gate = make_rng(2, 3)
     for t in range(50):
-        xa, st_a, ra, _ = evasso_step(obj, xa, st_a, sa(), cfg, gate, t=t)
+        xa, st_a, ra, _ = vasso_step(obj, xa, st_a, sa(), cfg, gate, t=t)
         xb, st_b, rb, _ = vasso_step(obj, xb, st_b, sb(), cfg, None, t=t)
         assert np.array_equal(xa, xb)
         assert ra.grad_evals == 2
@@ -251,25 +250,25 @@ def test_gate_probability_zero_reuses_unperturbed_gradient():
     sb = obj.make_sampler(1, make_rng(2, 1))
     gate = make_rng(2, 3)
     for t in range(50):
-        xa, state, ra, _ = evasso_step(obj, xa, state, sa(), cfg, gate, t=t)
+        xa, state, ra, _ = vasso_step(obj, xa, state, sa(), cfg, gate, t=t)
         xb, rb, _ = sgd_step(obj, xb, sb(), cfg_sgd, None, t=t)
         assert np.array_equal(xa, xb)
         assert ra.grad_evals == 1 and not ra.perturbed
         assert np.array_equal(ra.epsilon, np.zeros(2))
 
 
-def test_gate_consumes_one_draw_per_step_regardless_of_outcome():
+def test_gate_draws_once_per_step_only_when_the_outcome_is_random():
     obj = _quad(sigma=0.2)
-    for p in (0.0, 0.5, 1.0):
+    for p, draws in ((0.0, 0), (0.5, 25), (1.0, 0)):
         cfg = _cfg(rho=0.1, p=p)
         gate = make_rng(9, 3)
         x, state = np.array([1.0, 1.0]), None
         sampler = obj.make_sampler(1, make_rng(9, 1))
         for t in range(25):
-            x, state, _, _ = evasso_step(obj, x, state, sampler(), cfg, gate,
-                                         t=t)
+            x, state, _, _ = vasso_step(obj, x, state, sampler(), cfg, gate,
+                                        t=t)
         reference = make_rng(9, 3)
-        reference.random(25)
+        reference.random(draws)
         assert gate.random() == reference.random()
 
 
@@ -281,20 +280,22 @@ def test_gate_rate_concentrates_around_p():
     x, state = np.ones(2), None
     hits = 0
     for t in range(2000):
-        x, state, rep, _ = evasso_step(obj, x, state, sampler(), cfg, gate, t=t)
+        x, state, rep, _ = vasso_step(obj, x, state, sampler(), cfg, gate, t=t)
         hits += rep.perturbed
     assert 0.25 <= hits / 2000 <= 0.35
 
 
 def test_decoupled_batch_equals_same_batch_when_shared():
     obj = _quad(sigma=0.8)
-    cfg = _cfg(rho=0.2)
+    cfg = _cfg(rho=0.2, theta=1.0)
     xa = xb = np.array([1.5, -0.5])
+    state = None
     sa = obj.make_sampler(1, make_rng(4, 1))
     sb = obj.make_sampler(1, make_rng(4, 1))
     for t in range(50):
         batch_a, batch_b = sa(), sb()
-        xa, ra, _ = samdb_step(obj, xa, batch_a, batch_a, cfg, None, t=t)
+        xa, state, ra, _ = vasso_step(obj, xa, state, batch_a, cfg, None, t=t,
+                                      adv_batch=batch_a)
         xb, rb, _ = sam_step(obj, xb, batch_b, cfg, None, t=t)
         assert np.array_equal(xa, xb)
         assert ra.loss == rb.loss and ra.grad_evals == 2
@@ -302,11 +303,13 @@ def test_decoupled_batch_equals_same_batch_when_shared():
 
 def test_decoupled_batch_equals_sam_without_noise():
     obj = _quad(sigma=0.0)
-    cfg = _cfg(rho=0.2)
+    cfg = _cfg(rho=0.2, theta=1.0)
     xa = xb = np.array([1.5, -0.5])
+    state = None
     for t in range(20):
         # distinct zero batches: no stochasticity to decouple
-        xa, _, _ = samdb_step(obj, xa, np.zeros(2), np.zeros(2), cfg, None, t=t)
+        xa, state, _, _ = vasso_step(obj, xa, state, np.zeros(2), cfg, None, t=t,
+                                     adv_batch=np.zeros(2))
         xb, _, _ = sam_step(obj, xb, np.zeros(2), cfg, None, t=t)
         assert np.array_equal(xa, xb)
 
@@ -475,6 +478,7 @@ def test_decoupled_batch_beats_shared_on_noisy_quadratic():
     """
     obj = NoisyQuadratic(np.linspace(0.5, 5.0, 20), sigma=3.0)
     cfg = _cfg(rho=0.3, lr=Schedule("constant", 0.05))
+    cfg_db = _cfg(rho=0.3, theta=1.0, lr=Schedule("constant", 0.05))
     wins_decoupled = 0
     for seed in range(20):
         finals = {}
@@ -483,13 +487,13 @@ def test_decoupled_batch_beats_shared_on_noisy_quadratic():
             rng_a = make_rng(seed, 2)
             sampler = obj.make_sampler(1, rng_b)
             adv_sampler = obj.make_sampler(1, rng_a)
-            x = make_rng(seed, 0).standard_normal(20)
+            x, state = make_rng(seed, 0).standard_normal(20), None
             for t in range(3000):
                 if kind == "sam":
                     x, _, _ = sam_step(obj, x, sampler(), cfg, None, t=t)
                 else:
-                    x, _, _ = samdb_step(obj, x, sampler(), adv_sampler(),
-                                         cfg, None, t=t)
+                    x, state, _, _ = vasso_step(obj, x, state, sampler(), cfg_db,
+                                                None, t=t, adv_batch=adv_sampler())
             finals[kind] = obj.full_loss(x)
         wins_decoupled += finals["sam_db"] < finals["sam"]
     assert wins_decoupled >= 15

@@ -11,7 +11,7 @@ numerical maximization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -20,7 +20,6 @@ from scipy.special import gammaln
 
 from .core import DEGENERATE_NORM_TOL, norm2
 from .errors import InvalidParameterError
-from .optimizers import vasso_update
 
 
 @dataclass
@@ -45,6 +44,9 @@ def track_drift(epsilons, rho: float | None = None) -> StabilityTrace:
     return StabilityTrace(drifts, float(rho))
 
 
+_MSE_BLOCK = 1024   # draws per ema_chain call in mse_suppression
+
+
 def mse_suppression(obj, x_fixed, theta: float, n_steps: int, rng
                     ) -> tuple[float, float]:
     """Steady-state E||d - grad f||^2 and E||g - grad f||^2 at a fixed point.
@@ -53,20 +55,39 @@ def mse_suppression(obj, x_fixed, theta: float, n_steps: int, rng
     for ceil(10/theta) burn-in steps plus ``n_steps`` measured steps.  At the
     fixpoint the EMA variance settles at theta/(2-theta) times the gradient
     variance, which is what the returned ratio should approach.
+
+    The chain runs as ``ema_chain`` over blocks of ``_MSE_BLOCK`` draws, each
+    block warm-started from the last state of the one before, so memory stays
+    flat in ``n_steps``.  Squared errors are summed strictly in draw order, so
+    the result equals a step-by-step ``vasso_update`` loop bit for bit.
     """
+    if not 0.0 < theta <= 1.0:
+        raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
     truth = obj.full_grad(x_fixed)
-    sampler = obj.make_sampler(1, rng)
+    draw = _grad_draws(obj, x_fixed, rng)
     burn = math.ceil(10.0 / theta)
-    state = None
-    acc_d = 0.0
-    acc_g = 0.0
-    for i in range(burn + n_steps):
-        g = obj.grad(x_fixed, sampler())
-        state, _ = vasso_update(state, g, theta, 0.0)
-        if i >= burn:
-            acc_d += norm2(state.d - truth) ** 2
-            acc_g += norm2(g - truth) ** 2
+    total = burn + n_steps
+    d_last = None
+    acc_d = acc_g = 0.0
+    for start in range(0, total, _MSE_BLOCK):
+        gs = draw(min(_MSE_BLOCK, total - start))
+        chain = ema_chain(gs, theta, d_init=d_last)
+        d_last = chain[-1]
+        skip = max(burn - start, 0)
+        acc_d = _sum_in_order(acc_d, _squared_errors(chain[skip:], truth))
+        acc_g = _sum_in_order(acc_g, _squared_errors(gs[skip:], truth))
     return acc_d / n_steps, acc_g / n_steps
+
+
+def _squared_errors(rows: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """norm2(row - truth) ** 2 per row, rounded exactly as ``norm2`` rounds."""
+    e = rows - truth
+    return np.sqrt(np.vecdot(e, e)) ** 2
+
+
+def _sum_in_order(acc: float, values: np.ndarray) -> float:
+    """acc + values[0] + values[1] + ..., added left to right."""
+    return float(np.cumsum(np.concatenate(([acc], values)))[-1])
 
 
 def ema_steady_state_mse(theta: float, sigma2: float) -> float:
@@ -76,19 +97,24 @@ def ema_steady_state_mse(theta: float, sigma2: float) -> float:
 
 # -- slope samplers for delta_stability ------------------------------------
 
-def _grad_draws(obj, x, n: int, rng) -> np.ndarray:
-    """n stochastic gradients at x, stacked (vectorized where the objective allows)."""
+def _grad_draws(obj, x, rng):
+    """A callable ``n -> (n, dim)``: n stochastic gradients at x, stacked.
+
+    Draws are vectorized where the objective allows.  Successive calls
+    continue one stream: they draw exactly what one call of the summed size
+    would.
+    """
     if hasattr(obj, "grad_draws"):
-        return obj.grad_draws(x, n, rng)
+        return lambda n: obj.grad_draws(x, n, rng)
     sampler = obj.make_sampler(1, rng)
-    return np.stack([obj.grad(x, sampler()) for _ in range(n)])
+    return lambda n: np.stack([obj.grad(x, sampler()) for _ in range(n)])
 
 
 def noisy_grad_sampler(obj, x):
     """Draws of the raw stochastic gradient at x (the SAM slope distribution)."""
 
     def draw(n: int, rng) -> np.ndarray:
-        return _grad_draws(obj, x, n, rng)
+        return _grad_draws(obj, x, rng)(n)
 
     return draw
 
@@ -107,7 +133,7 @@ def ema_slope_sampler(obj, x, theta: float, burn_in: int | None = None):
     burn = math.ceil(10.0 / theta) if burn_in is None else burn_in
 
     def draw(n: int, rng) -> np.ndarray:
-        gs = _grad_draws(obj, x, burn + n, rng)
+        gs = _grad_draws(obj, x, rng)(burn + n)
         chain = ema_chain(gs, theta)
         return chain[burn:]
 

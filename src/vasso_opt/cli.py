@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     except (VassoOptError, OSError, ValueError) as e:
         print(f"vasso-opt: error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:   # any other failure is a runtime error too, not a traceback
+        print(f"vasso-opt: error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

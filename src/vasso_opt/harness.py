@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -108,6 +109,8 @@ def _as_number(v, path, lo=None, hi=None, integer=False):
         isinstance(v, (int, float)) and not isinstance(v, bool)
     if not ok:
         raise ConfigError(path, f"expected {'an integer' if integer else 'a number'}, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(path, f"must be finite, got {v}")
     if lo is not None and v < lo:
         raise ConfigError(path, f"must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -317,8 +320,12 @@ def build_objective(obj_spec: dict, seed: int):
     if obj_spec["label_noise"] > 0.0:
         dataset = inject_label_noise(dataset, obj_spec["label_noise"], data_rng)
     layers = [in_dim] + list(obj_spec["hidden"]) + [n_classes]
-    return mlp_objective(layers, obj_spec["activation"], dataset,
-                         holdout_fraction=obj_spec["holdout_fraction"], rng=data_rng)
+    obj = mlp_objective(layers, obj_spec["activation"], dataset,
+                        holdout_fraction=obj_spec["holdout_fraction"], rng=data_rng)
+    if obj.n_samples == 0:
+        raise ConfigError("objective.holdout_fraction",
+                          f"holds out all {dataset.n_samples} rows, leaving none to train on")
+    return obj
 
 
 def init_x(obj, obj_spec: dict, seed: int) -> np.ndarray:

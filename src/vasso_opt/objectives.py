@@ -32,6 +32,8 @@ class EpochSampler:
     """Without-replacement minibatch sampler with per-epoch reshuffle."""
 
     def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+        if n < 1:
+            raise InvalidParameterError(f"cannot sample batches from {n} rows")
         if batch_size < 1:
             raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
         self.n = n
@@ -234,6 +236,29 @@ def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - t * t
 
 
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy by a stable log-softmax over the rows of ``logits``.
+
+    Also returns the max-shifted exponentials and their row sums, from which
+    the backward pass forms the softmax probabilities.
+    """
+    zmax = logits.max(axis=1, keepdims=True)
+    exps = np.exp(logits - zmax)
+    sums = exps.sum(axis=1, keepdims=True)
+    logsumexp = zmax[:, 0] + np.log(sums[:, 0])
+    loss = float(np.mean(logsumexp - logits[np.arange(logits.shape[0]), labels]))
+    return loss, exps, sums
+
+
+def _group_norms(W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Norm of each row of W joined with its bias entry.
+
+    Row norms come from ``np.vecdot``, which rounds exactly like ``norm2`` on
+    the row alone, so this equals a per-row ``norm2`` loop bit for bit.
+    """
+    return np.sqrt(np.sqrt(np.vecdot(W, W)) ** 2 + b ** 2)
+
+
 class Mlp:
     """Fully-connected net, cross-entropy loss, parameters in one flat vector.
 
@@ -286,20 +311,19 @@ class Mlp:
             acts.append(a)
         return zs, acts, a
 
+    def loss(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> float:
+        """Mean cross-entropy over the batch: a forward pass, no backward."""
+        return _cross_entropy(self.forward(x, feats)[2], labels)[0]
+
     def loss_and_grad(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy over the batch and its gradient in x."""
         n = feats.shape[0]
         layers = self.unpack(x)
         zs, acts, logits = self.forward(x, feats)
-        # stable log-softmax
-        zmax = logits.max(axis=1, keepdims=True)
-        logsumexp = zmax[:, 0] + np.log(np.exp(logits - zmax).sum(axis=1))
-        loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
+        loss, exps, sums = _cross_entropy(logits, labels)
 
         grad = np.zeros(self.dim)
-        probs = np.exp(logits - zmax)
-        probs /= probs.sum(axis=1, keepdims=True)
-        delta = probs
+        delta = exps / sums
         delta[np.arange(n), labels] -= 1.0
         delta /= n
         for i in range(len(layers) - 1, -1, -1):
@@ -319,16 +343,13 @@ class Mlp:
         filter-wise normalization, with rows standing in for conv filters).
         """
         out = direction.copy()
-        for (w0, b0, end), (fan_out, fan_in) in zip(self._offsets, self.shapes):
-            for j in range(fan_out):
-                sl_w = slice(w0 + j * fan_in, w0 + (j + 1) * fan_in)
-                idx_b = b0 + j
-                dnorm = math.sqrt(norm2(out[sl_w]) ** 2 + out[idx_b] ** 2)
-                xnorm = math.sqrt(norm2(x[sl_w]) ** 2 + x[idx_b] ** 2)
-                if dnorm > 0.0:
-                    factor = xnorm / dnorm
-                    out[sl_w] *= factor
-                    out[idx_b] *= factor
+        for (Wd, bd), (Wx, bx) in zip(self.unpack(out), self.unpack(x)):
+            dnorm = _group_norms(Wd, bd)
+            xnorm = _group_norms(Wx, bx)
+            live = dnorm > 0.0
+            factor = xnorm[live] / dnorm[live]
+            Wd[live] *= factor[:, np.newaxis]
+            bd[live] *= factor
         return out
 
 
@@ -377,7 +398,8 @@ class MlpObjective:
         return self.mlp.loss_and_grad(x, feats, labels)
 
     def loss(self, x, batch) -> float:
-        return self.loss_and_grad(x, batch)[0]
+        feats, labels = self._rows(batch)
+        return self.mlp.loss(x, feats, labels)
 
     def grad(self, x, batch) -> np.ndarray:
         return self.loss_and_grad(x, batch)[1]
@@ -385,7 +407,7 @@ class MlpObjective:
     def full_loss(self, x) -> float:
         feats = self.dataset.features[self._train_idx]
         labels = self.dataset.labels[self._train_idx]
-        return self.mlp.loss_and_grad(x, feats, labels)[0]
+        return self.mlp.loss(x, feats, labels)
 
     def full_grad(self, x) -> np.ndarray:
         feats = self.dataset.features[self._train_idx]
@@ -397,7 +419,7 @@ class MlpObjective:
             raise InvalidParameterError("objective has no held-out split")
         feats = self.dataset.features[self._holdout_idx]
         labels = self.dataset.labels[self._holdout_idx]
-        return self.mlp.loss_and_grad(x, feats, labels)[0]
+        return self.mlp.loss(x, feats, labels)
 
     def hvp(self, x, v) -> np.ndarray:
         return hvp_finite_difference(self, x, v)

@@ -85,6 +85,53 @@ def test_suppression_matches_steady_state_factor(theta):
     assert mse_d < theta * 1.0
 
 
+def _mse_suppression_step_by_step(obj, x_fixed, theta, n_steps, rng):
+    """Reference: one sampler draw and one ``vasso_update`` per step."""
+    truth = obj.full_grad(x_fixed)
+    sampler = obj.make_sampler(1, rng)
+    burn = math.ceil(10.0 / theta)
+    state = None
+    acc_d = 0.0
+    acc_g = 0.0
+    for i in range(burn + n_steps):
+        g = obj.grad(x_fixed, sampler())
+        state, _ = vasso_update(state, g, theta, 0.0)
+        if i >= burn:
+            acc_d += norm2(state.d - truth) ** 2
+            acc_g += norm2(g - truth) ** 2
+    return acc_d / n_steps, acc_g / n_steps
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.4, 0.9, 1.0])
+@pytest.mark.parametrize("dim", [1, 4, 10])
+@pytest.mark.parametrize("n_steps", [300, 2500])
+def test_blocked_suppression_equals_the_step_by_step_loop(theta, dim, n_steps):
+    # 2500 measured steps span three blocks and end mid-block; 300 fit in one
+    obj = NoisyQuadratic(np.linspace(0.5, 2.0, dim), sigma=0.7)
+    x = make_rng(dim, 0).standard_normal(dim)
+    got = mse_suppression(obj, x, theta, n_steps, make_rng(5, 16))
+    want = _mse_suppression_step_by_step(obj, x, theta, n_steps, make_rng(5, 16))
+    assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_blocked_suppression_follows_the_sampler_of_a_network():
+    # no vectorized grad_draws: draws come from one sampler across blocks,
+    # whose 12-row epochs do not line up with the block boundaries
+    ds = make_blobs_dataset(6, 2, 2, 2.0, make_rng(0, 4))
+    obj = mlp_objective([2, 3, 2], "tanh", ds)
+    x = obj.init_params(make_rng(0, 0))
+    got = mse_suppression(obj, x, 0.5, 1100, make_rng(1, 16))
+    want = _mse_suppression_step_by_step(obj, x, 0.5, 1100, make_rng(1, 16))
+    assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_suppression_rejects_theta_outside_the_unit_interval():
+    obj = NoisyQuadratic(np.ones(2), sigma=1.0)
+    for theta in (0.0, 1.5):
+        with pytest.raises(InvalidParameterError):
+            mse_suppression(obj, np.zeros(2), theta, 10, make_rng(0, 16))
+
+
 def test_chain_matches_sequential_updates_exactly():
     rng = make_rng(3, 16)
     gs = rng.standard_normal((500, 4))

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from vasso_opt import cli
 from vasso_opt.cli import main
 from vasso_opt.harness import METRICS_HEADER, build_objective, init_x, \
     load_config
@@ -109,6 +110,30 @@ def test_train_without_an_output_path_exits_2(tmp_path, capsys):
     rc = main(["train", "--config", cfg, "--seed", "0"])
     assert rc == 2
     assert "output_path" in capsys.readouterr().err
+
+
+def test_a_holdout_split_with_no_training_rows_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, objective={
+        "kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,
+        "hidden": [4], "holdout_fraction": 1.0}, batch_size=4)
+    rc = main(["train", "--config", cfg, "--seed", "0",
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vasso-opt: error: objective.holdout_fraction:")
+    assert "Traceback" not in err
+
+
+def test_an_unexpected_exception_exits_2_without_a_traceback(tmp_path, capsys,
+                                                              monkeypatch):
+    def broken(args):
+        return 1 // 0
+
+    monkeypatch.setitem(cli._DISPATCH, "train", broken)
+    rc = main(["train", "--config", _write_cfg(tmp_path), "--seed", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "vasso-opt: error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -96,6 +96,35 @@ def test_network_objective_fields_are_checked():
         assert err.value.path == path
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("path", ["optimizer.rho", "objective.sigma",
+                                  "objective.init_scale", "optimizer.lr.base"])
+def test_non_finite_numbers_are_rejected_with_their_path(path, value):
+    raw = _raw()
+    *parents, key = path.split(".")
+    node = raw
+    for k in parents:
+        node = node[k]
+    node[key] = value
+    text = json.dumps(raw)   # writes the JSON extensions NaN / Infinity
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert err.value.path == path
+    assert "finite" in str(err.value)
+
+
+def test_a_split_without_training_rows_is_a_config_error():
+    raw = _raw(objective={"kind": "blobs", "n_per_class": 8, "dim": 2,
+                          "separation": 2.0, "hidden": [4],
+                          "holdout_fraction": 1.0})
+    cfg = parse_config(raw)
+    with pytest.raises(ConfigError) as err:
+        build_objective(cfg.objective, 0)
+    assert err.value.path == "objective.holdout_fraction"
+    raw["objective"]["holdout_fraction"] = 15.5 / 16   # one training row left
+    assert build_objective(parse_config(raw).objective, 0).n_samples == 1
+
+
 def test_invalid_json_text_is_a_config_error():
     with pytest.raises(ConfigError) as err:
         parse_config_text("{not json")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vasso_opt.core import make_rng
+from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import (ConfigError, DimensionMismatchError,
                               InvalidParameterError)
 from vasso_opt.objectives import (Dataset, EpochSampler, Mlp, MlpObjective,
@@ -36,6 +36,11 @@ def test_epoch_sampler_reshuffles_between_epochs():
 def test_epoch_sampler_clamps_batch_size():
     s = EpochSampler(4, 100, make_rng(0, 1))
     assert len(s()) == 4
+
+
+def test_epoch_sampler_rejects_an_empty_row_set():
+    with pytest.raises(InvalidParameterError):
+        EpochSampler(0, 4, make_rng(0, 1))
 
 
 def test_epoch_sampler_rejects_bad_batch_size():
@@ -289,6 +294,66 @@ def test_direction_normalization_keeps_zero_rows_zero():
     x = np.ones(mlp.dim)
     d = np.zeros(mlp.dim)
     assert np.array_equal(mlp.normalize_direction(d, x), d)
+
+
+def _normalize_direction_per_neuron(mlp, direction, x):
+    """Reference: one neuron at a time, each norm from the 1-D ``norm2``."""
+    out = direction.copy()
+    for (w0, b0, end), (fan_out, fan_in) in zip(mlp._offsets, mlp.shapes):
+        for j in range(fan_out):
+            sl_w = slice(w0 + j * fan_in, w0 + (j + 1) * fan_in)
+            idx_b = b0 + j
+            dnorm = math.sqrt(norm2(out[sl_w]) ** 2 + out[idx_b] ** 2)
+            xnorm = math.sqrt(norm2(x[sl_w]) ** 2 + x[idx_b] ** 2)
+            if dnorm > 0.0:
+                factor = xnorm / dnorm
+                out[sl_w] *= factor
+                out[idx_b] *= factor
+    return out
+
+
+@pytest.mark.parametrize("sizes", [[1, 3], [2, 8, 2], [2, 32, 2], [5, 7, 4, 3],
+                                   [40, 6, 2]])
+def test_direction_normalization_equals_the_per_neuron_loop(sizes):
+    mlp = Mlp(sizes)
+    rng = make_rng(len(sizes), 5)
+    x = mlp.init_params(rng) + 0.1 * rng.standard_normal(mlp.dim)
+    d = rng.standard_normal(mlp.dim)
+    # zero out one neuron's whole group: it must stay zero, unscaled
+    (w0, b0, end), (fan_out, fan_in) = mlp._offsets[0], mlp.shapes[0]
+    d[w0:w0 + fan_in] = 0.0
+    d[b0] = 0.0
+    got = mlp.normalize_direction(d, x)
+    assert np.array_equal(got, _normalize_direction_per_neuron(mlp, d, x))
+    assert np.all(got[w0:w0 + fan_in] == 0.0) and got[b0] == 0.0
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("hidden", [[6], [6, 4]])
+@pytest.mark.parametrize("batch", [1, 16, None])
+def test_forward_only_loss_equals_the_loss_of_loss_and_grad(activation, hidden, batch):
+    ds = make_blobs_dataset(20, 3, 3, 1.5, make_rng(2, 4))
+    mlp = Mlp([3] + hidden + [3], activation)
+    x = mlp.init_params(make_rng(1, 0))
+    rows = np.arange(ds.n_samples) if batch is None else \
+        make_rng(3, 1).permutation(ds.n_samples)[:batch]
+    feats, labels = ds.features[rows], ds.labels[rows]
+    assert mlp.loss(x, feats, labels) == mlp.loss_and_grad(x, feats, labels)[0]
+
+
+def test_objective_losses_run_no_backward_pass(monkeypatch):
+    obj = _blob_objective(holdout=0.25)
+    x = obj.init_params(make_rng(1, 0))
+    want = [obj.mlp.loss_and_grad(x, *obj._rows(np.arange(4)))[0],
+            obj.mlp.loss_and_grad(x, *obj._rows(np.arange(obj.n_samples)))[0],
+            obj.mlp.loss_and_grad(x, obj.dataset.features[obj._holdout_idx],
+                                  obj.dataset.labels[obj._holdout_idx])[0]]
+
+    def no_backward(*args):
+        raise AssertionError("a loss-only call ran the backward pass")
+
+    monkeypatch.setattr(Mlp, "loss_and_grad", no_backward)
+    assert [obj.loss(x, np.arange(4)), obj.full_loss(x), obj.holdout_loss(x)] == want
 
 
 # ---------------------------------------------------------------------------

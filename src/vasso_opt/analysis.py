@@ -18,7 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.signal import lfilter
 from scipy.special import gammaln
 
-from .core import DEGENERATE_NORM_TOL, norm2
+from .core import DEGENERATE_NORM_TOL, norm2, row_norms
 from .errors import InvalidParameterError
 
 
@@ -81,8 +81,7 @@ def mse_suppression(obj, x_fixed, theta: float, n_steps: int, rng
 
 def _squared_errors(rows: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """norm2(row - truth) ** 2 per row, rounded exactly as ``norm2`` rounds."""
-    e = rows - truth
-    return np.sqrt(np.vecdot(e, e)) ** 2
+    return row_norms(rows - truth) ** 2
 
 
 def _sum_in_order(acc: float, values: np.ndarray) -> float:

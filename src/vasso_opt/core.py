@@ -1,7 +1,9 @@
 """Vector arithmetic, deterministic RNG streams, and hyperparameter schedules.
 
 Parameter vectors are plain 1-D float64 numpy arrays throughout the package;
-``as_param_vector`` is the single place where that contract is enforced.
+``as_param_vector`` is the single place where that contract is enforced.  The
+training steps also take a stack of them, one row per seed, as an
+``(S, dim)`` array.
 
 Randomness comes from numpy's counter-based Philox generator keyed by
 ``(seed, stream_id)``: equal keys give bit-identical draw sequences on every
@@ -52,6 +54,16 @@ def as_param_vector(x, dim: int | None = None) -> np.ndarray:
 def norm2(x: np.ndarray) -> float:
     """Euclidean norm."""
     return float(np.linalg.norm(x))
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis: one per row of a stack.
+
+    ``np.vecdot`` takes the same dot kernel as ``norm2``, so each row's norm
+    equals ``norm2`` of that row bit for bit (``np.linalg.norm(axis=-1)``
+    and ``einsum`` do not).  A 1-D ``x`` gives a numpy scalar.
+    """
+    return np.sqrt(np.vecdot(x, x))
 
 
 def normalize_to_sphere(x: np.ndarray, rho: float,

@@ -1,11 +1,12 @@
 """Experiment orchestration: strict JSON configs, seeded runs, metrics files.
 
 Determinism contract: a (config, seed) pair maps to byte-identical metrics
-output on every run.  All randomness flows through named Philox streams keyed
-by the seed (see core): parameter init, minibatch sampling, decoupled
-adversary batches, and Bernoulli gates never share a stream.  Wallclock
-timing is inherently nondeterministic, so its column is left empty unless
-explicitly requested.
+output on every run, whichever other seeds run beside it.  All randomness
+flows through named Philox streams keyed by the seed (see core): parameter
+init, minibatch sampling, decoupled adversary batches, and Bernoulli gates
+never share a stream.  ``run_seeds`` steps all seeds of a run in lockstep as
+one (S, dim) stack.  Wallclock timing is inherently nondeterministic, so its
+column is left empty unless explicitly requested.
 
 Config schema (JSON, unknown keys are errors)::
 
@@ -44,11 +45,13 @@ import numpy as np
 from scipy.stats import binomtest
 
 from .core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE, STREAM_INIT,
-                   STREAM_DATA, Schedule, make_rng, norm2)
+                   STREAM_DATA, Schedule, make_rng, row_norms)
+from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import (inject_label_noise, load_dataset_csv,
-                         make_blobs_dataset, mlp_objective, NoisyQuadratic)
-from .optimizers import OptimizerConfig, vasso_step
+                         make_blobs_dataset, mlp_objective, MlpObjective,
+                         NoisyQuadratic)
+from .optimizers import AdversaryState, OptimizerConfig, vasso_step
 
 log = logging.getLogger("vasso_opt")
 log.addHandler(logging.NullHandler())
@@ -56,7 +59,7 @@ log.addHandler(logging.NullHandler())
 # Each optimizer kind is a setting of the one step, vasso_step: theta=1 makes
 # the slope the raw gradient (SAM), p=0 skips the second gradient (SGD) and
 # p=1 always takes it (VASSO).  Knobs not fixed here come from the config;
-# sam_db also draws an independent adversary batch (see run_seed).
+# sam_db also draws an independent adversary batch (see run_seeds).
 KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
               "vasso": {"p": 1.0}, "evasso": {},
               "sam_db": {"theta": 1.0, "p": 1.0}}
@@ -118,16 +121,29 @@ def _as_number(v, path, lo=None, hi=None, integer=False):
     return int(v) if integer else float(v)
 
 
-def _parse_schedule(raw, path, default_horizon) -> Schedule:
+def _as_list(v, path) -> list:
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, f"expected a non-empty list, got {v!r}")
+    return v
+
+
+def _number_list(v, path) -> list[float]:
+    return [_as_number(x, path) for x in _as_list(v, path)]
+
+
+def _parse_schedule(raw, path, T) -> Schedule:
+    """A schedule over the T steps of a run; its horizon defaults to T."""
     f = _Fields(raw, path)
     kind = f.take("kind", required=True)
     base = _as_number(f.take("base", required=True), f"{path}.base", lo=0.0)
     horizon = f.take("horizon")
     f.finish()
     if horizon is None and kind in ("cosine", "theory"):
-        horizon = default_horizon
+        horizon = T
     elif horizon is not None:
         horizon = _as_number(horizon, f"{path}.horizon", lo=1, integer=True)
+        if horizon < T:   # a schedule has no value past its horizon
+            raise ConfigError(f"{path}.horizon", f"must be >= T ({T}), got {horizon}")
     try:
         return Schedule(kind, base, horizon)
     except VassoOptError as e:
@@ -179,14 +195,19 @@ def _parse_objective(raw) -> dict:
         if (diag is None) == (matrix is None):
             raise ConfigError("objective", "give exactly one of 'diag' or 'matrix'")
         if diag is not None:
-            out["diag"] = [_as_number(v, "objective.diag") for v in diag]
+            out["diag"] = _number_list(diag, "objective.diag")
         else:
-            out["matrix"] = [[_as_number(v, "objective.matrix") for v in row]
-                             for row in matrix]
+            out["matrix"] = [_number_list(row, "objective.matrix")
+                             for row in _as_list(matrix, "objective.matrix")]
+            if any(len(row) != len(matrix) for row in matrix):
+                raise ConfigError("objective.matrix", "must be square")
+        dim = len(diag if diag is not None else matrix)
         out["sigma"] = _as_number(f.take("sigma", required=True), "objective.sigma", lo=0.0)
         b = f.take("b")
         if b is not None:
-            out["b"] = [_as_number(v, "objective.b") for v in b]
+            out["b"] = _number_list(b, "objective.b")
+            if len(b) != dim:
+                raise ConfigError("objective.b", f"expected {dim} entries, got {len(b)}")
         out["init_scale"] = _as_number(f.take("init_scale", default=1.0),
                                        "objective.init_scale")
     else:
@@ -361,77 +382,186 @@ class MetricsRow:
                                          self.grad_evals_cum, self.wallclock_ms))
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
-             keep_final_x: bool = False) -> tuple[list[MetricsRow], dict]:
-    """Run the full loop for one seed; returns (metrics rows, summary dict).
+class _Gates:
+    """The Bernoulli gate streams of a stack: ``random()`` draws once from each."""
 
-    ``keep_final_x`` stashes the final iterate in the summary under
-    ``final_x`` (not JSON-serializable; for in-process callers only).
+    def __init__(self, rngs: list):
+        self.rngs = rngs
+
+    def random(self) -> np.ndarray:
+        return np.array([rng.random() for rng in self.rngs])
+
+
+def _stack_objective(objs: list):
+    """One objective for a stack of seeds, rows in the order of ``objs``.
+
+    A network's per-seed data is stacked; a quadratic does not depend on the
+    seed, so one instance serves every row.
     """
-    obj = build_objective(cfg.objective, seed)
-    x = init_x(obj, cfg.objective, seed)
-    ocfg = cfg.optimizer_config(seed)
-    sampler = obj.make_sampler(cfg.batch_size, make_rng(seed, STREAM_BATCH))
-    adv_sampler = None
+    return MlpObjective.stack(objs) if isinstance(objs[0], MlpObjective) else objs[0]
+
+
+def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
+              keep_final_x: bool = False) -> list[tuple[list[MetricsRow], dict]]:
+    """Run the seeds in lockstep; returns (metrics rows, summary) per seed.
+
+    The seeds' parameters step together as one (S, dim) stack through
+    ``vasso_step``.  Each seed keeps its own data, initial point and Philox
+    streams, and its rows and summary equal those of a run of that seed
+    alone, bit for bit.  A seed whose loss or gradient turns non-finite
+    leaves the stack at that step (``aborted_at``) and the others run on.
+    ``keep_final_x`` stashes each final iterate in its summary under
+    ``final_x`` (not JSON-serializable; for in-process callers only).
+    Recorded wallclock cells hold the elapsed time of the whole stack.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        return []
+    # A stack of one runs on its seed's own 1-D vectors and objective, which
+    # numpy steps faster than a (1, dim) stack; the loop is the same.
+    stacked = len(seeds) > 1
+
+    def stack(values):
+        return np.array(values) if stacked else values[0]
+
+    objs = [build_objective(cfg.objective, s) for s in seeds]
+    x = stack([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
+    ocfg = cfg.optimizer_config(seeds[0])   # the step reads no seed from it
+    samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
+                for o, s in zip(objs, seeds)]
+    adv_samplers = None
     if cfg.optimizer["kind"] == "sam_db":
         adv_bs = cfg.optimizer.get("adv_batch_size") or cfg.batch_size
-        adv_sampler = obj.make_sampler(adv_bs, make_rng(seed, STREAM_ADV_BATCH))
-    gate_rng = make_rng(seed, STREAM_GATE)
+        adv_samplers = [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
+                        for o, s in zip(objs, seeds)]
+    gate_rngs = [make_rng(s, STREAM_GATE) for s in seeds]
+    gates = _Gates(gate_rngs) if stacked else gate_rngs[0]
+    obj = _stack_objective(objs) if stacked else objs[0]
 
-    state = None
-    buf = None
-    prev_eps = None
-    grad_cum = 0
-    drift_sum = 0.0
-    drift_count = 0
-    rows: list[MetricsRow] = []
-    aborted_at = None
+    n, T = len(seeds), cfg.T
+    live = np.arange(n)          # the seed of each stack row
+    # Per-step cells of the live rows are appended to ``pending`` and filed
+    # into the (T, n) tables under the live seeds' columns when a seed
+    # leaves and at the end.  Drift cells start at t=1; steps off the
+    # metrics cadence repeat the last gradient norms, and their cells stay
+    # blank.
+    tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
+              "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
+    pending = {name: [] for name in tables}
+    pend_loss, pend_fg, pend_drift, pend_evals = (
+        pending[name] for name in ("loss", "fg_norm", "drift", "evals"))
+
+    def file(stop: int) -> None:
+        for name, cells in pending.items():
+            if cells:
+                block = np.array(cells).reshape(len(cells), -1)
+                tables[name][stop - len(cells):stop, live] = block
+                cells.clear()
+
+    wallclock = [None] * T
+    steps = np.full(n, T)
+    aborted_at = [None] * n
+    final_x = [None] * n
+
+    def retire(rows, t: int) -> None:
+        """The stack rows ``rows`` failed at step t: their seeds stop there."""
+        file(t)
+        for j in rows:
+            steps[live[j]] = aborted_at[live[j]] = t
+            final_x[live[j]] = np.atleast_2d(x)[j]
+
+    state = buf = prev_eps = None
+    epochs = hasattr(samplers[0], "epoch")   # every seed's sampler turns together
+    last_epoch = samplers[0].epoch if epochs else None
+    epoch_sum, epoch_len = np.zeros(n), 0
     t0 = time.perf_counter()
-    last_epoch = getattr(sampler, "epoch", None)
-    epoch_losses: list[float] = []
 
-    for t in range(cfg.T):
-        batch = sampler()
-        if hasattr(sampler, "epoch") and sampler.epoch != last_epoch:
-            if epoch_losses:
-                log.info("seed=%d epoch=%d mean_batch_loss=%.6f",
-                         seed, last_epoch, sum(epoch_losses) / len(epoch_losses))
-            last_epoch = sampler.epoch
-            epoch_losses = []
-        fg_norm = norm2(obj.full_grad(x)) if t % cfg.metrics_every == 0 else None
-        adv_batch = None if adv_sampler is None else adv_sampler()
+    for t in range(T):
+        batch = stack([sample() for sample in samplers])
+        if epochs and samplers[0].epoch != last_epoch:
+            if epoch_len:
+                for i in live:
+                    log.info("seed=%d epoch=%d mean_batch_loss=%.6f",
+                             seeds[i], last_epoch, epoch_sum[i] / epoch_len)
+            last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
+        if t % cfg.metrics_every == 0:
+            fg_norm = row_norms(obj.full_grad(x))
+        adv_batch = None if adv_samplers is None else \
+            stack([sample() for sample in adv_samplers])
         try:
-            x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gate_rng,
-                                            t=t, momentum_buffer=buf,
-                                            adv_batch=adv_batch)
-        except NonFiniteError:
-            aborted_at = t
+            x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
+                                                t=t, momentum_buffer=buf,
+                                                adv_batch=adv_batch)
+        except NonFiniteError:   # every live seed failed at t
+            retire(range(live.size), t)
+            live = live[:0]
             break
-        grad_cum += rep.grad_evals
-        if prev_eps is None:
-            drift = None
-        else:
-            drift = norm2(rep.epsilon - prev_eps)
-            drift_sum += drift
-            drift_count += 1
-        prev_eps = rep.epsilon
-        epoch_losses.append(rep.loss)
-        wallclock = (time.perf_counter() - t0) * 1e3 if record_wallclock else None
-        rows.append(MetricsRow(seed, t, rep.loss, fg_norm, drift, grad_cum, wallclock))
+        loss, evals, eps = rep.loss, rep.grad_evals, rep.epsilon
+        if rep.failed is not None:   # drop the failed rows from the stack
+            retire(np.flatnonzero(rep.failed), t)
+            keep = np.flatnonzero(~rep.failed)
+            live = live[keep]
+            x_new, loss, eps, fg_norm = x_new[keep], loss[keep], eps[keep], fg_norm[keep]
+            evals = np.broadcast_to(evals, rep.failed.shape)[keep]
+            state = None if state is None else \
+                AdversaryState(state.d[keep], state.d_norm[keep])
+            buf = None if buf is None else buf[keep]
+            prev_eps = None if prev_eps is None else prev_eps[keep]
+            samplers = [samplers[j] for j in keep]
+            if adv_samplers is not None:
+                adv_samplers = [adv_samplers[j] for j in keep]
+            gates = _Gates([gates.rngs[j] for j in keep])
+            obj = _stack_objective([objs[i] for i in live])
+        x = x_new
+        pend_loss.append(loss)
+        pend_fg.append(fg_norm)
+        pend_evals.append(evals)
+        if prev_eps is not None:
+            pend_drift.append(row_norms(eps - prev_eps))
+        prev_eps = eps
+        if epochs:
+            epoch_sum[live] += loss
+            epoch_len += 1
+        if record_wallclock:
+            wallclock[t] = (time.perf_counter() - t0) * 1e3
+    file(T)
 
-    summary = {
-        "seed": seed,
-        "aborted": aborted_at is not None,
-        "aborted_at": aborted_at,
-        "total_grad_evals": grad_cum,
-        "mean_drift": (drift_sum / drift_count) if drift_count else 0.0,
-        "final_loss": None if aborted_at is not None else final_loss_metric(obj, x),
-    }
-    if keep_final_x:
-        summary["final_x"] = x
-    log.info("seed=%d done: steps=%d final_loss=%s grad_evals=%d",
-             seed, len(rows), fmt(summary["final_loss"]), grad_cum)
-    return rows, summary
+    final_loss = [None] * n
+    if live.size:
+        finals = np.atleast_1d(final_loss_metric(obj, x)).tolist()
+        for i, value, xi in zip(live, finals, np.atleast_2d(x)):
+            final_loss[i], final_x[i] = value, xi
+    results = []
+    for i, seed in enumerate(seeds):
+        k = steps[i]
+        evals_cum = np.cumsum(tables["evals"][:k, i])   # ints, added in step order
+        drifts = tables["drift"][:k, i]
+        cells = zip(tables["loss"][:k, i].tolist(), tables["fg_norm"][:k, i].tolist(),
+                    drifts.tolist(), evals_cum.tolist(), wallclock)
+        rows = [MetricsRow(seed, t, loss, fg if t % cfg.metrics_every == 0 else None,
+                           drift if t else None, evals, wall)
+                for t, (loss, fg, drift, evals, wall) in enumerate(cells)]
+        summary = {
+            "seed": seed,
+            "aborted": aborted_at[i] is not None,
+            "aborted_at": aborted_at[i],
+            "total_grad_evals": int(evals_cum[-1]) if k else 0,
+            # left to right, as a running sum adds them
+            "mean_drift": float(np.cumsum(drifts[1:])[-1]) / (k - 1) if k > 1 else 0.0,
+            "final_loss": final_loss[i],
+        }
+        if keep_final_x:
+            summary["final_x"] = final_x[i]
+        log.info("seed=%d done: steps=%d final_loss=%s grad_evals=%d",
+                 seed, k, fmt(summary["final_loss"]), summary["total_grad_evals"])
+        results.append((rows, summary))
+    return results
+
+
+def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
+             keep_final_x: bool = False) -> tuple[list[MetricsRow], dict]:
+    """Run one seed: ``run_seeds`` with a stack of one."""
+    return run_seeds(cfg, [seed], record_wallclock, keep_final_x)[0]
 
 
 @dataclass
@@ -462,7 +592,7 @@ def run_experiment(cfg: ExperimentConfig,
     Output goes to cfg.output_path (the summary beside it with a
     ``.summary.json`` suffix); passing output_path=None skips file output.
     """
-    results = [run_seed(cfg, s, record_wallclock) for s in cfg.seeds]
+    results = run_seeds(cfg, cfg.seeds, record_wallclock)
     summaries = [summary for _, summary in results]
     aggregate = _aggregate(summaries)
     metrics_path = summary_path = None
@@ -496,15 +626,8 @@ class PairedCompareResult:
     wins_b: int
     ties: int
     p_value: float
-    summaries_a: list[dict]   # each seed's run_seed summary, with final_x
+    summaries_a: list[dict]   # each seed's run_seeds summary, with final_x
     summaries_b: list[dict]
-
-
-def _seed_summary(cfg: ExperimentConfig, seed: int) -> dict:
-    _, summary = run_seed(cfg, seed, keep_final_x=True)
-    if summary["aborted"]:
-        raise NonFiniteError(f"seed {seed} aborted", t=summary["aborted_at"])
-    return summary
 
 
 def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
@@ -525,10 +648,12 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     if da != db:
         raise ConfigError("config", "paired configs may differ only in the optimizer spec")
     seeds = list(seeds)
-    summaries_a, summaries_b = [], []
-    for seed in seeds:
-        summaries_a.append(_seed_summary(cfg_a, seed))
-        summaries_b.append(_seed_summary(cfg_b, seed))
+    summaries_a = [s for _, s in run_seeds(cfg_a, seeds, keep_final_x=True)]
+    summaries_b = [s for _, s in run_seeds(cfg_b, seeds, keep_final_x=True)]
+    for summary in (s for pair in zip(summaries_a, summaries_b) for s in pair):
+        if summary["aborted"]:
+            raise NonFiniteError(f"seed {summary['seed']} aborted",
+                                 t=summary["aborted_at"])
     values_a = [s[metric] for s in summaries_a]
     values_b = [s[metric] for s in summaries_b]
     diffs = [a - b for a, b in zip(values_a, values_b)]
@@ -580,7 +705,7 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
 
     def mean_row(name: str, cfg: ExperimentConfig, p: float | None) -> TradeoffRow:
         t0 = time.perf_counter()
-        results = [run_seed(cfg, s) for s in seeds]
+        results = run_seeds(cfg, seeds)
         wall = (time.perf_counter() - t0) * 1e3 / len(seeds) if record_wallclock else None
         finals = [s["final_loss"] for _, s in results]
         evals = [s["total_grad_evals"] for _, s in results]

@@ -14,6 +14,13 @@ objectives it is an index array drawn without replacement with a per-epoch
 reshuffle.  For ``NoisyQuadratic`` the batch IS the gradient-noise vector:
 the two gradient evaluations of a sharpness-aware step then see identical
 noise, which is exactly the same-batch semantics the optimizers rely on.
+
+The loss and gradient methods also take a stack of parameter vectors, one
+row per seed, with a matching stack of batches: ``x`` of shape (S, dim)
+gives S losses and an (S, dim) gradient, each row equal bit for bit to the
+one-vector call on that row.  A quadratic is the same for every seed, so one
+instance serves any stack; ``MlpObjective.stack`` joins the per-seed data of
+a network objective.  Values of a single vector stay Python floats.
 """
 
 from __future__ import annotations
@@ -24,8 +31,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_param_vector, norm2
+from .core import as_param_vector, norm2, row_norms
 from .errors import ConfigError, DimensionMismatchError, InvalidParameterError
+
+
+def _as_loss(v):
+    """A single vector's loss as a Python float; a stack's stays an array."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 class EpochSampler:
@@ -92,7 +104,11 @@ class NoisyQuadratic:
     def _Ax(self, x: np.ndarray) -> np.ndarray:
         if self._diag is not None:
             return self._diag * x
-        return self._A @ x
+        # per row this equals A @ row bit for bit; x @ A.T does not
+        return np.matmul(self._A, x[..., np.newaxis])[..., 0]
+
+    def _value(self, x: np.ndarray, ax: np.ndarray):
+        return np.vecdot(0.5 * x, ax) + np.vecdot(self.b, x)
 
     def lambda_max(self) -> float:
         if self._diag is not None:
@@ -100,19 +116,21 @@ class NoisyQuadratic:
         return float(np.linalg.eigvalsh(self._A)[-1])
 
     def full_loss(self, x: np.ndarray) -> float:
-        return float(0.5 * x @ self._Ax(x) + self.b @ x)
+        return _as_loss(self._value(x, self._Ax(x)))
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self._Ax(x) + self.b
 
     def loss(self, x: np.ndarray, batch: np.ndarray) -> float:
-        return self.full_loss(x) + float(batch @ x)
+        return _as_loss(self._value(x, self._Ax(x)) + np.vecdot(batch, x))
 
     def grad(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
         return self.full_grad(x) + batch
 
     def loss_and_grad(self, x, batch):
-        return self.loss(x, batch), self.grad(x, batch)
+        ax = self._Ax(x)
+        return (_as_loss(self._value(x, ax) + np.vecdot(batch, x)),
+                ax + self.b + batch)
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._Ax(v)
@@ -165,22 +183,38 @@ class Dataset:
 
 
 def load_dataset_csv(path: str, header: bool = False) -> Dataset:
-    """CSV rows are features followed by an integer label in the last column."""
+    """CSV rows are features followed by an integer label in the last column.
+
+    Every row needs the first row's number of cells (at least two), every
+    cell a finite number and every label a non-negative integer; a row that
+    breaks this is a ConfigError at ``<path>:<line>``.
+    """
     rows = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         if header:
             next(reader, None)
         for row in reader:
-            if row:
-                rows.append([float(v) for v in row])
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            width = len(rows[0]) if rows else max(len(row), 2)
+            if len(row) != width:
+                raise ConfigError(where, f"expected {width} cells, got {len(row)}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError as e:
+                raise ConfigError(where, str(e)) from e
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(where, "cells must be finite numbers")
+            if not values[-1].is_integer() or values[-1] < 0:
+                raise ConfigError(where, f"the label must be a non-negative integer, "
+                                         f"got {row[-1]!r}")
+            rows.append(values)
     if not rows:
         raise ConfigError(path, "dataset file has no rows")
     arr = np.asarray(rows, dtype=np.float64)
-    labels = arr[:, -1]
-    if not np.allclose(labels, np.round(labels)):
-        raise ConfigError(path, "last column must hold integer class labels")
-    return Dataset(arr[:, :-1], labels.astype(np.int64))
+    return Dataset(arr[:, :-1], arr[:, -1].astype(np.int64))
 
 
 def make_blobs_dataset(n_per_class: int, n_classes: int, dim: int,
@@ -239,24 +273,26 @@ def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy by a stable log-softmax over the rows of ``logits``.
 
-    Also returns the max-shifted exponentials and their row sums, from which
-    the backward pass forms the softmax probabilities.
+    ``logits`` is (n, classes), or (S, n, classes) for a stack, which gives
+    S means.  Also returns the max-shifted exponentials, their row sums and
+    the index of each row's label entry, from which the backward pass forms
+    its error.
     """
-    zmax = logits.max(axis=1, keepdims=True)
+    zmax = logits.max(axis=-1, keepdims=True)
     exps = np.exp(logits - zmax)
-    sums = exps.sum(axis=1, keepdims=True)
-    logsumexp = zmax[:, 0] + np.log(sums[:, 0])
-    loss = float(np.mean(logsumexp - logits[np.arange(logits.shape[0]), labels]))
-    return loss, exps, sums
+    sums = exps.sum(axis=-1, keepdims=True)
+    logsumexp = zmax[..., 0] + np.log(sums[..., 0])
+    at = (*np.indices(labels.shape, sparse=True), labels)
+    loss = _as_loss(np.mean(logsumexp - logits[at], axis=-1))
+    return loss, exps, sums, at
 
 
 def _group_norms(W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Norm of each row of W joined with its bias entry.
 
-    Row norms come from ``np.vecdot``, which rounds exactly like ``norm2`` on
-    the row alone, so this equals a per-row ``norm2`` loop bit for bit.
+    Equals a per-row ``norm2`` loop bit for bit (see ``row_norms``).
     """
-    return np.sqrt(np.sqrt(np.vecdot(W, W)) ** 2 + b ** 2)
+    return np.sqrt(row_norms(W) ** 2 + b ** 2)
 
 
 class Mlp:
@@ -264,7 +300,8 @@ class Mlp:
 
     ``layer_sizes`` = [d_in, hidden..., n_classes].  Layer l stores a weight
     matrix W_l of shape (out, in) followed by its bias, so the parameter count
-    is sum((in+1)*out).
+    is sum((in+1)*out).  ``forward``, ``loss`` and ``loss_and_grad`` also take
+    a stack: x of shape (S, dim) with features (S, n, d_in) and labels (S, n).
     """
 
     def __init__(self, layer_sizes, activation: str = "tanh"):
@@ -294,9 +331,11 @@ class Mlp:
         return x
 
     def unpack(self, x: np.ndarray):
+        lead = x.shape[:-1]
         layers = []
         for (w0, b0, end), (fan_out, fan_in) in zip(self._offsets, self.shapes):
-            layers.append((x[w0:b0].reshape(fan_out, fan_in), x[b0:end]))
+            layers.append((x[..., w0:b0].reshape(lead + (fan_out, fan_in)),
+                           x[..., b0:end]))
         return layers
 
     def forward(self, x: np.ndarray, feats: np.ndarray):
@@ -305,7 +344,7 @@ class Mlp:
         a = feats
         zs, acts = [], [a]
         for i, (W, b) in enumerate(layers):
-            z = a @ W.T + b
+            z = a @ W.mT + b[..., np.newaxis, :]
             zs.append(z)
             a = _act(z, self.activation) if i < len(layers) - 1 else z
             acts.append(a)
@@ -317,20 +356,20 @@ class Mlp:
 
     def loss_and_grad(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy over the batch and its gradient in x."""
-        n = feats.shape[0]
+        lead = x.shape[:-1]
         layers = self.unpack(x)
         zs, acts, logits = self.forward(x, feats)
-        loss, exps, sums = _cross_entropy(logits, labels)
+        loss, exps, sums, at = _cross_entropy(logits, labels)
 
-        grad = np.zeros(self.dim)
+        grad = np.zeros(x.shape)
         delta = exps / sums
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
+        delta[at] -= 1.0
+        delta /= feats.shape[-2]
         for i in range(len(layers) - 1, -1, -1):
             W, _ = layers[i]
             w0, b0, end = self._offsets[i]
-            grad[w0:b0] = (delta.T @ acts[i]).ravel()
-            grad[b0:end] = delta.sum(axis=0)
+            grad[..., w0:b0] = (delta.mT @ acts[i]).reshape(lead + (-1,))
+            grad[..., b0:end] = delta.sum(axis=-2)
             if i > 0:
                 delta = (delta @ W) * _act_deriv(zs[i - 1], self.activation)
         return loss, grad
@@ -354,7 +393,12 @@ class Mlp:
 
 
 class MlpObjective:
-    """An Mlp bound to a dataset (optionally with a held-out split)."""
+    """An Mlp bound to a dataset (optionally with a held-out split).
+
+    ``MlpObjective.stack`` builds the objective of a stack of seeds: its
+    data, labels and splits carry a leading seed axis, and a batch is an
+    (S, B) array of each seed's row indices.
+    """
 
     has_analytic_hvp = False
 
@@ -381,17 +425,40 @@ class MlpObjective:
         else:
             self._holdout_idx = None
             self._train_idx = np.arange(dataset.n_samples)
+        self._features, self._labels = dataset.features, dataset.labels
+        self._seed_index = ()   # prefix of every row index; a stack's picks its seed
+
+    @classmethod
+    def stack(cls, objectives) -> "MlpObjective":
+        """One objective over the seeds of ``objectives``, in their order.
+
+        They must share the network and the numbers of rows and of held-out
+        rows, as the objectives of one config do.  The stack has no
+        ``dataset``.
+        """
+        first = objectives[0]
+        out = cls.__new__(cls)
+        out.mlp, out.dataset, out.dim, out.sigma2 = first.mlp, None, first.dim, None
+        for name in ("_features", "_labels", "_train_idx"):
+            setattr(out, name, np.stack([getattr(o, name) for o in objectives]))
+        out._holdout_idx = None if first._holdout_idx is None else \
+            np.stack([o._holdout_idx for o in objectives])
+        out._seed_index = (np.arange(len(objectives))[:, np.newaxis],)
+        return out
 
     @property
     def n_samples(self) -> int:
-        return self._train_idx.shape[0]
+        return self._train_idx.shape[-1]
 
     def has_holdout(self) -> bool:
         return self._holdout_idx is not None and self._holdout_idx.size > 0
 
+    def _gather(self, idx: np.ndarray):
+        at = self._seed_index + (idx,)
+        return self._features[at], self._labels[at]
+
     def _rows(self, batch: np.ndarray):
-        idx = self._train_idx[batch]
-        return self.dataset.features[idx], self.dataset.labels[idx]
+        return self._gather(self._train_idx[self._seed_index + (batch,)])
 
     def loss_and_grad(self, x, batch):
         feats, labels = self._rows(batch)
@@ -405,21 +472,15 @@ class MlpObjective:
         return self.loss_and_grad(x, batch)[1]
 
     def full_loss(self, x) -> float:
-        feats = self.dataset.features[self._train_idx]
-        labels = self.dataset.labels[self._train_idx]
-        return self.mlp.loss(x, feats, labels)
+        return self.mlp.loss(x, *self._gather(self._train_idx))
 
     def full_grad(self, x) -> np.ndarray:
-        feats = self.dataset.features[self._train_idx]
-        labels = self.dataset.labels[self._train_idx]
-        return self.mlp.loss_and_grad(x, feats, labels)[1]
+        return self.mlp.loss_and_grad(x, *self._gather(self._train_idx))[1]
 
     def holdout_loss(self, x) -> float:
         if not self.has_holdout():
             raise InvalidParameterError("objective has no held-out split")
-        feats = self.dataset.features[self._holdout_idx]
-        labels = self.dataset.labels[self._holdout_idx]
-        return self.mlp.loss(x, feats, labels)
+        return self.mlp.loss(x, *self._gather(self._holdout_idx))
 
     def hvp(self, x, v) -> np.ndarray:
         return hvp_finite_difference(self, x, v)

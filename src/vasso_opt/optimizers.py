@@ -14,6 +14,11 @@ p=1 gives VASSO, 0<p<1 gives eVASSO, and an independently sampled adversary
 batch gives SAM-db.  ``sgd_step`` and ``sam_step`` are independent reference
 implementations of the two limits.  ``sfw_solve`` runs the Frank-Wolfe
 recursion over the sphere that the one-step adversary is a special case of.
+
+``vasso_step``, ``vasso_update``, ``base_update`` and ``AdversaryState`` also
+take a stack of S seeds: x, batches, the slope and the momentum buffer carry
+a leading seed axis, and every row is computed exactly as the one-vector
+call on that row would compute it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (DEGENERATE_NORM_TOL, Schedule, norm2, normalize_to_sphere,
-                   schedule_value)
+                   row_norms, schedule_value)
 from .errors import InvalidParameterError, NonFiniteError
 
 
@@ -58,24 +63,38 @@ class OptimizerConfig:
 
 @dataclass
 class AdversaryState:
-    """EMA slope d_t plus its cached norm (the memory-efficient form)."""
+    """EMA slope d_t plus its cached norm (the memory-efficient form).
+
+    For a stack, ``d`` is (S, dim) and ``d_norm`` holds one norm per row.
+    """
 
     d: np.ndarray
-    d_norm: float
+    d_norm: float | np.ndarray
 
     def epsilon(self, rho: float) -> np.ndarray:
-        """Reconstruct the adversary rho * d/||d|| on demand."""
-        if rho == 0.0 or self.d_norm <= DEGENERATE_NORM_TOL:
-            return np.zeros_like(self.d)
-        return (rho / self.d_norm) * self.d
+        """Reconstruct the adversary rho * d/||d|| on demand.
+
+        It is zero when rho == 0, and on every row whose slope is degenerate.
+        """
+        if rho == 0.0:
+            return np.zeros(self.d.shape)
+        if not np.minimum.reduce(self.d_norm, axis=None) <= DEGENERATE_NORM_TOL:
+            return np.divide(rho, self.d_norm)[..., np.newaxis] * self.d
+        degenerate = np.asarray(self.d_norm) <= DEGENERATE_NORM_TOL
+        eps = np.divide(rho, np.where(degenerate, 1.0, self.d_norm))[..., np.newaxis] * self.d
+        eps[degenerate] = 0.0
+        return eps
 
 
 @dataclass
 class StepReport:
-    loss: float
-    grad_evals: int
+    """What a step did; for a stack every field but ``epsilon`` may be per row."""
+
+    loss: float | np.ndarray
+    grad_evals: int | np.ndarray
     epsilon: np.ndarray
-    perturbed: bool
+    perturbed: bool | np.ndarray
+    failed: np.ndarray | None = None   # rows with a non-finite value (stacks only)
 
 
 def sam_adversary(g: np.ndarray, rho: float) -> np.ndarray:
@@ -98,7 +117,7 @@ def vasso_update(state: AdversaryState | None, g: np.ndarray, theta: float,
         raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
     prev = g if state is None else state.d
     d = (1.0 - theta) * prev + theta * g
-    new_state = AdversaryState(d=d, d_norm=norm2(d))
+    new_state = AdversaryState(d=d, d_norm=row_norms(d))
     return new_state, new_state.epsilon(rho)
 
 
@@ -151,31 +170,72 @@ def sam_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
     return x_new, StepReport(loss, 2, eps, True), buf
 
 
+def _finite_rows(g: np.ndarray):
+    return np.isfinite(g).all(axis=-1)
+
+
+def _fail(failed, ok, message: str, t: int):
+    """Add the rows that are not ``ok`` to ``failed``; raise once all have failed."""
+    if ok.all():
+        return failed
+    failed = ~ok if failed is None else failed | ~ok
+    if failed.all():
+        raise NonFiniteError(message, t=t)
+    return failed
+
+
 def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig,
                rng, *, t: int = 0, momentum_buffer=None, adv_batch=None):
     """One sharpness-aware step with knobs theta, p and rho from ``cfg``.
 
     The EMA slope is fed the gradient on ``adv_batch`` when one is given
     (SAM-db) and on ``batch`` otherwise; for p > 0 it is updated on every
-    step, whether or not the gate opens.  ``rng`` draws the Bernoulli(p) gate
-    only when 0 < p < 1; a forced outcome consumes no draw.  p=0 returns
-    right after the base update: one gradient evaluation and no slope work,
-    exactly SGD.
+    step, whether or not the gate opens.  ``rng.random()`` draws the
+    Bernoulli(p) gate only when 0 < p < 1; a forced outcome consumes no draw.
+    p=0 returns right after the base update: one gradient evaluation and no
+    slope work, exactly SGD.  With an adversary batch and p=1 the gradient at
+    x on ``batch`` is never used, so only its loss is computed.
+
+    For a stack of seeds, ``rng.random()`` returns one draw per row, and the
+    second gradient is taken when any row's gate opens.  A row whose loss or
+    gradient is not finite is marked in ``report.failed`` (None while every
+    row is finite) and its outputs are meaningless.  NonFiniteError is raised
+    once every row has failed, which for a single vector is its first
+    non-finite value.
     """
-    loss, g = _checked_loss_grad(obj, x, batch, t)
+    if adv_batch is not None and cfg.p == 1.0:
+        loss, g = obj.loss(x, batch), None
+        ok = np.isfinite(loss)
+    else:
+        loss, g = obj.loss_and_grad(x, batch)
+        ok = np.isfinite(loss) & _finite_rows(g)
+    failed = _fail(None, ok, "non-finite loss or gradient", t)
     if cfg.p == 0.0:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
-        return x_new, state, StepReport(loss, 1, np.zeros_like(x), False), buf
-    g_adv = g if adv_batch is None else _checked_grad(obj, x, adv_batch, t)
-    state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))
-    if cfg.p == 1.0 or rng.random() < cfg.p:
-        g_upd = _checked_grad(obj, x + eps, batch, t)
-        report = StepReport(loss, 2, eps, True)
+        return x_new, state, StepReport(loss, 1, np.zeros(x.shape), False, failed), buf
+    if adv_batch is None:
+        g_adv = g
     else:
-        g_upd = g
-        report = StepReport(loss, 1, np.zeros_like(x), False)
+        g_adv = obj.grad(x, adv_batch)
+        failed = _fail(failed, _finite_rows(g_adv),
+                       "non-finite gradient at perturbed point", t)
+    state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))
+    opened = cfg.p == 1.0 or rng.random() < cfg.p   # one outcome per row of a stack
+    n_closed = np.count_nonzero(np.logical_not(opened))
+    if not n_closed:
+        g_upd = obj.grad(x + eps, batch)
+        failed = _fail(failed, _finite_rows(g_upd),
+                       "non-finite gradient at perturbed point", t)
+    elif n_closed < np.size(opened):   # some rows of a stack keep their gradient at x
+        g_pert = obj.grad(x + eps, batch)
+        failed = _fail(failed, _finite_rows(g_pert) | ~opened,
+                       "non-finite gradient at perturbed point", t)
+        g_upd = np.where(opened[:, np.newaxis], g_pert, g)
+        eps = np.where(opened[:, np.newaxis], eps, 0.0)
+    else:
+        g_upd, eps = g, np.zeros(x.shape)
     x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
-    return x_new, state, report, buf
+    return x_new, state, StepReport(loss, 1 + opened, eps, opened, failed), buf
 
 
 def sfw_solve(linear_obj_grad_sampler, constraint_radius: float, T: int,

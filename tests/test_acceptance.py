@@ -18,7 +18,7 @@ from vasso_opt.analysis import (delta_stability, ema_slope_sampler,
                                 snr_adversary_spread)
 from vasso_opt.core import STREAM_BATCH, Schedule, make_rng, norm2
 from vasso_opt.harness import (build_objective, init_x, paired_compare,
-                               parse_config, run_seed)
+                               parse_config, run_seed, run_seeds)
 from vasso_opt.objectives import (Mlp, NoisyQuadratic, m_sharpness_objective)
 from vasso_opt.optimizers import (OptimizerConfig, sam_adversary, sam_step,
                                   sfw_solve, sgd_step, vasso_step)
@@ -158,12 +158,9 @@ def test_criterion_04_linearized_sharpness_stability_bound_and_ordering():
 
 
 def _drift_stats(cfg, seeds):
-    def one(seed):
-        rows, summary = run_seed(cfg, seed)
-        top = max(r.eps_drift for r in rows if r.eps_drift is not None)
-        return summary["mean_drift"], top
-
-    return [one(seed) for seed in seeds]
+    return [(summary["mean_drift"],
+             max(r.eps_drift for r in rows if r.eps_drift is not None))
+            for rows, summary in run_seeds(cfg, seeds)]
 
 
 def test_criterion_05_averaged_adversary_drifts_less_over_paired_seeds():
@@ -303,11 +300,9 @@ def test_criterion_10_longer_horizons_reach_smaller_gradients():
         if kind != "sgd":
             opt.update(rho=0.0, rho_schedule={"kind": "theory", "base": 0.5},
                        theta=0.2)
-        acc = []
-        for seed in range(10):
-            rows, _ = run_seed(_cfg(quad, opt, T, metrics_every=1,
-                                    seeds=[seed]), seed)
-            acc.append(np.mean([r.full_grad_norm ** 2 for r in rows]))
+        cfg = _cfg(quad, opt, T, metrics_every=1, seeds=range(10))
+        acc = [np.mean([r.full_grad_norm ** 2 for r in rows])
+               for rows, _ in run_seeds(cfg, range(10))]
         return float(np.mean(acc))
 
     ok = True

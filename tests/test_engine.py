@@ -1,0 +1,242 @@
+"""The lockstep engine against the per-seed loop it replaced.
+
+``reference_run`` is the per-seed training loop as it stood before seeds were
+stacked: one seed, 1-D parameters, one ``vasso_step`` per iteration.  The
+engine must reproduce its metrics rows and summaries bit for bit, for every
+seed of a stack, whatever the other seeds of the stack do.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from vasso_opt import harness
+from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
+                            Schedule, make_rng, norm2)
+from vasso_opt.errors import NonFiniteError
+from vasso_opt.harness import (METRICS_HEADER, MetricsRow, build_objective,
+                               final_loss_metric, init_x, parse_config,
+                               run_experiment, run_seed, run_seeds)
+from vasso_opt.objectives import NoisyQuadratic
+from vasso_opt.optimizers import OptimizerConfig, vasso_step
+
+
+def reference_run(cfg, seed):
+    """The per-seed loop: (metrics rows, summary) of one seed."""
+    obj = build_objective(cfg.objective, seed)
+    x = init_x(obj, cfg.objective, seed)
+    ocfg = cfg.optimizer_config(seed)
+    sampler = obj.make_sampler(cfg.batch_size, make_rng(seed, STREAM_BATCH))
+    adv_sampler = None
+    if cfg.optimizer["kind"] == "sam_db":
+        adv_bs = cfg.optimizer.get("adv_batch_size") or cfg.batch_size
+        adv_sampler = obj.make_sampler(adv_bs, make_rng(seed, STREAM_ADV_BATCH))
+    gate_rng = make_rng(seed, STREAM_GATE)
+
+    state = buf = prev_eps = aborted_at = None
+    grad_cum, drift_sum, drift_count = 0, 0.0, 0
+    rows = []
+    for t in range(cfg.T):
+        batch = sampler()
+        fg_norm = norm2(obj.full_grad(x)) if t % cfg.metrics_every == 0 else None
+        adv_batch = None if adv_sampler is None else adv_sampler()
+        try:
+            x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gate_rng,
+                                            t=t, momentum_buffer=buf,
+                                            adv_batch=adv_batch)
+        except NonFiniteError:
+            aborted_at = t
+            break
+        grad_cum += rep.grad_evals
+        if prev_eps is None:
+            drift = None
+        else:
+            drift = norm2(rep.epsilon - prev_eps)
+            drift_sum += drift
+            drift_count += 1
+        prev_eps = rep.epsilon
+        rows.append(MetricsRow(seed, t, rep.loss, fg_norm, drift, grad_cum, None))
+    summary = {
+        "seed": seed,
+        "aborted": aborted_at is not None,
+        "aborted_at": aborted_at,
+        "total_grad_evals": grad_cum,
+        "mean_drift": (drift_sum / drift_count) if drift_count else 0.0,
+        "final_loss": None if aborted_at is not None else final_loss_metric(obj, x),
+    }
+    return rows, summary
+
+
+def _csv(rows):
+    return "".join(row.to_csv() + "\n" for row in rows)
+
+
+OBJECTIVES = {
+    "quadratic-diag": {"kind": "quadratic", "diag": [0.5, 1.0, 2.0, 4.0, 3.0],
+                       "sigma": 0.7},
+    "quadratic-matrix": {"kind": "quadratic",
+                         "matrix": [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2],
+                                    [0.1, -0.2, 0.5]],
+                         "sigma": 0.5, "b": [0.1, -0.2, 0.3]},
+    "blobs-holdout": {"kind": "blobs", "n_per_class": 10, "dim": 2,
+                      "separation": 2.0, "hidden": [5], "label_noise": 0.1,
+                      "holdout_fraction": 0.25},
+}
+KINDS = {"sgd": {}, "sam": {"rho": 0.1}, "vasso": {"rho": 0.1, "theta": 0.3},
+         "evasso": {"rho": 0.1, "theta": 0.3, "p": 0.4}, "sam_db": {"rho": 0.1}}
+OPTIONS = {
+    "plain": ({}, {}),
+    "momentum-wd": ({"momentum": 0.9, "weight_decay": 0.01}, {}),
+    "rho-schedule-cosine": ({"lr": {"kind": "cosine", "base": 0.1},
+                             "rho_schedule": {"kind": "inverse-sqrt", "base": 0.2}}, {}),
+    "metrics-every-3": ({}, {"metrics_every": 3}),
+}
+CASES = [(o, k, opt) for o in OBJECTIVES for k in KINDS for opt in OPTIONS] + \
+    [(o, "sam_db", "adv-batch-4") for o in OBJECTIVES]
+
+
+def _case_cfg(objective, kind, option, seeds, output_path=None):
+    opt_over, cfg_over = OPTIONS.get(option, ({"adv_batch_size": 4}, {}))
+    optimizer = {"kind": kind, "lr": {"kind": "constant", "base": 0.05},
+                 **KINDS[kind], **opt_over}
+    raw = {"objective": OBJECTIVES[objective], "optimizer": optimizer, "T": 16,
+           "batch_size": 3, "seeds": seeds, **cfg_over}
+    if output_path is not None:
+        raw["output_path"] = output_path
+    return parse_config(raw)
+
+
+@pytest.mark.parametrize("seeds", [[4], [3, 0, 7]], ids=["S1", "S3"])
+@pytest.mark.parametrize("objective, kind, option", CASES)
+def test_engine_reproduces_the_per_seed_loop(objective, kind, option, seeds,
+                                             tmp_path):
+    out = tmp_path / "m.csv"
+    cfg = _case_cfg(objective, kind, option, seeds, str(out))
+    result = run_experiment(cfg)
+    expected = [reference_run(cfg, s) for s in seeds]
+    assert out.read_text() == METRICS_HEADER + "\n" + \
+        "".join(_csv(rows) for rows, _ in expected)
+    assert [json.dumps(s, sort_keys=True) for s in result.summaries] == \
+        [json.dumps(s, sort_keys=True) for _, s in expected]
+    written = json.loads((tmp_path / "m.csv.summary.json").read_text())
+    assert written["per_seed"] == [s for _, s in expected]
+
+
+def test_one_seed_run_is_a_stack_of_one():
+    cfg = _case_cfg("blobs-holdout", "evasso", "plain", [0, 1, 2])
+    stacked = run_seeds(cfg, [0, 1, 2], keep_final_x=True)
+    for seed, (rows, summary) in zip([0, 1, 2], stacked):
+        alone_rows, alone = run_seed(cfg, seed, keep_final_x=True)
+        assert _csv(alone_rows) == _csv(rows)
+        assert np.array_equal(alone.pop("final_x"), summary.pop("final_x"))
+        assert alone == summary
+
+
+# ---------------------------------------------------------------------------
+# a seed that diverges leaves the stack; the others run on untouched
+
+
+def _diverging_cfg(kind, T):
+    # negative curvature: |x| grows tenfold per step until the loss overflows,
+    # which happens a step or two apart for different initial points
+    return parse_config({
+        "objective": {"kind": "quadratic", "diag": [-9.0, 1.0], "sigma": 0.5},
+        "optimizer": {"kind": kind, "rho": 0.1, "theta": 0.3,
+                      "lr": {"kind": "constant", "base": 1.0},
+                      **({"p": 0.5} if kind == "evasso" else {})},
+        "T": T, "batch_size": 1, "seeds": [0, 1, 4]})
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])
+def test_only_the_diverging_seed_leaves_the_stack(kind):
+    cfg = _diverging_cfg(kind, T=155)
+    stacked = run_seeds(cfg, [0, 1, 4], keep_final_x=True)
+    expected = [reference_run(cfg, s) for s in [0, 1, 4]]
+    assert [s["aborted_at"] for _, s in stacked] == [None, 154, None]
+    for seed, (rows, summary), (ref_rows, ref) in zip([0, 1, 4], stacked, expected):
+        assert _csv(rows) == _csv(ref_rows)
+        final_x = summary.pop("final_x")
+        assert summary == ref
+        # the untouched seeds equal their runs alone, final iterate included
+        alone_rows, alone = run_seed(cfg, seed, keep_final_x=True)
+        assert _csv(alone_rows) == _csv(rows)
+        assert np.array_equal(alone.pop("final_x"), final_x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_seeds_leave_the_stack_one_by_one_until_none_is_left():
+    for T, aborted in ((156, [155, 154, None]), (160, [155, 154, 156])):
+        cfg = _diverging_cfg("evasso", T)
+        stacked = run_seeds(cfg, [0, 1, 4])
+        assert [s["aborted_at"] for _, s in stacked] == aborted
+        for (rows, summary), (ref_rows, ref) in zip(
+                stacked, [reference_run(cfg, s) for s in [0, 1, 4]]):
+            assert _csv(rows) == _csv(ref_rows) and summary == ref
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_row_failing_at_its_perturbed_point_leaves_the_others_alone():
+    # row a's gradient is finite at x but overflows at x + eps; row b's is not
+    obj = NoisyQuadratic(np.array([1e150, 0.0]), b=[0.0, 1.0])
+    cfg = OptimizerConfig(rho=1e160, theta=1.0, lr=Schedule("constant", 0.1))
+    x_a, x_b, zero = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2)
+    with pytest.raises(NonFiniteError, match="perturbed point"):
+        vasso_step(obj, x_a, None, zero, cfg, None)
+    xb_new, _, rep_b, _ = vasso_step(obj, x_b, None, zero, cfg, None)
+    x_new, state, rep, _ = vasso_step(obj, np.stack([x_a, x_b]), None,
+                                      np.zeros((2, 2)), cfg, None)
+    assert rep.failed.tolist() == [True, False]
+    assert np.array_equal(x_new[1], xb_new) and rep.loss[1] == rep_b.loss
+    with pytest.raises(NonFiniteError, match="perturbed point"):
+        vasso_step(obj, np.stack([x_a, x_a]), None, np.zeros((2, 2)), cfg, None)
+
+
+# ---------------------------------------------------------------------------
+# the gate stream of each seed
+
+
+def _capture_gates(monkeypatch):
+    made = {}
+
+    def make(seed, stream):
+        rng = make_rng(seed, stream)
+        made[seed, stream] = rng
+        return rng
+
+    monkeypatch.setattr(harness, "make_rng", make)
+    return made
+
+
+def _draws_taken(rng, seed):
+    """How many uniforms ``rng`` has handed out since it was made (up to 400)."""
+    nxt = rng.random()
+    ref = make_rng(seed, STREAM_GATE)
+    for k in range(400):
+        if ref.random() == nxt:
+            return k
+    raise AssertionError("gate stream is not the seed's own")
+
+
+@pytest.mark.parametrize("p, draws", [(0.0, 0), (0.5, 40), (1.0, 0)])
+def test_each_seed_draws_its_gate_once_per_step_only_when_random(p, draws,
+                                                                 monkeypatch):
+    made = _capture_gates(monkeypatch)
+    run_seeds(parse_config({
+        "objective": OBJECTIVES["quadratic-diag"],
+        "optimizer": {"kind": "evasso", "rho": 0.1, "p": p,
+                      "lr": {"kind": "constant", "base": 0.05}},
+        "T": 40, "batch_size": 1, "seeds": [2, 5, 8]}), [2, 5, 8])
+    for seed in (2, 5, 8):
+        assert _draws_taken(made[seed, STREAM_GATE], seed) == draws
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_seed_stops_drawing_its_gate_when_it_leaves_the_stack(monkeypatch):
+    made = _capture_gates(monkeypatch)
+    run_seeds(_diverging_cfg("evasso", T=156), [0, 1, 4])
+    # seeds 1 and 0 drew up to the step they failed at (154 and 155), seed 4
+    # at all 156 steps
+    assert [_draws_taken(made[s, STREAM_GATE], s) for s in (0, 1, 4)] == \
+        [156, 155, 156]

@@ -12,6 +12,7 @@ from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
                                load_config, paired_compare, parse_config,
                                parse_config_text, run_experiment, run_seed,
                                tradeoff_sweep)
+from vasso_opt.objectives import Mlp
 from vasso_opt.optimizers import vasso_step
 
 
@@ -189,6 +190,44 @@ def test_schedule_horizon_defaults_to_t():
     assert cfg.optimizer_config(0).lr.horizon == 60
 
 
+@pytest.mark.parametrize("field", ["lr", "rho_schedule"])
+def test_a_schedule_horizon_below_t_is_a_config_error(field):
+    schedule = {"kind": "cosine", "base": 0.1, "horizon": 59}
+    optimizer = {"kind": "vasso", "lr": {"kind": "constant", "base": 0.05},
+                 field: schedule}
+    with pytest.raises(ConfigError) as err:
+        _cfg(optimizer=optimizer)   # T is 60
+    assert err.value.path == f"optimizer.{field}.horizon"
+    assert "T (60)" in str(err.value)
+    schedule["horizon"] = 60
+    run_seed(_cfg(optimizer=optimizer, seeds=[0]), 0)
+
+
+def test_an_empty_diagonal_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        _cfg(objective={"kind": "quadratic", "diag": [], "sigma": 0.5})
+    assert err.value.path == "objective.diag"
+
+
+def test_an_empty_matrix_is_a_config_error():
+    with pytest.raises(ConfigError) as err:
+        _cfg(objective={"kind": "quadratic", "matrix": [], "sigma": 0.5})
+    assert err.value.path == "objective.matrix"
+
+
+@pytest.mark.parametrize("objective, path", [
+    ({"matrix": [[1.0, 0.0], [0.0]]}, "objective.matrix"),
+    ({"matrix": [[1.0, 0.0]]}, "objective.matrix"),
+    ({"matrix": [1.0]}, "objective.matrix"),
+    ({"diag": 2.0}, "objective.diag"),
+    ({"diag": [1.0, 2.0], "b": [0.5]}, "objective.b"),
+])
+def test_a_malformed_quadratic_is_a_config_error(objective, path):
+    with pytest.raises(ConfigError) as err:
+        _cfg(objective={"kind": "quadratic", "sigma": 0.5, **objective})
+    assert err.value.path == path
+
+
 # ---------------------------------------------------------------------------
 # deterministic runs and metrics files
 
@@ -290,6 +329,26 @@ def test_dataset_objective_runs_from_csv(tmp_path):
     _, summary = run_seed(cfg, 0)
     assert not summary["aborted"]
     assert np.isfinite(summary["final_loss"])
+
+
+def test_decoupled_batches_take_two_backward_passes_per_step(monkeypatch):
+    # with p=1 the update batch's gradient at x is never used: its loss comes
+    # from a forward pass alone
+    calls = []
+    loss_and_grad = Mlp.loss_and_grad
+
+    def counted(self, *args):
+        calls.append(1)
+        return loss_and_grad(self, *args)
+
+    monkeypatch.setattr(Mlp, "loss_and_grad", counted)
+    blobs = {"kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,
+             "hidden": [4]}
+    _, summary = run_seed(_cfg(objective=blobs, batch_size=4, T=10, metrics_every=10,
+                               optimizer={"kind": "sam_db", "rho": 0.1,
+                                          "lr": {"kind": "constant", "base": 0.1}}), 0)
+    assert summary["total_grad_evals"] == 20
+    assert len(calls) == 21   # two per step, plus the metrics gradient at t=0
 
 
 def test_run_logs_per_seed_progress(caplog):

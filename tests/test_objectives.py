@@ -205,6 +205,43 @@ def test_dataset_csv_rejects_bad_files(tmp_path):
         load_dataset_csv(str(empty))
 
 
+def test_a_ragged_csv_row_names_its_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("x0,x1,y\n0.5,1.0,0\n\n-0.5,1\n")
+    with pytest.raises(ConfigError) as err:
+        load_dataset_csv(str(p), header=True)
+    assert err.value.path == f"{p}:4"
+    assert "expected 3 cells, got 2" in str(err.value)
+
+
+def test_a_negative_label_names_its_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("0.5,1.0,0\n-0.5,2.0,-1\n")
+    with pytest.raises(ConfigError) as err:
+        load_dataset_csv(str(p))
+    assert err.value.path == f"{p}:2"
+    assert "non-negative integer" in str(err.value)
+
+
+def test_a_non_integer_label_names_its_line(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("0.5,1.0,0\n-0.5,2.0,1\n1.5,0.0,0.5\n")
+    with pytest.raises(ConfigError) as err:
+        load_dataset_csv(str(p))
+    assert err.value.path == f"{p}:3"
+    assert "non-negative integer" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line", [("0.5,x,1\n", 1), ("0.5,1.0,1\n0.5,nan,0\n", 2),
+                                        ("1\n", 1)])
+def test_a_csv_cell_that_is_not_a_finite_number_names_its_line(tmp_path, text, line):
+    p = tmp_path / "d.csv"
+    p.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        load_dataset_csv(str(p))
+    assert err.value.path == f"{p}:{line}"
+
+
 def test_dataset_shape_validation():
     with pytest.raises(DimensionMismatchError):
         Dataset(np.zeros(4), np.zeros(4, dtype=int))

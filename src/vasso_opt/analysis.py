@@ -118,18 +118,18 @@ def noisy_grad_sampler(obj, x):
     return draw
 
 
-def ema_slope_sampler(obj, x, theta: float, burn_in: int | None = None):
+def ema_slope_sampler(obj, x, theta: float):
     """Draws from the steady-state EMA slope chain at x (the VASSO slope).
 
-    Each call runs a fresh chain: burn-in of ceil(10/theta) EMA steps (unless
-    overridden), then ``n`` consecutive chain states.  The recursion
+    Each call runs a fresh chain: burn-in of ceil(10/theta) EMA steps, then
+    ``n`` consecutive chain states.  The recursion
     d_t = (1-theta) d_{t-1} + theta g_t is evaluated as a linear filter over
     the stacked gradient draws; a unit test pins it against the step-by-step
     update.
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
-    burn = math.ceil(10.0 / theta) if burn_in is None else burn_in
+    burn = math.ceil(10.0 / theta)
 
     def draw(n: int, rng) -> np.ndarray:
         gs = _grad_draws(obj, x, rng)(burn + n)

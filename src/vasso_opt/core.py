@@ -33,9 +33,14 @@ STREAM_DATA = 4        # synthetic dataset generation / label noise
 STREAM_DIRECTION = 5   # probe directions (landscape slices, Lanczos starts)
 STREAM_USER = 16
 
+# Seeds are Philox key words that numpy takes exactly only below 2**63.
+MAX_SEED = 2**63 - 1
+
 
 def make_rng(seed: int, stream: int) -> np.random.Generator:
     """Deterministic generator for the given (seed, stream) pair."""
+    if not 0 <= seed <= MAX_SEED:
+        raise InvalidParameterError(f"seed must be in [0, {MAX_SEED}], got {seed}")
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
@@ -66,17 +71,17 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def normalize_to_sphere(x: np.ndarray, rho: float,
-                        tol: float = DEGENERATE_NORM_TOL) -> np.ndarray:
+def normalize_to_sphere(x: np.ndarray, rho: float) -> np.ndarray:
     """Project ``x`` radially onto the sphere of radius ``rho``.
 
-    Degenerate inputs (norm <= tol) map to the zero vector: there is no
-    preferred direction, so the perturbation is skipped rather than invented.
+    Degenerate inputs (norm <= DEGENERATE_NORM_TOL) map to the zero vector:
+    there is no preferred direction, so the perturbation is skipped rather
+    than invented.
     """
     if rho <= 0:
         raise InvalidParameterError(f"rho must be positive, got {rho}")
     n = norm2(x)
-    if n <= tol:
+    if n <= DEGENERATE_NORM_TOL:
         return np.zeros_like(x)
     return (rho / n) * x
 
@@ -109,9 +114,6 @@ class Schedule:
             if self.horizon is None or self.horizon < 1:
                 raise InvalidParameterError(
                     f"{self.kind} schedule needs a positive horizon, got {self.horizon}")
-
-    def value(self, t: int) -> float:
-        return schedule_value(self, t)
 
 
 def schedule_value(s: Schedule, t: int) -> float:

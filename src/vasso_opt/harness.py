@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import binomtest
 
-from .core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE, STREAM_INIT,
-                   STREAM_DATA, Schedule, make_rng, row_norms)
+from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
+                   STREAM_INIT, STREAM_DATA, Schedule, make_rng, row_norms)
 from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import (inject_label_noise, load_dataset_csv,
@@ -171,7 +171,7 @@ class ExperimentConfig:
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    def optimizer_config(self, seed: int) -> OptimizerConfig:
+    def optimizer_config(self) -> OptimizerConfig:
         o = self.optimizer
         lr = _parse_schedule(o["lr"], "optimizer.lr", self.T)
         rs = o.get("rho_schedule")
@@ -180,7 +180,7 @@ class ExperimentConfig:
         knobs = {"theta": o["theta"], "p": o["p"], **KIND_KNOBS[o["kind"]]}
         return OptimizerConfig(rho=o["rho"], lr=lr, rho_schedule=rho_schedule,
                                momentum=o["momentum"],
-                               weight_decay=o["weight_decay"], seed=seed, **knobs)
+                               weight_decay=o["weight_decay"], **knobs)
 
 
 def _parse_objective(raw) -> dict:
@@ -201,6 +201,9 @@ def _parse_objective(raw) -> dict:
                              for row in _as_list(matrix, "objective.matrix")]
             if any(len(row) != len(matrix) for row in matrix):
                 raise ConfigError("objective.matrix", "must be square")
+            A = np.array(out["matrix"])
+            if not np.allclose(A, A.T, atol=1e-12):
+                raise ConfigError("objective.matrix", "must be symmetric")
         dim = len(diag if diag is not None else matrix)
         out["sigma"] = _as_number(f.take("sigma", required=True), "objective.sigma", lo=0.0)
         b = f.take("b")
@@ -291,7 +294,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seeds = f.take("seeds", required=True)
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("config.seeds", "expected a non-empty list")
-    seeds = [_as_number(s, "config.seeds", lo=0, integer=True) for s in seeds]
+    seeds = [_as_number(s, "config.seeds", lo=0, hi=MAX_SEED, integer=True)
+             for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("config.seeds", "seeds must be distinct")
     metrics_every = _as_number(f.take("metrics_every", default=1),
@@ -339,6 +343,9 @@ def build_objective(obj_spec: dict, seed: int):
         dataset = load_dataset_csv(obj_spec["path"], header=obj_spec["header"])
         in_dim, n_classes = dataset.n_features, dataset.n_classes
     if obj_spec["label_noise"] > 0.0:
+        if dataset.n_classes < 2:
+            raise ConfigError("objective.label_noise",
+                              f"needs at least 2 classes, the data has {dataset.n_classes}")
         dataset = inject_label_noise(dataset, obj_spec["label_noise"], data_rng)
     layers = [in_dim] + list(obj_spec["hidden"]) + [n_classes]
     obj = mlp_objective(layers, obj_spec["activation"], dataset,
@@ -426,7 +433,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
 
     objs = [build_objective(cfg.objective, s) for s in seeds]
     x = stack([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
-    ocfg = cfg.optimizer_config(seeds[0])   # the step reads no seed from it
+    ocfg = cfg.optimizer_config()
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
                 for o, s in zip(objs, seeds)]
     adv_samplers = None
@@ -440,34 +447,20 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
 
     n, T = len(seeds), cfg.T
     live = np.arange(n)          # the seed of each stack row
-    # Per-step cells of the live rows are appended to ``pending`` and filed
-    # into the (T, n) tables under the live seeds' columns when a seed
-    # leaves and at the end.  Drift cells start at t=1; steps off the
-    # metrics cadence repeat the last gradient norms, and their cells stay
-    # blank.
+    # Each step writes its cells straight into the (T, n) tables under the
+    # live seeds' columns, failed rows included; a seed's rows read only the
+    # cells of its first steps[i] steps.  Gradient norms are taken on the
+    # metrics cadence and drift cells start at t=1; other cells stay blank.
     tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
               "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
-    pending = {name: [] for name in tables}
-    pend_loss, pend_fg, pend_drift, pend_evals = (
-        pending[name] for name in ("loss", "fg_norm", "drift", "evals"))
-
-    def file(stop: int) -> None:
-        for name, cells in pending.items():
-            if cells:
-                block = np.array(cells).reshape(len(cells), -1)
-                tables[name][stop - len(cells):stop, live] = block
-                cells.clear()
-
     wallclock = [None] * T
-    steps = np.full(n, T)
-    aborted_at = [None] * n
+    steps = [T] * n
     final_x = [None] * n
 
     def retire(rows, t: int) -> None:
         """The stack rows ``rows`` failed at step t: their seeds stop there."""
-        file(t)
         for j in rows:
-            steps[live[j]] = aborted_at[live[j]] = t
+            steps[live[j]] = t
             final_x[live[j]] = np.atleast_2d(x)[j]
 
     state = buf = prev_eps = None
@@ -485,7 +478,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
                              seeds[i], last_epoch, epoch_sum[i] / epoch_len)
             last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
         if t % cfg.metrics_every == 0:
-            fg_norm = row_norms(obj.full_grad(x))
+            tables["fg_norm"][t, live] = row_norms(obj.full_grad(x))
         adv_batch = None if adv_samplers is None else \
             stack([sample() for sample in adv_samplers])
         try:
@@ -496,35 +489,30 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
             retire(range(live.size), t)
             live = live[:0]
             break
-        loss, evals, eps = rep.loss, rep.grad_evals, rep.epsilon
+        tables["loss"][t, live] = rep.loss
+        tables["evals"][t, live] = rep.grad_evals
+        if prev_eps is not None:
+            tables["drift"][t, live] = row_norms(rep.epsilon - prev_eps)
+        prev_eps = rep.epsilon
+        if epochs:
+            epoch_sum[live] += rep.loss
+            epoch_len += 1
         if rep.failed is not None:   # drop the failed rows from the stack
             retire(np.flatnonzero(rep.failed), t)
             keep = np.flatnonzero(~rep.failed)
             live = live[keep]
-            x_new, loss, eps, fg_norm = x_new[keep], loss[keep], eps[keep], fg_norm[keep]
-            evals = np.broadcast_to(evals, rep.failed.shape)[keep]
+            x_new, prev_eps = x_new[keep], prev_eps[keep]
             state = None if state is None else \
                 AdversaryState(state.d[keep], state.d_norm[keep])
             buf = None if buf is None else buf[keep]
-            prev_eps = None if prev_eps is None else prev_eps[keep]
             samplers = [samplers[j] for j in keep]
             if adv_samplers is not None:
                 adv_samplers = [adv_samplers[j] for j in keep]
             gates = _Gates([gates.rngs[j] for j in keep])
             obj = _stack_objective([objs[i] for i in live])
         x = x_new
-        pend_loss.append(loss)
-        pend_fg.append(fg_norm)
-        pend_evals.append(evals)
-        if prev_eps is not None:
-            pend_drift.append(row_norms(eps - prev_eps))
-        prev_eps = eps
-        if epochs:
-            epoch_sum[live] += loss
-            epoch_len += 1
         if record_wallclock:
             wallclock[t] = (time.perf_counter() - t0) * 1e3
-    file(T)
 
     final_loss = [None] * n
     if live.size:
@@ -543,8 +531,8 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
                 for t, (loss, fg, drift, evals, wall) in enumerate(cells)]
         summary = {
             "seed": seed,
-            "aborted": aborted_at[i] is not None,
-            "aborted_at": aborted_at[i],
+            "aborted": k < T,
+            "aborted_at": k if k < T else None,
             "total_grad_evals": int(evals_cum[-1]) if k else 0,
             # left to right, as a running sum adds them
             "mean_drift": float(np.cumsum(drifts[1:])[-1]) / (k - 1) if k > 1 else 0.0,

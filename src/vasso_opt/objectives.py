@@ -508,12 +508,11 @@ def mlp_objective(layer_sizes, activation: str, dataset: Dataset,
 # Hessian-vector products
 
 
-def hvp_finite_difference(obj, x: np.ndarray, v: np.ndarray,
-                          h: float | None = None) -> np.ndarray:
+def hvp_finite_difference(obj, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Central-difference Hessian-vector product on the full gradient.
 
-    Dispatches to the objective's analytic hvp when one exists.  The default
-    step h = 1e-3 * (1 + ||x||_inf) balances truncation against roundoff.
+    Dispatches to the objective's analytic hvp when one exists.  The step
+    h = 1e-3 * (1 + ||x||_inf) balances truncation against roundoff.
     """
     if v.shape[0] != obj.dim:
         raise DimensionMismatchError(f"v has dim {v.shape[0]}, objective {obj.dim}")
@@ -522,8 +521,7 @@ def hvp_finite_difference(obj, x: np.ndarray, v: np.ndarray,
     vnorm = norm2(v)
     if vnorm == 0.0:
         return np.zeros_like(v)
-    if h is None:
-        h = 1e-3 * (1.0 + float(np.max(np.abs(x))))
+    h = 1e-3 * (1.0 + float(np.max(np.abs(x))))
     vhat = v / vnorm
     gp = obj.full_grad(x + h * vhat)
     gm = obj.full_grad(x - h * vhat)

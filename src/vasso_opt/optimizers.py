@@ -41,7 +41,6 @@ class OptimizerConfig:
     rho_schedule: Schedule | None = None
     momentum: float = 0.0
     weight_decay: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.rho < 0:
@@ -93,7 +92,6 @@ class StepReport:
     loss: float | np.ndarray
     grad_evals: int | np.ndarray
     epsilon: np.ndarray
-    perturbed: bool | np.ndarray
     failed: np.ndarray | None = None   # rows with a non-finite value (stacks only)
 
 
@@ -157,7 +155,7 @@ def sgd_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
     """Plain base update with g_t(x_t); one gradient evaluation."""
     loss, g = _checked_loss_grad(obj, x, batch, t)
     x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
-    return x_new, StepReport(loss, 1, np.zeros_like(x), False), buf
+    return x_new, StepReport(loss, 1, np.zeros_like(x)), buf
 
 
 def sam_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
@@ -167,7 +165,7 @@ def sam_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
     eps = sam_adversary(g, cfg.rho_at(t))
     g_upd = _checked_grad(obj, x + eps, batch, t)
     x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
-    return x_new, StepReport(loss, 2, eps, True), buf
+    return x_new, StepReport(loss, 2, eps), buf
 
 
 def _finite_rows(g: np.ndarray):
@@ -212,7 +210,7 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig
     failed = _fail(None, ok, "non-finite loss or gradient", t)
     if cfg.p == 0.0:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
-        return x_new, state, StepReport(loss, 1, np.zeros(x.shape), False, failed), buf
+        return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
     if adv_batch is None:
         g_adv = g
     else:
@@ -235,7 +233,7 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig
     else:
         g_upd, eps = g, np.zeros(x.shape)
     x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
-    return x_new, state, StepReport(loss, 1 + opened, eps, opened, failed), buf
+    return x_new, state, StepReport(loss, 1 + opened, eps, failed), buf
 
 
 def sfw_solve(linear_obj_grad_sampler, constraint_radius: float, T: int,

@@ -77,7 +77,7 @@ def test_criterion_02_limit_settings_collapse_bit_identically():
         obj = build_objective(cfg.objective, 0)
         x = init_x(obj, cfg.objective, 0)
         sampler = obj.make_sampler(bs, make_rng(0, STREAM_BATCH))
-        ocfg = cfg.optimizer_config(0)
+        ocfg = cfg.optimizer_config()
         buf = None
         out = []
         for t in range(cfg.T):

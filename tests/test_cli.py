@@ -124,6 +124,41 @@ def test_a_holdout_split_with_no_training_rows_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mse", "--seed", "-1", "--dim", "2", "--steps", "10"],
+     "seed must be in [0, 9223372036854775807], got -1"),
+    (["train", "--config", "@cfg", "--seed", "18446744073709551616"],
+     "config.seeds: must be <= 9223372036854775807"),
+])
+def test_a_seed_outside_the_key_range_exits_2(argv, message, tmp_path, capsys):
+    argv = [_write_cfg(tmp_path) if a == "@cfg" else a for a in argv]
+    rc = main(argv + ["--out", str(tmp_path / "out.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vasso-opt: error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("objective, path", [
+    ({"kind": "quadratic", "matrix": [[1.0, 2.0], [0.0, 1.0]], "sigma": 0.5},
+     "objective.matrix"),
+    ({"kind": "dataset", "path": "@one-class", "hidden": [3], "label_noise": 0.5},
+     "objective.label_noise"),
+])
+def test_an_objective_error_names_its_field(objective, path, tmp_path, capsys):
+    data = tmp_path / "one.csv"
+    data.write_text("0.0,1.0,0\n1.0,0.0,0\n2.0,2.0,0\n")
+    objective = {k: str(data) if v == "@one-class" else v
+                 for k, v in objective.items()}
+    cfg = _write_cfg(tmp_path, objective=objective)
+    rc = main(["train", "--config", cfg, "--seed", "0",
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"vasso-opt: error: {path}: ")
+    assert err.count("\n") == 1
+
+
 def test_an_unexpected_exception_exits_2_without_a_traceback(tmp_path, capsys,
                                                               monkeypatch):
     def broken(args):

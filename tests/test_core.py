@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vasso_opt.core import (DEGENERATE_NORM_TOL, STREAM_ADV_BATCH,
+from vasso_opt.core import (DEGENERATE_NORM_TOL, MAX_SEED, STREAM_ADV_BATCH,
                             STREAM_BATCH, STREAM_DATA, STREAM_DIRECTION,
                             STREAM_GATE, STREAM_INIT, Schedule,
                             as_param_vector, make_rng, norm2,
@@ -92,6 +92,17 @@ def test_rng_streams_are_distinct():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63, 2**64 - 1])
+def test_rng_rejects_seeds_outside_the_key_range(seed):
+    # numpy would take 2**63 and above through float64, where neighbouring
+    # seeds share a stream and 2**64 - 1 wraps round to seed 0's
+    with pytest.raises(InvalidParameterError, match="seed must be in"):
+        make_rng(seed, STREAM_BATCH)
+    assert MAX_SEED == 2**63 - 1
+    assert not np.array_equal(make_rng(MAX_SEED, STREAM_BATCH).random(4),
+                              make_rng(MAX_SEED - 1, STREAM_BATCH).random(4))
+
+
 def test_reserved_stream_ids_unique():
     ids = [STREAM_INIT, STREAM_BATCH, STREAM_ADV_BATCH, STREAM_GATE,
            STREAM_DATA, STREAM_DIRECTION]
@@ -129,11 +140,6 @@ def test_schedule_cosine_endpoints_and_monotone():
 def test_schedule_cosine_midpoint():
     s = Schedule("cosine", 1.0, horizon=51)
     assert math.isclose(schedule_value(s, 25), 0.5, rel_tol=1e-15)
-
-
-def test_schedule_value_method_matches_function():
-    s = Schedule("inverse-sqrt", 1.0)
-    assert s.value(8) == schedule_value(s, 8)
 
 
 def test_schedule_rejects_bad_inputs():

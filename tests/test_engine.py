@@ -26,7 +26,7 @@ def reference_run(cfg, seed):
     """The per-seed loop: (metrics rows, summary) of one seed."""
     obj = build_objective(cfg.objective, seed)
     x = init_x(obj, cfg.objective, seed)
-    ocfg = cfg.optimizer_config(seed)
+    ocfg = cfg.optimizer_config()
     sampler = obj.make_sampler(cfg.batch_size, make_rng(seed, STREAM_BATCH))
     adv_sampler = None
     if cfg.optimizer["kind"] == "sam_db":
@@ -240,3 +240,85 @@ def test_a_seed_stops_drawing_its_gate_when_it_leaves_the_stack(monkeypatch):
     # at all 156 steps
     assert [_draws_taken(made[s, STREAM_GATE], s) for s in (0, 1, 4)] == \
         [156, 155, 156]
+
+
+def _reference_with_final_x(cfg, seed, monkeypatch):
+    """``reference_run`` plus its last iterate: where a finished seed ended,
+    or the point an aborted seed's failing step started from."""
+    last, real_step = {}, vasso_step
+
+    def step(obj, x, *args, **kwargs):
+        last["x"] = x
+        out = real_step(obj, x, *args, **kwargs)
+        last["x"] = out[0]
+        return out
+
+    with monkeypatch.context() as m:
+        m.setitem(globals(), "vasso_step", step)
+        rows, summary = reference_run(cfg, seed)
+    return rows, summary, last["x"]
+
+
+def _epoch_lines(caplog, seed):
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith(f"seed={seed} epoch=")]
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])
+def test_a_diverging_network_seed_leaves_the_stack(kind, monkeypatch, caplog):
+    """A blobs MLP stack in which seeds 5 and 6 overflow and seed 0 runs on.
+
+    ReLU layers with lr 1e4 and momentum 0.5 on a held-out split: each step
+    scales the weights up until the logits overflow, at a step that depends
+    on the seed (47 and 52 or 53 here; seed 0 lasts the 60 steps).  The
+    samplers turn an epoch every 4 steps, so the per-epoch loss sums that go
+    to the INFO log run across each drop.
+    """
+    seeds = [0, 5, 6]
+    cfg = parse_config({
+        "objective": {"kind": "blobs", "n_per_class": 10, "dim": 2,
+                      "separation": 2.0, "hidden": [5], "activation": "relu",
+                      "holdout_fraction": 0.25},
+        "optimizer": {"kind": kind, "rho": 0.1, "theta": 0.3, "momentum": 0.5,
+                      "lr": {"kind": "constant", "base": 1e4},
+                      **({"p": 0.5} if kind == "evasso" else {})},
+        "T": 60, "batch_size": 4, "seeds": seeds})
+    caplog.set_level("INFO", logger="vasso_opt")
+    stacked = run_seeds(cfg, seeds, keep_final_x=True)
+    stacked_epochs = {s: _epoch_lines(caplog, s) for s in seeds}
+    aborted = [s["aborted_at"] for _, s in stacked]
+    assert aborted[0] is None and None not in aborted[1:]
+    for seed, (rows, summary) in zip(seeds, stacked):
+        ref_rows, ref, ref_x = _reference_with_final_x(cfg, seed, monkeypatch)
+        assert _csv(rows) == _csv(ref_rows)
+        final_x = summary.pop("final_x")
+        assert summary == ref
+        assert np.array_equal(final_x, ref_x) and np.all(np.isfinite(final_x))
+        caplog.clear()
+        run_seed(cfg, seed)
+        assert stacked_epochs[seed] == _epoch_lines(caplog, seed)
+        assert len(stacked_epochs[seed]) >= 11
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_the_files_of_a_run_with_aborted_seeds_match_the_per_seed_loop(tmp_path):
+    out = tmp_path / "m.csv"
+    cfg = _diverging_cfg("evasso", T=156)
+    cfg.output_path = str(out)
+    result = run_experiment(cfg)
+    expected = [reference_run(cfg, s) for s in cfg.seeds]
+    summaries = [s for _, s in expected]
+    assert [s["aborted_at"] for s in summaries] == [155, 154, None]
+    assert out.read_text() == METRICS_HEADER + "\n" + \
+        "".join(_csv(rows) for rows, _ in expected)
+    summary_text = json.dumps({"config": cfg.to_dict(), "per_seed": summaries,
+                               "aggregate": result.aggregate},
+                              sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "m.csv.summary.json").read_text() == summary_text
+    assert result.aggregate == {
+        "n_seeds": 3, "n_aborted": 2, "mean_final_loss": summaries[2]["final_loss"],
+        "min_final_loss": summaries[2]["final_loss"],
+        "max_final_loss": summaries[2]["final_loss"],
+        "mean_total_grad_evals": summaries[2]["total_grad_evals"],
+        "mean_drift": summaries[2]["mean_drift"]}

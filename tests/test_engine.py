@@ -232,7 +232,6 @@ def test_each_seed_draws_its_gate_once_per_step_only_when_random(p, draws,
         assert _draws_taken(made[seed, STREAM_GATE], seed) == draws
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_a_seed_stops_drawing_its_gate_when_it_leaves_the_stack(monkeypatch):
     made = _capture_gates(monkeypatch)
     run_seeds(_diverging_cfg("evasso", T=156), [0, 1, 4])

@@ -1,17 +1,20 @@
 import copy
 import json
 import logging
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+from vasso_opt import harness
 from vasso_opt.core import STREAM_ADV_BATCH, STREAM_BATCH, make_rng, schedule_value
 from vasso_opt.errors import ConfigError
 from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
                                ExperimentConfig, build_objective, fmt, init_x,
                                load_config, paired_compare, parse_config,
                                parse_config_text, run_experiment, run_seed,
-                               tradeoff_sweep)
+                               sign_test_p_value, tradeoff_sweep)
 from vasso_opt.objectives import Mlp
 from vasso_opt.optimizers import vasso_step
 
@@ -299,7 +302,6 @@ def test_csv_blank_cells_match_the_none_fields(tmp_path):
         float(loss)  # parses
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_divergent_seed_is_reported_as_aborted():
     cfg = _cfg(objective={"kind": "quadratic", "diag": [5.0], "sigma": 0.0},
                optimizer={"kind": "sgd",
@@ -369,6 +371,34 @@ def test_decoupled_batches_take_two_backward_passes_per_step(monkeypatch):
     assert len(calls) == 21   # two per step, plus the metrics gradient at t=0
 
 
+def test_a_dataset_file_is_read_once_per_run(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    path = tmp_path / "toy.csv"
+    path.write_text("".join(f"{float(a)!r},{float(b)!r},{i % 3}\n"
+                            for i, (a, b) in enumerate(rng.normal(size=(30, 2)))))
+    out = tmp_path / "m.csv"
+    cfg = _cfg(objective={"kind": "dataset", "path": str(path), "hidden": [4],
+                          "label_noise": 0.2, "holdout_fraction": 0.25},
+               T=12, batch_size=4, seeds=list(range(8)), output_path=str(out))
+    build_all, load = harness.build_objectives, harness.load_dataset_csv
+    calls = []
+    monkeypatch.setattr(harness, "load_dataset_csv",
+                        lambda *a, **k: calls.append(a) or load(*a, **k))
+
+    def parse_per_seed(spec, seeds):
+        return [build_all(spec, [seed])[0] for seed in seeds]
+
+    with monkeypatch.context() as m:   # every seed parses the file anew
+        m.setattr(harness, "build_objectives", parse_per_seed)
+        run_experiment(cfg)
+    assert len(calls) == 8
+    files = out.read_bytes(), (tmp_path / "m.csv.summary.json").read_bytes()
+    calls.clear()
+    run_experiment(cfg)
+    assert len(calls) == 1
+    assert (out.read_bytes(), (tmp_path / "m.csv.summary.json").read_bytes()) == files
+
+
 def test_run_logs_per_seed_progress(caplog):
     with caplog.at_level(logging.INFO, logger="vasso_opt"):
         run_seed(_cfg(T=5), 0)
@@ -384,6 +414,25 @@ def test_identical_configs_tie_on_every_seed():
     assert res.ties == 3 and res.wins_a == res.wins_b == 0
     assert res.diffs == [0.0, 0.0, 0.0]
     assert res.p_value == 1.0
+
+
+def test_sign_test_p_value_is_exact():
+    for n in range(61):
+        for k in range(n + 1):
+            tail = sum(Fraction(comb(n, i), 2 ** n) for i in range(min(k, n - k) + 1))
+            assert sign_test_p_value(k, n - k) == float(min(Fraction(1), 2 * tail))
+    assert sign_test_p_value(0, 0) == 1.0
+    assert sign_test_p_value(16, 4) == sign_test_p_value(4, 16) == 0.01181793212890625
+    assert sign_test_p_value(8, 7) == 1.0 and sign_test_p_value(10, 10) == 1.0
+
+
+def test_sign_test_p_value_agrees_with_scipy():
+    # scipy sums floating-point pmf terms: up to 117 ulp off for small p here
+    binomtest = pytest.importorskip("scipy.stats").binomtest
+    for n in range(1, 201):
+        for k in range(0, n // 2 + 1, 1 + n // 50):   # the other half mirrors
+            want = binomtest(k, n, 0.5).pvalue
+            assert sign_test_p_value(k, n - k) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_paired_configs_must_only_differ_in_the_optimizer():

@@ -34,13 +34,12 @@ def track_drift(epsilons, rho: float | None = None) -> StabilityTrace:
     at most the diameter 2*rho.  When ``rho`` is not given it is inferred as
     the largest adversary norm in the sequence.
     """
-    eps = [np.asarray(e, dtype=np.float64) for e in epsilons]
-    if len(eps) < 2:
+    E = np.array(list(epsilons), dtype=np.float64)
+    if len(E) < 2:
         return StabilityTrace(np.zeros(0), rho if rho is not None else 0.0)
     if rho is None:
-        rho = max(norm2(e) for e in eps)
-    drifts = np.array([norm2(b - a) for a, b in zip(eps[:-1], eps[1:])])
-    return StabilityTrace(drifts, float(rho))
+        rho = row_norms(E).max()
+    return StabilityTrace(row_norms(np.diff(E, axis=0)), float(rho))
 
 
 _MSE_BLOCK = 1024   # draws per ema_chain call in mse_suppression

@@ -24,8 +24,8 @@ from .analysis import (delta_stability, ema_slope_sampler, landscape_slice,
 from .core import STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
 from .errors import VassoOptError
 from .harness import (TRADEOFF_HEADER, build_objective, fmt, init_x,
-                      load_config, paired_compare, parse_config, run_experiment,
-                      run_seed, tradeoff_sweep)
+                      load_config, paired_compare, run_experiment, run_seed,
+                      tradeoff_sweep)
 from .objectives import NoisyQuadratic
 from .optimizers import sam_adversary, sfw_solve
 
@@ -48,6 +48,20 @@ def _seed_list(text: str) -> list[int]:
     if not seeds:
         raise argparse.ArgumentTypeError("empty seed list")
     return seeds
+
+
+def _int_at_least(lo: int):
+    """An argparse type for an integer flag of at least ``lo``."""
+    def integer(text: str) -> int:
+        v = int(text)   # argparse reports a ValueError as "invalid integer value"
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    return integer
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _float_list(text: str) -> list[float]:
@@ -118,21 +132,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mse", "EMA slope error vs raw gradient error at a fixed point",
             seeds="one")
-    p.add_argument("--dim", type=int, default=10)
+    p.add_argument("--dim", type=_positive_int, default=10)
     p.add_argument("--sigma", type=float, default=1.0,
                    help="per-coordinate gradient noise std")
     p.add_argument("--thetas", type=_float_list, default=[0.2, 0.4, 0.9],
                    help="comma-separated EMA weights")
-    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--steps", type=_positive_int, default=100000)
     p.add_argument("--out", required=True)
 
     p = add("delta", "linearized-sharpness stability of SAM vs EMA slopes",
             seeds="one")
-    p.add_argument("--dim", type=int, default=10)
+    p.add_argument("--dim", type=_positive_int, default=10)
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--rho", type=float, default=0.05)
     p.add_argument("--theta", type=float, default=0.2)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--out", required=True)
 
     p = add("snr", "adversary spread vs gradient signal-to-noise", seeds="one")
@@ -140,32 +154,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="true gradient, comma-separated")
     p.add_argument("--scales", required=True, type=_float_list,
                    help="per-coordinate noise stds, comma-separated")
-    p.add_argument("--draws", type=int, default=100)
+    p.add_argument("--draws", type=_positive_int, default=100)
     p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--out", required=True)
 
     p = add("spectrum", "top Hessian eigenvalues via Lanczos", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--train-steps", type=int, default=0,
+    p.add_argument("--k", type=_positive_int, default=5)
+    p.add_argument("--iters", type=_positive_int, default=60)
+    p.add_argument("--train-steps", type=_non_negative_int, default=0,
                    help="train this many steps first (0: spectrum at init)")
     p.add_argument("--out", required=True)
 
     p = add("slice", "loss values on a slice through parameter space", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
     p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=41)
+    p.add_argument("--points", type=_positive_int, default=41)
     p.add_argument("--two-d", action="store_true", help="use two directions")
-    p.add_argument("--train-steps", type=int, default=0,
+    p.add_argument("--train-steps", type=_non_negative_int, default=0,
                    help="train this many steps first (0: slice at init)")
     p.add_argument("--out", required=True)
 
     p = add("sfw-check", "one-step Frank-Wolfe vs the closed-form adversary",
             seeds="one")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--out", help="optional per-trial CSV path")
 
     return parser
@@ -176,19 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _override_config(args, seeds: list[int]):
-    cfg = load_config(args.config)
-    d = cfg.to_dict()
-    d["seeds"] = seeds
+    knobs = {k: getattr(args, k) for k in ("T", "metrics_every", "rho", "theta", "p")
+             if getattr(args, k, None) is not None}
+    fields = {k: knobs.pop(k) for k in ("T", "metrics_every") if k in knobs}
     if getattr(args, "out", None):
-        d["output_path"] = args.out
-    if getattr(args, "T", None) is not None:
-        d["T"] = args.T
-    if getattr(args, "metrics_every", None) is not None:
-        d["metrics_every"] = args.metrics_every
-    for key in ("rho", "theta", "p"):
-        if getattr(args, key, None) is not None:
-            d["optimizer"][key] = getattr(args, key)
-    return parse_config(d)
+        fields["output_path"] = args.out
+    return load_config(args.config).derive(knobs, seeds=seeds, **fields)
 
 
 def cmd_train(args) -> int:
@@ -214,11 +221,9 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg_a = load_config(args.config_a)
-    cfg_b = load_config(args.config_b)
-    da, db = cfg_a.to_dict(), cfg_b.to_dict()
-    da["seeds"] = db["seeds"] = args.seed
-    result = paired_compare(parse_config(da), parse_config(db), args.seed,
+    cfg_a, cfg_b = load_config(args.config_a), load_config(args.config_b)
+    result = paired_compare(cfg_a.derive(seeds=args.seed),
+                            cfg_b.derive(seeds=args.seed), args.seed,
                             metric=args.metric)
     if args.out:
         lines = (",".join(fmt(v) for v in row) for row in
@@ -283,12 +288,10 @@ def _objective_point(args):
     cfg = load_config(args.config)
     obj = build_objective(cfg.objective, args.seed)
     if args.train_steps > 0:
-        d = cfg.to_dict()
-        d["seeds"] = [args.seed]
-        d["T"] = args.train_steps
-        d["metrics_every"] = args.train_steps   # only final_x is kept
-        d.pop("output_path", None)
-        _, summary = run_seed(parse_config(d), args.seed, keep_final_x=True)
+        train_cfg = cfg.derive(seeds=[args.seed], T=args.train_steps,
+                               metrics_every=args.train_steps,   # only final_x is kept
+                               output_path=None)
+        _, summary = run_seed(train_cfg, args.seed, keep_final_x=True)
         if summary["aborted"]:
             raise VassoOptError("training diverged before the evaluation point")
         return obj, summary["final_x"]

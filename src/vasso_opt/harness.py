@@ -167,6 +167,13 @@ class ExperimentConfig:
             d["output_path"] = self.output_path
         return d
 
+    def derive(self, optimizer: dict | None = None, **fields) -> "ExperimentConfig":
+        """A parsed copy with top-level ``fields`` and ``optimizer`` keys replaced."""
+        d = self.to_dict()
+        d.update(fields)
+        d["optimizer"].update(optimizer or {})
+        return parse_config(d)
+
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
@@ -443,15 +450,8 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     seeds = list(seeds)
     if not seeds:
         return []
-    # A stack of one runs on its seed's own 1-D vectors and objective, which
-    # numpy steps faster than a (1, dim) stack; the loop is the same.
-    stacked = len(seeds) > 1
-
-    def stack(values):
-        return np.array(values) if stacked else values[0]
-
     objs = build_objectives(cfg.objective, seeds)
-    x = stack([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
+    x = np.array([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
     ocfg = cfg.optimizer_config()
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
                 for o, s in zip(objs, seeds)]
@@ -460,9 +460,8 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
         adv_bs = cfg.optimizer.get("adv_batch_size") or cfg.batch_size
         adv_samplers = [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
                         for o, s in zip(objs, seeds)]
-    gate_rngs = [make_rng(s, STREAM_GATE) for s in seeds]
-    gates = _Gates(gate_rngs) if stacked else gate_rngs[0]
-    obj = _stack_objective(objs) if stacked else objs[0]
+    gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds])
+    obj = _stack_objective(objs)
 
     n, T = len(seeds), cfg.T
     live = np.arange(n)          # the seed of each stack row
@@ -480,7 +479,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
         """The stack rows ``rows`` failed at step t: their seeds stop there."""
         for j in rows:
             steps[live[j]] = t
-            final_x[live[j]] = np.atleast_2d(x)[j]
+            final_x[live[j]] = x[j]
 
     state = buf = prev_eps = None
     epochs = hasattr(samplers[0], "epoch")   # every seed's sampler turns together
@@ -489,7 +488,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     t0 = time.perf_counter()
 
     for t in range(T):
-        batch = stack([sample() for sample in samplers])
+        batch = np.array([sample() for sample in samplers])
         if epochs and samplers[0].epoch != last_epoch:
             if epoch_len:
                 for i in live:
@@ -499,7 +498,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
         if t % cfg.metrics_every == 0:
             tables["fg_norm"][t, live] = row_norms(obj.full_grad(x))
         adv_batch = None if adv_samplers is None else \
-            stack([sample() for sample in adv_samplers])
+            np.array([sample() for sample in adv_samplers])
         try:
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
@@ -535,8 +534,8 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
 
     final_loss = [None] * n
     if live.size:
-        finals = np.atleast_1d(final_loss_metric(obj, x)).tolist()
-        for i, value, xi in zip(live, finals, np.atleast_2d(x)):
+        finals = final_loss_metric(obj, x).tolist()
+        for i, value, xi in zip(live, finals, x):
             final_loss[i], final_x[i] = value, xi
     results = []
     for i, seed in enumerate(seeds):
@@ -701,13 +700,6 @@ class TradeoffRow:
 TRADEOFF_HEADER = "optimizer,p,mean_final_loss,mean_grad_evals,mean_wallclock_ms"
 
 
-def _with_optimizer(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    opt = dict(cfg.optimizer)
-    opt.update(overrides)
-    return ExperimentConfig(cfg.objective, opt, cfg.T, cfg.batch_size,
-                            list(cfg.seeds), cfg.metrics_every, None)
-
-
 def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
                    include_esam_analog: bool = True,
                    record_wallclock: bool = False) -> list[TradeoffRow]:
@@ -715,11 +707,11 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
 
     Rows cover eVASSO at each p (p=1 is VASSO), the eSAM analog (theta=1,
     same Bernoulli gating) when requested, and one ungated SAM reference row.
+    Every arm is parsed before any runs, so a bad seed or p fails first.
     Wallclock is measured only on request and is never deterministic.
     """
     ps = sorted(set(float(p) for p in p_values) | {1.0})
     seeds = list(seeds)
-    rows = []
 
     def mean_row(name: str, cfg: ExperimentConfig, p: float | None) -> TradeoffRow:
         t0 = time.perf_counter()
@@ -732,11 +724,15 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
         return TradeoffRow(name, p, sum(finals) / len(finals),
                            sum(evals) / len(evals), wall)
 
+    def arm(**knobs) -> ExperimentConfig:
+        # adv_batch_size applies to sam_db only, which no arm is
+        return base_cfg.derive(dict(knobs, adv_batch_size=None), seeds=seeds,
+                               output_path=None)
+
+    arms = []
     for p in ps:
-        rows.append(mean_row("evasso", _with_optimizer(base_cfg, kind="evasso", p=p), p))
+        arms.append(("evasso", arm(kind="evasso", p=p), p))
         if include_esam_analog:
-            rows.append(mean_row("esam",
-                                 _with_optimizer(base_cfg, kind="evasso", p=p, theta=1.0),
-                                 p))
-    rows.append(mean_row("sam", _with_optimizer(base_cfg, kind="sam"), None))
-    return rows
+            arms.append(("esam", arm(kind="evasso", p=p, theta=1.0), p))
+    arms.append(("sam", arm(kind="sam"), None))
+    return [mean_row(name, cfg, p) for name, cfg, p in arms]

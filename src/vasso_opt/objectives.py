@@ -496,10 +496,8 @@ class MlpObjective:
 
 
 def mlp_objective(layer_sizes, activation: str, dataset: Dataset,
-                  loss: str = "cross_entropy", holdout_fraction: float = 0.0,
+                  holdout_fraction: float = 0.0,
                   rng: np.random.Generator | None = None) -> MlpObjective:
-    if loss != "cross_entropy":
-        raise InvalidParameterError(f"unsupported loss {loss!r}")
     return MlpObjective(Mlp(layer_sizes, activation), dataset,
                         holdout_fraction=holdout_fraction, rng=rng)
 

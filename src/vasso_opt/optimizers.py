@@ -77,9 +77,10 @@ class AdversaryState:
         """
         if rho == 0.0:
             return np.zeros(self.d.shape)
-        if not np.minimum.reduce(self.d_norm, axis=None) <= DEGENERATE_NORM_TOL:
-            return np.divide(rho, self.d_norm)[..., np.newaxis] * self.d
+        # NaN compares false: a failed row never moves the others off this path
         degenerate = np.asarray(self.d_norm) <= DEGENERATE_NORM_TOL
+        if not degenerate.any():
+            return np.divide(rho, self.d_norm)[..., np.newaxis] * self.d
         eps = np.divide(rho, np.where(degenerate, 1.0, self.d_norm))[..., np.newaxis] * self.d
         eps[degenerate] = 0.0
         return eps

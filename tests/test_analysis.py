@@ -52,6 +52,15 @@ def test_drift_is_bounded_by_sphere_diameter():
     assert np.all(trace.drifts <= 2 * rho + 1e-10)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 257])
+def test_drift_equals_the_pairwise_loop_bit_for_bit(dim):
+    rng = make_rng(dim, 16)
+    eps = list(rng.standard_normal((30, dim)) * rng.uniform(0.1, 2.0, (30, 1)))
+    trace = track_drift(eps)
+    assert trace.drifts.tolist() == [norm2(b - a) for a, b in zip(eps, eps[1:])]
+    assert trace.rho == max(norm2(e) for e in eps)
+
+
 # ---------------------------------------------------------------------------
 # averaging suppresses gradient-noise mean squared error
 

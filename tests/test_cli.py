@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vasso_opt
-from vasso_opt import cli
+from vasso_opt import cli, harness
 from vasso_opt.cli import main
 from vasso_opt.harness import METRICS_HEADER, build_objective, init_x, \
     load_config, parse_config, run_seed
@@ -105,6 +105,31 @@ def test_usage_errors_exit_1(argv, capsys):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert "usage:" in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mse", "--dim", "0"],
+    ["mse", "--steps", "0"],
+    ["mse", "--steps", "1.5"],
+    ["delta", "--dim", "-3"],
+    ["delta", "--samples", "0"],
+    ["snr", "--grad", "1", "--scales", "1", "--draws", "0"],
+    ["spectrum", "--config", "c.json", "--k", "0"],
+    ["spectrum", "--config", "c.json", "--iters", "0"],
+    ["spectrum", "--config", "c.json", "--train-steps", "-1"],
+    ["slice", "--config", "c.json", "--points", "0"],
+    ["slice", "--config", "c.json", "--train-steps", "-1"],
+    ["sfw-check", "--rho", "1", "--dim", "0"],
+    ["sfw-check", "--rho", "1", "--dim", "2", "--trials", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_a_count_out_of_range_is_a_usage_error_naming_its_flag(argv, tmp_path,
+                                                               capsys):
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "0", "--out", str(out)])
+    assert exc.value.code == 1
+    assert f"error: argument {argv[-2]}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -330,6 +355,27 @@ def test_tradeoff_writes_the_sweep_table(tmp_path):
     assert arms == [["evasso", "0.5"], ["evasso", "1.0"], ["sam", ""]]
     evals = [float(line.split(",")[3]) for line in lines[1:]]
     assert evals[0] < evals[1] == evals[2] == 200.0
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--seed", "1,1"], "config.seeds"),
+    (["--seed", "-1"], "config.seeds"),
+    (["--seed", "0", "--p-values", "1.5"], "optimizer.p"),
+    (["--seed", "0", "--p-values", "nan"], "optimizer.p"),
+])
+def test_tradeoff_rejects_a_bad_arm_before_running_any(flags, field, tmp_path,
+                                                       capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_seeds", lambda *a, **k: runs.append(a))
+    cfg = _write_cfg(tmp_path,
+                     optimizer={"kind": "evasso", "rho": 0.1, "theta": 0.2,
+                                "lr": {"kind": "constant", "base": 0.05}})
+    out = tmp_path / "sweep.csv"
+    rc = main(["tradeoff", "--config", cfg, "--out", str(out), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"vasso-opt: error: {field}: ") and err.count("\n") == 1
+    assert runs == [] and not out.exists()
 
 
 # ---------------------------------------------------------------------------

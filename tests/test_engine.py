@@ -13,13 +13,13 @@ import pytest
 
 from vasso_opt import harness
 from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                            Schedule, make_rng, norm2)
+                            Schedule, make_rng, norm2, row_norms)
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (METRICS_HEADER, MetricsRow, build_objective,
                                final_loss_metric, init_x, parse_config,
                                run_experiment, run_seed, run_seeds)
 from vasso_opt.objectives import NoisyQuadratic
-from vasso_opt.optimizers import OptimizerConfig, vasso_step
+from vasso_opt.optimizers import AdversaryState, OptimizerConfig, vasso_step
 
 
 def reference_run(cfg, seed):
@@ -133,6 +133,19 @@ def test_one_seed_run_is_a_stack_of_one():
         assert alone == summary
 
 
+def test_one_seed_steps_as_a_stack_of_one(monkeypatch):
+    shapes = []
+
+    def spy(obj, x, *args, **kwargs):
+        shapes.append(x.shape)
+        return vasso_step(obj, x, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "vasso_step", spy)
+    cfg = _case_cfg("quadratic-diag", "evasso", "plain", [4])
+    run_seed(cfg, 4)
+    assert shapes == [(1, 5)] * cfg.T
+
+
 # ---------------------------------------------------------------------------
 # a seed that diverges leaves the stack; the others run on untouched
 
@@ -191,6 +204,34 @@ def test_a_row_failing_at_its_perturbed_point_leaves_the_others_alone():
     assert np.array_equal(x_new[1], xb_new) and rep.loss[1] == rep_b.loss
     with pytest.raises(NonFiniteError, match="perturbed point"):
         vasso_step(obj, np.stack([x_a, x_a]), None, np.zeros((2, 2)), cfg, None)
+
+
+# a finite row whose slope is zero or below DEGENERATE_NORM_TOL
+BESIDE_A_NAN_ROW = pytest.mark.parametrize(
+    "slope", [[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0]], ids=["zero", "degenerate"])
+
+
+@BESIDE_A_NAN_ROW
+def test_a_nan_slope_row_leaves_the_adversary_of_the_others_alone(slope):
+    d = np.array([[np.nan, 0.0, 0.0], slope])
+    eps = AdversaryState(d, row_norms(d)).epsilon(0.1)
+    alone = AdversaryState(d[1:], row_norms(d[1:])).epsilon(0.1)
+    assert eps[1].tolist() == alone[0].tolist() == [0.0, 0.0, 0.0]
+
+
+@BESIDE_A_NAN_ROW
+def test_a_nan_gradient_row_leaves_the_step_of_the_others_alone(slope):
+    # identity quadratic at the origin: each row's gradient is its batch row
+    obj = NoisyQuadratic(np.ones(3))
+    cfg = OptimizerConfig(rho=0.1, theta=0.3, lr=Schedule("constant", 0.1))
+    x, batch = np.zeros((2, 3)), np.array([[np.nan, 0.0, 0.0], slope])
+    x_new, state, rep, _ = vasso_step(obj, x, None, batch, cfg, None)
+    x_one, state_one, rep_one, _ = vasso_step(obj, x[1:], None, batch[1:], cfg, None)
+    assert rep.failed.tolist() == [True, False]
+    for stack, one in ((x_new, x_one), (rep.epsilon, rep_one.epsilon),
+                       (rep.loss, rep_one.loss), (state.d, state_one.d),
+                       (state.d_norm, state_one.d_norm)):
+        assert np.array_equal(stack[1], one[0])
 
 
 # ---------------------------------------------------------------------------

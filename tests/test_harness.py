@@ -142,6 +142,20 @@ def test_config_round_trips_through_its_dict_and_text_forms():
     assert parse_config_text(cfg.serialize()) == cfg
 
 
+def test_derive_rejects_an_unknown_key_and_leaves_the_config_alone():
+    cfg = _cfg()
+    before = cfg.serialize()
+    with pytest.raises(ConfigError) as err:
+        cfg.derive(bogus=1)
+    assert err.value.path == "config.bogus"
+    with pytest.raises(ConfigError) as err:
+        cfg.derive({"bogus": 1}, seeds=[5])
+    assert err.value.path == "optimizer.bogus"
+    derived = cfg.derive({"p": 0.5}, seeds=[5], T=7)
+    assert (derived.optimizer["p"], derived.seeds, derived.T) == (0.5, [5], 7)
+    assert cfg.serialize() == before
+
+
 def test_load_config_reads_a_file(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(_cfg().serialize())
@@ -505,6 +519,12 @@ def test_gradient_cost_scales_with_the_gate_probability():
     evals = [by_arm[("evasso", p)].mean_grad_evals for p in (0.2, 0.6, 1.0)]
     assert evals[0] < evals[1] < evals[2]
     assert by_arm[("sam", None)].mean_grad_evals == 2 * T
+
+
+def test_sweep_of_a_sam_db_config_ignores_its_adversary_batch_size():
+    base = _tradeoff_base()
+    sam_db = base.derive({"kind": "sam_db", "adv_batch_size": 3})
+    assert tradeoff_sweep(sam_db, [0.5], [0, 1]) == tradeoff_sweep(base, [0.5], [0, 1])
 
 
 def test_sweep_measures_wallclock_only_on_request():

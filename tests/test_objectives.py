@@ -433,8 +433,6 @@ def test_mlp_objective_shape_validation():
         MlpObjective(Mlp([3, 2]), ds)       # feature width mismatch
     with pytest.raises(DimensionMismatchError):
         MlpObjective(Mlp([2, 2]), ds)       # 3 classes, 2 outputs
-    with pytest.raises(InvalidParameterError):
-        mlp_objective([2, 3], "tanh", ds, loss="mse")
 
 
 # ---------------------------------------------------------------------------

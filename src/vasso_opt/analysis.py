@@ -196,12 +196,13 @@ def noise_scale_for_snr(true_grad: np.ndarray, snr: float) -> float:
 
 
 def snr_adversary_spread(true_grad: np.ndarray, noise_scales, n_draws: int,
-                         rho: float, rng) -> list[SpreadStat]:
+                         rng) -> list[SpreadStat]:
     """Cosine alignment between noisy adversaries and the true gradient.
 
-    For each scale, draws n adversaries eps = rho*(g+zeta)/||g+zeta|| and
-    reports mean and std of cos(eps, g).  Alignment decays from ~1 toward 0
-    as the noise scale grows past ||g||.
+    For each scale, draws n noisy gradients g+zeta and reports mean and std
+    of cos(eps, g) for the adversary eps = rho*(g+zeta)/||g+zeta||, which
+    does not depend on rho.  Alignment decays from ~1 toward 0 as the noise
+    scale grows past ||g||.
     """
     g = np.asarray(true_grad, dtype=np.float64)
     gn = norm2(g)

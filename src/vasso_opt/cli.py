@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", required=True, type=_float_list,
                    help="per-coordinate noise stds, comma-separated")
     p.add_argument("--draws", type=_positive_int, default=100)
-    p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--out", required=True)
 
     p = add("spectrum", "top Hessian eigenvalues via Lanczos", seeds="one")
@@ -274,7 +273,7 @@ def cmd_delta(args) -> int:
 
 def cmd_snr(args) -> int:
     grad = np.asarray(args.grad, dtype=np.float64)
-    stats = snr_adversary_spread(grad, args.scales, args.draws, args.rho,
+    stats = snr_adversary_spread(grad, args.scales, args.draws,
                                  make_rng(args.seed, STREAM_USER))
     lines = (",".join(fmt(v) for v in (s.noise_scale, s.mean_cos, s.std_cos))
              for s in stats)

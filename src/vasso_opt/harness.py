@@ -50,7 +50,7 @@ from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import (inject_label_noise, load_dataset_csv,
                          make_blobs_dataset, mlp_objective, MlpObjective,
                          NoisyQuadratic)
-from .optimizers import AdversaryState, OptimizerConfig, vasso_step
+from .optimizers import OptimizerConfig, vasso_step
 
 log = logging.getLogger("vasso_opt")
 log.addHandler(logging.NullHandler())
@@ -422,17 +422,9 @@ class _Gates:
         return np.array([rng.random() for rng in self.rngs])
 
 
-def _stack_objective(objs: list):
-    """One objective for a stack of seeds, rows in the order of ``objs``.
-
-    A network's per-seed data is stacked; a quadratic does not depend on the
-    seed, so one instance serves every row.
-    """
-    return MlpObjective.stack(objs) if isinstance(objs[0], MlpObjective) else objs[0]
-
-
-# A diverging seed overflows before its row leaves the stack: an outcome the
-# summary reports (aborted_at), not a numpy warning for the console.
+# A diverging seed overflows before it is retired, and its row computes unread
+# values until the run ends: an outcome the summary reports (aborted_at), not
+# numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
 def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
               keep_final_x: bool = False) -> list[tuple[list[MetricsRow], dict]]:
@@ -441,11 +433,12 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     The seeds' parameters step together as one (S, dim) stack through
     ``vasso_step``.  Each seed keeps its own data, initial point and Philox
     streams, and its rows and summary equal those of a run of that seed
-    alone, bit for bit.  A seed whose loss or gradient turns non-finite
-    leaves the stack at that step (``aborted_at``) and the others run on.
-    ``keep_final_x`` stashes each final iterate in its summary under
-    ``final_x`` (not JSON-serializable; for in-process callers only).
-    Recorded wallclock cells hold the elapsed time of the whole stack.
+    alone, bit for bit.  A seed whose loss or gradient turns non-finite is
+    retired at that step (``aborted_at``) and the others run on; its row
+    stays in the stack until the run ends, but nothing it computes after
+    that step is read.  ``keep_final_x`` stashes each final iterate in its
+    summary under ``final_x`` (not JSON-serializable; for in-process callers
+    only).  Recorded wallclock cells hold the elapsed time of the whole stack.
     """
     seeds = list(seeds)
     if not seeds:
@@ -461,14 +454,15 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
         adv_samplers = [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
                         for o, s in zip(objs, seeds)]
     gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds])
-    obj = _stack_objective(objs)
+    # a network's per-seed data is stacked; a quadratic serves every row
+    obj = MlpObjective.stack(objs) if isinstance(objs[0], MlpObjective) else objs[0]
 
     n, T = len(seeds), cfg.T
-    live = np.arange(n)          # the seed of each stack row
-    # Each step writes its cells straight into the (T, n) tables under the
-    # live seeds' columns, failed rows included; a seed's rows read only the
-    # cells of its first steps[i] steps.  Gradient norms are taken on the
-    # metrics cadence and drift cells start at t=1; other cells stay blank.
+    live = np.ones(n, dtype=bool)   # the seeds not yet retired
+    # Each step writes one cell per seed straight into the (T, n) tables, the
+    # rows of retired seeds included; a seed's rows read only the cells of its
+    # first steps[i] steps.  Gradient norms are taken on the metrics cadence
+    # and drift cells start at t=1; other cells stay blank.
     tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
               "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
     wallclock = [None] * T
@@ -476,10 +470,10 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     final_x = [None] * n
 
     def retire(rows, t: int) -> None:
-        """The stack rows ``rows`` failed at step t: their seeds stop there."""
-        for j in rows:
-            steps[live[j]] = t
-            final_x[live[j]] = x[j]
+        """The seeds in the mask ``rows`` stop at step t, at their current x."""
+        for i in np.flatnonzero(rows):
+            steps[i], final_x[i] = t, x[i]
+        live[rows] = False
 
     state = buf = prev_eps = None
     epochs = hasattr(samplers[0], "epoch")   # every seed's sampler turns together
@@ -491,52 +485,37 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
         batch = np.array([sample() for sample in samplers])
         if epochs and samplers[0].epoch != last_epoch:
             if epoch_len:
-                for i in live:
+                for i in np.flatnonzero(live):
                     log.info("seed=%d epoch=%d mean_batch_loss=%.6f",
                              seeds[i], last_epoch, epoch_sum[i] / epoch_len)
             last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
         if t % cfg.metrics_every == 0:
-            tables["fg_norm"][t, live] = row_norms(obj.full_grad(x))
+            tables["fg_norm"][t] = row_norms(obj.full_grad(x))
         adv_batch = None if adv_samplers is None else \
             np.array([sample() for sample in adv_samplers])
         try:
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
                                                 adv_batch=adv_batch)
-        except NonFiniteError:   # every live seed failed at t
-            retire(range(live.size), t)
-            live = live[:0]
+        except NonFiniteError:   # every row, so every live seed, failed at t
+            retire(live, t)
             break
-        tables["loss"][t, live] = rep.loss
-        tables["evals"][t, live] = rep.grad_evals
+        tables["loss"][t] = rep.loss
+        tables["evals"][t] = rep.grad_evals
         if prev_eps is not None:
-            tables["drift"][t, live] = row_norms(rep.epsilon - prev_eps)
+            tables["drift"][t] = row_norms(rep.epsilon - prev_eps)
         prev_eps = rep.epsilon
         if epochs:
-            epoch_sum[live] += rep.loss
+            epoch_sum += rep.loss
             epoch_len += 1
-        if rep.failed is not None:   # drop the failed rows from the stack
-            retire(np.flatnonzero(rep.failed), t)
-            keep = np.flatnonzero(~rep.failed)
-            live = live[keep]
-            x_new, prev_eps = x_new[keep], prev_eps[keep]
-            state = None if state is None else \
-                AdversaryState(state.d[keep], state.d_norm[keep])
-            buf = None if buf is None else buf[keep]
-            samplers = [samplers[j] for j in keep]
-            if adv_samplers is not None:
-                adv_samplers = [adv_samplers[j] for j in keep]
-            gates = _Gates([gates.rngs[j] for j in keep])
-            obj = _stack_objective([objs[i] for i in live])
+        if rep.failed is not None:   # a retired row may be flagged again
+            retire(rep.failed & live, t)
         x = x_new
         if record_wallclock:
             wallclock[t] = (time.perf_counter() - t0) * 1e3
 
-    final_loss = [None] * n
-    if live.size:
-        finals = final_loss_metric(obj, x).tolist()
-        for i, value, xi in zip(live, finals, x):
-            final_loss[i], final_x[i] = value, xi
+    finals = final_loss_metric(obj, x).tolist() if live.any() else None
+    retire(live, T)
     results = []
     for i, seed in enumerate(seeds):
         k = steps[i]
@@ -554,7 +533,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
             "total_grad_evals": int(evals_cum[-1]) if k else 0,
             # left to right, as a running sum adds them
             "mean_drift": float(np.cumsum(drifts[1:])[-1]) / (k - 1) if k > 1 else 0.0,
-            "final_loss": final_loss[i],
+            "final_loss": finals[i] if k == T else None,
         }
         if keep_final_x:
             summary["final_x"] = final_x[i]
@@ -717,12 +696,11 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
         t0 = time.perf_counter()
         results = run_seeds(cfg, seeds)
         wall = (time.perf_counter() - t0) * 1e3 / len(seeds) if record_wallclock else None
-        finals = [s["final_loss"] for _, s in results]
-        evals = [s["total_grad_evals"] for _, s in results]
-        if any(v is None for v in finals):
+        agg = _aggregate([s for _, s in results])
+        if agg["n_aborted"]:
             raise NonFiniteError(f"a {name} run aborted during the tradeoff sweep")
-        return TradeoffRow(name, p, sum(finals) / len(finals),
-                           sum(evals) / len(evals), wall)
+        return TradeoffRow(name, p, agg["mean_final_loss"],
+                           agg["mean_total_grad_evals"], wall)
 
     def arm(**knobs) -> ExperimentConfig:
         # adv_batch_size applies to sam_db only, which no arm is

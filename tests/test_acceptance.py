@@ -265,7 +265,7 @@ def test_criterion_08_adversary_alignment_tracks_the_noise_ratio():
     t0 = time.perf_counter()
     g = np.array([0.2, -0.1, 0.6])
     scales = [noise_scale_for_snr(g, s) for s in (5.0, 1.0, 0.1, 0.01)]
-    stats = snr_adversary_spread(g, scales, 2000, 1.0, make_rng(4, 16))
+    stats = snr_adversary_spread(g, scales, 2000, make_rng(4, 16))
     cos = [s.mean_cos for s in stats]
     nonincreasing = all(a >= b for a, b in zip(cos, cos[1:]))
     elapsed = time.perf_counter() - t0

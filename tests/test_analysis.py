@@ -277,7 +277,7 @@ def test_noise_scale_targets_the_requested_ratio():
 
 
 def test_noiseless_spread_is_perfectly_aligned():
-    stat, = snr_adversary_spread(np.array([0.2, -0.1, 0.6]), [0.0], 100, 1.0,
+    stat, = snr_adversary_spread(np.array([0.2, -0.1, 0.6]), [0.0], 100,
                                  make_rng(0, 16))
     assert stat.mean_cos == pytest.approx(1.0, abs=1e-12)
     assert stat.std_cos == pytest.approx(0.0, abs=1e-12)
@@ -285,13 +285,13 @@ def test_noiseless_spread_is_perfectly_aligned():
 
 def test_spread_rejects_a_zero_gradient():
     with pytest.raises(InvalidParameterError):
-        snr_adversary_spread(np.zeros(3), [0.1], 10, 1.0, make_rng(0, 16))
+        snr_adversary_spread(np.zeros(3), [0.1], 10, make_rng(0, 16))
 
 
 def test_alignment_degrades_as_noise_grows():
     g = np.array([0.2, -0.1, 0.6])
     scales = [noise_scale_for_snr(g, snr) for snr in (5.0, 1.0, 0.1, 0.01)]
-    stats = snr_adversary_spread(g, scales, 2000, 1.0, make_rng(4, 16))
+    stats = snr_adversary_spread(g, scales, 2000, make_rng(4, 16))
     cosines = [s.mean_cos for s in stats]
     assert all(a > b for a, b in zip(cosines, cosines[1:]))
     assert cosines[0] > 0.9

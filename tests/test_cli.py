@@ -423,8 +423,7 @@ def test_delta_prints_the_stability_ratio(tmp_path, capsys):
 def test_snr_sweep_reproduces_the_alignment_regimes(tmp_path):
     out = tmp_path / "snr.csv"
     rc = main(["snr", "--seed", "0", "--grad", "0.2,-0.1,0.6",
-               "--scales", "0.2,1,2,20", "--draws", "100", "--rho", "1",
-               "--out", str(out)])
+               "--scales", "0.2,1,2,20", "--draws", "100", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "noise_scale,mean_cos,std_cos"
@@ -531,7 +530,7 @@ def test_frank_wolfe_check_reports_zero_gaps(tmp_path, capsys):
 def test_diagnostics_are_reproducible_byte_for_byte(tmp_path):
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["snr", "--seed", "5", "--grad", "1,2", "--scales", "0.5,2",
-            "--draws", "50", "--rho", "1"]
+            "--draws", "50"]
     main(argv + ["--out", str(out_a)])
     main(argv + ["--out", str(out_b)])
     assert out_a.read_bytes() == out_b.read_bytes()

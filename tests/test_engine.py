@@ -7,6 +7,8 @@ seed of a stack, whatever the other seeds of the stack do.
 """
 
 import json
+import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from vasso_opt import harness
 from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
                             Schedule, make_rng, norm2, row_norms)
+from vasso_opt.cli import main
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (METRICS_HEADER, MetricsRow, build_objective,
                                final_loss_metric, init_x, parse_config,
@@ -147,7 +150,7 @@ def test_one_seed_steps_as_a_stack_of_one(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# a seed that diverges leaves the stack; the others run on untouched
+# a seed that diverges is retired; the others run on untouched
 
 
 def _diverging_cfg(kind, T):
@@ -273,13 +276,27 @@ def test_each_seed_draws_its_gate_once_per_step_only_when_random(p, draws,
         assert _draws_taken(made[seed, STREAM_GATE], seed) == draws
 
 
-def test_a_seed_stops_drawing_its_gate_when_it_leaves_the_stack(monkeypatch):
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_retired_seed_keeps_its_row_until_the_run_ends(monkeypatch):
+    shapes, real_step = [], vasso_step
+
+    def spy(obj, x, *args, **kwargs):
+        shapes.append(x.shape)
+        return real_step(obj, x, *args, **kwargs)
+
     made = _capture_gates(monkeypatch)
-    run_seeds(_diverging_cfg("evasso", T=156), [0, 1, 4])
-    # seeds 1 and 0 drew up to the step they failed at (154 and 155), seed 4
-    # at all 156 steps
+    monkeypatch.setattr(harness, "vasso_step", spy)
+    cfg = _diverging_cfg("evasso", T=156)
+    stacked = run_seeds(cfg, [0, 1, 4])
+    # seeds 0 and 1 are retired at steps 155 and 154, but every row of the
+    # stack steps, and draws its gate, at all 156 steps
+    assert shapes == [(3, 2)] * 156
     assert [_draws_taken(made[s, STREAM_GATE], s) for s in (0, 1, 4)] == \
-        [156, 155, 156]
+        [156, 156, 156]
+    assert [s["aborted_at"] for _, s in stacked] == [155, 154, None]
+    for seed, (rows, summary) in zip([0, 1, 4], stacked):
+        ref_rows, ref = reference_run(cfg, seed)
+        assert _csv(rows) == _csv(ref_rows) and summary == ref
 
 
 def _reference_with_final_x(cfg, seed, monkeypatch):
@@ -362,3 +379,42 @@ def test_the_files_of_a_run_with_aborted_seeds_match_the_per_seed_loop(tmp_path)
         "max_final_loss": summaries[2]["final_loss"],
         "mean_total_grad_evals": summaries[2]["total_grad_evals"],
         "mean_drift": summaries[2]["mean_drift"]}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")   # reference_run
+@pytest.mark.parametrize("kind", ["sgd", "evasso"])
+def test_a_long_dead_tail_leaves_the_other_seed_and_the_console_alone(kind, tmp_path,
+                                                                      capsys):
+    """Seed 5 overflows at step 47 and its row runs dead for 352 more steps.
+
+    The blobs MLP of ``test_a_diverging_network_seed_leaves_the_stack``, run
+    through the CLI with every warning an error: the dead row's NaNs must
+    neither warn nor reach seed 1, which runs all 400 steps.
+    """
+    cfg = parse_config({
+        "objective": {"kind": "blobs", "n_per_class": 10, "dim": 2,
+                      "separation": 2.0, "hidden": [5], "activation": "relu",
+                      "holdout_fraction": 0.25},
+        "optimizer": {"kind": kind, "rho": 0.1, "theta": 0.3, "momentum": 0.5,
+                      "lr": {"kind": "constant", "base": 1e4},
+                      **({"p": 0.5} if kind == "evasso" else {})},
+        "T": 400, "batch_size": 4, "seeds": [1, 5]})
+    path, out = tmp_path / "cfg.json", tmp_path / "m.csv"
+    path.write_text(cfg.serialize())
+    handlers = logging.root.handlers[:]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["train", "--config", str(path), "--seed", "1,5",
+                       "--out", str(out)])
+    finally:   # main() installs a stderr handler; drop it again
+        for h in logging.root.handlers[len(handlers):]:
+            logging.root.removeHandler(h)
+    assert rc == 0
+    assert "Warning" not in capsys.readouterr().err
+    expected = [reference_run(cfg, s) for s in [1, 5]]
+    assert [s["aborted_at"] for _, s in expected] == [None, 47]
+    assert out.read_text() == METRICS_HEADER + "\n" + \
+        "".join(_csv(rows) for rows, _ in expected)
+    written = json.loads((tmp_path / "m.csv.summary.json").read_text())
+    assert written["per_seed"] == [s for _, s in expected]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from functools import partial
 
@@ -21,7 +22,7 @@ import numpy as np
 from .analysis import (delta_stability, ema_slope_sampler, landscape_slice,
                        lanczos_spectrum, mse_suppression, noisy_grad_sampler,
                        snr_adversary_spread)
-from .core import STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
+from .core import MAX_SEED, STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
 from .errors import VassoOptError
 from .harness import (TRADEOFF_HEADER, build_objective, fmt, init_x,
                       load_config, paired_compare, run_experiment, run_seed,
@@ -50,28 +51,43 @@ def _seed_list(text: str) -> list[int]:
     return seeds
 
 
-def _int_at_least(lo: int):
-    """An argparse type for an integer flag of at least ``lo``."""
-    def integer(text: str) -> int:
-        v = int(text)   # argparse reports a ValueError as "invalid integer value"
-        if v < lo:
-            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+def _bounded(convert, lo=-math.inf, hi=math.inf, lo_open=False):
+    """An argparse type for a finite ``convert(text)`` in [lo, hi], or (lo, hi]."""
+    if hi < math.inf:
+        want = f"in {'(' if lo_open else '['}{lo}, {hi}]"
+    else:
+        want = f">= {lo}" if lo > -math.inf else ""
+    if convert is float:
+        want = f"finite and {want}" if want else "finite"
+
+    def check(text: str):
+        v = convert(text)   # argparse reports a ValueError as "invalid <name> value"
+        if not ((lo < v if lo_open else lo <= v) and v <= hi and abs(v) != math.inf):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
         return v
-    return integer
+    check.__name__ = convert.__name__
+    return check
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_positive_int = _bounded(int, 1)
+_non_negative_int = _bounded(int, 0)
+_seed = _bounded(int, 0, MAX_SEED)
+_finite = _bounded(float)
+_finite_non_negative = _bounded(float, 0)
+_ema_weight = _bounded(float, 0, 1, lo_open=True)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        vals = [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty number list")
-    return vals
+def _number_list(item):
+    """An argparse type for a comma-separated list of ``item`` values."""
+    def numbers(text: str) -> list:
+        try:
+            vals = [item(v) for v in text.split(",") if v != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad number list {text!r}")
+        if not vals:
+            raise argparse.ArgumentTypeError("empty number list")
+        return vals
+    return numbers
 
 
 def _write_csv(path: str, header: str, lines) -> None:
@@ -94,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", required=True, type=_seed_list,
                            help="comma-separated seed list; overrides the config")
         else:
-            p.add_argument("--seed", required=True, type=int, help="RNG seed")
+            p.add_argument("--seed", required=True, type=_seed, help="RNG seed")
         return p
 
     p = add("train", "run a training experiment from a JSON config")
@@ -111,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tradeoff", "loss/computation sweep over gate probabilities")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="table CSV path")
-    p.add_argument("--p-values", type=_float_list,
+    p.add_argument("--p-values", type=_number_list(float),
                    default=[0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
                    help="comma-separated gate probabilities (default 0.2..0.8)")
     p.add_argument("--no-esam", action="store_true",
@@ -133,26 +149,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mse", "EMA slope error vs raw gradient error at a fixed point",
             seeds="one")
     p.add_argument("--dim", type=_positive_int, default=10)
-    p.add_argument("--sigma", type=float, default=1.0,
+    p.add_argument("--sigma", type=_finite_non_negative, default=1.0,
                    help="per-coordinate gradient noise std")
-    p.add_argument("--thetas", type=_float_list, default=[0.2, 0.4, 0.9],
-                   help="comma-separated EMA weights")
+    p.add_argument("--thetas", type=_number_list(_ema_weight),
+                   default=[0.2, 0.4, 0.9], help="comma-separated EMA weights")
     p.add_argument("--steps", type=_positive_int, default=100000)
     p.add_argument("--out", required=True)
 
     p = add("delta", "linearized-sharpness stability of SAM vs EMA slopes",
             seeds="one")
     p.add_argument("--dim", type=_positive_int, default=10)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--rho", type=float, default=0.05)
-    p.add_argument("--theta", type=float, default=0.2)
+    p.add_argument("--sigma", type=_finite_non_negative, default=1.0)
+    p.add_argument("--rho", type=_finite_non_negative, default=0.05)
+    p.add_argument("--theta", type=_ema_weight, default=0.2)
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--out", required=True)
 
     p = add("snr", "adversary spread vs gradient signal-to-noise", seeds="one")
-    p.add_argument("--grad", required=True, type=_float_list,
+    p.add_argument("--grad", required=True, type=_number_list(_finite),
                    help="true gradient, comma-separated")
-    p.add_argument("--scales", required=True, type=_float_list,
+    p.add_argument("--scales", required=True, type=_number_list(_finite_non_negative),
                    help="per-coordinate noise stds, comma-separated")
     p.add_argument("--draws", type=_positive_int, default=100)
     p.add_argument("--out", required=True)
@@ -167,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("slice", "loss values on a slice through parameter space", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--radius", type=_finite_non_negative, default=1.0)
     p.add_argument("--points", type=_positive_int, default=41)
     p.add_argument("--two-d", action="store_true", help="use two directions")
     p.add_argument("--train-steps", type=_non_negative_int, default=0,
@@ -177,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sfw-check", "one-step Frank-Wolfe vs the closed-form adversary",
             seeds="one")
     p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--rho", type=_finite_non_negative, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--out", help="optional per-trial CSV path")
 

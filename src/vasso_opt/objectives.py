@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -263,11 +264,19 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return np.tanh(z)
 
 
-def _act_deriv(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative, from the activation ``a`` the forward pass kept."""
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    t = np.tanh(z)
-    return 1.0 - t * t
+        return a > 0.0
+    return 1.0 - a * a
+
+
+def _fold_columns(op, a: np.ndarray) -> np.ndarray:
+    """``op`` applied along the last axis, one column at a time from the left."""
+    out = a[..., 0].copy()
+    for c in range(1, a.shape[-1]):
+        op(out, a[..., c], out=out)
+    return out
 
 
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -276,15 +285,18 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     ``logits`` is (n, classes), or (S, n, classes) for a stack, which gives
     S means.  Also returns the max-shifted exponentials, their row sums and
     the index of each row's label entry, from which the backward pass forms
-    its error.
+    its error.  The class-axis max, and below 8 classes the sum, run as
+    column scans: numpy reduces a short axis slowly, and each scan equals
+    its reduction bit for bit.
     """
-    zmax = logits.max(axis=-1, keepdims=True)
-    exps = np.exp(logits - zmax)
-    sums = exps.sum(axis=-1, keepdims=True)
-    logsumexp = zmax[..., 0] + np.log(sums[..., 0])
+    zmax = _fold_columns(np.maximum, logits)
+    exps = np.exp(logits - zmax[..., np.newaxis])
+    # below 8 terms numpy sums in a plain left-to-right loop; from 8 it sums pairwise
+    sums = _fold_columns(np.add, exps) if exps.shape[-1] < 8 else exps.sum(axis=-1)
+    logsumexp = zmax + np.log(sums)
     at = (*np.indices(labels.shape, sparse=True), labels)
-    loss = _as_loss(np.mean(logsumexp - logits[at], axis=-1))
-    return loss, exps, sums, at
+    loss = _as_loss(np.add.reduce(logsumexp - logits[at], axis=-1) / labels.shape[-1])
+    return loss, exps, sums[..., np.newaxis], at
 
 
 def _group_norms(W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -339,27 +351,27 @@ class Mlp:
         return layers
 
     def forward(self, x: np.ndarray, feats: np.ndarray):
-        """Return (pre-activations per layer, activations per layer, logits)."""
-        layers = self.unpack(x)
-        a = feats
-        zs, acts = [], [a]
+        """Return the activations per layer, ``feats`` first and the logits last."""
+        return self._forward(self.unpack(x), feats)
+
+    def _forward(self, layers, feats: np.ndarray):
+        acts = [feats]
         for i, (W, b) in enumerate(layers):
-            z = a @ W.mT + b[..., np.newaxis, :]
-            zs.append(z)
-            a = _act(z, self.activation) if i < len(layers) - 1 else z
-            acts.append(a)
-        return zs, acts, a
+            z = acts[-1] @ W.mT
+            z += b[..., np.newaxis, :]
+            acts.append(_act(z, self.activation) if i < len(layers) - 1 else z)
+        return acts
 
     def loss(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross-entropy over the batch: a forward pass, no backward."""
-        return _cross_entropy(self.forward(x, feats)[2], labels)[0]
+        return _cross_entropy(self.forward(x, feats)[-1], labels)[0]
 
     def loss_and_grad(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray):
         """Mean cross-entropy over the batch and its gradient in x."""
         lead = x.shape[:-1]
         layers = self.unpack(x)
-        zs, acts, logits = self.forward(x, feats)
-        loss, exps, sums, at = _cross_entropy(logits, labels)
+        acts = self._forward(layers, feats)
+        loss, exps, sums, at = _cross_entropy(acts[-1], labels)
 
         grad = np.zeros(x.shape)
         delta = exps / sums
@@ -371,7 +383,7 @@ class Mlp:
             grad[..., w0:b0] = (delta.mT @ acts[i]).reshape(lead + (-1,))
             grad[..., b0:end] = delta.sum(axis=-2)
             if i > 0:
-                delta = (delta @ W) * _act_deriv(zs[i - 1], self.activation)
+                delta = (delta @ W) * _act_deriv(acts[i], self.activation)
         return loss, grad
 
     def normalize_direction(self, direction: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -471,11 +483,16 @@ class MlpObjective:
     def grad(self, x, batch) -> np.ndarray:
         return self.loss_and_grad(x, batch)[1]
 
+    @cached_property
+    def _train_rows(self):
+        """Features and labels of the whole training set, gathered on first use."""
+        return self._gather(self._train_idx)
+
     def full_loss(self, x) -> float:
-        return self.mlp.loss(x, *self._gather(self._train_idx))
+        return self.mlp.loss(x, *self._train_rows)
 
     def full_grad(self, x) -> np.ndarray:
-        return self.mlp.loss_and_grad(x, *self._gather(self._train_idx))[1]
+        return self.mlp.loss_and_grad(x, *self._train_rows)[1]
 
     def holdout_loss(self, x) -> float:
         if not self.has_holdout():

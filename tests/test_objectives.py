@@ -1,8 +1,12 @@
+import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from vasso_opt import objectives
+from vasso_opt.cli import main
 from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import (ConfigError, DimensionMismatchError,
                               InvalidParameterError)
@@ -391,6 +395,178 @@ def test_objective_losses_run_no_backward_pass(monkeypatch):
 
     monkeypatch.setattr(Mlp, "loss_and_grad", no_backward)
     assert [obj.loss(x, np.arange(4)), obj.full_loss(x), obj.holdout_loss(x)] == want
+
+
+# ---------------------------------------------------------------------------
+# exactness against the passes as first written: the class-axis max and sum
+# by numpy reductions, the backward pass re-taking tanh of the pre-activations
+
+
+def _reference_cross_entropy(logits, labels):
+    zmax = logits.max(axis=-1, keepdims=True)
+    exps = np.exp(logits - zmax)
+    sums = exps.sum(axis=-1, keepdims=True)
+    logsumexp = zmax[..., 0] + np.log(sums[..., 0])
+    at = (*np.indices(labels.shape, sparse=True), labels)
+    loss = np.mean(logsumexp - logits[at], axis=-1)
+    return float(loss) if np.ndim(loss) == 0 else loss, exps, sums, at
+
+
+def _reference_act_deriv(z, kind):
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+def _reference_forward(mlp, x, feats):
+    layers = mlp.unpack(x)
+    a = feats
+    zs, acts = [], [a]
+    for i, (W, b) in enumerate(layers):
+        z = a @ W.mT + b[..., np.newaxis, :]
+        zs.append(z)
+        a = objectives._act(z, mlp.activation) if i < len(layers) - 1 else z
+        acts.append(a)
+    return zs, acts, a
+
+
+def _reference_loss(mlp, x, feats, labels):
+    return _reference_cross_entropy(_reference_forward(mlp, x, feats)[2], labels)[0]
+
+
+def _reference_loss_and_grad(mlp, x, feats, labels):
+    lead = x.shape[:-1]
+    layers = mlp.unpack(x)
+    zs, acts, logits = _reference_forward(mlp, x, feats)
+    loss, exps, sums, at = _reference_cross_entropy(logits, labels)
+    grad = np.zeros(x.shape)
+    delta = exps / sums
+    delta[at] -= 1.0
+    delta /= feats.shape[-2]
+    for i in range(len(layers) - 1, -1, -1):
+        W, _ = layers[i]
+        w0, b0, end = mlp._offsets[i]
+        grad[..., w0:b0] = (delta.mT @ acts[i]).reshape(lead + (-1,))
+        grad[..., b0:end] = delta.sum(axis=-2)
+        if i > 0:
+            delta = (delta @ W) * _reference_act_deriv(zs[i - 1], mlp.activation)
+    return loss, grad
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("n_classes", [2, 3, 7, 8, 9, 17])
+@pytest.mark.parametrize("hidden", [[6], [6, 5]])
+@pytest.mark.parametrize("stack", [False, True])
+def test_mlp_passes_equal_the_reference_bit_for_bit(activation, n_classes, hidden,
+                                                    stack):
+    rng = make_rng(n_classes, len(hidden))
+    mlp = Mlp([3] + hidden + [n_classes], activation)
+    lead = (4,) if stack else ()
+    # zero biases and all-zero feature rows put first-layer units exactly on
+    # the relu kink
+    x = np.stack([mlp.init_params(rng) for _ in range(4)]) if stack else \
+        mlp.init_params(rng)
+    feats = rng.standard_normal(lead + (40, 3))
+    feats[..., :6, :] = 0.0
+    feats[..., 6:9, 1] = 0.0
+    labels = rng.integers(0, n_classes, lead + (40,))
+    if stack:
+        x[2, 1] = np.nan
+    loss, grad = mlp.loss_and_grad(x, feats, labels)
+    want_loss, want_grad = _reference_loss_and_grad(mlp, x, feats, labels)
+    assert type(loss) is type(want_loss)
+    assert _same_bits(loss, want_loss) and _same_bits(grad, want_grad)
+    assert _same_bits(mlp.loss(x, feats, labels), _reference_loss(mlp, x, feats, labels))
+    assert _same_bits(mlp.forward(x, feats)[-1], _reference_forward(mlp, x, feats)[2])
+    if stack:
+        assert np.isnan(loss[2]) and np.isfinite(np.delete(loss, 2)).all()
+
+
+@pytest.mark.parametrize("n_classes", range(2, 8))
+@pytest.mark.parametrize("lead", [(), (513,), (3, 97)])
+def test_numpys_short_axis_sum_is_the_left_to_right_scan(n_classes, lead):
+    # _cross_entropy scans below 8 classes on the strength of this; a numpy
+    # that sums short axes differently fails here
+    exps = np.exp(30.0 * make_rng(n_classes, len(lead)).standard_normal(
+        lead + (n_classes,)))
+    scan = exps[..., 0].copy()
+    for c in range(1, n_classes):
+        scan += exps[..., c]
+    assert _same_bits(scan, exps.sum(axis=-1))
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_the_training_rows_are_gathered_once_per_objective(stacked, monkeypatch):
+    seeds = [0, 1, 2] if stacked else [0]
+    parts = [_blob_objective(holdout=0.25, seed=s) for s in seeds]
+    obj = MlpObjective.stack(parts) if stacked else parts[0]
+    gathered = []
+    real = MlpObjective._gather
+
+    def counting(self, idx):
+        gathered.append(idx)
+        return real(self, idx)
+
+    monkeypatch.setattr(MlpObjective, "_gather", counting)
+    x = np.stack([o.init_params(make_rng(s, 0)) for s, o in zip(seeds, parts)])
+    x = x if stacked else x[0]
+    losses = [obj.full_loss(x) for _ in range(3)]
+    grads = [obj.full_grad(x) for _ in range(3)]
+    assert len(gathered) == 1 and gathered[0] is obj._train_idx
+    assert all(_same_bits(v, losses[0]) for v in losses)
+    assert all(_same_bits(g, grads[0]) for g in grads)
+    feats, labels = real(obj, obj._train_idx)
+    assert _same_bits(losses[0], _reference_loss(obj.mlp, x, feats, labels))
+    assert _same_bits(grads[0], _reference_loss_and_grad(obj.mlp, x, feats, labels)[1])
+
+
+@pytest.fixture
+def _quiet_cli_logs():
+    yield
+    for h in logging.root.handlers[:]:
+        logging.root.removeHandler(h)
+    logging.root.setLevel(logging.WARNING)
+
+
+_BLOBS_3_CLASS_RELU = {
+    "objective": {"kind": "blobs", "n_per_class": 16, "n_classes": 3, "dim": 2,
+                  "separation": 2.0, "hidden": [8], "activation": "relu",
+                  "label_noise": 0.1, "holdout_fraction": 0.25},
+    "optimizer": {"kind": "evasso", "rho": 0.05, "theta": 0.2, "p": 0.5,
+                  "lr": {"kind": "constant", "base": 0.1}},
+    "T": 40, "batch_size": 8, "seeds": [0], "metrics_every": 4}
+
+
+def _cli_output_bytes(workdir, cfg, monkeypatch):
+    """Every file a 2-D slice, a spectrum and a 3-seed train write, by name."""
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)   # relative --out paths keep the train summary's config equal
+    for argv in (["slice", "--two-d", "--points", "7", "--radius", "0.5",
+                  "--train-steps", "20", "--seed", "3", "--out", "slice.csv"],
+                 ["spectrum", "--k", "3", "--iters", "12", "--train-steps", "20",
+                  "--seed", "3", "--out", "spectrum.csv"],
+                 ["train", "--seed", "0,1,2", "--out", "train.csv"]):
+        assert main(argv + ["--config", cfg]) == 0
+    return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+
+def test_cli_outputs_equal_those_of_the_reference_passes(tmp_path, monkeypatch,
+                                                         _quiet_cli_logs):
+    cfg = tmp_path / "blobs.json"
+    cfg.write_text(json.dumps(_BLOBS_3_CLASS_RELU))
+    now = _cli_output_bytes(tmp_path / "now", str(cfg), monkeypatch)
+    monkeypatch.setattr(Mlp, "loss", _reference_loss)
+    monkeypatch.setattr(Mlp, "loss_and_grad", _reference_loss_and_grad)
+    reference = _cli_output_bytes(tmp_path / "reference", str(cfg), monkeypatch)
+    assert sorted(now) == ["slice.csv", "spectrum.csv", "train.csv",
+                           "train.csv.summary.json"]
+    assert now == reference
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from .analysis import (SpectrumEstimate, SpreadStat, StabilityTrace,
                        landscape_slice, lanczos_spectrum, mse_suppression,
                        noise_scale_for_snr, noisy_grad_sampler,
                        snr_adversary_spread, track_drift)
-from .harness import (ExperimentConfig, ExperimentResult, MetricsRow,
-                      PairedCompareResult, TradeoffRow, load_config,
+from .harness import (ExperimentConfig, ExperimentResult, MetricsColumns,
+                      MetricsRow, PairedCompareResult, TradeoffRow, load_config,
                       paired_compare, parse_config, parse_config_text,
                       run_experiment, run_seed, run_seeds, tradeoff_sweep)
 

@@ -195,6 +195,21 @@ def noise_scale_for_snr(true_grad: np.ndarray, snr: float) -> float:
     return norm2(true_grad) / (snr * mean_gaussian_norm(true_grad.shape[0]))
 
 
+def _scale_safe(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms`` of ``rows``, redone where squaring overflowed or underflowed.
+
+    A norm is redone where it is not finite, or is 0, for a finite non-zero
+    row: the row is divided by its largest magnitude and that magnitude
+    multiplies the norm back.  Every other norm keeps its bits.
+    """
+    big = np.max(np.abs(rows), axis=1)
+    redo = np.isfinite(big) & (big > 0.0) & ~(np.isfinite(norms) & (norms > 0.0))
+    if redo.any():
+        scaled = rows[redo] / big[redo, np.newaxis]
+        norms[redo] = big[redo] * np.linalg.norm(scaled, axis=1)
+    return norms
+
+
 def snr_adversary_spread(true_grad: np.ndarray, noise_scales, n_draws: int,
                          rng) -> list[SpreadStat]:
     """Cosine alignment between noisy adversaries and the true gradient.
@@ -205,14 +220,16 @@ def snr_adversary_spread(true_grad: np.ndarray, noise_scales, n_draws: int,
     scale grows past ||g||.
     """
     g = np.asarray(true_grad, dtype=np.float64)
-    gn = norm2(g)
+    with np.errstate(over="ignore"):   # _scale_safe redoes what overflowed
+        gn = float(_scale_safe(np.array([norm2(g)]), g[np.newaxis, :])[0])
     if gn <= DEGENERATE_NORM_TOL:
         raise InvalidParameterError("true_grad must be non-zero")
     ghat = g / gn
     out = []
     for scale in noise_scales:
         v = g[np.newaxis, :] + scale * rng.standard_normal((n_draws, g.shape[0]))
-        norms = np.linalg.norm(v, axis=1)
+        with np.errstate(over="ignore"):
+            norms = _scale_safe(np.linalg.norm(v, axis=1), v)
         norms[norms == 0.0] = 1.0  # degenerate draws count as orthogonal
         cos = (v @ ghat) / norms
         out.append(SpreadStat(float(scale), float(np.mean(cos)), float(np.std(cos))))

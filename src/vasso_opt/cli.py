@@ -251,8 +251,8 @@ def cmd_compare(args) -> int:
 
 def cmd_stability(args) -> int:
     cfg = _override_config(args, [args.seed])
-    rows, _ = run_seed(cfg, args.seed)
-    lines = (f"{r.t},{fmt(r.eps_drift)}" for r in rows if r.eps_drift is not None)
+    columns, _ = run_seed(cfg, args.seed)
+    lines = (f"{t},{fmt(d)}" for t, d in enumerate(columns.eps_drift.tolist(), 1))
     _write_csv(args.out, "t,drift", lines)
     print(f"wrote {args.out}")
     return 0
@@ -282,8 +282,9 @@ def cmd_delta(args) -> int:
                               make_rng(args.seed, STREAM_USER + 1))
     _write_csv(args.out, "slope,delta_hat",
                [f"sam,{fmt(d_sam)}", f"vasso,{fmt(d_vasso)}"])
-    ratio = d_vasso / d_sam if d_sam else float("nan")
-    print(f"delta_vasso/delta_sam={fmt(ratio)}")
+    # with delta_sam = 0 (e.g. rho = 0) there is no gap to compare against
+    ratio = fmt(d_vasso / d_sam) if d_sam else "undefined"
+    print(f"delta_vasso/delta_sam={ratio}")
     return 0
 
 

@@ -35,6 +35,7 @@ held-out split, and the full (noise-free) objective value otherwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -398,6 +399,11 @@ def final_loss_metric(obj, x) -> float:
 
 @dataclass
 class MetricsRow:
+    """One line of the metrics CSV, one cell per field (None is blank).
+
+    The run path writes whole ``MetricsColumns`` instead; this row form is
+    the reference its lines are checked against.
+    """
     seed: int
     t: int
     loss: float
@@ -412,14 +418,92 @@ class MetricsRow:
                                          self.grad_evals_cum, self.wallclock_ms))
 
 
-class _Gates:
-    """The Bernoulli gate streams of a stack: ``random()`` draws once from each."""
+@dataclass
+class MetricsColumns:
+    """One seed's metrics: a column per CSV field over its first k steps.
 
-    def __init__(self, rngs: list):
-        self.rngs = rngs
+    The columns are views of the run's (T, S) tables and hold only the cells
+    a run writes: ``loss`` and ``grad_evals_cum`` at every step,
+    ``full_grad_norm`` at the steps of the metrics cadence (t = 0, every,
+    2*every, ...), ``eps_drift`` from t=1, and ``wallclock_ms`` at every step
+    when it was recorded (None otherwise).  The CSV leaves the other cells
+    blank.
+    """
+    seed: int
+    metrics_every: int
+    loss: np.ndarray
+    full_grad_norm: np.ndarray
+    eps_drift: np.ndarray
+    grad_evals_cum: np.ndarray
+    wallclock_ms: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.loss)
+
+    def to_csv(self) -> str:
+        """The seed's CSV lines, newline-terminated, in the cell format of ``fmt``."""
+        k = len(self)
+        fg = [""] * k
+        fg[::self.metrics_every] = map(repr, self.full_grad_norm.tolist())
+        drift = [""] + list(map(repr, self.eps_drift.tolist())) if k else []
+        wall = [""] * k if self.wallclock_ms is None else \
+            map(repr, self.wallclock_ms.tolist())
+        cells = zip(itertools.repeat(str(self.seed), k), map(str, range(k)),
+                    map(repr, self.loss.tolist()), fg, drift,
+                    map(str, self.grad_evals_cum.tolist()), wall)
+        return "\n".join(map(",".join, cells)) + "\n" if k else ""
+
+
+# Per-seed randomness is drawn a block of steps at a time: a block holds at
+# most about this many bytes for the whole stack, and at least one step.
+BLOCK_BYTES = 1 << 20
+
+
+def _block_steps(n_seeds: int, width: int) -> int:
+    """Steps per block when each seed draws ``width`` float64 values a step."""
+    return max(1, BLOCK_BYTES // (8 * n_seeds * width))
+
+
+def _batch_stream(samplers: list, T: int, width: int):
+    """The (S, ...) stack of batches of each of T steps, one row per seed.
+
+    A quadratic's samplers draw a block of steps per call, each block equal
+    bit for bit to as many single draws.  Epoch samplers draw step by step:
+    their last batch of an epoch can be short, and a caller reads their
+    ``epoch`` after each step's draw.
+    """
+    if hasattr(samplers[0], "epoch"):
+        for _ in range(T):
+            yield np.array([sample() for sample in samplers])
+        return
+    block = _block_steps(len(samplers), width)
+    for t in range(0, T, block):
+        k = min(block, T - t)
+        yield from np.stack([sample(k) for sample in samplers], axis=1)
+
+
+class _Gates:
+    """The Bernoulli gate streams of a run of T steps.
+
+    ``random()`` hands out one draw from each stream per step, as each
+    stream's ``random()`` would.  The first call of a block draws min(block,
+    T - t) uniforms from every stream, so a run that asks at every step
+    takes exactly T per stream, and one that never asks takes none.
+    """
+
+    def __init__(self, rngs: list, T: int):
+        self.rngs, self.left = rngs, T
+        self.block = _block_steps(len(rngs), 1)
+        self.drawn = iter(())
 
     def random(self) -> np.ndarray:
-        return np.array([rng.random() for rng in self.rngs])
+        row = next(self.drawn, None)
+        if row is None:
+            k = min(self.block, self.left)
+            self.drawn = iter(np.stack([rng.random(k) for rng in self.rngs], axis=1))
+            self.left -= k
+            row = next(self.drawn)
+        return row
 
 
 # A diverging seed overflows before it is retired, and its row computes unread
@@ -427,12 +511,12 @@ class _Gates:
 # numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
 def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
-              keep_final_x: bool = False) -> list[tuple[list[MetricsRow], dict]]:
-    """Run the seeds in lockstep; returns (metrics rows, summary) per seed.
+              keep_final_x: bool = False) -> list[tuple[MetricsColumns, dict]]:
+    """Run the seeds in lockstep; returns (metrics columns, summary) per seed.
 
     The seeds' parameters step together as one (S, dim) stack through
     ``vasso_step``.  Each seed keeps its own data, initial point and Philox
-    streams, and its rows and summary equal those of a run of that seed
+    streams, and its metrics and summary equal those of a run of that seed
     alone, bit for bit.  A seed whose loss or gradient turns non-finite is
     retired at that step (``aborted_at``) and the others run on; its row
     stays in the stack until the run ends, but nothing it computes after
@@ -446,26 +530,28 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     objs = build_objectives(cfg.objective, seeds)
     x = np.array([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
     ocfg = cfg.optimizer_config()
+    n, T = len(seeds), cfg.T
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
                 for o, s in zip(objs, seeds)]
-    adv_samplers = None
+    batches = _batch_stream(samplers, T, x.shape[1])
+    adv_batches = itertools.repeat(None)
     if cfg.optimizer["kind"] == "sam_db":
         adv_bs = cfg.optimizer.get("adv_batch_size") or cfg.batch_size
-        adv_samplers = [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
-                        for o, s in zip(objs, seeds)]
-    gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds])
+        adv_batches = _batch_stream(
+            [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
+             for o, s in zip(objs, seeds)], T, x.shape[1])
+    gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds], T)
     # a network's per-seed data is stacked; a quadratic serves every row
     obj = MlpObjective.stack(objs) if isinstance(objs[0], MlpObjective) else objs[0]
 
-    n, T = len(seeds), cfg.T
     live = np.ones(n, dtype=bool)   # the seeds not yet retired
     # Each step writes one cell per seed straight into the (T, n) tables, the
-    # rows of retired seeds included; a seed's rows read only the cells of its
-    # first steps[i] steps.  Gradient norms are taken on the metrics cadence
-    # and drift cells start at t=1; other cells stay blank.
+    # rows of retired seeds included; a seed's columns read only the cells of
+    # its first steps[i] steps.  Gradient norms are taken on the metrics
+    # cadence and drift cells start at t=1; other cells stay unwritten.
     tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
               "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
-    wallclock = [None] * T
+    wallclock = np.zeros(T) if record_wallclock else None
     steps = [T] * n
     final_x = [None] * n
 
@@ -481,8 +567,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     epoch_sum, epoch_len = np.zeros(n), 0
     t0 = time.perf_counter()
 
-    for t in range(T):
-        batch = np.array([sample() for sample in samplers])
+    for t, batch, adv_batch in zip(range(T), batches, adv_batches):
         if epochs and samplers[0].epoch != last_epoch:
             if epoch_len:
                 for i in np.flatnonzero(live):
@@ -491,8 +576,6 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
             last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
         if t % cfg.metrics_every == 0:
             tables["fg_norm"][t] = row_norms(obj.full_grad(x))
-        adv_batch = None if adv_samplers is None else \
-            np.array([sample() for sample in adv_samplers])
         try:
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
@@ -516,35 +599,35 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
 
     finals = final_loss_metric(obj, x).tolist() if live.any() else None
     retire(live, T)
+    # running totals, in place: ints, added in step order
+    evals_cum = np.cumsum(tables["evals"], axis=0, out=tables["evals"])
     results = []
     for i, seed in enumerate(seeds):
         k = steps[i]
-        evals_cum = np.cumsum(tables["evals"][:k, i])   # ints, added in step order
-        drifts = tables["drift"][:k, i]
-        cells = zip(tables["loss"][:k, i].tolist(), tables["fg_norm"][:k, i].tolist(),
-                    drifts.tolist(), evals_cum.tolist(), wallclock)
-        rows = [MetricsRow(seed, t, loss, fg if t % cfg.metrics_every == 0 else None,
-                           drift if t else None, evals, wall)
-                for t, (loss, fg, drift, evals, wall) in enumerate(cells)]
+        drifts = tables["drift"][1:k, i]
+        columns = MetricsColumns(
+            seed, cfg.metrics_every, tables["loss"][:k, i],
+            tables["fg_norm"][:k:cfg.metrics_every, i], drifts, evals_cum[:k, i],
+            None if wallclock is None else wallclock[:k])
         summary = {
             "seed": seed,
             "aborted": k < T,
             "aborted_at": k if k < T else None,
-            "total_grad_evals": int(evals_cum[-1]) if k else 0,
+            "total_grad_evals": int(evals_cum[k - 1, i]) if k else 0,
             # left to right, as a running sum adds them
-            "mean_drift": float(np.cumsum(drifts[1:])[-1]) / (k - 1) if k > 1 else 0.0,
+            "mean_drift": float(np.cumsum(drifts)[-1]) / (k - 1) if k > 1 else 0.0,
             "final_loss": finals[i] if k == T else None,
         }
         if keep_final_x:
             summary["final_x"] = final_x[i]
         log.info("seed=%d done: steps=%d final_loss=%s grad_evals=%d",
                  seed, k, fmt(summary["final_loss"]), summary["total_grad_evals"])
-        results.append((rows, summary))
+        results.append((columns, summary))
     return results
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
-             keep_final_x: bool = False) -> tuple[list[MetricsRow], dict]:
+             keep_final_x: bool = False) -> tuple[MetricsColumns, dict]:
     """Run one seed: ``run_seeds`` with a stack of one."""
     return run_seeds(cfg, [seed], record_wallclock, keep_final_x)[0]
 
@@ -586,9 +669,8 @@ def run_experiment(cfg: ExperimentConfig,
         summary_path = cfg.output_path + ".summary.json"
         with open(metrics_path, "w") as fh:
             fh.write(METRICS_HEADER + "\n")
-            for rows, _ in results:
-                for row in rows:
-                    fh.write(row.to_csv() + "\n")
+            for columns, _ in results:
+                fh.write(columns.to_csv())
         with open(summary_path, "w") as fh:
             json.dump({"config": cfg.to_dict(), "per_seed": summaries,
                        "aggregate": aggregate}, fh, sort_keys=True, indent=2)

@@ -137,11 +137,15 @@ class NoisyQuadratic:
         return self._Ax(v)
 
     def make_sampler(self, batch_size: int, rng: np.random.Generator):
-        # batch_size is irrelevant here: one noise draw per batch.
+        """One noise draw per batch (batch_size is irrelevant here).
+
+        ``sample()`` returns one batch; ``sample(k)`` returns the next k as a
+        (k, dim) block, equal bit for bit to k single draws.
+        """
         dim, sigma = self.dim, self.sigma
 
-        def sample() -> np.ndarray:
-            return sigma * rng.standard_normal(dim)
+        def sample(k: int | None = None) -> np.ndarray:
+            return sigma * rng.standard_normal(dim if k is None else (k, dim))
 
         return sample
 

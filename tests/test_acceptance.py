@@ -67,8 +67,8 @@ def test_criterion_02_limit_settings_collapse_bit_identically():
              "hidden": [4]}
 
     def losses(objective, optimizer, bs):
-        rows, _ = run_seed(_cfg(objective, optimizer, T=1000, batch_size=bs), 0)
-        return [r.loss for r in rows]
+        columns, _ = run_seed(_cfg(objective, optimizer, T=1000, batch_size=bs), 0)
+        return columns.loss.tolist()
 
     def reference_losses(step, objective, optimizer, bs):
         # the independent sam_step / sgd_step over run_seed's objective,
@@ -158,9 +158,8 @@ def test_criterion_04_linearized_sharpness_stability_bound_and_ordering():
 
 
 def _drift_stats(cfg, seeds):
-    return [(summary["mean_drift"],
-             max(r.eps_drift for r in rows if r.eps_drift is not None))
-            for rows, summary in run_seeds(cfg, seeds)]
+    return [(summary["mean_drift"], max(columns.eps_drift.tolist()))
+            for columns, summary in run_seeds(cfg, seeds)]
 
 
 def test_criterion_05_averaged_adversary_drifts_less_over_paired_seeds():
@@ -301,8 +300,8 @@ def test_criterion_10_longer_horizons_reach_smaller_gradients():
             opt.update(rho=0.0, rho_schedule={"kind": "theory", "base": 0.5},
                        theta=0.2)
         cfg = _cfg(quad, opt, T, metrics_every=1, seeds=range(10))
-        acc = [np.mean([r.full_grad_norm ** 2 for r in rows])
-               for rows, _ in run_seeds(cfg, range(10))]
+        acc = [np.mean([g ** 2 for g in columns.full_grad_norm.tolist()])
+               for columns, _ in run_seeds(cfg, range(10))]
         return float(np.mean(acc))
 
     ok = True

@@ -468,6 +468,28 @@ def test_delta_prints_the_stability_ratio(tmp_path, capsys):
     assert lines[1].startswith("sam,") and lines[2].startswith("vasso,")
 
 
+def test_delta_at_zero_radius_prints_an_undefined_ratio(tmp_path, capsys):
+    out = tmp_path / "delta.csv"
+    rc = main(["delta", "--seed", "0", "--dim", "3", "--samples", "50",
+               "--rho", "0", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == "delta_vasso/delta_sam=undefined\n"
+    assert out.read_text() == "slope,delta_hat\nsam,0.0\nvasso,0.0\n"
+
+
+def test_snr_of_a_gradient_whose_square_overflows(tmp_path, capsys):
+    # the direction of --grad 0,-1: every cosine at noise scale 0 is 1
+    out, ref = tmp_path / "snr.csv", tmp_path / "ref.csv"
+    argv = ["snr", "--seed", "0", "--scales", "0,1", "--draws", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--grad", "0,-1e300", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(argv + ["--grad", "0,-1", "--out", str(ref)]) == 0
+    assert out.read_text().splitlines()[1] == ref.read_text().splitlines()[1] \
+        == "0.0,1.0,0.0"
+
+
 def test_snr_sweep_reproduces_the_alignment_regimes(tmp_path):
     out = tmp_path / "snr.csv"
     rc = main(["snr", "--seed", "0", "--grad", "0.2,-0.1,0.6",

@@ -18,9 +18,9 @@ from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
                             Schedule, make_rng, norm2, row_norms)
 from vasso_opt.cli import main
 from vasso_opt.errors import NonFiniteError
-from vasso_opt.harness import (METRICS_HEADER, MetricsRow, build_objective,
-                               final_loss_metric, init_x, parse_config,
-                               run_experiment, run_seed, run_seeds)
+from vasso_opt.harness import (METRICS_HEADER, MetricsColumns, MetricsRow,
+                               build_objective, final_loss_metric, init_x,
+                               parse_config, run_experiment, run_seed, run_seeds)
 from vasso_opt.objectives import NoisyQuadratic
 from vasso_opt.optimizers import AdversaryState, OptimizerConfig, vasso_step
 
@@ -72,6 +72,9 @@ def reference_run(cfg, seed):
 
 
 def _csv(rows):
+    """CSV lines of reference rows, or of a run's ``MetricsColumns``."""
+    if isinstance(rows, MetricsColumns):
+        return rows.to_csv()
     return "".join(row.to_csv() + "\n" for row in rows)
 
 
@@ -299,6 +302,46 @@ def test_a_retired_seed_keeps_its_row_until_the_run_ends(monkeypatch):
         assert _csv(rows) == _csv(ref_rows) and summary == ref
 
 
+@pytest.mark.parametrize("T", [1, 6, 7, 20])
+def test_gate_blocks_equal_one_draw_per_step(T, monkeypatch):
+    seeds = [3, 1, 4]
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * len(seeds) * 7)
+    gates = harness._Gates([make_rng(s, STREAM_GATE) for s in seeds], T)
+    assert gates.block == 7
+    refs = [make_rng(s, STREAM_GATE) for s in seeds]
+    got = np.array([gates.random() for _ in range(T)])
+    want = np.array([[ref.random() for ref in refs] for _ in range(T)])
+    assert got.tobytes() == want.tobytes()
+    # exactly T draws each: the streams stand where the per-step ones do
+    assert [rng.random() for rng in gates.rngs] == [ref.random() for ref in refs]
+
+
+@pytest.mark.parametrize("kind", ["evasso", "sam_db"])
+@pytest.mark.parametrize("block", [1, 5])
+def test_runs_drawn_in_short_blocks_reproduce_the_per_seed_loop(kind, block,
+                                                                monkeypatch):
+    # three seeds of a 5-dim quadratic: block steps of noise per block, and a
+    # short last block at T=16 when block is 5
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 3 * 5 * block)
+    cfg = _case_cfg("quadratic-diag", kind, "plain", [3, 0, 7])
+    for (columns, summary), seed in zip(run_seeds(cfg, [3, 0, 7]), [3, 0, 7]):
+        ref_rows, ref = reference_run(cfg, seed)
+        assert _csv(columns) == _csv(ref_rows) and summary == ref
+
+
+@pytest.mark.parametrize("objective", ["quadratic-diag", "blobs-holdout"])
+def test_a_run_builds_no_metrics_row(objective, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run built a MetricsRow")
+
+    monkeypatch.setattr(harness, "MetricsRow", refuse)
+    cfg = _case_cfg(objective, "evasso", "metrics-every-3", [3, 0],
+                    str(tmp_path / "m.csv"))
+    run_seeds(cfg, [3, 0], record_wallclock=True)
+    run_experiment(cfg)
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 1 + 2 * cfg.T
+
+
 def _reference_with_final_x(cfg, seed, monkeypatch):
     """``reference_run`` plus its last iterate: where a finished seed ended,
     or the point an aborted seed's failing step started from."""
@@ -418,3 +461,37 @@ def test_a_long_dead_tail_leaves_the_other_seed_and_the_console_alone(kind, tmp_
         "".join(_csv(rows) for rows, _ in expected)
     written = json.loads((tmp_path / "m.csv.summary.json").read_text())
     assert written["per_seed"] == [s for _, s in expected]
+
+
+# ---------------------------------------------------------------------------
+# the column writer against the row writer
+
+
+def _tables(T):
+    """Cells of every kind a run writes: tiny, huge, integral, signed zero,
+    non-finite and ordinary floats, and growing evaluation counts."""
+    rng = np.random.default_rng(11)
+    floats = rng.standard_normal(T) * 10.0 ** rng.integers(-300, 300, T)
+    floats[:6] = [1.0, -0.0, np.nan, np.inf, 5e-324, 0.1]
+    return (np.roll(floats, 1), np.abs(np.roll(floats, 2)), np.abs(np.roll(floats, 3)),
+            np.cumsum(rng.integers(1, 3, T)), np.sort(rng.random(T)) * 1e3)
+
+
+@pytest.mark.parametrize("every", [1, 3, 10])
+@pytest.mark.parametrize("k", [0, 1, 10], ids=["aborted-at-0", "aborted-at-1",
+                                               "finished"])
+@pytest.mark.parametrize("wallclock", [False, True])
+def test_the_column_writer_writes_the_bytes_of_the_row_writer(every, k,
+                                                              wallclock):
+    T = 10
+    loss, fg, drift, evals, wall = _tables(T)
+    wall = wall if wallclock else None
+    columns = MetricsColumns(7, every, loss[:k], fg[:k:every], drift[1:k],
+                             evals[:k], None if wall is None else wall[:k])
+    rows = [MetricsRow(7, t, float(loss[t]),
+                       float(fg[t]) if t % every == 0 else None,
+                       float(drift[t]) if t else None, int(evals[t]),
+                       None if wall is None else float(wall[t]))
+            for t in range(k)]
+    assert len(columns) == k
+    assert columns.to_csv() == _csv(rows)

@@ -180,7 +180,7 @@ def test_adversary_batch_size_applies_only_to_decoupled_batches():
     cfg = _cfg(objective=blobs, batch_size=2, T=30, seeds=[0],
                optimizer={"kind": "sam_db", "rho": 0.1, "lr": lr,
                           "adv_batch_size": 4})
-    rows, summary = run_seed(cfg, 0)
+    columns, summary = run_seed(cfg, 0)
     assert summary["total_grad_evals"] == 2 * 30 and not summary["aborted"]
     # the same run by hand: adversary batches of 4 from their own stream
     obj = build_objective(cfg.objective, 0)
@@ -195,10 +195,10 @@ def test_adversary_batch_size_applies_only_to_decoupled_batches():
         x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, None, t=t,
                                         momentum_buffer=buf, adv_batch=adv_batch)
         losses.append(rep.loss)
-    assert [r.loss for r in rows] == losses
+    assert columns.loss.tolist() == losses
     shared, _ = run_seed(_cfg(objective=blobs, batch_size=2, T=30, seeds=[0],
                               optimizer={"kind": "sam_db", "rho": 0.1, "lr": lr}), 0)
-    assert [r.loss for r in shared] != losses
+    assert shared.loss.tolist() != losses
 
 
 def test_schedule_horizon_defaults_to_t():
@@ -265,16 +265,15 @@ def test_rerun_writes_byte_identical_metrics(tmp_path):
 
 
 def test_zero_radius_perturbed_run_matches_plain_descent():
-    rows_sam, _ = run_seed(_cfg(optimizer={
+    sam, _ = run_seed(_cfg(optimizer={
         "kind": "sam", "rho": 0.0,
         "lr": {"kind": "constant", "base": 0.05}}), 3)
-    rows_sgd, _ = run_seed(_cfg(optimizer={
+    sgd, _ = run_seed(_cfg(optimizer={
         "kind": "sgd", "lr": {"kind": "constant", "base": 0.05}}), 3)
-    for a, b in zip(rows_sam, rows_sgd):
-        assert a.loss == b.loss
-        assert a.full_grad_norm == b.full_grad_norm
-        assert a.eps_drift == b.eps_drift
-    assert rows_sam[-1].grad_evals_cum == 2 * rows_sgd[-1].grad_evals_cum
+    assert len(sam) == len(sgd) == 60
+    for field in ("loss", "full_grad_norm", "eps_drift"):
+        assert np.array_equal(getattr(sam, field), getattr(sgd, field))
+    assert np.array_equal(sam.grad_evals_cum, 2 * sgd.grad_evals_cum)
 
 
 def test_gradient_evaluation_accounting():
@@ -293,13 +292,13 @@ def test_gradient_evaluation_accounting():
 
 
 def test_metrics_cells_follow_the_cadence():
-    rows, _ = run_seed(_cfg(T=12, metrics_every=5), 0)
-    for row in rows:
-        assert (row.full_grad_norm is not None) == (row.t % 5 == 0)
-        assert (row.eps_drift is None) == (row.t == 0)
-        assert row.wallclock_ms is None
-    rows, _ = run_seed(_cfg(T=4), 0, record_wallclock=True)
-    assert all(row.wallclock_ms is not None for row in rows)
+    columns, _ = run_seed(_cfg(T=12, metrics_every=5), 0)
+    # gradient norms at t = 0, 5, 10; drift from t=1
+    assert len(columns.full_grad_norm) == 3 and len(columns.eps_drift) == 11
+    assert len(columns.loss) == len(columns.grad_evals_cum) == 12
+    assert columns.wallclock_ms is None
+    columns, _ = run_seed(_cfg(T=4), 0, record_wallclock=True)
+    assert len(columns.wallclock_ms) == 4
 
 
 def test_csv_blank_cells_match_the_none_fields(tmp_path):
@@ -321,10 +320,10 @@ def test_divergent_seed_is_reported_as_aborted():
                optimizer={"kind": "sgd",
                           "lr": {"kind": "constant", "base": 1e3}},
                T=150, seeds=[0, 1])
-    rows, summary = run_seed(cfg, 0)
+    columns, summary = run_seed(cfg, 0)
     assert summary["aborted"] and summary["aborted_at"] is not None
     assert summary["final_loss"] is None
-    assert len(rows) == summary["aborted_at"]
+    assert len(columns) == summary["aborted_at"]
     result = run_experiment(cfg)
     assert result.aggregate == {"n_seeds": 2, "n_aborted": 2}
 

@@ -120,6 +120,21 @@ def test_grad_draws_matches_sequential_sampler():
     assert np.array_equal(stacked, looped)
 
 
+@pytest.mark.parametrize("dim", [1, 20])
+@pytest.mark.parametrize("k", [1, 7, 64])
+def test_a_noise_block_equals_as_many_single_draws(dim, k):
+    obj = NoisyQuadratic(np.ones(dim), sigma=0.7)
+    single = obj.make_sampler(1, make_rng(5, 1))
+    blocked = obj.make_sampler(1, make_rng(5, 1))
+    # two full blocks, then a short tail block, as a run's last block can be
+    draws = [blocked(k), blocked(k), blocked(k // 2 + 1)]
+    assert [d.shape for d in draws] == [(k, dim), (k, dim), (k // 2 + 1, dim)]
+    want = np.stack([single() for _ in range(2 * k + k // 2 + 1)])
+    assert np.concatenate(draws).tobytes() == want.tobytes()
+    # and the stream goes on where the block left it
+    assert blocked().tobytes() == single().tobytes()
+
+
 def test_gradient_lipschitz_witness():
     rng = make_rng(5, 16)
     for obj in (NoisyQuadratic(np.linspace(0.5, 5.0, 8)),

@@ -27,6 +27,7 @@ from .analysis import (SpectrumEstimate, SpreadStat, StabilityTrace,
 from .harness import (ExperimentConfig, ExperimentResult, MetricsColumns,
                       MetricsRow, PairedCompareResult, TradeoffRow, load_config,
                       paired_compare, parse_config, parse_config_text,
-                      run_experiment, run_seed, run_seeds, tradeoff_sweep)
+                      run_arms, run_experiment, run_seed, run_seeds,
+                      tradeoff_sweep)
 
 __version__ = "0.1.0"

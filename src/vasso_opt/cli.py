@@ -24,9 +24,8 @@ from .analysis import (delta_stability, ema_slope_sampler, landscape_slice,
                        snr_adversary_spread)
 from .core import MAX_SEED, STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
 from .errors import VassoOptError
-from .harness import (TRADEOFF_HEADER, build_objective, fmt, init_x,
-                      load_config, paired_compare, run_experiment, run_seed,
-                      tradeoff_sweep)
+from .harness import (TRADEOFF_HEADER, fmt, load_config, objective_point,
+                      paired_compare, run_experiment, run_seed, tradeoff_sweep)
 from .objectives import NoisyQuadratic
 from .optimizers import sam_adversary, sfw_solve
 
@@ -301,17 +300,7 @@ def cmd_snr(args) -> int:
 
 def _objective_point(args):
     """Objective plus evaluation point, optionally after a short training run."""
-    cfg = load_config(args.config)
-    obj = build_objective(cfg.objective, args.seed)
-    if args.train_steps > 0:
-        train_cfg = cfg.derive(seeds=[args.seed], T=args.train_steps,
-                               metrics_every=args.train_steps,   # only final_x is kept
-                               output_path=None)
-        _, summary = run_seed(train_cfg, args.seed, keep_final_x=True)
-        if summary["aborted"]:
-            raise VassoOptError("training diverged before the evaluation point")
-        return obj, summary["final_x"]
-    return obj, init_x(obj, cfg.objective, args.seed)
+    return objective_point(load_config(args.config), args.seed, args.train_steps)
 
 
 def cmd_spectrum(args) -> int:

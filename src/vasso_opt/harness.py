@@ -5,8 +5,13 @@ output on every run, whichever other seeds run beside it.  All randomness
 flows through named Philox streams keyed by the seed (see core): parameter
 init, minibatch sampling, decoupled adversary batches, and Bernoulli gates
 never share a stream.  ``run_seeds`` steps all seeds of a run in lockstep as
-one (S, dim) stack.  Wallclock timing is inherently nondeterministic, so its
-column is left empty unless explicitly requested.
+one (S, dim) stack, and ``run_arms`` steps the seeds of several configs that
+differ only in the optimizer spec (the arms) as rows of one (arms*S, dim)
+stack; ``paired_compare`` and ``tradeoff_sweep`` run their arms that way.
+Wallclock timing is inherently nondeterministic, so its column is left empty
+unless explicitly requested; a recorded cell is the elapsed time of the
+whole stack, and ``tradeoff_sweep`` then times each arm in a stack of its
+own, so its ``mean_wallclock_ms`` stays per arm.
 
 Config schema (JSON, unknown keys are errors)::
 
@@ -51,7 +56,7 @@ from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import (inject_label_noise, load_dataset_csv,
                          make_blobs_dataset, mlp_objective, MlpObjective,
                          NoisyQuadratic)
-from .optimizers import OptimizerConfig, vasso_step
+from .optimizers import ArmKnobs, OptimizerConfig, vasso_step
 
 log = logging.getLogger("vasso_opt")
 log.addHandler(logging.NullHandler())
@@ -59,7 +64,7 @@ log.addHandler(logging.NullHandler())
 # Each optimizer kind is a setting of the one step, vasso_step: theta=1 makes
 # the slope the raw gradient (SAM), p=0 skips the second gradient (SGD) and
 # p=1 always takes it (VASSO).  Knobs not fixed here come from the config;
-# sam_db also draws an independent adversary batch (see run_seeds).
+# sam_db also draws an independent adversary batch (see _lockstep).
 KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
               "vasso": {"p": 1.0}, "evasso": {},
               "sam_db": {"theta": 1.0, "p": 1.0}}
@@ -459,40 +464,43 @@ class MetricsColumns:
 BLOCK_BYTES = 1 << 20
 
 
-def _block_steps(n_seeds: int, width: int) -> int:
-    """Steps per block when each seed draws ``width`` float64 values a step."""
-    return max(1, BLOCK_BYTES // (8 * n_seeds * width))
+def _block_steps(n_rows: int, width: int) -> int:
+    """Steps per block when each row holds ``width`` float64 values a step."""
+    return max(1, BLOCK_BYTES // (8 * n_rows * width))
 
 
-def _batch_stream(samplers: list, T: int, width: int):
-    """The (S, ...) stack of batches of each of T steps, one row per seed.
+def _batch_stream(samplers: list, T: int, width: int, rows):
+    """The stack of batches of each of T steps: row r holds seed ``rows[r]``'s.
 
-    A quadratic's samplers draw a block of steps per call, each block equal
-    bit for bit to as many single draws.  Epoch samplers draw step by step:
-    their last batch of an epoch can be short, and a caller reads their
-    ``epoch`` after each step's draw.
+    ``rows`` indexes the seeds, and each seed's sampler draws once per step
+    however many rows read it.  A quadratic's samplers draw a block of steps
+    per call, each block equal bit for bit to as many single draws.  Epoch
+    samplers draw step by step: their last batch of an epoch can be short,
+    and a caller reads their ``epoch`` after each step's draw.
     """
     if hasattr(samplers[0], "epoch"):
         for _ in range(T):
-            yield np.array([sample() for sample in samplers])
+            yield np.array([sample() for sample in samplers])[rows]
         return
-    block = _block_steps(len(samplers), width)
+    block = _block_steps(len(rows), width)
     for t in range(0, T, block):
         k = min(block, T - t)
-        yield from np.stack([sample(k) for sample in samplers], axis=1)
+        yield from np.stack([sample(k) for sample in samplers], axis=1)[:, rows]
 
 
 class _Gates:
-    """The Bernoulli gate streams of a run of T steps.
+    """The Bernoulli gate streams of a run of T steps, one per seed.
 
     ``random()`` hands out one draw from each stream per step, as each
-    stream's ``random()`` would.  The first call of a block draws min(block,
-    T - t) uniforms from every stream, so a run that asks at every step
-    takes exactly T per stream, and one that never asks takes none.
+    stream's ``random()`` would, and gives row r the draw of stream
+    ``rows[r]`` (by default, of stream r).  The first call of a block draws
+    min(block, T - t) uniforms from every stream, so a run that asks at
+    every step takes exactly T per stream, and one that never asks takes
+    none.
     """
 
-    def __init__(self, rngs: list, T: int):
-        self.rngs, self.left = rngs, T
+    def __init__(self, rngs: list, T: int, rows=slice(None)):
+        self.rngs, self.left, self.rows = rngs, T, rows
         self.block = _block_steps(len(rngs), 1)
         self.drawn = iter(())
 
@@ -503,63 +511,110 @@ class _Gates:
             self.drawn = iter(np.stack([rng.random(k) for rng in self.rngs], axis=1))
             self.left -= k
             row = next(self.drawn)
-        return row
+        return row[self.rows]
+
+
+def _adv_batch_size(cfg: ExperimentConfig) -> int:
+    """The size of the batches that feed the slope: the update batch but for sam_db."""
+    if cfg.optimizer["kind"] != "sam_db":
+        return cfg.batch_size
+    return cfg.optimizer.get("adv_batch_size") or cfg.batch_size
+
+
+def run_arms(cfgs, seeds, record_wallclock: bool = False,
+             keep_final_x: bool = False) -> list[list[tuple[MetricsColumns, dict]]]:
+    """Run the seeds under each config, an arm; (columns, summary) per arm and seed.
+
+    The arms may differ only in the optimizer spec.  They share each seed's
+    objective, and step as rows of one lockstep stack (see ``_lockstep``),
+    save that an arm whose adversary batches differ in size from its update
+    batches steps in a stack with the arms of its size.  Every arm's metrics
+    and summaries equal those of a run of that arm alone, bit for bit.
+    """
+    cfgs, seeds = list(cfgs), list(seeds)
+    shared = [dict(c.to_dict(), optimizer=None, output_path=None) for c in cfgs]
+    if any(d != shared[0] for d in shared):
+        raise ConfigError("config", "paired configs may differ only in the optimizer spec")
+    if not seeds:
+        return [[] for _ in cfgs]
+    objs = build_objectives(cfgs[0].objective, seeds)
+    groups = {}
+    for a, cfg in enumerate(cfgs):
+        groups.setdefault(_adv_batch_size(cfg), []).append(a)
+    out = [None] * len(cfgs)
+    for arms in groups.values():
+        stack = _lockstep([cfgs[a] for a in arms], seeds, objs, record_wallclock,
+                          keep_final_x)
+        for a, results in zip(arms, stack):
+            out[a] = results
+    return out
 
 
 # A diverging seed overflows before it is retired, and its row computes unread
 # values until the run ends: an outcome the summary reports (aborted_at), not
 # numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
-def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
-              keep_final_x: bool = False) -> list[tuple[MetricsColumns, dict]]:
-    """Run the seeds in lockstep; returns (metrics columns, summary) per seed.
+def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
+              keep_final_x: bool) -> list[list[tuple[MetricsColumns, dict]]]:
+    """Step every pair of an arm and a seed as one row of a lockstep stack.
 
-    The seeds' parameters step together as one (S, dim) stack through
-    ``vasso_step``.  Each seed keeps its own data, initial point and Philox
-    streams, and its metrics and summary equal those of a run of that seed
-    alone, bit for bit.  A seed whose loss or gradient turns non-finite is
-    retired at that step (``aborted_at``) and the others run on; its row
-    stays in the stack until the run ends, but nothing it computes after
-    that step is read.  ``keep_final_x`` stashes each final iterate in its
-    summary under ``final_x`` (not JSON-serializable; for in-process callers
-    only).  Recorded wallclock cells hold the elapsed time of the whole stack.
+    Row a*S + i of the (A*S, dim) stack runs seed i (objective ``objs[i]``)
+    under arm a, through ``vasso_step`` with the arms' knobs (``ArmKnobs``,
+    whose knobs are scalars where every arm shares them).  Each row keeps its
+    seed's data, initial point and Philox streams: the rows of one seed
+    read the same batches, adversary batches and gate draws, each drawn
+    once.  A row of an arm without adversary batches carries its own batch
+    as one when another arm has them.  A row whose loss or gradient turns
+    non-finite is retired at that step (``aborted_at``) and the others run
+    on; it stays in the stack until the run ends, but nothing it computes
+    after that step is read.  ``keep_final_x`` stashes each final iterate
+    in its summary under ``final_x`` (not JSON-serializable; for in-process
+    callers only).  Recorded wallclock cells hold the elapsed time of the
+    whole stack.
     """
-    seeds = list(seeds)
-    if not seeds:
-        return []
-    objs = build_objectives(cfg.objective, seeds)
-    x = np.array([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])
-    ocfg = cfg.optimizer_config()
-    n, T = len(seeds), cfg.T
+    cfg, n_arms, n_seeds = cfgs[0], len(cfgs), len(seeds)
+    n, T = n_arms * n_seeds, cfg.T
+    seed_of = np.tile(np.arange(n_seeds), n_arms)   # the seed of each row
+    # log lines name a row's arm when there are several
+    tag = [f"arm={r // n_seeds} " if n_arms > 1 else "" for r in range(n)]
+    x = np.array([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])[seed_of]
+    ocfg = ArmKnobs([c.optimizer_config() for c in cfgs],
+                    np.repeat(np.arange(n_arms), n_seeds))
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
                 for o, s in zip(objs, seeds)]
-    batches = _batch_stream(samplers, T, x.shape[1])
+    batches = _batch_stream(samplers, T, x.shape[1], seed_of)
     adv_batches = itertools.repeat(None)
-    if cfg.optimizer["kind"] == "sam_db":
-        adv_bs = cfg.optimizer.get("adv_batch_size") or cfg.batch_size
+    decoupled = [c.optimizer["kind"] == "sam_db" for c in cfgs]
+    if any(decoupled):
+        adv_bs = _adv_batch_size(cfgs[decoupled.index(True)])
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
-             for o, s in zip(objs, seeds)], T, x.shape[1])
-    gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds], T)
+             for o, s in zip(objs, seeds)], T, x.shape[1], seed_of)
+    pairs = zip(batches, adv_batches)
+    if any(decoupled) and not all(decoupled):
+        own = ~np.repeat(decoupled, n_seeds)[:, np.newaxis]   # rows that reuse their batch
+        pairs = ((b, np.where(own, b, a)) for b, a in pairs)
+    gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds], T, seed_of)
     # a network's per-seed data is stacked; a quadratic serves every row
-    obj = MlpObjective.stack(objs) if isinstance(objs[0], MlpObjective) else objs[0]
+    obj = MlpObjective.stack([objs[i] for i in seed_of]) \
+        if isinstance(objs[0], MlpObjective) else objs[0]
 
-    live = np.ones(n, dtype=bool)   # the seeds not yet retired
-    # Each step writes one cell per seed straight into the (T, n) tables, the
-    # rows of retired seeds included; a seed's columns read only the cells of
-    # its first steps[i] steps.  Gradient norms are taken on the metrics
-    # cadence and drift cells start at t=1; other cells stay unwritten.
+    live = np.ones(n, dtype=bool)   # the rows not yet retired
+    # Each step writes one cell per row straight into the (T, n) tables, the
+    # retired rows included; a row's columns read only the cells of its
+    # first steps[r] steps.  Gradient norms are taken on the metrics cadence
+    # and drift cells start at t=1; other cells stay unwritten.
     tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
               "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
     wallclock = np.zeros(T) if record_wallclock else None
     steps = [T] * n
     final_x = [None] * n
 
-    def retire(rows, t: int) -> None:
-        """The seeds in the mask ``rows`` stop at step t, at their current x."""
-        for i in np.flatnonzero(rows):
-            steps[i], final_x[i] = t, x[i]
-        live[rows] = False
+    def retire(mask, t: int) -> None:
+        """The rows in ``mask`` stop at step t, at their current x."""
+        for r in np.flatnonzero(mask):
+            steps[r], final_x[r] = t, x[r]
+        live[mask] = False
 
     state = buf = prev_eps = None
     epochs = hasattr(samplers[0], "epoch")   # every seed's sampler turns together
@@ -567,12 +622,12 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     epoch_sum, epoch_len = np.zeros(n), 0
     t0 = time.perf_counter()
 
-    for t, batch, adv_batch in zip(range(T), batches, adv_batches):
+    for t, (batch, adv_batch) in zip(range(T), pairs):
         if epochs and samplers[0].epoch != last_epoch:
             if epoch_len:
-                for i in np.flatnonzero(live):
-                    log.info("seed=%d epoch=%d mean_batch_loss=%.6f",
-                             seeds[i], last_epoch, epoch_sum[i] / epoch_len)
+                for r in np.flatnonzero(live):
+                    log.info("%sseed=%d epoch=%d mean_batch_loss=%.6f", tag[r],
+                             seeds[seed_of[r]], last_epoch, epoch_sum[r] / epoch_len)
             last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
         if t % cfg.metrics_every == 0:
             tables["fg_norm"][t] = row_norms(obj.full_grad(x))
@@ -580,7 +635,7 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
                                                 adv_batch=adv_batch)
-        except NonFiniteError:   # every row, so every live seed, failed at t
+        except NonFiniteError:   # every row, so every live row, failed at t
             retire(live, t)
             break
         tables["loss"][t] = rep.loss
@@ -602,34 +657,63 @@ def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
     # running totals, in place: ints, added in step order
     evals_cum = np.cumsum(tables["evals"], axis=0, out=tables["evals"])
     results = []
-    for i, seed in enumerate(seeds):
-        k = steps[i]
-        drifts = tables["drift"][1:k, i]
+    for r in range(n):
+        seed, k = seeds[seed_of[r]], steps[r]
+        drifts = tables["drift"][1:k, r]
         columns = MetricsColumns(
-            seed, cfg.metrics_every, tables["loss"][:k, i],
-            tables["fg_norm"][:k:cfg.metrics_every, i], drifts, evals_cum[:k, i],
+            seed, cfg.metrics_every, tables["loss"][:k, r],
+            tables["fg_norm"][:k:cfg.metrics_every, r], drifts, evals_cum[:k, r],
             None if wallclock is None else wallclock[:k])
         summary = {
             "seed": seed,
             "aborted": k < T,
             "aborted_at": k if k < T else None,
-            "total_grad_evals": int(evals_cum[k - 1, i]) if k else 0,
+            "total_grad_evals": int(evals_cum[k - 1, r]) if k else 0,
             # left to right, as a running sum adds them
             "mean_drift": float(np.cumsum(drifts)[-1]) / (k - 1) if k > 1 else 0.0,
-            "final_loss": finals[i] if k == T else None,
+            "final_loss": finals[r] if k == T else None,
         }
         if keep_final_x:
-            summary["final_x"] = final_x[i]
-        log.info("seed=%d done: steps=%d final_loss=%s grad_evals=%d",
-                 seed, k, fmt(summary["final_loss"]), summary["total_grad_evals"])
+            summary["final_x"] = final_x[r]
+        log.info("%sseed=%d done: steps=%d final_loss=%s grad_evals=%d",
+                 tag[r], seed, k, fmt(summary["final_loss"]), summary["total_grad_evals"])
         results.append((columns, summary))
-    return results
+    return [results[a * n_seeds:(a + 1) * n_seeds] for a in range(n_arms)]
+
+
+def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
+              keep_final_x: bool = False) -> list[tuple[MetricsColumns, dict]]:
+    """Run the seeds in lockstep; returns (metrics columns, summary) per seed.
+
+    The seeds' parameters step together as one (S, dim) stack through
+    ``vasso_step``: ``run_arms`` with one arm.  Each seed's metrics and
+    summary equal those of a run of that seed alone, bit for bit.
+    """
+    return run_arms([cfg], seeds, record_wallclock, keep_final_x)[0]
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
              keep_final_x: bool = False) -> tuple[MetricsColumns, dict]:
     """Run one seed: ``run_seeds`` with a stack of one."""
     return run_seeds(cfg, [seed], record_wallclock, keep_final_x)[0]
+
+
+def objective_point(cfg: ExperimentConfig, seed: int, train_steps: int):
+    """The seed's objective and its point after ``train_steps`` steps of ``cfg``.
+
+    Zero steps give the initial point.  The objective is built once, and
+    the training run steps on it.
+    """
+    obj = build_objective(cfg.objective, seed)
+    if train_steps == 0:
+        return obj, init_x(obj, cfg.objective, seed)
+    train_cfg = cfg.derive(seeds=[seed], T=train_steps,
+                           metrics_every=train_steps,   # only final_x is kept
+                           output_path=None)
+    [[(_, summary)]] = _lockstep([train_cfg], [seed], [obj], False, True)
+    if summary["aborted"]:
+        raise VassoOptError("training diverged before the evaluation point")
+    return obj, summary["final_x"]
 
 
 @dataclass
@@ -714,22 +798,21 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
                    metric: str = "final_loss") -> PairedCompareResult:
     """Two-sided sign test of metric_a vs metric_b over paired seeds.
 
-    The configs must agree on everything except the optimizer spec.  Lower is
-    better for both metrics; a win for A on a seed means metric_a < metric_b.
-    Ties are excluded from the test.  The result keeps every seed's summary,
-    final iterate included, so callers can derive other metrics without
-    rerunning.
+    The configs must agree on everything except the optimizer spec; their
+    seeds step as rows of one stack (``run_arms``).  Lower is better for
+    both metrics; a win for A on a seed means metric_a < metric_b.  Ties are
+    excluded from the test.  The result keeps every seed's summary, final
+    iterate included, so callers can derive other metrics without rerunning.
     """
     if metric not in ("final_loss", "mean_drift"):
         raise ConfigError("metric", f"must be final_loss or mean_drift, got {metric!r}")
-    da, db = cfg_a.to_dict(), cfg_b.to_dict()
-    da.pop("optimizer"), db.pop("optimizer")
-    da.pop("output_path", None), db.pop("output_path", None)
-    if da != db:
-        raise ConfigError("config", "paired configs may differ only in the optimizer spec")
     seeds = list(seeds)
-    summaries_a = [s for _, s in run_seeds(cfg_a, seeds, keep_final_x=True)]
-    summaries_b = [s for _, s in run_seeds(cfg_b, seeds, keep_final_x=True)]
+    # both arms step in one stack; the metrics cadence is never read here
+    results_a, results_b = run_arms(
+        [c.derive(metrics_every=c.T, output_path=None) for c in (cfg_a, cfg_b)],
+        seeds, keep_final_x=True)
+    summaries_a = [s for _, s in results_a]
+    summaries_b = [s for _, s in results_b]
     for summary in (s for pair in zip(summaries_a, summaries_b) for s in pair):
         if summary["aborted"]:
             raise NonFiniteError(f"seed {summary['seed']} aborted",
@@ -768,26 +851,19 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
 
     Rows cover eVASSO at each p (p=1 is VASSO), the eSAM analog (theta=1,
     same Bernoulli gating) when requested, and one ungated SAM reference row.
-    Every arm is parsed before any runs, so a bad seed or p fails first.
-    Wallclock is measured only on request and is never deterministic.
+    Every arm is parsed before any runs, so a bad seed or p fails first.  All
+    arms step as rows of one stack (``run_arms``).  Wallclock is measured
+    only on request, and is never deterministic: then each arm runs in a
+    stack of its own, and its cell is that run's time per seed.
     """
     ps = sorted(set(float(p) for p in p_values) | {1.0})
     seeds = list(seeds)
 
-    def mean_row(name: str, cfg: ExperimentConfig, p: float | None) -> TradeoffRow:
-        t0 = time.perf_counter()
-        results = run_seeds(cfg, seeds)
-        wall = (time.perf_counter() - t0) * 1e3 / len(seeds) if record_wallclock else None
-        agg = _aggregate([s for _, s in results])
-        if agg["n_aborted"]:
-            raise NonFiniteError(f"a {name} run aborted during the tradeoff sweep")
-        return TradeoffRow(name, p, agg["mean_final_loss"],
-                           agg["mean_total_grad_evals"], wall)
-
     def arm(**knobs) -> ExperimentConfig:
-        # adv_batch_size applies to sam_db only, which no arm is
+        # adv_batch_size applies to sam_db only, which no arm is; the metrics
+        # cadence is never read here
         return base_cfg.derive(dict(knobs, adv_batch_size=None), seeds=seeds,
-                               output_path=None)
+                               output_path=None, metrics_every=base_cfg.T)
 
     arms = []
     for p in ps:
@@ -795,4 +871,20 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
         if include_esam_analog:
             arms.append(("esam", arm(kind="evasso", p=p, theta=1.0), p))
     arms.append(("sam", arm(kind="sam"), None))
-    return [mean_row(name, cfg, p) for name, cfg, p in arms]
+    cfgs = [cfg for _, cfg, _ in arms]
+    if record_wallclock:
+        runs, walls = [], []
+        for cfg in cfgs:
+            t0 = time.perf_counter()
+            runs.append(run_seeds(cfg, seeds))
+            walls.append((time.perf_counter() - t0) * 1e3 / len(seeds))
+    else:
+        runs, walls = run_arms(cfgs, seeds), [None] * len(cfgs)
+    rows = []
+    for (name, _, p), results, wall in zip(arms, runs, walls):
+        agg = _aggregate([s for _, s in results])
+        if agg["n_aborted"]:
+            raise NonFiniteError(f"a {name} run aborted during the tradeoff sweep")
+        rows.append(TradeoffRow(name, p, agg["mean_final_loss"],
+                                agg["mean_total_grad_evals"], wall))
+    return rows

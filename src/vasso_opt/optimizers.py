@@ -18,7 +18,8 @@ recursion over the sphere that the one-step adversary is a special case of.
 ``vasso_step``, ``vasso_update``, ``base_update`` and ``AdversaryState`` also
 take a stack of S seeds: x, batches, the slope and the momentum buffer carry
 a leading seed axis, and every row is computed exactly as the one-vector
-call on that row would compute it.
+call on that row would compute it.  The rows of a stack may step under
+different configs (``ArmKnobs``): then the knobs are given per row.
 """
 
 from __future__ import annotations
@@ -59,6 +60,70 @@ class OptimizerConfig:
             return self.rho
         return schedule_value(self.rho_schedule, t)
 
+    def lr_at(self, t: int) -> float:
+        return schedule_value(self.lr, t)
+
+    @property
+    def always_opens(self) -> bool:
+        return self.p == 1.0
+
+    @property
+    def never_opens(self) -> bool:
+        return self.p == 0.0
+
+    def gate(self, rng):
+        """The Bernoulli(p) outcome, one per row of a stack; draws only if 0<p<1."""
+        return self.p == 1.0 or rng.random() < self.p
+
+
+def _shared(values) -> bool:
+    """Whether the floats are all one value, the sign of a zero included."""
+    return len({float(v).hex() for v in values}) == 1
+
+
+class ArmKnobs:
+    """The knobs of a stack whose rows step under several configs, the arms.
+
+    Row i steps under ``configs[arm_of_row[i]]``.  A knob that every arm
+    shares stays a scalar.  Otherwise theta, momentum, weight decay and
+    ``lr_at(t)`` are (S, 1) columns, which scale each row by its own value,
+    and p and ``rho_at(t)`` hold one value per row.  An elementwise product
+    with a column equals the product with the row's scalar, so every row
+    steps bit for bit as a stack of its arm alone would.  ``gate`` draws
+    only when some row has 0 < p < 1; rows of p 0 and 1 read the outcome
+    their p forces.
+    """
+
+    def __init__(self, configs, arm_of_row):
+        configs, self._arm = list(configs), np.asarray(arm_of_row)
+        self.theta = self._knob([c.theta for c in configs], column=True)
+        self.momentum = self._knob([c.momentum for c in configs], column=True)
+        self.weight_decay = self._knob([c.weight_decay for c in configs], column=True)
+        self.p = self._knob([c.p for c in configs], column=False)
+        ps = np.array([c.p for c in configs])
+        self.always_opens = bool(np.all(ps == 1.0))
+        self.never_opens = not np.any(ps)
+        self._gated = bool(np.any((ps > 0.0) & (ps < 1.0)))
+        # a schedule that every arm shares is evaluated once per step
+        self._lr = configs[:1] if len({c.lr for c in configs}) == 1 else configs
+        self._rho = configs[:1] if \
+            len({(c.rho, c.rho_schedule) for c in configs}) == 1 else configs
+
+    def _knob(self, values, column: bool):
+        if len(values) == 1 or _shared(values):
+            return values[0]
+        per_row = np.array(values, dtype=np.float64)[self._arm]
+        return per_row[:, np.newaxis] if column else per_row
+
+    def lr_at(self, t: int):
+        return self._knob([c.lr_at(t) for c in self._lr], column=True)
+
+    def rho_at(self, t: int):
+        return self._knob([c.rho_at(t) for c in self._rho], column=False)
+
+    def gate(self, rng):
+        return rng.random() < self.p if self._gated else self.p == 1.0
+
 
 @dataclass
 class AdversaryState:
@@ -70,19 +135,23 @@ class AdversaryState:
     d: np.ndarray
     d_norm: float | np.ndarray
 
-    def epsilon(self, rho: float) -> np.ndarray:
+    def epsilon(self, rho) -> np.ndarray:
         """Reconstruct the adversary rho * d/||d|| on demand.
 
-        It is zero when rho == 0, and on every row whose slope is degenerate.
+        ``rho`` is one radius, or one per row of a stack.  The adversary is
+        zero where rho == 0, and on every row whose slope is degenerate.
         """
-        if rho == 0.0:
-            return np.zeros(self.d.shape)
         # NaN compares false: a failed row never moves the others off this path
-        degenerate = np.asarray(self.d_norm) <= DEGENERATE_NORM_TOL
-        if not degenerate.any():
+        if isinstance(rho, np.ndarray):
+            zero = (self.d_norm <= DEGENERATE_NORM_TOL) | (rho == 0.0)
+        elif rho == 0.0:
+            return np.zeros(self.d.shape)
+        else:
+            zero = np.asarray(self.d_norm) <= DEGENERATE_NORM_TOL
+        if not zero.any():
             return np.divide(rho, self.d_norm)[..., np.newaxis] * self.d
-        eps = np.divide(rho, np.where(degenerate, 1.0, self.d_norm))[..., np.newaxis] * self.d
-        eps[degenerate] = 0.0
+        eps = np.divide(rho, np.where(zero, 1.0, self.d_norm))[..., np.newaxis] * self.d
+        eps[zero] = 0.0
         return eps
 
 
@@ -105,14 +174,17 @@ def sam_adversary(g: np.ndarray, rho: float) -> np.ndarray:
     return normalize_to_sphere(g, rho)
 
 
-def vasso_update(state: AdversaryState | None, g: np.ndarray, theta: float,
-                 rho: float) -> tuple[AdversaryState, np.ndarray]:
+def vasso_update(state: AdversaryState | None, g: np.ndarray, theta, rho
+                 ) -> tuple[AdversaryState, np.ndarray]:
     """One EMA update d <- (1-theta) d + theta g, plus the resulting adversary.
 
     ``state=None`` means the warm start d_{-1} := g, so the first adversary
-    coincides with SAM's regardless of theta.
+    coincides with SAM's regardless of theta.  For a stack, theta may be an
+    (S, 1) column and rho one radius per row.
     """
-    if not 0.0 < theta <= 1.0:
+    ok = ((0.0 < theta) & (theta <= 1.0)).all() if isinstance(theta, np.ndarray) \
+        else 0.0 < theta <= 1.0
+    if not ok:
         raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
     prev = g if state is None else state.d
     d = (1.0 - theta) * prev + theta * g
@@ -120,7 +192,7 @@ def vasso_update(state: AdversaryState | None, g: np.ndarray, theta: float,
     return new_state, new_state.epsilon(rho)
 
 
-def base_update(x: np.ndarray, g_update: np.ndarray, cfg: OptimizerConfig,
+def base_update(x: np.ndarray, g_update: np.ndarray, cfg: OptimizerConfig | ArmKnobs,
                 momentum_buffer: np.ndarray | None = None, *, t: int = 0
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Heavy-ball update with decoupled-at-x weight decay.
@@ -128,7 +200,7 @@ def base_update(x: np.ndarray, g_update: np.ndarray, cfg: OptimizerConfig,
     v <- momentum*v + g + wd*x ;  x <- x - eta_t*v.  Weight decay is taken at
     the unperturbed point x_t even when g came from a perturbed point.
     """
-    eta = schedule_value(cfg.lr, t)
+    eta = cfg.lr_at(t)
     step_dir = g_update + cfg.weight_decay * x
     if momentum_buffer is None:
         v = step_dir
@@ -183,8 +255,9 @@ def _fail(failed, ok, message: str, t: int):
     return failed
 
 
-def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig,
-               rng, *, t: int = 0, momentum_buffer=None, adv_batch=None):
+def vasso_step(obj, x, state: AdversaryState | None, batch,
+               cfg: OptimizerConfig | ArmKnobs, rng, *, t: int = 0,
+               momentum_buffer=None, adv_batch=None):
     """One sharpness-aware step with knobs theta, p and rho from ``cfg``.
 
     The EMA slope is fed the gradient on ``adv_batch`` when one is given
@@ -201,15 +274,23 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig
     row is finite) and its outputs are meaningless.  NonFiniteError is raised
     once every row has failed, which for a single vector is its first
     non-finite value.
+
+    With ``ArmKnobs`` each row steps under its own arm's knobs.  A row of
+    p=0 then takes the closed-gate path: its one gradient, a zero adversary
+    and one evaluation, as SGD does.  ``adv_batch`` then holds an adversary
+    batch on every row, a row of an arm without one carrying its own batch.
     """
-    if adv_batch is not None and cfg.p == 1.0:
+    if adv_batch is not None and cfg.always_opens:
         loss, g = obj.loss(x, batch), None
         ok = np.isfinite(loss)
     else:
         loss, g = obj.loss_and_grad(x, batch)
-        ok = np.isfinite(loss) & _finite_rows(g)
+        ok = _finite_rows(g)
+        if adv_batch is not None:   # a row whose gate always opens never uses g
+            ok = ok | (cfg.p == 1.0)
+        ok = np.isfinite(loss) & ok
     failed = _fail(None, ok, "non-finite loss or gradient", t)
-    if cfg.p == 0.0:
+    if cfg.never_opens:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
         return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
     if adv_batch is None:
@@ -219,7 +300,7 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: OptimizerConfig
         failed = _fail(failed, _finite_rows(g_adv),
                        "non-finite gradient at perturbed point", t)
     state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))
-    opened = cfg.p == 1.0 or rng.random() < cfg.p   # one outcome per row of a stack
+    opened = cfg.gate(rng)   # one outcome per row of a stack
     n_closed = np.count_nonzero(np.logical_not(opened))
     if not n_closed:
         g_upd = obj.grad(x + eps, batch)

@@ -1,0 +1,350 @@
+"""Arms as rows of one lockstep stack, against each arm run on its own.
+
+``run_arms`` steps the seeds of several configs (the arms) as the rows of
+one stack.  Every arm's metrics, summaries and final iterates must equal
+those of ``run_seeds`` on that arm alone, bit for bit, and so must the
+``compare`` and ``tradeoff`` outputs built from them.
+"""
+
+import json
+import logging
+
+import numpy as np
+import pytest
+
+from vasso_opt import harness
+from vasso_opt.cli import main
+from vasso_opt.core import STREAM_GATE, make_rng
+from vasso_opt.errors import NonFiniteError
+from vasso_opt.harness import (paired_compare, parse_config, run_arms,
+                               run_seeds, tradeoff_sweep)
+from vasso_opt.optimizers import ArmKnobs, vasso_step
+
+
+@pytest.fixture(autouse=True)
+def _drop_cli_log_handlers():
+    # main() installs a stderr handler; drop it again after each test
+    yield
+    for h in logging.root.handlers[:]:
+        logging.root.removeHandler(h)
+    logging.root.setLevel(logging.WARNING)
+
+
+_run_arms = harness.run_arms   # the engine, before any test patches the name
+
+
+def per_arm(cfgs, seeds, *args, **kwargs):
+    """The reference: every arm through its own ``run_seeds``, a stack of its own."""
+    return [_run_arms([cfg], seeds, *args, **kwargs)[0] for cfg in cfgs]
+
+
+OBJECTIVES = {
+    "quadratic-diag": {"kind": "quadratic", "diag": [0.5, 1.0, 2.0, 4.0, 3.0],
+                       "sigma": 0.7},
+    "quadratic-matrix": {"kind": "quadratic",
+                         "matrix": [[2.0, 0.3, 0.1], [0.3, 1.0, -0.2],
+                                    [0.1, -0.2, 0.5]],
+                         "sigma": 0.5, "b": [0.1, -0.2, 0.3]},
+    "blobs-holdout": {"kind": "blobs", "n_per_class": 10, "dim": 2,
+                      "separation": 2.0, "hidden": [5], "label_noise": 0.1,
+                      "holdout_fraction": 0.25},
+}
+_LR = {"kind": "constant", "base": 0.05}
+# the arms differ in theta, p in {0, 0.5, 1}, rho, the lr schedule, the
+# radius schedule, momentum and weight decay
+MIXED = [
+    {"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.5, "lr": _LR},
+    {"kind": "sgd", "lr": {"kind": "cosine", "base": 0.1}, "momentum": 0.9},
+    {"kind": "vasso", "rho": 0.2, "theta": 0.2, "lr": _LR, "weight_decay": 0.01,
+     "rho_schedule": {"kind": "inverse-sqrt", "base": 0.2}},
+    {"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.0, "lr": _LR},
+    {"kind": "evasso", "rho": 0.05, "theta": 1.0, "p": 1.0,
+     "lr": {"kind": "inverse-sqrt", "base": 0.1}, "momentum": 0.5},
+    {"kind": "vasso", "rho": 0.0, "theta": 0.4, "lr": _LR},
+    {"kind": "sam", "rho": 0.1, "lr": _LR},
+]
+ARM_SETS = {
+    "mixed": MIXED,
+    "mixed-with-sam-db": MIXED + [{"kind": "sam_db", "rho": 0.1, "lr": _LR}],
+    # every gate opens: the update batch's gradient at x is never taken
+    "sam-vasso-sam-db": [{"kind": "sam", "rho": 0.1, "lr": _LR},
+                         {"kind": "vasso", "rho": 0.1, "theta": 0.3, "lr": _LR},
+                         {"kind": "sam_db", "rho": 0.1, "lr": _LR}],
+    "sam-db-own-adv-size": [{"kind": "sam", "rho": 0.1, "lr": _LR},
+                            {"kind": "sam_db", "rho": 0.1, "lr": _LR},
+                            {"kind": "sam_db", "rho": 0.1, "lr": _LR,
+                             "adv_batch_size": 4}],
+    # every gate stays shut, and only the lr differs
+    "sgd-lrs": [{"kind": "sgd", "lr": _LR},
+                {"kind": "sgd", "lr": {"kind": "cosine", "base": 0.1}}],
+    "gates-forced-only": [{"kind": "evasso", "rho": 0.1, "p": 0.0, "lr": _LR},
+                          {"kind": "evasso", "rho": 0.1, "p": 1.0, "lr": _LR}],
+}
+
+
+def _arms(objective, arm_set, T=16, metrics_every=3, seeds=(3, 0, 7)):
+    return [parse_config({"objective": OBJECTIVES[objective], "optimizer": opt,
+                          "T": T, "batch_size": 3, "seeds": list(seeds),
+                          "metrics_every": metrics_every})
+            for opt in ARM_SETS[arm_set]]
+
+
+def _same_runs(got, want):
+    assert len(got) == len(want)
+    for arm_got, arm_want in zip(got, want):
+        assert [c.to_csv() for c, _ in arm_got] == [c.to_csv() for c, _ in arm_want]
+        for (_, s_got), (_, s_want) in zip(arm_got, arm_want):
+            s_got, s_want = dict(s_got), dict(s_want)
+            x_got, x_want = s_got.pop("final_x"), s_want.pop("final_x")
+            assert json.dumps(s_got, sort_keys=True) == json.dumps(s_want, sort_keys=True)
+            assert x_got.tobytes() == x_want.tobytes()
+
+
+@pytest.mark.parametrize("arm_set", sorted(ARM_SETS))
+@pytest.mark.parametrize("objective", sorted(OBJECTIVES))
+def test_arms_in_one_stack_equal_each_arm_alone(objective, arm_set):
+    cfgs = _arms(objective, arm_set)
+    seeds = [3, 0, 7]
+    _same_runs(run_arms(cfgs, seeds, keep_final_x=True),
+               per_arm(cfgs, seeds, keep_final_x=True))
+
+
+def test_one_arm_steps_on_scalar_knobs_and_several_on_columns(monkeypatch):
+    knobs = []
+
+    def spy(obj, x, state, batch, cfg, *args, t=0, **kwargs):
+        knobs.append([np.ndim(k) for k in (cfg.theta, cfg.momentum, cfg.weight_decay,
+                                           cfg.p, cfg.lr_at(t), cfg.rho_at(t))])
+        return vasso_step(obj, x, state, batch, cfg, *args, t=t, **kwargs)
+
+    monkeypatch.setattr(harness, "vasso_step", spy)
+    cfgs = _arms("quadratic-diag", "mixed", T=4)
+    run_seeds(cfgs[0], [3, 0])
+    assert knobs == [[0] * 6] * 4
+    knobs.clear()
+    run_arms(cfgs, [3, 0])
+    assert knobs == [[2, 2, 2, 1, 2, 1]] * 4
+
+
+def test_a_knob_every_arm_shares_stays_a_scalar():
+    cfgs = [cfg.optimizer_config() for cfg in _arms("quadratic-diag", "mixed")]
+    knobs = ArmKnobs(cfgs[:1] * 2, [0, 0, 1, 1])
+    assert knobs.theta == cfgs[0].theta and knobs.lr_at(5) == cfgs[0].lr_at(5)
+    knobs = ArmKnobs(cfgs[:3], [0, 0, 1, 1, 2, 2])
+    assert knobs.theta.shape == knobs.lr_at(5).shape == (6, 1)
+    assert knobs.p.shape == knobs.rho_at(5).shape == (6,)
+    assert knobs.p.tolist() == [0.5, 0.5, 0.0, 0.0, 1.0, 1.0]
+    assert knobs.lr_at(5)[:, 0].tolist() == [c.lr_at(5) for c in cfgs[:3] for _ in "ab"]
+    assert knobs.rho_at(5).tolist() == [c.rho_at(5) for c in cfgs[:3] for _ in "ab"]
+
+
+def test_arms_of_another_adversary_batch_size_keep_their_own_stack(monkeypatch):
+    stacks, lockstep = [], harness._lockstep
+
+    def spy(cfgs, *args):
+        stacks.append([c.optimizer.get("adv_batch_size") for c in cfgs])
+        return lockstep(cfgs, *args)
+
+    monkeypatch.setattr(harness, "_lockstep", spy)
+    run_arms(_arms("blobs-holdout", "sam-db-own-adv-size"), [3, 0])
+    assert stacks == [[None, None], [4]]
+
+
+def test_arms_may_differ_only_in_the_optimizer_spec():
+    cfgs = _arms("quadratic-diag", "sgd-lrs")
+    with pytest.raises(harness.ConfigError, match="optimizer spec"):
+        run_arms([cfgs[0], cfgs[1].derive(batch_size=4)], [0])
+
+
+def test_the_log_lines_of_several_arms_name_their_arm(caplog):
+    cfgs = _arms("blobs-holdout", "mixed", T=16)[:2]
+    with caplog.at_level(logging.INFO, logger="vasso_opt"):
+        run_seeds(cfgs[0], [3, 0])
+    alone = [r.getMessage() for r in caplog.records]
+    assert any("epoch=" in m for m in alone) and all(m.startswith("seed=") for m in alone)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="vasso_opt"):
+        run_arms(cfgs, [3, 0])
+    tagged = [r.getMessage() for r in caplog.records]
+    assert {m[:6] for m in tagged} == {"arm=0 ", "arm=1 "}
+    assert sorted(m for m in tagged if m.startswith("arm=0 ")) == \
+        sorted("arm=0 " + m for m in alone)
+
+
+# ---------------------------------------------------------------------------
+# gate draws: one stream per seed, shared by the arms
+
+
+def _gate_streams(monkeypatch):
+    made = []
+
+    def make(seed, stream):
+        rng = make_rng(seed, stream)
+        if stream == STREAM_GATE:
+            made.append((seed, rng))
+        return rng
+
+    monkeypatch.setattr(harness, "make_rng", make)
+    return made
+
+
+def _draws_taken(rng, seed):
+    """How many uniforms ``rng`` has handed out since it was made (up to 100)."""
+    nxt = rng.random()
+    ref = make_rng(seed, STREAM_GATE)
+    for k in range(100):
+        if ref.random() == nxt:
+            return k
+    raise AssertionError("gate stream is not the seed's own")
+
+
+@pytest.mark.parametrize("arm_set, draws", [("gates-forced-only", 0),
+                                            ("sgd-lrs", 0), ("mixed", 16)])
+def test_each_seed_draws_its_gate_once_per_step_only_for_a_random_arm(
+        arm_set, draws, monkeypatch):
+    # p=0 and p=1 rows draw nothing; the rows of 0<p<1 arms read T draws
+    made = _gate_streams(monkeypatch)
+    run_arms(_arms("quadratic-diag", arm_set), [3, 0, 7])
+    assert [seed for seed, _ in made] == [3, 0, 7]
+    assert [_draws_taken(rng, seed) for seed, rng in made] == [draws] * 3
+
+
+# ---------------------------------------------------------------------------
+# compare and tradeoff outputs against per-arm runs
+
+
+def _cli_outputs(argv, tmp_path, capsys, monkeypatch, reference):
+    out = tmp_path / "out.csv"
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(harness, "run_arms", per_arm)
+        rc = main(argv + ["--out", str(out)])
+    return rc, capsys.readouterr().out, out.read_bytes()
+
+
+def _write(tmp_path, name, objective, optimizer, T):
+    path = tmp_path / name
+    path.write_text(json.dumps({"objective": OBJECTIVES[objective],
+                                "optimizer": optimizer, "T": T,
+                                "batch_size": 3, "seeds": [0]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("pair", [("sam", "sam_db"), ("vasso", "sam_db"),
+                                  ("evasso", "sgd"), ("sam", "sam_db_adv4")])
+@pytest.mark.parametrize("objective", ["quadratic-diag", "blobs-holdout"])
+def test_compare_writes_the_bytes_of_per_arm_runs(objective, pair, tmp_path,
+                                                  capsys, monkeypatch):
+    specs = {"sam": {"kind": "sam", "rho": 0.1, "lr": _LR},
+             "sam_db": {"kind": "sam_db", "rho": 0.1, "lr": _LR},
+             "sam_db_adv4": {"kind": "sam_db", "rho": 0.1, "lr": _LR,
+                             "adv_batch_size": 4},
+             "vasso": {"kind": "vasso", "rho": 0.1, "theta": 0.2, "lr": _LR,
+                       "momentum": 0.5},
+             "evasso": {"kind": "evasso", "rho": 0.2, "theta": 0.3, "p": 0.5,
+                        "lr": {"kind": "cosine", "base": 0.1}},
+             "sgd": {"kind": "sgd", "lr": _LR, "weight_decay": 0.01}}
+    argv = ["compare", "--config-a", _write(tmp_path, "a.json", objective,
+                                            specs[pair[0]], 40),
+            "--config-b", _write(tmp_path, "b.json", objective, specs[pair[1]], 40),
+            "--seed", "4,1,9,2"]
+    got = _cli_outputs(argv, tmp_path, capsys, monkeypatch, reference=False)
+    want = _cli_outputs(argv, tmp_path, capsys, monkeypatch, reference=True)
+    assert got == want and got[0] == 0
+
+
+@pytest.mark.parametrize("esam", [[], ["--no-esam"]])
+@pytest.mark.parametrize("objective", ["quadratic-matrix", "blobs-holdout"])
+def test_tradeoff_writes_the_bytes_of_per_arm_runs(objective, esam, tmp_path,
+                                                   capsys, monkeypatch):
+    cfg = _write(tmp_path, "cfg.json", objective,
+                 {"kind": "evasso", "rho": 0.1, "theta": 0.2, "momentum": 0.3,
+                  "lr": {"kind": "cosine", "base": 0.1},
+                  "rho_schedule": {"kind": "inverse-sqrt", "base": 0.2}}, 40)
+    argv = ["tradeoff", "--config", cfg, "--seed", "5,2,8",
+            "--p-values", "0,0.3,0.5", *esam]
+    got = _cli_outputs(argv, tmp_path, capsys, monkeypatch, reference=False)
+    want = _cli_outputs(argv, tmp_path, capsys, monkeypatch, reference=True)
+    assert got == want and got[0] == 0
+
+
+def test_the_sweeps_take_the_metrics_gradient_once_per_run(monkeypatch):
+    calls = []
+    full_grad = harness.MlpObjective.full_grad
+    monkeypatch.setattr(harness.MlpObjective, "full_grad",
+                        lambda self, x: calls.append(len(x)) or full_grad(self, x))
+    base = _arms("blobs-holdout", "mixed", T=16, metrics_every=1)[0]
+    tradeoff_sweep(base, [0.5], [3, 0])
+    assert calls == [10]   # 5 arms x 2 seeds, at t=0 only
+    calls.clear()
+    paired_compare(base, base.derive({"kind": "sam"}), [3, 0])
+    assert calls == [4]
+
+
+# ---------------------------------------------------------------------------
+# a diverging arm
+
+
+def _diverging(T, lrs, kind="vasso"):
+    # negative curvature: |x| grows by 1 + 9*lr per step until it overflows
+    return [parse_config({
+        "objective": {"kind": "quadratic", "diag": [-9.0, 1.0], "sigma": 0.5},
+        "optimizer": {"kind": kind, "rho": 0.1, "theta": 0.3, "p": 0.5,
+                      "lr": {"kind": "constant", "base": lr}},
+        "T": T, "batch_size": 1, "seeds": [0, 1, 4]}) for lr in lrs]
+
+
+def test_a_diverging_arm_leaves_the_other_arms_alone():
+    cfgs = _diverging(155, [0.001, 1.0])
+    got = run_arms(cfgs, [0, 1, 4], keep_final_x=True)
+    assert [s["aborted_at"] for _, s in got[1]] == [None, 154, None]
+    assert not any(s["aborted"] for _, s in got[0])
+    _same_runs(got, per_arm(cfgs, [0, 1, 4], keep_final_x=True))
+
+
+def _raised(fn, monkeypatch, reference):
+    with monkeypatch.context() as m:
+        if reference:
+            m.setattr(harness, "run_arms", per_arm)
+        with pytest.raises(NonFiniteError) as err:
+            fn()
+    return str(err.value), err.value.t
+
+
+def test_a_diverging_arm_fails_the_compare_and_the_sweep_as_before(monkeypatch):
+    # every RuntimeWarning is an error in this suite: none may escape
+    slow, fast = _diverging(160, [0.001, 1.0])
+    for fn in (lambda: paired_compare(slow, fast, [0, 1, 4]),
+               lambda: paired_compare(fast, slow, [0, 1, 4]),
+               lambda: tradeoff_sweep(fast.derive({"kind": "evasso"}), [0.0, 0.5],
+                                      [0, 1, 4])):
+        got = _raised(fn, monkeypatch, reference=False)
+        assert got == _raised(fn, monkeypatch, reference=True)
+    assert got[0] == "a evasso run aborted during the tradeoff sweep"
+
+
+# ---------------------------------------------------------------------------
+# recorded wallclock: one stack per arm
+
+
+@pytest.mark.parametrize("flag", [[], ["--record-wallclock"]])
+def test_tradeoff_times_each_arm_in_its_own_stack_only_on_request(
+        flag, tmp_path, capsys, monkeypatch):
+    stacks, lockstep = [], harness._lockstep
+
+    def spy(cfgs, *args):
+        stacks.append(len(cfgs))
+        return lockstep(cfgs, *args)
+
+    monkeypatch.setattr(harness, "_lockstep", spy)
+    cfg = _write(tmp_path, "cfg.json", "quadratic-diag",
+                 {"kind": "evasso", "rho": 0.1, "p": 0.5, "lr": _LR}, 20)
+    out = tmp_path / "sweep.csv"
+    assert main(["tradeoff", "--config", cfg, "--seed", "0,1", "--p-values",
+                 "0.5", "--out", str(out), *flag]) == 0
+    cells = [line.split(",")[-1] for line in out.read_text().splitlines()[1:]]
+    assert len(cells) == 5
+    if flag:
+        assert stacks == [1] * 5 and all(float(c) > 0.0 for c in cells)
+    else:
+        assert stacks == [5] and cells == [""] * 5

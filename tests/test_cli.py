@@ -415,6 +415,7 @@ def test_tradeoff_rejects_a_bad_arm_before_running_any(flags, field, tmp_path,
                                                        capsys, monkeypatch):
     runs = []
     monkeypatch.setattr(harness, "run_seeds", lambda *a, **k: runs.append(a))
+    monkeypatch.setattr(harness, "run_arms", lambda *a, **k: runs.append(a))
     cfg = _write_cfg(tmp_path,
                      optimizer={"kind": "evasso", "rho": 0.1, "theta": 0.2,
                                 "lr": {"kind": "constant", "base": 0.05}})
@@ -565,6 +566,28 @@ def test_a_slice_after_training_takes_no_discarded_gradient_norms(tmp_path,
     assert rc == 0
     assert len(calls) == 1   # the prefix's only metrics step, t=0
     # the evaluation point is the one a metrics_every=1 run ends at
+    center = dict(line.split(",") for line in out.read_text().splitlines()[1:])["0.0"]
+    obj = build_objective(load_config(cfg).objective, 0)
+    assert float(center) == obj.full_loss(summary["final_x"])
+
+
+def test_a_slice_after_training_reads_a_dataset_file_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(2)
+    data = tmp_path / "toy.csv"
+    data.write_text("".join(f"{float(a)!r},{float(b)!r},{i % 2}\n"
+                            for i, (a, b) in enumerate(rng.normal(size=(24, 2)))))
+    cfg = _write_cfg(tmp_path, objective={"kind": "dataset", "path": str(data),
+                                          "hidden": [4]}, batch_size=4)
+    calls, load = [], harness.load_dataset_csv
+    monkeypatch.setattr(harness, "load_dataset_csv",
+                        lambda *a, **k: calls.append(a) or load(*a, **k))
+    out = tmp_path / "slice.csv"
+    rc = main(["slice", "--config", cfg, "--seed", "0", "--points", "3",
+               "--train-steps", "20", "--out", str(out)])
+    assert rc == 0 and len(calls) == 1
+    # the evaluation point is where a 20-step run of the config ends
+    raw = json.loads(pathlib.Path(cfg).read_text())
+    _, summary = run_seed(parse_config({**raw, "T": 20}), 0, keep_final_x=True)
     center = dict(line.split(",") for line in out.read_text().splitlines()[1:])["0.0"]
     obj = build_objective(load_config(cfg).objective, 0)
     assert float(center) == obj.full_loss(summary["final_x"])

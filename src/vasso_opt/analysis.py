@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from .core import DEGENERATE_NORM_TOL, norm2, row_norms
 from .errors import InvalidParameterError
@@ -185,7 +183,10 @@ class SpreadStat:
 
 def mean_gaussian_norm(dim: int, scale: float = 1.0) -> float:
     """E||zeta|| for zeta ~ N(0, scale^2 I_dim): scale*sqrt(2)*Gamma((d+1)/2)/Gamma(d/2)."""
-    return scale * math.sqrt(2.0) * math.exp(gammaln((dim + 1) / 2.0) - gammaln(dim / 2.0))
+    if dim < 1:
+        raise InvalidParameterError(f"dim must be >= 1, got {dim}")
+    return scale * math.sqrt(2.0) * math.exp(math.lgamma((dim + 1) / 2.0)
+                                             - math.lgamma(dim / 2.0))
 
 
 def noise_scale_for_snr(true_grad: np.ndarray, snr: float) -> float:
@@ -283,11 +284,21 @@ def lanczos_spectrum(obj, x, k: int, iters: int, rng) -> SpectrumEstimate:
         if j + 1 < iters:
             betas[j] = beta
             V[j + 1] = w / beta
-    evals, evecs = eigh_tridiagonal(alphas[:m], betas[:m - 1])
+    evals, evecs = _tridiagonal_eigh(alphas[:m], betas[:m - 1])
     order = np.argsort(evals)[::-1][:min(k, m)]
     top = [float(evals[i]) for i in order]
     residuals = [float(abs(last_beta * evecs[m - 1, i])) for i in order]
     return SpectrumEstimate(top, m, residuals, breakdown=broke)
+
+
+def _tridiagonal_eigh(diag: np.ndarray, offdiag: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric tridiagonal.
+
+    The matrix is formed densely; Lanczos keeps it at most ``iters`` wide.
+    """
+    t = np.diag(diag) + np.diag(offdiag, 1) + np.diag(offdiag, -1)
+    return np.linalg.eigh(t)
 
 
 # -- landscape slices -------------------------------------------------------

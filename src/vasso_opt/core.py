@@ -18,6 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with the package so the
+# first command of a run does not pay for that import.
+from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatchError, InvalidParameterError
 
@@ -37,11 +40,11 @@ STREAM_USER = 16
 MAX_SEED = 2**63 - 1
 
 
-def make_rng(seed: int, stream: int) -> np.random.Generator:
+def make_rng(seed: int, stream: int) -> Generator:
     """Deterministic generator for the given (seed, stream) pair."""
     if not 0 <= seed <= MAX_SEED:
         raise InvalidParameterError(f"seed must be in [0, {MAX_SEED}], got {seed}")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    return Generator(Philox(key=[seed, stream]))
 
 
 def as_param_vector(x, dim: int | None = None) -> np.ndarray:

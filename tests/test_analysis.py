@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from vasso_opt import analysis
 from vasso_opt.analysis import (delta_stability, ema_chain, ema_slope_sampler,
                                 ema_steady_state_mse, landscape_slice,
                                 lanczos_spectrum, mean_gaussian_norm,
@@ -266,6 +267,34 @@ def test_mean_norm_scales_linearly():
         2.5 * mean_gaussian_norm(7, 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("dim, expect", [
+    (1, math.sqrt(2.0 / math.pi)),
+    (2, math.sqrt(math.pi / 2.0)),
+    (3, 2.0 * math.sqrt(2.0 / math.pi)),
+])
+def test_mean_norm_matches_the_closed_forms(dim, expect):
+    assert mean_gaussian_norm(dim) == pytest.approx(expect, rel=1e-14)
+
+
+def test_mean_norm_agrees_with_the_scipy_gammaln_formula():
+    # Both take exp of a difference of two log-gammas of size about
+    # L = lgamma(d/2), each correct to a few ulps of L, so the two may differ
+    # by a few eps*L relative: at most 6e-14 up to d=100, 2.2e-11 (d=9296)
+    # up to d=1e4.
+    gammaln = pytest.importorskip("scipy.special").gammaln
+    for dim in range(1, 10_001):
+        ref = math.sqrt(2.0) * math.exp(gammaln((dim + 1) / 2.0)
+                                        - gammaln(dim / 2.0))
+        tol = 8 * np.finfo(float).eps * max(1.0, math.lgamma(dim / 2.0))
+        assert mean_gaussian_norm(dim) == pytest.approx(ref, rel=tol)
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_mean_norm_rejects_a_dimension_below_one(dim):
+    with pytest.raises(InvalidParameterError, match="dim"):
+        mean_gaussian_norm(dim)
+
+
 def test_noise_scale_targets_the_requested_ratio():
     g = np.array([0.2, -0.1, 0.6])
     for snr in (5.0, 1.0, 0.1):
@@ -274,6 +303,8 @@ def test_noise_scale_targets_the_requested_ratio():
             pytest.approx(snr, rel=1e-12)
     with pytest.raises(InvalidParameterError):
         noise_scale_for_snr(g, 0.0)
+    with pytest.raises(InvalidParameterError, match="dim"):
+        noise_scale_for_snr(np.array([]), 1.0)
 
 
 def test_noiseless_spread_is_perfectly_aligned():
@@ -345,6 +376,71 @@ def test_spectrum_input_validation():
         lanczos_spectrum(obj, np.zeros(4), k=4, iters=3, rng=make_rng(0, 16))
     with pytest.raises(InvalidParameterError):
         lanczos_spectrum(obj, np.zeros(4), k=2, iters=5, rng=make_rng(0, 16))
+
+
+def _tridiagonals_of(monkeypatch, runs):
+    """The (diag, offdiag) pairs that ``runs()`` hands the eigen-solve."""
+    seen = []
+    solve = analysis._tridiagonal_eigh
+
+    def record(diag, offdiag):
+        seen.append((diag.copy(), offdiag.copy()))
+        return solve(diag, offdiag)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_tridiagonal_eigh", record)
+        runs()
+    return seen
+
+
+def _assert_same_as_scipy(diag, offdiag):
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    evals, evecs = analysis._tridiagonal_eigh(diag, offdiag)
+    ref_evals, ref_evecs = eigh_tridiagonal(diag, offdiag)
+    assert np.array_equal(evals, ref_evals)
+    # the residuals read only the magnitudes of the last row
+    assert np.array_equal(np.abs(evecs[-1]), np.abs(ref_evecs[-1]))
+
+
+def test_tridiagonal_solve_equals_scipy_on_lanczos_matrices(monkeypatch):
+    def runs():
+        for seed in range(4):
+            rng = make_rng(seed, 16)
+            obj = NoisyQuadratic(rng.uniform(0.1, 10.0, 60))
+            lanczos_spectrum(obj, np.zeros(60), k=3, iters=40, rng=rng)
+            data = make_blobs_dataset(64, 2, 2, 2.0, make_rng(seed, 17))
+            net = mlp_objective([2, 8, 2], "tanh", data)
+            x = 0.3 * rng.standard_normal(net.dim)
+            lanczos_spectrum(net, x, k=3, iters=20, rng=rng)
+        obj, _ = _diag_objective()   # breaks down at the sixth step
+        lanczos_spectrum(obj, np.zeros(50), k=5, iters=40, rng=make_rng(0, 16))
+
+    seen = _tridiagonals_of(monkeypatch, runs)
+    assert len(seen) == 9 and len(seen[-1][0]) == 6
+    for diag, offdiag in seen:
+        _assert_same_as_scipy(diag, offdiag)
+
+
+def test_tridiagonal_solve_equals_scipy_on_random_tridiagonals():
+    rng = make_rng(0, 16)
+    for m in range(1, 101):
+        diag = rng.standard_normal(m)
+        offdiag = np.abs(rng.standard_normal(m - 1))   # Lanczos betas are > 0
+        _assert_same_as_scipy(diag, offdiag)
+
+
+def test_tridiagonal_solve_matches_scipy_eigenvalues_on_clusters():
+    # Near-degenerate clusters: within one, eigenvectors depend on the basis
+    # each solver picks, so only the eigenvalues are compared.
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    rng = make_rng(1, 16)
+    for m in range(2, 41):
+        diag = rng.integers(-3, 4, m).astype(np.float64)
+        offdiag = 1e-11 * rng.uniform(0.5, 2.0, m - 1)
+        evals, _ = analysis._tridiagonal_eigh(diag, offdiag)
+        ref, _ = eigh_tridiagonal(diag, offdiag)
+        t_norm = float(np.max(np.abs(ref)))
+        assert np.max(np.abs(evals - ref)) <= 16 * np.spacing(t_norm)
 
 
 def test_network_spectrum_has_small_residuals():

@@ -42,16 +42,32 @@ def _write_cfg(tmp_path, name="cfg.json", **over):
     return str(path)
 
 
-def test_the_cli_imports_neither_scipy_stats_nor_scipy_signal():
-    # each costs about half a second of start-up for every run
+def _fresh_cli_import_prints(expr):
+    """Standard output of ``print(expr)`` after ``import vasso_opt.cli`` in a
+    fresh interpreter."""
     src = str(pathlib.Path(vasso_opt.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, vasso_opt.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    code = f"import sys, vasso_opt.cli; print({expr})"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_the_cli_imports_neither_scipy_stats_nor_scipy_signal():
+    # each costs about half a second of start-up for every run
+    out = _fresh_cli_import_prints(
+        "sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'stats'], ['scipy', 'signal']))")
     assert out == "[]\n"
+
+
+def test_the_cli_imports_no_scipy():
+    # scipy.linalg and scipy.special alone cost about 0.27 s of start-up;
+    # numpy.random is loaded with the package so no command pays for it
+    out = _fresh_cli_import_prints(
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'numpy.random' in sys.modules")
+    assert out == "[] True\n"
 
 
 # ---------------------------------------------------------------------------

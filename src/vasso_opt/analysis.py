@@ -141,19 +141,21 @@ def ema_chain(gs: np.ndarray, theta: float, d_init: np.ndarray | None = None
 
     ``d_init`` is d_{-1}; it defaults to gs[0], the warm start of
     ``vasso_update``, and every state is rounded as that update rounds it.
-    The scan runs down each column in plain Python floats, about 0.15 us per
-    entry.  The result is a C-contiguous (n, dim) array.
+    The scan runs one column at a time in plain Python floats, about 0.15 us
+    per entry, and writes each column into a preallocated C-contiguous
+    (n, dim) result; beyond that result it holds about one column of Python
+    floats at once.
     """
     keep = 1.0 - theta
     d = gs[0] if d_init is None else np.asarray(d_init, dtype=np.float64)
-    cols = []
-    for col, d_j in zip(gs.T.tolist(), d.tolist()):
-        out = []
-        for g in col:
+    chain = np.empty(gs.shape)
+    for j, d_j in enumerate(d.tolist()):
+        col = []
+        for g in gs[:, j].tolist():
             d_j = keep * d_j + theta * g
-            out.append(d_j)
-        cols.append(out)
-    return np.ascontiguousarray(np.array(cols).T)
+            col.append(d_j)
+        chain[:, j] = col
+    return chain
 
 
 def delta_stability(obj, x, v, rho: float, n_samples: int, rng) -> float:

@@ -55,7 +55,7 @@ def _bounded(convert, lo=-math.inf, hi=math.inf, lo_open=False):
     if hi < math.inf:
         want = f"in {'(' if lo_open else '['}{lo}, {hi}]"
     else:
-        want = f">= {lo}" if lo > -math.inf else ""
+        want = f"{'>' if lo_open else '>='} {lo}" if lo > -math.inf else ""
     if convert is float:
         want = f"finite and {want}" if want else "finite"
 
@@ -73,6 +73,7 @@ _non_negative_int = _bounded(int, 0)
 _seed = _bounded(int, 0, MAX_SEED)
 _finite = _bounded(float)
 _finite_non_negative = _bounded(float, 0)
+_finite_positive = _bounded(float, 0, lo_open=True)
 _ema_weight = _bounded(float, 0, 1, lo_open=True)
 
 
@@ -87,6 +88,14 @@ def _number_list(item):
             raise argparse.ArgumentTypeError("empty number list")
         return vals
     return numbers
+
+
+def _non_zero_vector(text: str) -> list[float]:
+    """An argparse type for a finite number list with a non-zero entry."""
+    vals = _number_list(_finite)(text)
+    if not any(vals):
+        raise argparse.ArgumentTypeError(f"needs a non-zero entry, got {text}")
+    return vals
 
 
 def _write_csv(path: str, header: str, lines) -> None:
@@ -165,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("snr", "adversary spread vs gradient signal-to-noise", seeds="one")
-    p.add_argument("--grad", required=True, type=_number_list(_finite),
+    p.add_argument("--grad", required=True, type=_non_zero_vector,
                    help="true gradient, comma-separated")
     p.add_argument("--scales", required=True, type=_number_list(_finite_non_negative),
                    help="per-coordinate noise stds, comma-separated")
@@ -175,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("spectrum", "top Hessian eigenvalues via Lanczos", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
     p.add_argument("--k", type=_positive_int, default=5)
-    p.add_argument("--iters", type=_positive_int, default=60)
+    p.add_argument("--iters", type=_positive_int)   # default min(60, dim)
     p.add_argument("--train-steps", type=_non_negative_int, default=0,
                    help="train this many steps first (0: spectrum at init)")
     p.add_argument("--out", required=True)
@@ -192,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sfw-check", "one-step Frank-Wolfe vs the closed-form adversary",
             seeds="one")
     p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--rho", type=_finite_non_negative, required=True)
+    p.add_argument("--rho", type=_finite_positive, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--out", help="optional per-trial CSV path")
 
@@ -305,7 +314,8 @@ def _objective_point(args):
 
 def cmd_spectrum(args) -> int:
     obj, x = _objective_point(args)
-    est = lanczos_spectrum(obj, x, args.k, args.iters,
+    iters = min(60, obj.dim) if args.iters is None else args.iters
+    est = lanczos_spectrum(obj, x, args.k, iters,
                            make_rng(args.seed, STREAM_DIRECTION))
     if est.breakdown:
         logging.getLogger("vasso_opt").info(

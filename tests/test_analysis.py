@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ def test_chain_equals_the_update_loop_in_every_shape(theta, shape, warm_start):
     assert chain.shape == shape and chain.dtype == np.float64
     assert chain.flags.c_contiguous
     assert np.array_equal(chain, _update_loop(gs, theta, d_init))
+
+
+def test_chain_holds_about_one_column_beyond_its_result():
+    gs = make_rng(7, 16).standard_normal((20_000, 10))
+    tracemalloc.start()
+    try:
+        ema_chain(gs, 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * gs.nbytes
 
 
 def test_samplers_draw_the_requested_shapes():

@@ -42,15 +42,20 @@ def _write_cfg(tmp_path, name="cfg.json", **over):
     return str(path)
 
 
-def _fresh_cli_import_prints(expr):
-    """Standard output of ``print(expr)`` after ``import vasso_opt.cli`` in a
-    fresh interpreter."""
+def _fresh_python(*args, check=False):
+    """``python *args`` in a fresh interpreter that imports this package."""
     src = str(pathlib.Path(vasso_opt.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True)
+
+
+def _fresh_cli_import_prints(expr):
+    """Standard output of ``print(expr)`` after ``import vasso_opt.cli`` in a
+    fresh interpreter."""
     code = f"import sys, vasso_opt.cli; print({expr})"
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return _fresh_python("-c", code, check=True).stdout
 
 
 def test_the_cli_imports_neither_scipy_stats_nor_scipy_signal():
@@ -163,6 +168,7 @@ def test_a_count_out_of_range_is_a_usage_error_naming_its_flag(argv, tmp_path,
     ["delta", "--theta", "1.01"],
     ["snr", "--scales", "1", "--grad", "1,nan"],
     ["snr", "--scales", "1", "--grad", "-inf,1"],
+    ["snr", "--scales", "1", "--grad", "0,-0"],
     ["snr", "--grad", "1", "--scales", "1,-2"],
     ["snr", "--grad", "1", "--scales", "inf"],
     ["spectrum", "--config", "c.json", "--seed", "-3"],
@@ -170,6 +176,7 @@ def test_a_count_out_of_range_is_a_usage_error_naming_its_flag(argv, tmp_path,
     ["slice", "--config", "c.json", "--radius", "-0.1"],
     ["sfw-check", "--dim", "2", "--rho", "inf"],
     ["sfw-check", "--dim", "2", "--rho", "-1"],
+    ["sfw-check", "--dim", "2", "--rho", "0"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_diagnostics_value_out_of_range_is_a_usage_error_naming_its_flag(
         argv, tmp_path, capsys):
@@ -196,6 +203,21 @@ def test_diagnostics_values_on_their_bounds_run(argv, tmp_path):
     out = tmp_path / "o.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_an_open_lower_bound_reads_greater_than(capsys):
+    with pytest.raises(SystemExit):
+        main(["sfw-check", "--seed", "0", "--dim", "2", "--rho", "0"])
+    assert "argument --rho: must be finite and > 0, got 0" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    helped = _fresh_python("-m", "vasso_opt", "--help")
+    assert helped.returncode == 0
+    assert helped.stdout == (DATA / "help_main.txt").read_text()
+    bare = _fresh_python("-m", "vasso_opt")
+    assert bare.returncode == 1
+    assert "usage: vasso-opt" in bare.stderr
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -478,11 +500,12 @@ def test_delta_prints_the_stability_ratio(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
-    assert stdout.startswith("delta_vasso/delta_sam=")
     assert float(stdout.split("=")[1]) < 1.0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "slope,delta_hat"
-    assert lines[1].startswith("sam,") and lines[2].startswith("vasso,")
+    # pinned byte for byte: the vasso row's EMA chain rounds as vasso_update does
+    assert stdout == "delta_vasso/delta_sam=0.2688070416934933\n"
+    assert out.read_bytes() == (b"slope,delta_hat\n"
+                                b"sam,0.0506226480302993\n"
+                                b"vasso,0.013607724259715698\n")
 
 
 def test_delta_at_zero_radius_prints_an_undefined_ratio(tmp_path, capsys):
@@ -535,6 +558,34 @@ def test_spectrum_recovers_the_top_of_a_known_diagonal(tmp_path):
     assert ritz == sorted(ritz, reverse=True)
     assert ritz[0] == pytest.approx(10.0, abs=1e-6)
     assert ritz[1] == pytest.approx(5.0, abs=1e-6)
+
+
+def _criterion_05_quadratic(tmp_path):
+    return _write_cfg(tmp_path, objective={
+        "kind": "quadratic", "diag": list(np.linspace(0.5, 5.0, 20)),
+        "sigma": 2.0}, optimizer={"kind": "sam", "rho": 0.1,
+                                  "lr": {"kind": "constant", "base": 0.05}})
+
+
+def test_spectrum_defaults_run_on_an_objective_narrower_than_60(tmp_path):
+    # the default --iters is min(60, dim), so a 20-dim quadratic needs no flag
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--config", _criterion_05_quadratic(tmp_path),
+               "--seed", "0", "--train-steps", "0", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 6
+    ritz = [float(line.split(",")[1]) for line in lines[1:]]
+    assert ritz == pytest.approx(np.linspace(0.5, 5.0, 20)[::-1][:5], abs=1e-8)
+
+
+def test_spectrum_with_explicit_iters_above_dim_exits_2(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--config", _criterion_05_quadratic(tmp_path),
+               "--seed", "0", "--iters", "21", "--out", str(out)])
+    assert rc == 2
+    assert "iters=21, dim=20" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_after_a_short_training_run(tmp_path):

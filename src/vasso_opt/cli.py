@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", "top Hessian eigenvalues via Lanczos", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
-    p.add_argument("--k", type=_positive_int, default=5)
+    p.add_argument("--k", type=_positive_int)   # default min(5, dim)
     p.add_argument("--iters", type=_positive_int)   # default min(60, dim)
     p.add_argument("--train-steps", type=_non_negative_int, default=0,
                    help="train this many steps first (0: spectrum at init)")
@@ -314,8 +314,9 @@ def _objective_point(args):
 
 def cmd_spectrum(args) -> int:
     obj, x = _objective_point(args)
+    k = min(5, obj.dim) if args.k is None else args.k
     iters = min(60, obj.dim) if args.iters is None else args.iters
-    est = lanczos_spectrum(obj, x, args.k, iters,
+    est = lanczos_spectrum(obj, x, k, iters,
                            make_rng(args.seed, STREAM_DIRECTION))
     if est.breakdown:
         logging.getLogger("vasso_opt").info(

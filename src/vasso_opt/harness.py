@@ -475,12 +475,19 @@ def _batch_stream(samplers: list, T: int, width: int, rows):
     ``rows`` indexes the seeds, and each seed's sampler draws once per step
     however many rows read it.  A quadratic's samplers draw a block of steps
     per call, each block equal bit for bit to as many single draws.  Epoch
-    samplers draw step by step: their last batch of an epoch can be short,
-    and a caller reads their ``epoch`` after each step's draw.
+    samplers, which share their sizes, draw an epoch at a time: at the
+    epoch's first step each draws its whole order (``next_epoch``), and the
+    rows' orders form one (rows, n) table whose column slices are the
+    epoch's batches, as the samplers' own calls would give them, the short
+    last one included.  A caller reads their ``epoch`` after each step's
+    draw.
     """
     if hasattr(samplers[0], "epoch"):
-        for _ in range(T):
-            yield np.array([sample() for sample in samplers])[rows]
+        n, size = samplers[0].n, samplers[0].batch_size
+        for t in range(0, T, samplers[0].batches_per_epoch):
+            table = np.array([sample.next_epoch() for sample in samplers])[rows]
+            for start in range(0, min(n, (T - t) * size), size):
+                yield table[:, start:start + size]
         return
     block = _block_steps(len(rows), width)
     for t in range(0, T, block):
@@ -496,17 +503,19 @@ class _Gates:
     ``rows[r]`` (by default, of stream r).  The first call of a block draws
     min(block, T - t) uniforms from every stream, so a run that asks at
     every step takes exactly T per stream, and one that never asks takes
-    none.
+    none.  The streams themselves are made on the first call.
     """
 
-    def __init__(self, rngs: list, T: int, rows=slice(None)):
-        self.rngs, self.left, self.rows = rngs, T, rows
-        self.block = _block_steps(len(rngs), 1)
-        self.drawn = iter(())
+    def __init__(self, seeds: list, T: int, rows=slice(None)):
+        self.seeds, self.left, self.rows = seeds, T, rows
+        self.block = _block_steps(len(seeds), 1)
+        self.rngs, self.drawn = None, iter(())
 
     def random(self) -> np.ndarray:
         row = next(self.drawn, None)
         if row is None:
+            if self.rngs is None:
+                self.rngs = [make_rng(s, STREAM_GATE) for s in self.seeds]
             k = min(self.block, self.left)
             self.drawn = iter(np.stack([rng.random(k) for rng in self.rngs], axis=1))
             self.left -= k
@@ -571,6 +580,13 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     in its summary under ``final_x`` (not JSON-serializable; for in-process
     callers only).  Recorded wallclock cells hold the elapsed time of the
     whole stack.
+
+    At 0<p<1 only the rows whose gate opens take the second gradient, a
+    retired row among them; on a network objective the other rows cost
+    nothing (see ``vasso_step``).  The INFO log gets one record per epoch,
+    the live rows' ``epoch=`` lines joined by newlines in row order, and
+    one record of every row's ``done:`` line; neither is built while INFO
+    is off.
     """
     cfg, n_arms, n_seeds = cfgs[0], len(cfgs), len(seeds)
     n, T = n_arms * n_seeds, cfg.T
@@ -594,7 +610,7 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     if any(decoupled) and not all(decoupled):
         own = ~np.repeat(decoupled, n_seeds)[:, np.newaxis]   # rows that reuse their batch
         pairs = ((b, np.where(own, b, a)) for b, a in pairs)
-    gates = _Gates([make_rng(s, STREAM_GATE) for s in seeds], T, seed_of)
+    gates = _Gates(seeds, T, seed_of)
     # a network's per-seed data is stacked; a quadratic serves every row
     obj = MlpObjective.stack([objs[i] for i in seed_of]) \
         if isinstance(objs[0], MlpObjective) else objs[0]
@@ -624,10 +640,12 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
 
     for t, (batch, adv_batch) in zip(range(T), pairs):
         if epochs and samplers[0].epoch != last_epoch:
-            if epoch_len:
-                for r in np.flatnonzero(live):
-                    log.info("%sseed=%d epoch=%d mean_batch_loss=%.6f", tag[r],
-                             seeds[seed_of[r]], last_epoch, epoch_sum[r] / epoch_len)
+            if epoch_len and live.any() and log.isEnabledFor(logging.INFO):
+                means = (epoch_sum / epoch_len).tolist()
+                log.info("\n".join(
+                    "%sseed=%d epoch=%d mean_batch_loss=%.6f"
+                    % (tag[r], seeds[seed_of[r]], last_epoch, means[r])
+                    for r in np.flatnonzero(live)))
             last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
         if t % cfg.metrics_every == 0:
             tables["fg_norm"][t] = row_norms(obj.full_grad(x))
@@ -675,9 +693,12 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
         }
         if keep_final_x:
             summary["final_x"] = final_x[r]
-        log.info("%sseed=%d done: steps=%d final_loss=%s grad_evals=%d",
-                 tag[r], seed, k, fmt(summary["final_loss"]), summary["total_grad_evals"])
         results.append((columns, summary))
+    if log.isEnabledFor(logging.INFO):
+        log.info("\n".join(
+            "%sseed=%d done: steps=%d final_loss=%s grad_evals=%d"
+            % (tag[r], s["seed"], steps[r], fmt(s["final_loss"]), s["total_grad_evals"])
+            for r, (_, s) in enumerate(results)))
     return [results[a * n_seeds:(a + 1) * n_seeds] for a in range(n_arms)]
 
 

@@ -21,6 +21,9 @@ gives S losses and an (S, dim) gradient, each row equal bit for bit to the
 one-vector call on that row.  A quadratic is the same for every seed, so one
 instance serves any stack; ``MlpObjective.stack`` joins the per-seed data of
 a network objective.  Values of a single vector stay Python floats.
+``grad(x, batch, rows=mask)`` hints that only the masked rows of a stack are
+read: the MLP computes just those and leaves the others zero, and the
+quadratic, whose gradient costs less than picking rows, computes them all.
 """
 
 from __future__ import annotations
@@ -57,11 +60,20 @@ class EpochSampler:
         self._pos = 0
         self.batches_per_epoch = math.ceil(n / self.batch_size)
 
+    def next_epoch(self) -> np.ndarray:
+        """Begin the next epoch and return its whole order of rows.
+
+        Draws the permutation that the epoch's first call would draw, and
+        counts the epoch as served: the next call begins another.
+        """
+        self._order, self._pos = self.rng.permutation(self.n), self.n
+        self.epoch += 1
+        return self._order
+
     def __call__(self) -> np.ndarray:
         if self._order is None or self._pos >= self.n:
-            self._order = self.rng.permutation(self.n)
+            self.next_epoch()
             self._pos = 0
-            self.epoch += 1
         batch = self._order[self._pos:self._pos + self.batch_size]
         self._pos += self.batch_size
         return batch
@@ -125,7 +137,8 @@ class NoisyQuadratic:
     def loss(self, x: np.ndarray, batch: np.ndarray) -> float:
         return _as_loss(self._value(x, self._Ax(x)) + np.vecdot(batch, x))
 
-    def grad(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    def grad(self, x: np.ndarray, batch: np.ndarray, rows=None) -> np.ndarray:
+        """The batch gradient; every row of a stack, whatever ``rows`` asks."""
         return self.full_grad(x) + batch
 
     def loss_and_grad(self, x, batch):
@@ -469,12 +482,13 @@ class MlpObjective:
     def has_holdout(self) -> bool:
         return self._holdout_idx is not None and self._holdout_idx.size > 0
 
-    def _gather(self, idx: np.ndarray):
-        at = self._seed_index + (idx,)
+    def _gather(self, idx: np.ndarray, seed_index=None):
+        at = (self._seed_index if seed_index is None else seed_index) + (idx,)
         return self._features[at], self._labels[at]
 
-    def _rows(self, batch: np.ndarray):
-        return self._gather(self._train_idx[self._seed_index + (batch,)])
+    def _rows(self, batch: np.ndarray, seed_index=None):
+        seed_index = self._seed_index if seed_index is None else seed_index
+        return self._gather(self._train_idx[seed_index + (batch,)], seed_index)
 
     def loss_and_grad(self, x, batch):
         feats, labels = self._rows(batch)
@@ -484,8 +498,19 @@ class MlpObjective:
         feats, labels = self._rows(batch)
         return self.mlp.loss(x, feats, labels)
 
-    def grad(self, x, batch) -> np.ndarray:
-        return self.loss_and_grad(x, batch)[1]
+    def grad(self, x, batch, rows=None) -> np.ndarray:
+        """The batch gradient; on a stack, ``rows`` may mask the rows wanted.
+
+        Only the masked rows are computed, each as the whole stack computes
+        it, by narrowing the seed index to them; the other rows stay zero.
+        """
+        if rows is None:
+            return self.loss_and_grad(x, batch)[1]
+        picked = np.flatnonzero(rows)
+        g = np.zeros(x.shape)
+        g[picked] = self.mlp.loss_and_grad(
+            x[picked], *self._rows(batch[picked], (picked[:, np.newaxis],)))[1]
+        return g
 
     @cached_property
     def _train_rows(self):

@@ -269,11 +269,13 @@ def vasso_step(obj, x, state: AdversaryState | None, batch,
     x on ``batch`` is never used, so only its loss is computed.
 
     For a stack of seeds, ``rng.random()`` returns one draw per row, and the
-    second gradient is taken when any row's gate opens.  A row whose loss or
-    gradient is not finite is marked in ``report.failed`` (None while every
-    row is finite) and its outputs are meaningless.  NonFiniteError is raised
-    once every row has failed, which for a single vector is its first
-    non-finite value.
+    second gradient is taken on the rows whose gate opens: when some gates
+    stay closed, ``obj.grad`` gets the opened rows as its ``rows`` hint, and
+    a closed row keeps its gradient at x whatever the objective computed
+    there.  A row whose loss or gradient is not finite is marked in
+    ``report.failed`` (None while every row is finite) and its outputs are
+    meaningless.  NonFiniteError is raised once every row has failed, which
+    for a single vector is its first non-finite value.
 
     With ``ArmKnobs`` each row steps under its own arm's knobs.  A row of
     p=0 then takes the closed-gate path: its one gradient, a zero adversary
@@ -307,7 +309,7 @@ def vasso_step(obj, x, state: AdversaryState | None, batch,
         failed = _fail(failed, _finite_rows(g_upd),
                        "non-finite gradient at perturbed point", t)
     elif n_closed < np.size(opened):   # some rows of a stack keep their gradient at x
-        g_pert = obj.grad(x + eps, batch)
+        g_pert = obj.grad(x + eps, batch, rows=opened)
         failed = _fail(failed, _finite_rows(g_pert) | ~opened,
                        "non-finite gradient at perturbed point", t)
         g_upd = np.where(opened[:, np.newaxis], g_pert, g)

@@ -156,16 +156,21 @@ def test_arms_may_differ_only_in_the_optimizer_spec():
         run_arms([cfgs[0], cfgs[1].derive(batch_size=4)], [0])
 
 
+def _log_lines(caplog):
+    # a record holds the lines of one epoch, or every done: line, of a stack
+    return [line for r in caplog.records for line in r.getMessage().split("\n")]
+
+
 def test_the_log_lines_of_several_arms_name_their_arm(caplog):
     cfgs = _arms("blobs-holdout", "mixed", T=16)[:2]
     with caplog.at_level(logging.INFO, logger="vasso_opt"):
         run_seeds(cfgs[0], [3, 0])
-    alone = [r.getMessage() for r in caplog.records]
+    alone = _log_lines(caplog)
     assert any("epoch=" in m for m in alone) and all(m.startswith("seed=") for m in alone)
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="vasso_opt"):
         run_arms(cfgs, [3, 0])
-    tagged = [r.getMessage() for r in caplog.records]
+    tagged = _log_lines(caplog)
     assert {m[:6] for m in tagged} == {"arm=0 ", "arm=1 "}
     assert sorted(m for m in tagged if m.startswith("arm=0 ")) == \
         sorted("arm=0 " + m for m in alone)
@@ -202,11 +207,12 @@ def _draws_taken(rng, seed):
                                             ("sgd-lrs", 0), ("mixed", 16)])
 def test_each_seed_draws_its_gate_once_per_step_only_for_a_random_arm(
         arm_set, draws, monkeypatch):
-    # p=0 and p=1 rows draw nothing; the rows of 0<p<1 arms read T draws
+    # p=0 and p=1 rows draw nothing, so no gate stream is even made; the
+    # rows of 0<p<1 arms read T draws
     made = _gate_streams(monkeypatch)
     run_arms(_arms("quadratic-diag", arm_set), [3, 0, 7])
-    assert [seed for seed, _ in made] == [3, 0, 7]
-    assert [_draws_taken(rng, seed) for seed, rng in made] == [draws] * 3
+    assert [seed for seed, _ in made] == ([3, 0, 7] if draws else [])
+    assert [_draws_taken(rng, seed) for seed, rng in made] == [draws] * len(made)
 
 
 # ---------------------------------------------------------------------------

@@ -579,6 +579,20 @@ def test_spectrum_defaults_run_on_an_objective_narrower_than_60(tmp_path):
     assert ritz == pytest.approx(np.linspace(0.5, 5.0, 20)[::-1][:5], abs=1e-8)
 
 
+def test_spectrum_defaults_run_on_a_two_dim_quadratic(tmp_path, capsys):
+    # the default --k is min(5, dim), as --iters takes min(60, dim)
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--config", _write_cfg(tmp_path), "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    ritz = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert ritz == pytest.approx([2.0, 1.0], abs=1e-8)
+    rc = main(["spectrum", "--config", _write_cfg(tmp_path), "--seed", "0",
+               "--k", "3", "--out", str(out)])
+    assert rc == 2
+    assert "got k=3, iters=2, dim=2" in capsys.readouterr().err
+
+
 def test_spectrum_with_explicit_iters_above_dim_exits_2(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--config", _criterion_05_quadratic(tmp_path),
@@ -694,3 +708,34 @@ def test_diagnostics_are_reproducible_byte_for_byte(tmp_path):
     main(argv + ["--out", str(out_a)])
     main(argv + ["--out", str(out_b)])
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the INFO log on stderr, byte-pinned: one record per epoch of a stack joins
+# its rows' lines, and the records print as the per-row lines once did
+
+_LOG_BLOBS = {"kind": "blobs", "n_per_class": 10, "dim": 2, "separation": 2.0,
+              "hidden": [5], "label_noise": 0.1, "holdout_fraction": 0.25}
+_LOG_LR = {"kind": "constant", "base": 0.05}
+_LOG_EVASSO = {"kind": "evasso", "rho": 0.1, "theta": 0.2, "p": 0.5, "lr": _LOG_LR}
+_LOG_SAM_DB = {"kind": "sam_db", "rho": 0.1, "lr": _LOG_LR}
+
+
+def _log_cfg(tmp_path, name, optimizer, T):
+    # 15 training rows in batches of 4: epochs of 4 steps, the last batch short
+    return _write_cfg(tmp_path, name, objective=_LOG_BLOBS, optimizer=optimizer,
+                      T=T, batch_size=4, seeds=[0],
+                      output_path=str(tmp_path / "m.csv"))
+
+
+@pytest.mark.parametrize("name", ["train", "compare"])
+def test_the_stderr_log_of_a_stacked_run_is_pinned(name, tmp_path, capsys):
+    if name == "train":
+        argv = ["train", "--config", _log_cfg(tmp_path, "a.json", _LOG_EVASSO, 20),
+                "--seed", "3,0,7"]
+    else:   # two arms, so every line carries its arm= tag
+        argv = ["compare", "--config-a", _log_cfg(tmp_path, "a.json", _LOG_EVASSO, 16),
+                "--config-b", _log_cfg(tmp_path, "b.json", _LOG_SAM_DB, 16),
+                "--seed", "3,0"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (DATA / f"stderr_{name}_blobs.txt").read_text()

@@ -21,7 +21,7 @@ from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (METRICS_HEADER, MetricsColumns, MetricsRow,
                                build_objective, final_loss_metric, init_x,
                                parse_config, run_experiment, run_seed, run_seeds)
-from vasso_opt.objectives import NoisyQuadratic
+from vasso_opt.objectives import EpochSampler, Mlp, NoisyQuadratic
 from vasso_opt.optimizers import AdversaryState, OptimizerConfig, vasso_step
 
 
@@ -276,7 +276,10 @@ def test_each_seed_draws_its_gate_once_per_step_only_when_random(p, draws,
                       "lr": {"kind": "constant", "base": 0.05}},
         "T": 40, "batch_size": 1, "seeds": [2, 5, 8]}), [2, 5, 8])
     for seed in (2, 5, 8):
-        assert _draws_taken(made[seed, STREAM_GATE], seed) == draws
+        if draws:
+            assert _draws_taken(made[seed, STREAM_GATE], seed) == draws
+        else:   # a gate stream is made on its first draw
+            assert (seed, STREAM_GATE) not in made
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -306,7 +309,7 @@ def test_a_retired_seed_keeps_its_row_until_the_run_ends(monkeypatch):
 def test_gate_blocks_equal_one_draw_per_step(T, monkeypatch):
     seeds = [3, 1, 4]
     monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * len(seeds) * 7)
-    gates = harness._Gates([make_rng(s, STREAM_GATE) for s in seeds], T)
+    gates = harness._Gates(seeds, T)
     assert gates.block == 7
     refs = [make_rng(s, STREAM_GATE) for s in seeds]
     got = np.array([gates.random() for _ in range(T)])
@@ -325,6 +328,66 @@ def test_runs_drawn_in_short_blocks_reproduce_the_per_seed_loop(kind, block,
     monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 3 * 5 * block)
     cfg = _case_cfg("quadratic-diag", kind, "plain", [3, 0, 7])
     for (columns, summary), seed in zip(run_seeds(cfg, [3, 0, 7]), [3, 0, 7]):
+        ref_rows, ref = reference_run(cfg, seed)
+        assert _csv(columns) == _csv(ref_rows) and summary == ref
+
+
+# ---------------------------------------------------------------------------
+# the epoch table: one order per seed and epoch, its column slices the batches
+
+
+@pytest.mark.parametrize("stream, size", [(STREAM_BATCH, 3), (STREAM_ADV_BATCH, 4)],
+                         ids=["update-batches", "sam-db-adversary-batches"])
+@pytest.mark.parametrize("T", [1, 4, 5, 13])
+def test_the_epoch_table_yields_the_batches_of_the_per_seed_samplers(
+        stream, size, T, monkeypatch):
+    # 15 training rows: batches of 3 divide them, batches of 4 end each epoch
+    # on a batch of 3; the rows are those of two arms over three seeds
+    seeds, rows = [3, 0, 7], np.array([0, 1, 2, 0, 1, 2])
+
+    def samplers():
+        spec = _case_cfg("blobs-holdout", "sgd", "plain", seeds).objective
+        objs = harness.build_objectives(spec, seeds)
+        return [o.make_sampler(size, make_rng(s, stream)) for o, s in zip(objs, seeds)]
+
+    refs, table = samplers(), samplers()
+    want = [(np.array([ref() for ref in refs])[rows], [ref.epoch for ref in refs])
+            for _ in range(T)]
+    monkeypatch.setattr(EpochSampler, "__call__",
+                        lambda self: pytest.fail("a single batch was drawn"))
+    got = [(batch, [s.epoch for s in table])
+           for batch in harness._batch_stream(table, T, 1, rows)]
+    assert len(got) == T
+    for (batch, epochs), (ref_batch, ref_epochs) in zip(got, want):
+        assert batch.shape == ref_batch.shape
+        assert batch.tobytes() == ref_batch.tobytes() and epochs == ref_epochs
+    # one permutation per seed and epoch begun: the streams stand together
+    assert [s.rng.random() for s in table] == [ref.rng.random() for ref in refs]
+
+
+def test_an_evasso_stack_takes_the_perturbed_gradient_on_opened_rows_only(
+        monkeypatch):
+    # p=0.5 over 8 seeds: most steps open some gates and not others
+    T, seeds = 30, list(range(8))
+    cfg = parse_config({
+        "objective": OBJECTIVES["blobs-holdout"],
+        "optimizer": {"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.5,
+                      "lr": {"kind": "constant", "base": 0.05}},
+        "T": T, "batch_size": 5, "seeds": seeds, "metrics_every": T})
+    batch_passes, real = [], Mlp.loss_and_grad
+
+    def counting(self, x, feats, labels):
+        if feats.shape[-2] == 5:   # not the full 15-row training set
+            batch_passes.append(x.shape[0])
+        return real(self, x, feats, labels)
+
+    monkeypatch.setattr(Mlp, "loss_and_grad", counting)
+    runs = run_seeds(cfg, seeds)
+    opened = sum(s["total_grad_evals"] for _, s in runs) - T * len(seeds)
+    assert 0 < opened < T * len(seeds)
+    assert sum(batch_passes) - T * len(seeds) == opened
+    assert any(0 < k < len(seeds) for k in batch_passes)
+    for seed, (columns, summary) in zip(seeds, runs):
         ref_rows, ref = reference_run(cfg, seed)
         assert _csv(columns) == _csv(ref_rows) and summary == ref
 
@@ -360,8 +423,9 @@ def _reference_with_final_x(cfg, seed, monkeypatch):
 
 
 def _epoch_lines(caplog, seed):
-    return [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith(f"seed={seed} epoch=")]
+    # a record holds the lines of one epoch of the stack, one line per row
+    return [line for r in caplog.records for line in r.getMessage().split("\n")
+            if line.startswith(f"seed={seed} epoch=")]
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

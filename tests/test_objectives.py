@@ -541,6 +541,30 @@ def test_the_training_rows_are_gathered_once_per_objective(stacked, monkeypatch)
     assert _same_bits(grads[0], _reference_loss_and_grad(obj.mlp, x, feats, labels)[1])
 
 
+def test_a_row_mask_computes_only_those_rows_of_a_stacked_gradient(monkeypatch):
+    seeds = [0, 1, 2, 3]
+    parts = [_blob_objective(holdout=0.25, seed=s) for s in seeds]
+    obj = MlpObjective.stack(parts)
+    x = np.stack([o.init_params(make_rng(s, 0)) for s, o in zip(seeds, parts)])
+    batch = np.stack([make_rng(s, 1).permutation(obj.n_samples)[:5] for s in seeds])
+    every = obj.grad(x, batch)
+    passes, real = [], Mlp.loss_and_grad
+
+    def counting(self, x, feats, labels):
+        passes.append(x.shape[0])
+        return real(self, x, feats, labels)
+
+    monkeypatch.setattr(Mlp, "loss_and_grad", counting)
+    mask = np.array([True, False, False, True])
+    got = obj.grad(x, batch, rows=mask)
+    assert passes == [2]
+    assert _same_bits(got[mask], every[mask]) and not got[~mask].any()
+    # the quadratic computes every row whatever the mask
+    quad = NoisyQuadratic([1.0, 2.0, 3.0], sigma=0.5)
+    xq, noise = make_rng(0, 2).standard_normal((2, 4, 3))
+    assert _same_bits(quad.grad(xq, noise, rows=mask), quad.grad(xq, noise))
+
+
 @pytest.fixture
 def _quiet_cli_logs():
     yield

@@ -308,17 +308,15 @@ def _tridiagonal_eigh(diag: np.ndarray, offdiag: np.ndarray
 def _normalized_direction(obj, d: np.ndarray, x_center: np.ndarray) -> np.ndarray:
     if norm2(d) <= DEGENERATE_NORM_TOL:
         raise InvalidParameterError("slice direction must be non-zero")
-    if hasattr(obj, "normalize_direction"):
-        return obj.normalize_direction(d, x_center)
-    return d / norm2(d)
+    return obj.normalize_direction(d, x_center)
 
 
 def landscape_slice(obj, x_center, directions, alphas, betas=None) -> np.ndarray:
     """Loss on a 1-D or 2-D affine slice through x_center.
 
-    ``directions`` holds one or two vectors; they are filter-normalized when
-    the objective supports it (per-neuron scaling for the MLP), plain
-    unit-normalized otherwise.  Returns loss values of shape (len(alphas),)
+    ``directions`` holds one or two vectors, each scaled by the objective's
+    ``normalize_direction``: per-neuron for the MLP, to unit length for the
+    quadratic.  Returns loss values of shape (len(alphas),)
     or (len(alphas), len(betas)).
     """
     dirs = [_normalized_direction(obj, np.asarray(d, dtype=np.float64), x_center)

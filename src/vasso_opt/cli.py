@@ -268,7 +268,7 @@ def cmd_stability(args) -> int:
 
 def cmd_mse(args) -> int:
     obj = NoisyQuadratic(np.ones(args.dim), sigma=args.sigma)
-    x = make_rng(args.seed, STREAM_INIT).standard_normal(args.dim)
+    x = obj.init_params(make_rng(args.seed, STREAM_INIT))
     lines = []
     for i, theta in enumerate(args.thetas):
         rng = make_rng(args.seed, STREAM_USER + i)
@@ -282,7 +282,7 @@ def cmd_mse(args) -> int:
 
 def cmd_delta(args) -> int:
     obj = NoisyQuadratic(np.ones(args.dim), sigma=args.sigma)
-    x = make_rng(args.seed, STREAM_INIT).standard_normal(args.dim)
+    x = obj.init_params(make_rng(args.seed, STREAM_INIT))
     d_sam = delta_stability(obj, x, noisy_grad_sampler(obj, x), args.rho,
                             args.samples, make_rng(args.seed, STREAM_USER))
     d_vasso = delta_stability(obj, x, ema_slope_sampler(obj, x, args.theta),

@@ -34,8 +34,11 @@ Config schema (JSON, unknown keys are errors)::
       "metrics_every": 1?, "output_path": "metrics.csv"?
     }
 
-The harness "final_loss" metric is the held-out loss when the objective has a
-held-out split, and the full (noise-free) objective value otherwise.
+``OBJECTIVES`` maps each objective kind to its class, which answers the whole
+surface the engine reads (``build``, ``stack``, ``init_params``,
+``final_loss``, ...; see objectives).  The harness "final_loss" metric is the
+objective's ``final_loss``: the held-out loss when it has a held-out split,
+and the full (noise-free) objective value otherwise.
 """
 
 from __future__ import annotations
@@ -46,16 +49,15 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                   STREAM_INIT, STREAM_DATA, Schedule, make_rng, row_norms)
+                   STREAM_INIT, Schedule, make_rng, row_norms)
 from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
-from .objectives import (inject_label_noise, load_dataset_csv,
-                         make_blobs_dataset, mlp_objective, MlpObjective,
-                         NoisyQuadratic)
+from .objectives import MlpObjective, NoisyQuadratic
 from .optimizers import ArmKnobs, OptimizerConfig, vasso_step
 
 log = logging.getLogger("vasso_opt")
@@ -69,7 +71,10 @@ KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
               "vasso": {"p": 1.0}, "evasso": {},
               "sam_db": {"theta": 1.0, "p": 1.0}}
 OPTIMIZER_KINDS = tuple(KIND_KNOBS)
-OBJECTIVE_KINDS = ("quadratic", "blobs", "dataset")
+# The one map from an objective kind to code: the class that builds, stacks
+# and initialises the kind's objectives (see objectives).
+OBJECTIVES = {"quadratic": NoisyQuadratic, "blobs": MlpObjective, "dataset": MlpObjective}
+OBJECTIVE_KINDS = tuple(OBJECTIVES)
 
 METRICS_HEADER = "seed,t,loss,full_grad_norm,eps_drift,grad_evals_cum,wallclock_ms"
 
@@ -342,60 +347,12 @@ def build_objective(obj_spec: dict, seed: int):
 
 
 def build_objectives(obj_spec: dict, seeds) -> list:
-    """The objective of each seed, in order.
-
-    A quadratic does not depend on the seed, so one instance serves them all;
-    a ``dataset`` file is read once, and only its label noise and split are
-    drawn per seed.
-    """
-    kind = obj_spec["kind"]
-    if kind == "quadratic":
-        A = obj_spec.get("diag")
-        if A is None:
-            A = np.asarray(obj_spec["matrix"], dtype=np.float64)
-        else:
-            A = np.asarray(A, dtype=np.float64)
-        return [NoisyQuadratic(A, b=obj_spec.get("b"), sigma=obj_spec["sigma"])] * len(seeds)
-    shared = None if kind == "blobs" else \
-        load_dataset_csv(obj_spec["path"], header=obj_spec["header"])
-    return [_network_objective(obj_spec, seed, shared) for seed in seeds]
-
-
-def _network_objective(obj_spec: dict, seed: int, shared):
-    """A blobs or ``dataset`` MLP objective; ``shared`` is the parsed file."""
-    data_rng = make_rng(seed, STREAM_DATA)
-    if shared is None:
-        dataset = make_blobs_dataset(obj_spec["n_per_class"], obj_spec["n_classes"],
-                                     obj_spec["dim"], obj_spec["separation"], data_rng)
-        in_dim, n_classes = obj_spec["dim"], obj_spec["n_classes"]
-    else:
-        dataset = shared
-        in_dim, n_classes = dataset.n_features, dataset.n_classes
-    if obj_spec["label_noise"] > 0.0:
-        if dataset.n_classes < 2:
-            raise ConfigError("objective.label_noise",
-                              f"needs at least 2 classes, the data has {dataset.n_classes}")
-        dataset = inject_label_noise(dataset, obj_spec["label_noise"], data_rng)
-    layers = [in_dim] + list(obj_spec["hidden"]) + [n_classes]
-    obj = mlp_objective(layers, obj_spec["activation"], dataset,
-                        holdout_fraction=obj_spec["holdout_fraction"], rng=data_rng)
-    if obj.n_samples == 0:
-        raise ConfigError("objective.holdout_fraction",
-                          f"holds out all {dataset.n_samples} rows, leaving none to train on")
-    return obj
+    """The objective of each seed, in order, built by the kind's class."""
+    return OBJECTIVES[obj_spec["kind"]].build(obj_spec, seeds)
 
 
 def init_x(obj, obj_spec: dict, seed: int) -> np.ndarray:
-    rng = make_rng(seed, STREAM_INIT)
-    if hasattr(obj, "init_params"):
-        return obj.init_params(rng)
-    return obj_spec.get("init_scale", 1.0) * rng.standard_normal(obj.dim)
-
-
-def final_loss_metric(obj, x) -> float:
-    if getattr(obj, "has_holdout", lambda: False)():
-        return obj.holdout_loss(x)
-    return obj.full_loss(x)
+    return obj.init_params(make_rng(seed, STREAM_INIT))
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +426,24 @@ def _block_steps(n_rows: int, width: int) -> int:
     return max(1, BLOCK_BYTES // (8 * n_rows * width))
 
 
-def _batch_stream(samplers: list, T: int, width: int, rows):
+def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     """The stack of batches of each of T steps: row r holds seed ``rows[r]``'s.
 
     ``rows`` indexes the seeds, and each seed's sampler draws once per step
-    however many rows read it.  A quadratic's samplers draw a block of steps
-    per call, each block equal bit for bit to as many single draws.  Epoch
-    samplers, which share their sizes, draw an epoch at a time: at the
-    epoch's first step each draws its whole order (``next_epoch``), and the
-    rows' orders form one (rows, n) table whose column slices are the
-    epoch's batches, as the samplers' own calls would give them, the short
-    last one included.  A caller reads their ``epoch`` after each step's
-    draw.
+    however many rows read it.  Block samplers, a quadratic's noise or a
+    gate stream's ``random``, draw a block of steps per call, each block
+    equal bit for bit to as many single draws, so a run of T steps takes
+    exactly T draws from each.  ``samplers`` is read at the first step's
+    draw: samplers made lazily are made only if a step asks.  With
+    ``epochs`` the samplers are epoch samplers, which share their sizes, and
+    draw an epoch at a time: at the epoch's first step each draws its whole
+    order (``next_epoch``), and the rows' orders form one (rows, n) table
+    whose column slices are the epoch's batches, as the samplers' own calls
+    would give them, the short last one included.  A caller reads their
+    ``epoch`` after each step's draw.
     """
-    if hasattr(samplers[0], "epoch"):
+    samplers = list(samplers)
+    if epochs:
         n, size = samplers[0].n, samplers[0].batch_size
         for t in range(0, T, samplers[0].batches_per_epoch):
             table = np.array([sample.next_epoch() for sample in samplers])[rows]
@@ -493,34 +454,6 @@ def _batch_stream(samplers: list, T: int, width: int, rows):
     for t in range(0, T, block):
         k = min(block, T - t)
         yield from np.stack([sample(k) for sample in samplers], axis=1)[:, rows]
-
-
-class _Gates:
-    """The Bernoulli gate streams of a run of T steps, one per seed.
-
-    ``random()`` hands out one draw from each stream per step, as each
-    stream's ``random()`` would, and gives row r the draw of stream
-    ``rows[r]`` (by default, of stream r).  The first call of a block draws
-    min(block, T - t) uniforms from every stream, so a run that asks at
-    every step takes exactly T per stream, and one that never asks takes
-    none.  The streams themselves are made on the first call.
-    """
-
-    def __init__(self, seeds: list, T: int, rows=slice(None)):
-        self.seeds, self.left, self.rows = seeds, T, rows
-        self.block = _block_steps(len(seeds), 1)
-        self.rngs, self.drawn = None, iter(())
-
-    def random(self) -> np.ndarray:
-        row = next(self.drawn, None)
-        if row is None:
-            if self.rngs is None:
-                self.rngs = [make_rng(s, STREAM_GATE) for s in self.seeds]
-            k = min(self.block, self.left)
-            self.drawn = iter(np.stack([rng.random(k) for rng in self.rngs], axis=1))
-            self.left -= k
-            row = next(self.drawn)
-        return row[self.rows]
 
 
 def _adv_batch_size(cfg: ExperimentConfig) -> int:
@@ -598,22 +531,26 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
                     np.repeat(np.arange(n_arms), n_seeds))
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
                 for o, s in zip(objs, seeds)]
-    batches = _batch_stream(samplers, T, x.shape[1], seed_of)
+    # the one place that asks: a dataset's batches come in epochs, every
+    # seed's sampler turning together
+    epochs = hasattr(samplers[0], "epoch")
+    batches = _batch_stream(samplers, T, x.shape[1], seed_of, epochs=epochs)
     adv_batches = itertools.repeat(None)
     decoupled = [c.optimizer["kind"] == "sam_db" for c in cfgs]
     if any(decoupled):
         adv_bs = _adv_batch_size(cfgs[decoupled.index(True)])
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
-             for o, s in zip(objs, seeds)], T, x.shape[1], seed_of)
+             for o, s in zip(objs, seeds)], T, x.shape[1], seed_of, epochs=epochs)
     pairs = zip(batches, adv_batches)
     if any(decoupled) and not all(decoupled):
         own = ~np.repeat(decoupled, n_seeds)[:, np.newaxis]   # rows that reuse their batch
         pairs = ((b, np.where(own, b, a)) for b, a in pairs)
-    gates = _Gates(seeds, T, seed_of)
-    # a network's per-seed data is stacked; a quadratic serves every row
-    obj = MlpObjective.stack([objs[i] for i in seed_of]) \
-        if isinstance(objs[0], MlpObjective) else objs[0]
+    # one uniform per seed and step, from streams made at the first draw
+    gate_draws = _batch_stream((make_rng(s, STREAM_GATE).random for s in seeds),
+                               T, 1, seed_of)
+    gates = SimpleNamespace(random=gate_draws.__next__)
+    obj = type(objs[0]).stack([objs[i] for i in seed_of])
 
     live = np.ones(n, dtype=bool)   # the rows not yet retired
     # Each step writes one cell per row straight into the (T, n) tables, the
@@ -633,7 +570,6 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
         live[mask] = False
 
     state = buf = prev_eps = None
-    epochs = hasattr(samplers[0], "epoch")   # every seed's sampler turns together
     last_epoch = samplers[0].epoch if epochs else None
     epoch_sum, epoch_len = np.zeros(n), 0
     t0 = time.perf_counter()
@@ -670,7 +606,7 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
         if record_wallclock:
             wallclock[t] = (time.perf_counter() - t0) * 1e3
 
-    finals = final_loss_metric(obj, x).tolist() if live.any() else None
+    finals = obj.final_loss(x).tolist() if live.any() else None
     retire(live, T)
     # running totals, in place: ints, added in step order
     evals_cum = np.cumsum(tables["evals"], axis=0, out=tables["evals"])

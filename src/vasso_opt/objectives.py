@@ -1,12 +1,20 @@
 """Stochastic objectives: noisy quadratics, small datasets, and a numpy MLP.
 
-Every objective exposes the same surface::
+Every objective class answers the same surface, the whole of what the
+engine and the diagnostics read::
 
-    dim            -- number of parameters
+    build(spec, seeds)   -- classmethod: the objective of each seed, from a
+                            parsed config spec; ConfigError on a bad one
+    stack(objs)          -- classmethod: one objective over a stack of seeds
+    dim                  -- number of parameters
+    init_params(rng)     -- the initial point
     loss(x, batch) / grad(x, batch) / loss_and_grad(x, batch)
-    full_loss(x)   -- exact (noise-free) objective, or mean over the dataset
-    full_grad(x)   -- exact gradient, or mean over the dataset
-    hvp(x, v)      -- Hessian-vector product (analytic where available)
+    full_loss(x)         -- exact (noise-free) objective, or mean over the dataset
+    full_grad(x)         -- exact gradient, or mean over the dataset
+    final_loss(x)        -- the run's reported loss: held-out where there is
+                            a held-out split, ``full_loss`` otherwise
+    hvp(x, v)            -- Hessian-vector product (analytic or finite differences)
+    normalize_direction(d, x) -- a landscape slice's scaled direction
     make_sampler(batch_size, rng) -> callable yielding batches
 
 A *batch* carries all of a step's stochasticity.  For dataset-backed
@@ -19,8 +27,9 @@ The loss and gradient methods also take a stack of parameter vectors, one
 row per seed, with a matching stack of batches: ``x`` of shape (S, dim)
 gives S losses and an (S, dim) gradient, each row equal bit for bit to the
 one-vector call on that row.  A quadratic is the same for every seed, so one
-instance serves any stack; ``MlpObjective.stack`` joins the per-seed data of
-a network objective.  Values of a single vector stay Python floats.
+instance serves any stack (its ``stack`` returns it); ``MlpObjective.stack``
+joins the per-seed data of a network objective.  Values of a single vector
+stay Python floats.
 ``grad(x, batch, rows=mask)`` hints that only the masked rows of a stack are
 read: the MLP computes just those and leaves the others zero, and the
 quadratic, whose gradient costs less than picking rows, computes them all.
@@ -35,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import as_param_vector, norm2, row_norms
+from .core import STREAM_DATA, as_param_vector, make_rng, norm2, row_norms
 from .errors import ConfigError, DimensionMismatchError, InvalidParameterError
 
 
@@ -87,12 +96,11 @@ class NoisyQuadratic:
     noise vector zeta ~ N(0, sigma^2 I); ``grad(x, zeta) = Ax + b + zeta`` and
     ``loss(x, zeta) = f(x) + zeta'x`` so the batch gradient is exactly the
     gradient of the batch loss.  ``sigma2`` = dim * sigma^2 is the declared
-    total gradient-noise variance E||g - grad f||^2.
+    total gradient-noise variance E||g - grad f||^2.  An initial point is
+    ``init_scale`` times a standard normal draw.
     """
 
-    has_analytic_hvp = True
-
-    def __init__(self, A, b=None, sigma: float = 0.0):
+    def __init__(self, A, b=None, sigma: float = 0.0, init_scale: float = 1.0):
         A = np.asarray(A, dtype=np.float64)
         if A.ndim == 1:
             self._diag = A.copy()
@@ -113,6 +121,21 @@ class NoisyQuadratic:
         self.b = np.zeros(self.dim) if b is None else as_param_vector(b, self.dim)
         self.sigma = float(sigma)
         self.sigma2 = self.dim * self.sigma ** 2
+        self.init_scale = init_scale
+
+    @classmethod
+    def build(cls, spec: dict, seeds) -> list["NoisyQuadratic"]:
+        """A quadratic does not depend on the seed: one instance serves them all."""
+        A = spec["matrix"] if spec.get("diag") is None else spec["diag"]
+        return [cls(A, b=spec.get("b"), sigma=spec["sigma"],
+                    init_scale=spec.get("init_scale", 1.0))] * len(seeds)
+
+    @staticmethod
+    def stack(objectives) -> "NoisyQuadratic":
+        return objectives[0]
+
+    def init_params(self, rng: np.random.Generator) -> np.ndarray:
+        return self.init_scale * rng.standard_normal(self.dim)
 
     def _Ax(self, x: np.ndarray) -> np.ndarray:
         if self._diag is not None:
@@ -134,6 +157,9 @@ class NoisyQuadratic:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return self._Ax(x) + self.b
 
+    def final_loss(self, x: np.ndarray) -> float:
+        return self.full_loss(x)
+
     def loss(self, x: np.ndarray, batch: np.ndarray) -> float:
         return _as_loss(self._value(x, self._Ax(x)) + np.vecdot(batch, x))
 
@@ -148,6 +174,10 @@ class NoisyQuadratic:
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._Ax(v)
+
+    def normalize_direction(self, direction: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The unit direction: a quadratic has no neurons to scale by."""
+        return direction / norm2(direction)
 
     def make_sampler(self, batch_size: int, rng: np.random.Generator):
         """One noise draw per batch (batch_size is irrelevant here).
@@ -429,8 +459,6 @@ class MlpObjective:
     (S, B) array of each seed's row indices.
     """
 
-    has_analytic_hvp = False
-
     def __init__(self, mlp: Mlp, dataset: Dataset,
                  holdout_fraction: float = 0.0, rng: np.random.Generator | None = None):
         if dataset.n_features != mlp.layer_sizes[0]:
@@ -456,6 +484,36 @@ class MlpObjective:
             self._train_idx = np.arange(dataset.n_samples)
         self._features, self._labels = dataset.features, dataset.labels
         self._seed_index = ()   # prefix of every row index; a stack's picks its seed
+
+    @classmethod
+    def build(cls, spec: dict, seeds) -> list["MlpObjective"]:
+        """The objective of each seed: a network on blobs or on a file's rows.
+
+        Blobs are drawn per seed.  A file (a spec with a ``path``) is read
+        once, and only its label noise and held-out split are drawn per seed.
+        """
+        shared = load_dataset_csv(spec["path"], header=spec["header"]) \
+            if "path" in spec else None
+        objs = []
+        for seed in seeds:
+            data_rng = make_rng(seed, STREAM_DATA)
+            dataset = shared if shared is not None else make_blobs_dataset(
+                spec["n_per_class"], spec["n_classes"], spec["dim"],
+                spec["separation"], data_rng)
+            # the network's widths come from the data before its labels are flipped
+            layers = [dataset.n_features, *spec["hidden"], dataset.n_classes]
+            if spec["label_noise"] > 0.0:
+                if dataset.n_classes < 2:
+                    raise ConfigError("objective.label_noise", "needs at least 2 classes, "
+                                      f"the data has {dataset.n_classes}")
+                dataset = inject_label_noise(dataset, spec["label_noise"], data_rng)
+            obj = mlp_objective(layers, spec["activation"], dataset,
+                                holdout_fraction=spec["holdout_fraction"], rng=data_rng)
+            if obj.n_samples == 0:
+                raise ConfigError("objective.holdout_fraction", f"holds out all "
+                                  f"{dataset.n_samples} rows, leaving none to train on")
+            objs.append(obj)
+        return objs
 
     @classmethod
     def stack(cls, objectives) -> "MlpObjective":
@@ -528,6 +586,9 @@ class MlpObjective:
             raise InvalidParameterError("objective has no held-out split")
         return self.mlp.loss(x, *self._gather(self._holdout_idx))
 
+    def final_loss(self, x) -> float:
+        return self.holdout_loss(x) if self.has_holdout() else self.full_loss(x)
+
     def hvp(self, x, v) -> np.ndarray:
         return hvp_finite_difference(self, x, v)
 
@@ -555,13 +616,10 @@ def mlp_objective(layer_sizes, activation: str, dataset: Dataset,
 def hvp_finite_difference(obj, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Central-difference Hessian-vector product on the full gradient.
 
-    Dispatches to the objective's analytic hvp when one exists.  The step
-    h = 1e-3 * (1 + ||x||_inf) balances truncation against roundoff.
+    The step h = 1e-3 * (1 + ||x||_inf) balances truncation against roundoff.
     """
     if v.shape[0] != obj.dim:
         raise DimensionMismatchError(f"v has dim {v.shape[0]}, objective {obj.dim}")
-    if getattr(obj, "has_analytic_hvp", False):
-        return obj.hvp(x, v)
     vnorm = norm2(v)
     if vnorm == 0.0:
         return np.zeros_like(v)

@@ -73,7 +73,7 @@ class OptimizerConfig:
 
     def gate(self, rng):
         """The Bernoulli(p) outcome, one per row of a stack; draws only if 0<p<1."""
-        return self.p == 1.0 or rng.random() < self.p
+        return rng.random() < self.p if 0.0 < self.p < 1.0 else self.p == 1.0
 
 
 def _shared(values) -> bool:

@@ -18,6 +18,7 @@ from vasso_opt.core import STREAM_GATE, make_rng
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (paired_compare, parse_config, run_arms,
                                run_seeds, tradeoff_sweep)
+from vasso_opt.objectives import MlpObjective
 from vasso_opt.optimizers import ArmKnobs, vasso_step
 
 
@@ -276,8 +277,8 @@ def test_tradeoff_writes_the_bytes_of_per_arm_runs(objective, esam, tmp_path,
 
 def test_the_sweeps_take_the_metrics_gradient_once_per_run(monkeypatch):
     calls = []
-    full_grad = harness.MlpObjective.full_grad
-    monkeypatch.setattr(harness.MlpObjective, "full_grad",
+    full_grad = MlpObjective.full_grad
+    monkeypatch.setattr(MlpObjective, "full_grad",
                         lambda self, x: calls.append(len(x)) or full_grad(self, x))
     base = _arms("blobs-holdout", "mixed", T=16, metrics_every=1)[0]
     tradeoff_sweep(base, [0.5], [3, 0])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vasso_opt
-from vasso_opt import cli, harness
+from vasso_opt import cli, harness, objectives
 from vasso_opt.cli import main
 from vasso_opt.harness import METRICS_HEADER, build_objective, init_x, \
     load_config, parse_config, run_seed
@@ -659,8 +659,8 @@ def test_a_slice_after_training_reads_a_dataset_file_once(tmp_path, monkeypatch)
                             for i, (a, b) in enumerate(rng.normal(size=(24, 2)))))
     cfg = _write_cfg(tmp_path, objective={"kind": "dataset", "path": str(data),
                                           "hidden": [4]}, batch_size=4)
-    calls, load = [], harness.load_dataset_csv
-    monkeypatch.setattr(harness, "load_dataset_csv",
+    calls, load = [], objectives.load_dataset_csv
+    monkeypatch.setattr(objectives, "load_dataset_csv",
                         lambda *a, **k: calls.append(a) or load(*a, **k))
     out = tmp_path / "slice.csv"
     rc = main(["slice", "--config", cfg, "--seed", "0", "--points", "3",

@@ -19,7 +19,7 @@ from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
 from vasso_opt.cli import main
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (METRICS_HEADER, MetricsColumns, MetricsRow,
-                               build_objective, final_loss_metric, init_x,
+                               build_objective, init_x,
                                parse_config, run_experiment, run_seed, run_seeds)
 from vasso_opt.objectives import EpochSampler, Mlp, NoisyQuadratic
 from vasso_opt.optimizers import AdversaryState, OptimizerConfig, vasso_step
@@ -66,7 +66,7 @@ def reference_run(cfg, seed):
         "aborted_at": aborted_at,
         "total_grad_evals": grad_cum,
         "mean_drift": (drift_sum / drift_count) if drift_count else 0.0,
-        "final_loss": None if aborted_at is not None else final_loss_metric(obj, x),
+        "final_loss": None if aborted_at is not None else obj.final_loss(x),
     }
     return rows, summary
 
@@ -309,14 +309,16 @@ def test_a_retired_seed_keeps_its_row_until_the_run_ends(monkeypatch):
 def test_gate_blocks_equal_one_draw_per_step(T, monkeypatch):
     seeds = [3, 1, 4]
     monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * len(seeds) * 7)
-    gates = harness._Gates(seeds, T)
-    assert gates.block == 7
+    assert harness._block_steps(len(seeds), 1) == 7
+    rngs = [make_rng(s, STREAM_GATE) for s in seeds]
+    stream = harness._batch_stream((rng.random for rng in rngs), T, 1,
+                                   np.arange(len(seeds)))
     refs = [make_rng(s, STREAM_GATE) for s in seeds]
-    got = np.array([gates.random() for _ in range(T)])
+    got = np.array(list(stream))
     want = np.array([[ref.random() for ref in refs] for _ in range(T)])
     assert got.tobytes() == want.tobytes()
     # exactly T draws each: the streams stand where the per-step ones do
-    assert [rng.random() for rng in gates.rngs] == [ref.random() for ref in refs]
+    assert [rng.random() for rng in rngs] == [ref.random() for ref in refs]
 
 
 @pytest.mark.parametrize("kind", ["evasso", "sam_db"])
@@ -356,7 +358,7 @@ def test_the_epoch_table_yields_the_batches_of_the_per_seed_samplers(
     monkeypatch.setattr(EpochSampler, "__call__",
                         lambda self: pytest.fail("a single batch was drawn"))
     got = [(batch, [s.epoch for s in table])
-           for batch in harness._batch_stream(table, T, 1, rows)]
+           for batch in harness._batch_stream(table, T, 1, rows, epochs=True)]
     assert len(got) == T
     for (batch, epochs), (ref_batch, ref_epochs) in zip(got, want):
         assert batch.shape == ref_batch.shape

@@ -7,8 +7,9 @@ from math import comb
 import numpy as np
 import pytest
 
-from vasso_opt import harness
-from vasso_opt.core import STREAM_ADV_BATCH, STREAM_BATCH, make_rng, schedule_value
+from vasso_opt import harness, objectives
+from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_INIT, make_rng,
+                            schedule_value)
 from vasso_opt.errors import ConfigError
 from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
                                ExperimentConfig, build_objective, fmt, init_x,
@@ -128,6 +129,36 @@ def test_a_split_without_training_rows_is_a_config_error():
     assert err.value.path == "objective.holdout_fraction"
     raw["objective"]["holdout_fraction"] = 15.5 / 16   # one training row left
     assert build_objective(parse_config(raw).objective, 0).n_samples == 1
+
+
+def _kind_spec(kind, tmp_path) -> dict:
+    """A parsed objective spec of each kind, with a held-out split where it can."""
+    data = tmp_path / "toy.csv"
+    data.write_text("".join(f"{float(a)!r},{float(b)!r},{i % 3}\n" for i, (a, b)
+                            in enumerate(np.random.default_rng(5).normal(size=(20, 2)))))
+    raw = {"quadratic": {"kind": "quadratic", "matrix": [[2.0, 0.5], [0.5, 1.0]],
+                         "sigma": 0.3, "b": [0.1, -0.2], "init_scale": 0.7},
+           "blobs": {"kind": "blobs", "n_per_class": 6, "n_classes": 3, "dim": 2,
+                     "separation": 2.0, "hidden": [3], "label_noise": 0.2,
+                     "holdout_fraction": 0.25},
+           "dataset": {"kind": "dataset", "path": str(data), "hidden": [4],
+                       "activation": "relu", "holdout_fraction": 0.3}}[kind]
+    return parse_config(_raw(objective=raw)).objective
+
+
+@pytest.mark.parametrize("kind", list(harness.OBJECTIVES))
+def test_each_kind_answers_the_surface_on_a_stack_as_on_its_seeds(kind, tmp_path):
+    spec, seeds = _kind_spec(kind, tmp_path), [3, 0, 7]
+    cls = harness.OBJECTIVES[kind]
+    objs = cls.build(spec, seeds)
+    assert [type(o) for o in objs] == [cls] * len(seeds)
+    assert [o.dim for o in harness.build_objectives(spec, seeds)] == [objs[0].dim] * 3
+    stack = cls.stack(objs)
+    x = np.array([stack.init_params(make_rng(s, STREAM_INIT)) for s in seeds])
+    for row, obj, seed in zip(x, objs, seeds):
+        assert row.tobytes() == obj.init_params(make_rng(seed, STREAM_INIT)).tobytes()
+        assert row.tobytes() == init_x(obj, spec, seed).tobytes()
+    assert stack.final_loss(x).tolist() == [o.final_loss(r) for o, r in zip(objs, x)]
 
 
 def test_invalid_json_text_is_a_config_error():
@@ -393,9 +424,9 @@ def test_a_dataset_file_is_read_once_per_run(tmp_path, monkeypatch):
     cfg = _cfg(objective={"kind": "dataset", "path": str(path), "hidden": [4],
                           "label_noise": 0.2, "holdout_fraction": 0.25},
                T=12, batch_size=4, seeds=list(range(8)), output_path=str(out))
-    build_all, load = harness.build_objectives, harness.load_dataset_csv
+    build_all, load = harness.build_objectives, objectives.load_dataset_csv
     calls = []
-    monkeypatch.setattr(harness, "load_dataset_csv",
+    monkeypatch.setattr(objectives, "load_dataset_csv",
                         lambda *a, **k: calls.append(a) or load(*a, **k))
 
     def parse_per_seed(spec, seeds):

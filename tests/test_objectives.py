@@ -650,6 +650,12 @@ def test_mlp_objective_shape_validation():
         MlpObjective(Mlp([2, 2]), ds)       # 3 classes, 2 outputs
 
 
+def test_a_quadratic_scales_a_slice_direction_to_unit_length():
+    obj = NoisyQuadratic(np.ones(3))
+    d = np.array([0.3, -1.7, 2.2])
+    assert obj.normalize_direction(d, np.ones(3)).tobytes() == (d / norm2(d)).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Hessian-vector products
 
@@ -658,7 +664,7 @@ def test_hvp_uses_analytic_form_on_quadratics():
     A = np.array([[3.0, 1.0], [1.0, 2.0]])
     obj = NoisyQuadratic(A, sigma=0.0)
     v = np.array([0.4, -1.2])
-    out = hvp_finite_difference(obj, np.array([5.0, -5.0]), v)
+    out = obj.hvp(np.array([5.0, -5.0]), v)
     assert np.allclose(out, A @ v, atol=1e-8)
 
 

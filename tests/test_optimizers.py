@@ -272,6 +272,13 @@ def test_gate_draws_once_per_step_only_when_the_outcome_is_random():
         assert gate.random() == reference.random()
 
 
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_a_forced_gate_consumes_no_draw(p):
+    gate = make_rng(0, 3)
+    assert OptimizerConfig(p=p).gate(gate) == (p == 1.0)
+    assert gate.random() == make_rng(0, 3).random()
+
+
 def test_gate_rate_concentrates_around_p():
     obj = _quad(sigma=0.2)
     cfg = _cfg(rho=0.1, p=0.3, lr=Schedule("constant", 1e-3))

@@ -112,8 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "adversary diagnostics.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, help_, seeds="list"):
+    def add(name, run, help_, seeds="list"):
         p = sub.add_parser(name, help=help_, formatter_class=_WIDTH)
+        p.set_defaults(run=run)
         if seeds == "list":
             p.add_argument("--seed", required=True, type=_seed_list,
                            help="comma-separated seed list; overrides the config")
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", required=True, type=_seed, help="RNG seed")
         return p
 
-    p = add("train", "run a training experiment from a JSON config")
+    p = add("train", cmd_train, "run a training experiment from a JSON config")
     p.add_argument("--config", required=True, help="experiment config path")
     p.add_argument("--out", help="metrics CSV path (overrides config output_path)")
     p.add_argument("--T", type=int, help="override horizon")
@@ -132,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-wallclock", action="store_true",
                    help="fill the wallclock_ms column (not reproducible)")
 
-    p = add("tradeoff", "loss/computation sweep over gate probabilities")
+    p = add("tradeoff", cmd_tradeoff, "loss/computation sweep over gate probabilities")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="table CSV path")
     p.add_argument("--p-values", type=_number_list(float),
@@ -143,19 +144,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-wallclock", action="store_true",
                    help="fill the wallclock column (not reproducible)")
 
-    p = add("compare", "paired-seed sign test between two optimizer configs")
+    p = add("compare", cmd_compare, "paired-seed sign test between two optimizer configs")
     p.add_argument("--config-a", required=True)
     p.add_argument("--config-b", required=True)
     p.add_argument("--metric", choices=["final_loss", "mean_drift"],
                    default="final_loss")
     p.add_argument("--out", help="optional per-seed CSV path")
 
-    p = add("stability", "adversary drift trace for one run", seeds="one")
+    p = add("stability", cmd_stability, "adversary drift trace for one run", seeds="one")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="drift CSV path (t,drift)")
 
-    p = add("mse", "EMA slope error vs raw gradient error at a fixed point",
-            seeds="one")
+    p = add("mse", cmd_mse,
+            "EMA slope error vs raw gradient error at a fixed point", seeds="one")
     p.add_argument("--dim", type=_positive_int, default=10)
     p.add_argument("--sigma", type=_finite_non_negative, default=1.0,
                    help="per-coordinate gradient noise std")
@@ -164,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=100000)
     p.add_argument("--out", required=True)
 
-    p = add("delta", "linearized-sharpness stability of SAM vs EMA slopes",
-            seeds="one")
+    p = add("delta", cmd_delta,
+            "linearized-sharpness stability of SAM vs EMA slopes", seeds="one")
     p.add_argument("--dim", type=_positive_int, default=10)
     p.add_argument("--sigma", type=_finite_non_negative, default=1.0)
     p.add_argument("--rho", type=_finite_non_negative, default=0.05)
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--out", required=True)
 
-    p = add("snr", "adversary spread vs gradient signal-to-noise", seeds="one")
+    p = add("snr", cmd_snr, "adversary spread vs gradient signal-to-noise", seeds="one")
     p.add_argument("--grad", required=True, type=_non_zero_vector,
                    help="true gradient, comma-separated")
     p.add_argument("--scales", required=True, type=_number_list(_finite_non_negative),
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=_positive_int, default=100)
     p.add_argument("--out", required=True)
 
-    p = add("spectrum", "top Hessian eigenvalues via Lanczos", seeds="one")
+    p = add("spectrum", cmd_spectrum, "top Hessian eigenvalues via Lanczos", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
     p.add_argument("--k", type=_positive_int)   # default min(5, dim)
     p.add_argument("--iters", type=_positive_int)   # default min(60, dim)
@@ -189,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train this many steps first (0: spectrum at init)")
     p.add_argument("--out", required=True)
 
-    p = add("slice", "loss values on a slice through parameter space", seeds="one")
+    p = add("slice", cmd_slice,
+            "loss values on a slice through parameter space", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
     p.add_argument("--radius", type=_finite_non_negative, default=1.0)
     p.add_argument("--points", type=_positive_int, default=41)
@@ -198,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train this many steps first (0: slice at init)")
     p.add_argument("--out", required=True)
 
-    p = add("sfw-check", "one-step Frank-Wolfe vs the closed-form adversary",
-            seeds="one")
+    p = add("sfw-check", cmd_sfw_check,
+            "one-step Frank-Wolfe vs the closed-form adversary", seeds="one")
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--rho", type=_finite_positive, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
@@ -367,27 +369,13 @@ def cmd_sfw_check(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "train": cmd_train,
-    "tradeoff": cmd_tradeoff,
-    "compare": cmd_compare,
-    "stability": cmd_stability,
-    "mse": cmd_mse,
-    "delta": cmd_delta,
-    "snr": cmd_snr,
-    "spectrum": cmd_spectrum,
-    "slice": cmd_slice,
-    "sfw-check": cmd_sfw_check,
-}
-
-
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(message)s", force=True)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.cmd](args)
+        return args.run(args)
     except (VassoOptError, OSError, ValueError) as e:
         print(f"vasso-opt: error: {e}", file=sys.stderr)
         return 2

@@ -48,7 +48,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -92,8 +92,16 @@ def fmt(v) -> str:
 # strict config parsing
 
 
+_REQUIRED = object()   # the default of a key that has none: it must be given
+
+
 class _Fields:
-    """Tracks consumed keys of one JSON object and rejects leftovers."""
+    """Tracks consumed keys of one JSON object and rejects leftovers.
+
+    Each key is named once: ``take`` returns its value (a key is required
+    exactly when it has no default), and ``number`` and ``typed`` check it
+    too, naming it by its dotted path, the object's path and the key.
+    """
 
     def __init__(self, raw: dict, path: str):
         if not isinstance(raw, dict):
@@ -102,13 +110,27 @@ class _Fields:
         self.path = path
         self.seen = set()
 
-    def take(self, key, required=False, default=None):
+    def take(self, key, default=_REQUIRED):
         self.seen.add(key)
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"{self.path}.{key}", "missing required field")
-            return default
-        return self.raw[key]
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.path}.{key}", "missing required field")
+        return default
+
+    def number(self, key, default=_REQUIRED, **bounds):
+        """A finite number within ``bounds`` (``_as_number``); null, if that is the default."""
+        v = self.take(key, default)
+        if v is None and default is None:
+            return None
+        return _as_number(v, f"{self.path}.{key}", **bounds)
+
+    def typed(self, key, type_, what: str, default=_REQUIRED):
+        """The key's value, which must be an instance of ``type_`` (``what``, in errors)."""
+        v = self.take(key, default)
+        if not isinstance(v, type_):
+            raise ConfigError(f"{self.path}.{key}", f"expected {what}")
+        return v
 
     def finish(self):
         unknown = set(self.raw) - self.seen
@@ -144,9 +166,9 @@ def _number_list(v, path) -> list[float]:
 def _parse_schedule(raw, path, T) -> Schedule:
     """A schedule over the T steps of a run; its horizon defaults to T."""
     f = _Fields(raw, path)
-    kind = f.take("kind", required=True)
-    base = _as_number(f.take("base", required=True), f"{path}.base", lo=0.0)
-    horizon = f.take("horizon")
+    kind = f.take("kind")
+    base = f.number("base", lo=0.0)
+    horizon = f.take("horizon", None)
     f.finish()
     if horizon is None and kind in ("cosine", "theory"):
         horizon = T
@@ -171,12 +193,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def to_dict(self) -> dict:
-        d = {"objective": dict(self.objective), "optimizer": dict(self.optimizer),
-             "T": self.T, "batch_size": self.batch_size, "seeds": list(self.seeds),
-             "metrics_every": self.metrics_every}
-        if self.output_path is not None:
-            d["output_path"] = self.output_path
-        return d
+        return asdict(self)
 
     def derive(self, optimizer: dict | None = None, **fields) -> "ExperimentConfig":
         """A parsed copy with top-level ``fields`` and ``optimizer`` keys replaced."""
@@ -202,13 +219,13 @@ class ExperimentConfig:
 
 def _parse_objective(raw) -> dict:
     f = _Fields(raw, "objective")
-    kind = f.take("kind", required=True)
+    kind = f.take("kind")
     if kind not in OBJECTIVE_KINDS:
         raise ConfigError("objective.kind", f"must be one of {OBJECTIVE_KINDS}, got {kind!r}")
     out = {"kind": kind}
     if kind == "quadratic":
-        diag = f.take("diag")
-        matrix = f.take("matrix")
+        diag = f.take("diag", None)
+        matrix = f.take("matrix", None)
         if (diag is None) == (matrix is None):
             raise ConfigError("objective", "give exactly one of 'diag' or 'matrix'")
         if diag is not None:
@@ -222,104 +239,82 @@ def _parse_objective(raw) -> dict:
             if not np.allclose(A, A.T, atol=1e-12):
                 raise ConfigError("objective.matrix", "must be symmetric")
         dim = len(diag if diag is not None else matrix)
-        out["sigma"] = _as_number(f.take("sigma", required=True), "objective.sigma", lo=0.0)
-        b = f.take("b")
+        out["sigma"] = f.number("sigma", lo=0.0)
+        b = f.take("b", None)
         if b is not None:
             out["b"] = _number_list(b, "objective.b")
             if len(b) != dim:
                 raise ConfigError("objective.b", f"expected {dim} entries, got {len(b)}")
-        out["init_scale"] = _as_number(f.take("init_scale", default=1.0),
-                                       "objective.init_scale")
+        out["init_scale"] = f.number("init_scale", 1.0)
     else:
         if kind == "blobs":
-            out["n_per_class"] = _as_number(f.take("n_per_class", required=True),
-                                            "objective.n_per_class", lo=1, integer=True)
-            out["n_classes"] = _as_number(f.take("n_classes", default=2),
-                                          "objective.n_classes", lo=2, integer=True)
-            out["dim"] = _as_number(f.take("dim", required=True),
-                                    "objective.dim", lo=1, integer=True)
-            out["separation"] = _as_number(f.take("separation", required=True),
-                                           "objective.separation")
+            out["n_per_class"] = f.number("n_per_class", lo=1, integer=True)
+            out["n_classes"] = f.number("n_classes", 2, lo=2, integer=True)
+            out["dim"] = f.number("dim", lo=1, integer=True)
+            out["separation"] = f.number("separation")
         else:
-            path = f.take("path", required=True)
-            if not isinstance(path, str):
-                raise ConfigError("objective.path", "expected a string")
-            out["path"] = path
-            header = f.take("header", default=False)
-            if not isinstance(header, bool):
-                raise ConfigError("objective.header", "expected a boolean")
-            out["header"] = header
-        hidden = f.take("hidden", required=True)
-        if not isinstance(hidden, list):
-            raise ConfigError("objective.hidden", "expected a list of layer widths")
+            out["path"] = f.typed("path", str, "a string")
+            out["header"] = f.typed("header", bool, "a boolean", False)
         out["hidden"] = [_as_number(v, "objective.hidden", lo=1, integer=True)
-                         for v in hidden]
-        activation = f.take("activation", default="tanh")
+                         for v in f.typed("hidden", list, "a list of layer widths")]
+        activation = f.take("activation", "tanh")
         if activation not in ("relu", "tanh"):
             raise ConfigError("objective.activation", f"must be relu or tanh, got {activation!r}")
         out["activation"] = activation
-        out["label_noise"] = _as_number(f.take("label_noise", default=0.0),
-                                        "objective.label_noise", lo=0.0, hi=1.0)
-        out["holdout_fraction"] = _as_number(f.take("holdout_fraction", default=0.0),
-                                             "objective.holdout_fraction", lo=0.0, hi=1.0)
+        out["label_noise"] = f.number("label_noise", 0.0, lo=0.0, hi=1.0)
+        out["holdout_fraction"] = f.number("holdout_fraction", 0.0, lo=0.0, hi=1.0)
     f.finish()
     return out
 
 
 def _parse_optimizer(raw, T: int) -> dict:
     f = _Fields(raw, "optimizer")
-    kind = f.take("kind", required=True)
+    kind = f.take("kind")
     if kind not in OPTIMIZER_KINDS:
         raise ConfigError("optimizer.kind", f"must be one of {OPTIMIZER_KINDS}, got {kind!r}")
     out = {"kind": kind}
-    out["rho"] = _as_number(f.take("rho", default=0.05), "optimizer.rho", lo=0.0)
-    theta = _as_number(f.take("theta", default=0.2), "optimizer.theta")
+    out["rho"] = f.number("rho", 0.05, lo=0.0)
+    theta = f.number("theta", 0.2)
     if not 0.0 < theta <= 1.0:
         raise ConfigError("optimizer.theta", f"must be in (0,1], got {theta}")
     out["theta"] = theta
-    out["p"] = _as_number(f.take("p", default=1.0), "optimizer.p", lo=0.0, hi=1.0)
-    lr = f.take("lr", required=True)
+    out["p"] = f.number("p", 1.0, lo=0.0, hi=1.0)
+    lr = f.take("lr")
     _parse_schedule(lr, "optimizer.lr", T)   # validate now, rebuild per-run
     out["lr"] = lr
-    rs = f.take("rho_schedule")
+    rs = f.take("rho_schedule", None)
     if rs is not None:
         _parse_schedule(rs, "optimizer.rho_schedule", T)
     out["rho_schedule"] = rs
-    momentum = _as_number(f.take("momentum", default=0.0), "optimizer.momentum", lo=0.0)
+    momentum = f.number("momentum", 0.0, lo=0.0)
     if momentum >= 1.0:
         raise ConfigError("optimizer.momentum", f"must be in [0,1), got {momentum}")
     out["momentum"] = momentum
-    out["weight_decay"] = _as_number(f.take("weight_decay", default=0.0),
-                                     "optimizer.weight_decay", lo=0.0)
-    abs_ = f.take("adv_batch_size")
-    if abs_ is not None and kind != "sam_db":
+    out["weight_decay"] = f.number("weight_decay", 0.0, lo=0.0)
+    # the kind check comes first: a stray size is misplaced, whatever its type
+    if kind != "sam_db" and f.take("adv_batch_size", None) is not None:
         raise ConfigError("optimizer.adv_batch_size",
                           f"applies only to kind 'sam_db', not {kind!r}")
-    out["adv_batch_size"] = None if abs_ is None else \
-        _as_number(abs_, "optimizer.adv_batch_size", lo=1, integer=True)
+    out["adv_batch_size"] = f.number("adv_batch_size", None, lo=1, integer=True)
     f.finish()
     return out
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     f = _Fields(raw, "config")
-    objective = _parse_objective(f.take("objective", required=True))
-    T = _as_number(f.take("T", required=True), "config.T", lo=1, integer=True)
-    optimizer = _parse_optimizer(f.take("optimizer", required=True), T)
-    batch_size = _as_number(f.take("batch_size", required=True),
-                            "config.batch_size", lo=1, integer=True)
-    seeds = f.take("seeds", required=True)
+    objective = _parse_objective(f.take("objective"))
+    T = f.number("T", lo=1, integer=True)
+    optimizer = _parse_optimizer(f.take("optimizer"), T)
+    batch_size = f.number("batch_size", lo=1, integer=True)
+    seeds = f.take("seeds")
     if not isinstance(seeds, list) or not seeds:
         raise ConfigError("config.seeds", "expected a non-empty list")
     seeds = [_as_number(s, "config.seeds", lo=0, hi=MAX_SEED, integer=True)
              for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ConfigError("config.seeds", "seeds must be distinct")
-    metrics_every = _as_number(f.take("metrics_every", default=1),
-                               "config.metrics_every", lo=1, integer=True)
-    output_path = f.take("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError("config.output_path", "expected a string")
+    metrics_every = f.number("metrics_every", 1, lo=1, integer=True)
+    output_path = f.typed("output_path", (str, type(None)), "a string", None)
     f.finish()
     return ExperimentConfig(objective, optimizer, T, batch_size, seeds,
                             metrics_every, output_path)
@@ -439,8 +434,8 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     draw an epoch at a time: at the epoch's first step each draws its whole
     order (``next_epoch``), and the rows' orders form one (rows, n) table
     whose column slices are the epoch's batches, as the samplers' own calls
-    would give them, the short last one included.  A caller reads their
-    ``epoch`` after each step's draw.
+    would give them, the short last one included: epoch k is the
+    ``batches_per_epoch`` steps from step k * ``batches_per_epoch``.
     """
     samplers = list(samplers)
     if epochs:
@@ -509,7 +504,9 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     as one when another arm has them.  A row whose loss or gradient turns
     non-finite is retired at that step (``aborted_at``) and the others run
     on; it stays in the stack until the run ends, but nothing it computes
-    after that step is read.  ``keep_final_x`` stashes each final iterate
+    after that step is read.  The run keeps one record of itself: the (T, n)
+    tables, each row's step count (a row is live while it is T) and its
+    final iterate.  ``keep_final_x`` stashes each final iterate
     in its summary under ``final_x`` (not JSON-serializable; for in-process
     callers only).  Recorded wallclock cells hold the elapsed time of the
     whole stack.
@@ -519,7 +516,9 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     nothing (see ``vasso_step``).  The INFO log gets one record per epoch,
     the live rows' ``epoch=`` lines joined by newlines in row order, and
     one record of every row's ``done:`` line; neither is built while INFO
-    is off.
+    is off.  An epoch's line goes out at the first step of the next epoch,
+    so the last epoch of a run gets none; its mean is read from the
+    epoch's rows of the loss table.
     """
     cfg, n_arms, n_seeds = cfgs[0], len(cfgs), len(seeds)
     n, T = n_arms * n_seeds, cfg.T
@@ -533,7 +532,8 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
                 for o, s in zip(objs, seeds)]
     # the one place that asks: a dataset's batches come in epochs, every
     # seed's sampler turning together
-    epochs = hasattr(samplers[0], "epoch")
+    per_epoch = getattr(samplers[0], "batches_per_epoch", 0)
+    epochs = per_epoch > 0
     batches = _batch_stream(samplers, T, x.shape[1], seed_of, epochs=epochs)
     adv_batches = itertools.repeat(None)
     decoupled = [c.optimizer["kind"] == "sam_db" for c in cfgs]
@@ -552,7 +552,6 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     gates = SimpleNamespace(random=gate_draws.__next__)
     obj = type(objs[0]).stack([objs[i] for i in seed_of])
 
-    live = np.ones(n, dtype=bool)   # the rows not yet retired
     # Each step writes one cell per row straight into the (T, n) tables, the
     # retired rows included; a row's columns read only the cells of its
     # first steps[r] steps.  Gradient norms are taken on the metrics cadence
@@ -560,29 +559,28 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
               "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
     wallclock = np.zeros(T) if record_wallclock else None
-    steps = [T] * n
-    final_x = [None] * n
+    steps = np.full(n, T)   # a row is live while steps[r] == T
+    final_x = np.empty_like(x)
 
     def retire(mask, t: int) -> None:
-        """The rows in ``mask`` stop at step t, at their current x."""
-        for r in np.flatnonzero(mask):
-            steps[r], final_x[r] = t, x[r]
-        live[mask] = False
+        """The live rows in ``mask`` stop at step t, at their current x."""
+        mask = mask & (steps == T)
+        steps[mask], final_x[mask] = t, x[mask]
 
     state = buf = prev_eps = None
-    last_epoch = samplers[0].epoch if epochs else None
-    epoch_sum, epoch_len = np.zeros(n), 0
     t0 = time.perf_counter()
 
     for t, (batch, adv_batch) in zip(range(T), pairs):
-        if epochs and samplers[0].epoch != last_epoch:
-            if epoch_len and live.any() and log.isEnabledFor(logging.INFO):
-                means = (epoch_sum / epoch_len).tolist()
-                log.info("\n".join(
-                    "%sseed=%d epoch=%d mean_batch_loss=%.6f"
-                    % (tag[r], seeds[seed_of[r]], last_epoch, means[r])
-                    for r in np.flatnonzero(live)))
-            last_epoch, epoch_sum, epoch_len = samplers[0].epoch, np.zeros(n), 0
+        if epochs and t and t % per_epoch == 0 and (steps == T).any() \
+                and log.isEnabledFor(logging.INFO):
+            # the epoch that just ended: its rows of the loss table, added
+            # left to right
+            means = (np.cumsum(tables["loss"][t - per_epoch:t], axis=0)[-1]
+                     / per_epoch).tolist()
+            log.info("\n".join(
+                "%sseed=%d epoch=%d mean_batch_loss=%.6f"
+                % (tag[r], seeds[seed_of[r]], t // per_epoch - 1, means[r])
+                for r in np.flatnonzero(steps == T)))
         if t % cfg.metrics_every == 0:
             tables["fg_norm"][t] = row_norms(obj.full_grad(x))
         try:
@@ -590,26 +588,24 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
                                                 t=t, momentum_buffer=buf,
                                                 adv_batch=adv_batch)
         except NonFiniteError:   # every row, so every live row, failed at t
-            retire(live, t)
+            retire(True, t)
             break
         tables["loss"][t] = rep.loss
         tables["evals"][t] = rep.grad_evals
         if prev_eps is not None:
             tables["drift"][t] = row_norms(rep.epsilon - prev_eps)
         prev_eps = rep.epsilon
-        if epochs:
-            epoch_sum += rep.loss
-            epoch_len += 1
         if rep.failed is not None:   # a retired row may be flagged again
-            retire(rep.failed & live, t)
+            retire(rep.failed, t)
         x = x_new
         if record_wallclock:
             wallclock[t] = (time.perf_counter() - t0) * 1e3
 
-    finals = obj.final_loss(x).tolist() if live.any() else None
-    retire(live, T)
+    finals = obj.final_loss(x).tolist() if (steps == T).any() else None
+    retire(True, T)
     # running totals, in place: ints, added in step order
     evals_cum = np.cumsum(tables["evals"], axis=0, out=tables["evals"])
+    steps = steps.tolist()
     results = []
     for r in range(n):
         seed, k = seeds[seed_of[r]], steps[r]

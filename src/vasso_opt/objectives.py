@@ -120,7 +120,7 @@ class NoisyQuadratic:
             raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
         self.b = np.zeros(self.dim) if b is None else as_param_vector(b, self.dim)
         self.sigma = float(sigma)
-        self.sigma2 = self.dim * self.sigma ** 2
+        self.sigma2 = self.dim * self.sigma * self.sigma   # inf, not an error, on overflow
         self.init_scale = init_scale
 
     @classmethod
@@ -470,7 +470,6 @@ class MlpObjective:
         self.mlp = mlp
         self.dataset = dataset
         self.dim = mlp.dim
-        self.sigma2 = None
         if holdout_fraction > 0.0:
             if rng is None:
                 raise InvalidParameterError("holdout split needs an rng")
@@ -480,7 +479,7 @@ class MlpObjective:
             self._holdout_idx = np.sort(perm[:k])
             self._train_idx = np.sort(perm[k:])
         else:
-            self._holdout_idx = None
+            self._holdout_idx = np.arange(0)
             self._train_idx = np.arange(dataset.n_samples)
         self._features, self._labels = dataset.features, dataset.labels
         self._seed_index = ()   # prefix of every row index; a stack's picks its seed
@@ -525,11 +524,9 @@ class MlpObjective:
         """
         first = objectives[0]
         out = cls.__new__(cls)
-        out.mlp, out.dataset, out.dim, out.sigma2 = first.mlp, None, first.dim, None
-        for name in ("_features", "_labels", "_train_idx"):
+        out.mlp, out.dataset, out.dim = first.mlp, None, first.dim
+        for name in ("_features", "_labels", "_train_idx", "_holdout_idx"):
             setattr(out, name, np.stack([getattr(o, name) for o in objectives]))
-        out._holdout_idx = None if first._holdout_idx is None else \
-            np.stack([o._holdout_idx for o in objectives])
         out._seed_index = (np.arange(len(objectives))[:, np.newaxis],)
         return out
 
@@ -538,7 +535,7 @@ class MlpObjective:
         return self._train_idx.shape[-1]
 
     def has_holdout(self) -> bool:
-        return self._holdout_idx is not None and self._holdout_idx.size > 0
+        return self._holdout_idx.size > 0
 
     def _gather(self, idx: np.ndarray, seed_index=None):
         at = (self._seed_index if seed_index is None else seed_index) + (idx,)

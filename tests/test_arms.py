@@ -157,6 +157,12 @@ def test_arms_may_differ_only_in_the_optimizer_spec():
         run_arms([cfgs[0], cfgs[1].derive(batch_size=4)], [0])
 
 
+def test_no_seeds_give_each_arm_no_runs():
+    cfgs = _arms("quadratic-diag", "mixed")
+    assert run_arms(cfgs[:1], []) == [[]]
+    assert run_arms(cfgs, []) == [[] for _ in cfgs]
+
+
 def _log_lines(caplog):
     # a record holds the lines of one epoch, or every done: line, of a stack
     return [line for r in caplog.records for line in r.getMessage().split("\n")]

@@ -272,6 +272,9 @@ def test_a_seed_outside_the_key_range_exits_2(argv, message, tmp_path, capsys):
      "objective.matrix"),
     ({"kind": "dataset", "path": "@one-class", "hidden": [3], "label_noise": 0.5},
      "objective.label_noise"),
+    ({"kind": "dataset", "path": 7, "hidden": [3]}, "objective.path"),
+    ({"kind": "dataset", "path": "@one-class", "header": "yes", "hidden": [3]},
+     "objective.header"),
 ])
 def test_an_objective_error_names_its_field(objective, path, tmp_path, capsys):
     data = tmp_path / "one.csv"
@@ -292,24 +295,48 @@ def test_an_unexpected_exception_exits_2_without_a_traceback(tmp_path, capsys,
     def broken(args):
         return 1 // 0
 
-    monkeypatch.setitem(cli._DISPATCH, "train", broken)
+    monkeypatch.setattr(cli, "cmd_train", broken)
     rc = main(["train", "--config", _write_cfg(tmp_path), "--seed", "0"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "vasso-opt: error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
-def test_divergence_on_every_seed_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["train"], "every seed aborted on non-finite loss"),
+    (["spectrum", "--train-steps", "60"],
+     "training diverged before the evaluation point"),
+])
+def test_divergence_on_every_seed_exits_2(argv, message, tmp_path, capsys):
     cfg = _write_cfg(tmp_path,
                      objective={"kind": "quadratic", "diag": [5.0],
                                 "sigma": 0.0},
                      optimizer={"kind": "sgd",
                                 "lr": {"kind": "constant", "base": 1e3}},
                      T=100)
-    rc = main(["train", "--config", cfg, "--seed", "0",
-               "--out", str(tmp_path / "m.csv")])
+    rc = main(argv + ["--config", cfg, "--seed", "0",
+                      "--out", str(tmp_path / "m.csv")])
     assert rc == 2
-    assert "aborted" in capsys.readouterr().err
+    err = capsys.readouterr().err   # the progress lines come first
+    assert err.count("vasso-opt: error: ") == 1
+    assert err.splitlines()[-1].startswith("vasso-opt: error: ") and message in err
+
+
+# a noise scale whose square overflows a float: a run on it diverges, while
+# the noise-free diagnostics never read the noise
+@pytest.mark.parametrize("argv, rc", [
+    (["train"], 2), (["spectrum"], 0), (["slice"], 0),
+])
+def test_a_noise_scale_whose_square_overflows_is_no_crash(argv, rc, tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, objective={"kind": "quadratic", "diag": [2.0, 1.0],
+                                          "sigma": 1e200})
+    assert main(argv + ["--config", cfg, "--seed", "0",
+                        "--out", str(tmp_path / "out.csv")]) == rc
+    err = capsys.readouterr().err
+    assert "OverflowError" not in err
+    if rc:
+        assert err.endswith("every seed aborted on non-finite loss; see "
+                            f"{tmp_path / 'out.csv'}.summary.json\n")
 
 
 @pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])

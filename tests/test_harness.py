@@ -68,6 +68,9 @@ def test_fmt_round_trips_floats_and_blanks_missing_cells():
     (lambda r: r["optimizer"].update(momentum=1.0), "optimizer.momentum"),
     (lambda r: r["optimizer"].update(kind="adam"), "optimizer.kind"),
     (lambda r: r["optimizer"].pop("lr"), "optimizer.lr"),
+    (lambda r: r["optimizer"].update(lr=5), "optimizer.lr"),
+    (lambda r: r["optimizer"]["lr"].update(kind="bogus"), "optimizer.lr"),
+    (lambda r: r["optimizer"]["lr"].update(base=0), "optimizer.lr"),
     (lambda r: r["optimizer"]["lr"].pop("base"), "optimizer.lr.base"),
     (lambda r: r["optimizer"]["lr"].update(typo=1), "optimizer.lr.typo"),
     (lambda r: r["objective"].update(kind="rosenbrock"), "objective.kind"),

@@ -102,6 +102,10 @@ def test_batch_carries_the_noise():
     assert fd == pytest.approx(obj.grad(x, zeta)[0], rel=1e-7)
 
 
+def test_a_noise_variance_past_the_float_range_is_infinite():
+    assert NoisyQuadratic(np.ones(3), sigma=1e200).sigma2 == np.inf
+
+
 def test_declared_noise_variance_matches_monte_carlo():
     obj = NoisyQuadratic(np.ones(3), sigma=0.1)
     assert obj.sigma2 == pytest.approx(0.03)

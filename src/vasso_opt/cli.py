@@ -105,6 +105,30 @@ def _write_csv(path: str, header: str, lines) -> None:
             fh.write(line + "\n")
 
 
+def _wrote(path: str, header: str, lines) -> int:
+    """Write the CSV, say so on stdout, and return exit code 0."""
+    _write_csv(path, header, lines)
+    print(f"wrote {path}")
+    return 0
+
+
+def _given(**values) -> dict:
+    """The values given on the command line; a flag left at None keeps the config's."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _no_overflow(compute, *args, flags: str):
+    """``compute(*args)``, whose numbers must all be finite.
+
+    An overflow is reported as one error naming ``flags``, not as numpy warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute(*args)
+    if not np.isfinite(out).all():
+        raise VassoOptError(f"the estimates overflow float64 at {flags}")
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vasso-opt", formatter_class=_WIDTH,
                      description="Sharpness-aware optimizer experiments: "
@@ -214,17 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 
 
-def _override_config(args, seeds: list[int]):
-    knobs = {k: getattr(args, k) for k in ("T", "metrics_every", "rho", "theta", "p")
-             if getattr(args, k, None) is not None}
-    fields = {k: knobs.pop(k) for k in ("T", "metrics_every") if k in knobs}
-    if getattr(args, "out", None):
-        fields["output_path"] = args.out
-    return load_config(args.config).derive(knobs, seeds=seeds, **fields)
-
-
 def cmd_train(args) -> int:
-    cfg = _override_config(args, args.seed)
+    fields = _given(T=args.T, metrics_every=args.metrics_every, output_path=args.out or None)
+    cfg = load_config(args.config).derive(_given(rho=args.rho, theta=args.theta, p=args.p),
+                                          seeds=args.seed, **fields)
     if cfg.output_path is None:
         raise VassoOptError("no metrics path: give --out or set output_path in the config")
     result = run_experiment(cfg, record_wallclock=args.record_wallclock)
@@ -240,16 +257,12 @@ def cmd_tradeoff(args) -> int:
     rows = tradeoff_sweep(cfg, args.p_values, args.seed,
                           include_esam_analog=not args.no_esam,
                           record_wallclock=args.record_wallclock)
-    _write_csv(args.out, TRADEOFF_HEADER, (r.to_csv() for r in rows))
-    print(f"wrote {args.out}")
-    return 0
+    return _wrote(args.out, TRADEOFF_HEADER, (r.to_csv() for r in rows))
 
 
 def cmd_compare(args) -> int:
-    cfg_a, cfg_b = load_config(args.config_a), load_config(args.config_b)
-    result = paired_compare(cfg_a.derive(seeds=args.seed),
-                            cfg_b.derive(seeds=args.seed), args.seed,
-                            metric=args.metric)
+    result = paired_compare(load_config(args.config_a), load_config(args.config_b),
+                            args.seed, metric=args.metric)
     if args.out:
         lines = (",".join(fmt(v) for v in row) for row in
                  zip(result.seeds, result.values_a, result.values_b, result.diffs))
@@ -260,12 +273,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    cfg = _override_config(args, [args.seed])
-    columns, _ = run_seed(cfg, args.seed)
+    columns, _ = run_seed(load_config(args.config), args.seed)
     lines = (f"{t},{fmt(d)}" for t, d in enumerate(columns.eps_drift.tolist(), 1))
-    _write_csv(args.out, "t,drift", lines)
-    print(f"wrote {args.out}")
-    return 0
+    return _wrote(args.out, "t,drift", lines)
 
 
 def cmd_mse(args) -> int:
@@ -274,22 +284,23 @@ def cmd_mse(args) -> int:
     lines = []
     for i, theta in enumerate(args.thetas):
         rng = make_rng(args.seed, STREAM_USER + i)
-        mse_d, mse_g = mse_suppression(obj, x, theta, args.steps, rng)
+        mse_d, mse_g = _no_overflow(mse_suppression, obj, x, theta, args.steps, rng,
+                                    flags=f"--sigma {args.sigma}")
         ratio = mse_d / mse_g if mse_g else float("nan")
         lines.append(",".join(fmt(v) for v in (theta, mse_d, mse_g, ratio)))
-    _write_csv(args.out, "theta,mse_d,mse_g,ratio", lines)
-    print(f"wrote {args.out}")
-    return 0
+    return _wrote(args.out, "theta,mse_d,mse_g,ratio", lines)
 
 
 def cmd_delta(args) -> int:
     obj = NoisyQuadratic(np.ones(args.dim), sigma=args.sigma)
     x = obj.init_params(make_rng(args.seed, STREAM_INIT))
-    d_sam = delta_stability(obj, x, noisy_grad_sampler(obj, x), args.rho,
-                            args.samples, make_rng(args.seed, STREAM_USER))
-    d_vasso = delta_stability(obj, x, ema_slope_sampler(obj, x, args.theta),
-                              args.rho, args.samples,
-                              make_rng(args.seed, STREAM_USER + 1))
+    flags = f"--sigma {args.sigma} and --rho {args.rho}"
+    d_sam = _no_overflow(delta_stability, obj, x, noisy_grad_sampler(obj, x),
+                         args.rho, args.samples, make_rng(args.seed, STREAM_USER),
+                         flags=flags)
+    d_vasso = _no_overflow(delta_stability, obj, x, ema_slope_sampler(obj, x, args.theta),
+                           args.rho, args.samples, make_rng(args.seed, STREAM_USER + 1),
+                           flags=flags)
     _write_csv(args.out, "slope,delta_hat",
                [f"sam,{fmt(d_sam)}", f"vasso,{fmt(d_vasso)}"])
     # with delta_sam = 0 (e.g. rho = 0) there is no gap to compare against
@@ -304,18 +315,11 @@ def cmd_snr(args) -> int:
                                  make_rng(args.seed, STREAM_USER))
     lines = (",".join(fmt(v) for v in (s.noise_scale, s.mean_cos, s.std_cos))
              for s in stats)
-    _write_csv(args.out, "noise_scale,mean_cos,std_cos", lines)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def _objective_point(args):
-    """Objective plus evaluation point, optionally after a short training run."""
-    return objective_point(load_config(args.config), args.seed, args.train_steps)
+    return _wrote(args.out, "noise_scale,mean_cos,std_cos", lines)
 
 
 def cmd_spectrum(args) -> int:
-    obj, x = _objective_point(args)
+    obj, x = objective_point(load_config(args.config), args.seed, args.train_steps)
     k = min(5, obj.dim) if args.k is None else args.k
     iters = min(60, obj.dim) if args.iters is None else args.iters
     est = lanczos_spectrum(obj, x, k, iters,
@@ -326,13 +330,11 @@ def cmd_spectrum(args) -> int:
             est.lanczos_iters)
     lines = (",".join(fmt(v) for v in (i, ev, res)) for i, (ev, res) in
              enumerate(zip(est.top_eigenvalues, est.residuals)))
-    _write_csv(args.out, "index,ritz_value,residual", lines)
-    print(f"wrote {args.out}")
-    return 0
+    return _wrote(args.out, "index,ritz_value,residual", lines)
 
 
 def cmd_slice(args) -> int:
-    obj, x = _objective_point(args)
+    obj, x = objective_point(load_config(args.config), args.seed, args.train_steps)
     rng = make_rng(args.seed, STREAM_DIRECTION)
     alphas = np.linspace(-args.radius, args.radius, args.points)
     if args.two_d:
@@ -340,13 +342,10 @@ def cmd_slice(args) -> int:
         grid = landscape_slice(obj, x, dirs, alphas, betas=alphas)
         lines = (f"{fmt(float(a))},{fmt(float(b))},{fmt(float(grid[i, j]))}"
                  for i, a in enumerate(alphas) for j, b in enumerate(alphas))
-        _write_csv(args.out, "alpha,beta,loss", lines)
-    else:
-        vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas)
-        lines = (f"{fmt(float(a))},{fmt(float(v))}" for a, v in zip(alphas, vals))
-        _write_csv(args.out, "alpha,loss", lines)
-    print(f"wrote {args.out}")
-    return 0
+        return _wrote(args.out, "alpha,beta,loss", lines)
+    vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas)
+    lines = (f"{fmt(float(a))},{fmt(float(v))}" for a, v in zip(alphas, vals))
+    return _wrote(args.out, "alpha,loss", lines)
 
 
 def cmd_sfw_check(args) -> int:

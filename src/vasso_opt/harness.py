@@ -338,12 +338,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_objective(obj_spec: dict, seed: int):
-    return build_objectives(obj_spec, [seed])[0]
-
-
-def build_objectives(obj_spec: dict, seeds) -> list:
-    """The objective of each seed, in order, built by the kind's class."""
-    return OBJECTIVES[obj_spec["kind"]].build(obj_spec, seeds)
+    return OBJECTIVES[obj_spec["kind"]].build(obj_spec, [seed])[0]
 
 
 def init_x(obj, obj_spec: dict, seed: int) -> np.ndarray:
@@ -474,7 +469,8 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False,
         raise ConfigError("config", "paired configs may differ only in the optimizer spec")
     if not seeds:
         return [[] for _ in cfgs]
-    objs = build_objectives(cfgs[0].objective, seeds)
+    spec = cfgs[0].objective
+    objs = OBJECTIVES[spec["kind"]].build(spec, seeds)
     groups = {}
     for a, cfg in enumerate(cfgs):
         groups.setdefault(_adv_batch_size(cfg), []).append(a)
@@ -751,18 +747,20 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
                    metric: str = "final_loss") -> PairedCompareResult:
     """Two-sided sign test of metric_a vs metric_b over paired seeds.
 
-    The configs must agree on everything except the optimizer spec; their
-    seeds step as rows of one stack (``run_arms``).  Lower is better for
-    both metrics; a win for A on a seed means metric_a < metric_b.  Ties are
-    excluded from the test.  The result keeps every seed's summary, final
-    iterate included, so callers can derive other metrics without rerunning.
+    The configs must agree on everything except the optimizer spec and
+    their ``seeds``, which are not read: both arms run ``seeds``, as rows of
+    one stack (``run_arms``).  Lower is better for both metrics; a win for A
+    on a seed means metric_a < metric_b.  Ties are excluded from the test.
+    The result keeps every seed's summary, final iterate included, so
+    callers can derive other metrics without rerunning.
     """
     if metric not in ("final_loss", "mean_drift"):
         raise ConfigError("metric", f"must be final_loss or mean_drift, got {metric!r}")
     seeds = list(seeds)
     # both arms step in one stack; the metrics cadence is never read here
     results_a, results_b = run_arms(
-        [c.derive(metrics_every=c.T, output_path=None) for c in (cfg_a, cfg_b)],
+        [c.derive(seeds=seeds, metrics_every=c.T, output_path=None)
+         for c in (cfg_a, cfg_b)],
         seeds, keep_final_x=True)
     summaries_a = [s for _, s in results_a]
     summaries_b = [s for _, s in results_b]

@@ -301,6 +301,15 @@ def test_mean_norm_agrees_with_the_scipy_gammaln_formula():
         assert mean_gaussian_norm(dim) == pytest.approx(ref, rel=tol)
 
 
+def test_mean_norm_is_within_8_eps_of_a_50_digit_reference():
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 50
+    for dim in [*range(1, 2001), 10**4, 10**5, 10**6]:
+        ref = mp.sqrt(2) * mp.gamma(mp.mpf(dim + 1) / 2) / mp.gamma(mp.mpf(dim) / 2)
+        err = abs(mp.mpf(mean_gaussian_norm(dim)) - ref) / ref
+        assert err <= 8 * np.finfo(float).eps, dim
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_mean_norm_rejects_a_dimension_below_one(dim):
     with pytest.raises(InvalidParameterError, match="dim"):

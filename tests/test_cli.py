@@ -535,6 +535,20 @@ def test_delta_prints_the_stability_ratio(tmp_path, capsys):
                                 b"vasso,0.013607724259715698\n")
 
 
+@pytest.mark.parametrize("argv", [["mse", "--steps", "100"],
+                                  ["delta", "--samples", "100"]])
+def test_a_diagnostic_that_overflows_exits_2_naming_sigma(argv, tmp_path):
+    # in a fresh interpreter: in this one, the error::RuntimeWarning filter
+    # would turn a numpy warning into an exit 2 of its own
+    out = tmp_path / "out.csv"
+    run = _fresh_python("-m", "vasso_opt", *argv, "--sigma", "1e200",
+                        "--seed", "0", "--out", str(out))
+    assert run.returncode == 2 and run.stdout == ""
+    [line] = run.stderr.splitlines()   # no warning text beside the error
+    assert line.startswith("vasso-opt: error: ") and "--sigma 1e+200" in line
+    assert not out.exists()
+
+
 def test_delta_at_zero_radius_prints_an_undefined_ratio(tmp_path, capsys):
     out = tmp_path / "delta.csv"
     rc = main(["delta", "--seed", "0", "--dim", "3", "--samples", "50",

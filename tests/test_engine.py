@@ -349,7 +349,7 @@ def test_the_epoch_table_yields_the_batches_of_the_per_seed_samplers(
 
     def samplers():
         spec = _case_cfg("blobs-holdout", "sgd", "plain", seeds).objective
-        objs = harness.build_objectives(spec, seeds)
+        objs = harness.OBJECTIVES[spec["kind"]].build(spec, seeds)
         return [o.make_sampler(size, make_rng(s, stream)) for o, s in zip(objs, seeds)]
 
     refs, table = samplers(), samplers()

@@ -155,7 +155,7 @@ def test_each_kind_answers_the_surface_on_a_stack_as_on_its_seeds(kind, tmp_path
     cls = harness.OBJECTIVES[kind]
     objs = cls.build(spec, seeds)
     assert [type(o) for o in objs] == [cls] * len(seeds)
-    assert [o.dim for o in harness.build_objectives(spec, seeds)] == [objs[0].dim] * 3
+    assert [build_objective(spec, s).dim for s in seeds] == [objs[0].dim] * 3
     stack = cls.stack(objs)
     x = np.array([stack.init_params(make_rng(s, STREAM_INIT)) for s in seeds])
     for row, obj, seed in zip(x, objs, seeds):
@@ -427,7 +427,7 @@ def test_a_dataset_file_is_read_once_per_run(tmp_path, monkeypatch):
     cfg = _cfg(objective={"kind": "dataset", "path": str(path), "hidden": [4],
                           "label_noise": 0.2, "holdout_fraction": 0.25},
                T=12, batch_size=4, seeds=list(range(8)), output_path=str(out))
-    build_all, load = harness.build_objectives, objectives.load_dataset_csv
+    build_all, load = objectives.MlpObjective.build, objectives.load_dataset_csv
     calls = []
     monkeypatch.setattr(objectives, "load_dataset_csv",
                         lambda *a, **k: calls.append(a) or load(*a, **k))
@@ -436,7 +436,7 @@ def test_a_dataset_file_is_read_once_per_run(tmp_path, monkeypatch):
         return [build_all(spec, [seed])[0] for seed in seeds]
 
     with monkeypatch.context() as m:   # every seed parses the file anew
-        m.setattr(harness, "build_objectives", parse_per_seed)
+        m.setattr(objectives.MlpObjective, "build", parse_per_seed)
         run_experiment(cfg)
     assert len(calls) == 8
     files = out.read_bytes(), (tmp_path / "m.csv.summary.json").read_bytes()
@@ -487,6 +487,17 @@ def test_paired_configs_must_only_differ_in_the_optimizer():
         paired_compare(_cfg(), _cfg(T=61), [0])
     with pytest.raises(ConfigError):
         paired_compare(_cfg(), _cfg(), [0], metric="wallclock")
+
+
+def test_paired_compare_pairs_the_seeds_it_is_given_whatever_the_configs_list():
+    sam = dict(_raw()["optimizer"], kind="sam")
+    res = paired_compare(_cfg(seeds=[5]), _cfg(optimizer=sam, seeds=[6, 7]), [2, 0, 4])
+    ref = paired_compare(_cfg(seeds=[2, 0, 4]), _cfg(optimizer=sam, seeds=[2, 0, 4]),
+                         [2, 0, 4])
+    assert res.seeds == [2, 0, 4]
+    assert [s["seed"] for s in res.summaries_a + res.summaries_b] == [2, 0, 4] * 2
+    assert (res.values_a, res.values_b) == (ref.values_a, ref.values_b)
+    assert res.diffs == ref.diffs and res.p_value == ref.p_value
 
 
 def _noisy_quad_raw(optimizer):

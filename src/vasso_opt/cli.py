@@ -15,6 +15,7 @@ import argparse
 import logging
 import math
 import sys
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -30,6 +31,7 @@ from .objectives import NoisyQuadratic
 from .optimizers import sam_adversary, sfw_solve
 
 _WIDTH = partial(argparse.HelpFormatter, width=78)
+log = logging.getLogger("vasso_opt")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,16 +100,24 @@ def _non_zero_vector(text: str) -> list[float]:
     return vals
 
 
-def _write_csv(path: str, header: str, lines) -> None:
+def _out_path(text: str) -> str:
+    """An argparse type for a non-empty output path."""
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty path")
+    return text
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header``, then a line per row of cells, each cell as ``fmt`` writes it."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
-def _wrote(path: str, header: str, lines) -> int:
+def _wrote(path: str, header: str, rows) -> int:
     """Write the CSV, say so on stdout, and return exit code 0."""
-    _write_csv(path, header, lines)
+    _write_csv(path, header, rows)
     print(f"wrote {path}")
     return 0
 
@@ -148,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("train", cmd_train, "run a training experiment from a JSON config")
     p.add_argument("--config", required=True, help="experiment config path")
-    p.add_argument("--out", help="metrics CSV path (overrides config output_path)")
+    p.add_argument("--out", type=_out_path,
+                   help="metrics CSV path (overrides config output_path)")
     p.add_argument("--T", type=int, help="override horizon")
     p.add_argument("--metrics-every", type=int, help="override metrics cadence")
     p.add_argument("--rho", type=float, help="override perturbation radius")
@@ -159,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("tradeoff", cmd_tradeoff, "loss/computation sweep over gate probabilities")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="table CSV path")
+    p.add_argument("--out", type=_out_path, required=True, help="table CSV path")
     p.add_argument("--p-values", type=_number_list(float),
                    default=[0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
                    help="comma-separated gate probabilities (default 0.2..0.8)")
@@ -173,11 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config-b", required=True)
     p.add_argument("--metric", choices=["final_loss", "mean_drift"],
                    default="final_loss")
-    p.add_argument("--out", help="optional per-seed CSV path")
+    p.add_argument("--out", type=_out_path, help="optional per-seed CSV path")
 
     p = add("stability", cmd_stability, "adversary drift trace for one run", seeds="one")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True, help="drift CSV path (t,drift)")
+    p.add_argument("--out", type=_out_path, required=True,
+                   help="drift CSV path (t,drift)")
 
     p = add("mse", cmd_mse,
             "EMA slope error vs raw gradient error at a fixed point", seeds="one")
@@ -187,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thetas", type=_number_list(_ema_weight),
                    default=[0.2, 0.4, 0.9], help="comma-separated EMA weights")
     p.add_argument("--steps", type=_positive_int, default=100000)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = add("delta", cmd_delta,
             "linearized-sharpness stability of SAM vs EMA slopes", seeds="one")
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_finite_non_negative, default=0.05)
     p.add_argument("--theta", type=_ema_weight, default=0.2)
     p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = add("snr", cmd_snr, "adversary spread vs gradient signal-to-noise", seeds="one")
     p.add_argument("--grad", required=True, type=_non_zero_vector,
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", required=True, type=_number_list(_finite_non_negative),
                    help="per-coordinate noise stds, comma-separated")
     p.add_argument("--draws", type=_positive_int, default=100)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = add("spectrum", cmd_spectrum, "top Hessian eigenvalues via Lanczos", seeds="one")
     p.add_argument("--config", required=True, help="config supplying the objective")
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=_positive_int)   # default min(60, dim)
     p.add_argument("--train-steps", type=_non_negative_int, default=0,
                    help="train this many steps first (0: spectrum at init)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = add("slice", cmd_slice,
             "loss values on a slice through parameter space", seeds="one")
@@ -222,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--two-d", action="store_true", help="use two directions")
     p.add_argument("--train-steps", type=_non_negative_int, default=0,
                    help="train this many steps first (0: slice at init)")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_out_path, required=True)
 
     p = add("sfw-check", cmd_sfw_check,
             "one-step Frank-Wolfe vs the closed-form adversary", seeds="one")
     p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--rho", type=_finite_positive, required=True)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--out", help="optional per-trial CSV path")
+    p.add_argument("--out", type=_out_path, help="optional per-trial CSV path")
 
     return parser
 
@@ -239,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
-    fields = _given(T=args.T, metrics_every=args.metrics_every, output_path=args.out or None)
+    fields = _given(T=args.T, metrics_every=args.metrics_every, output_path=args.out)
     cfg = load_config(args.config).derive(_given(rho=args.rho, theta=args.theta, p=args.p),
                                           seeds=args.seed, **fields)
     if cfg.output_path is None:
@@ -257,16 +269,15 @@ def cmd_tradeoff(args) -> int:
     rows = tradeoff_sweep(cfg, args.p_values, args.seed,
                           include_esam_analog=not args.no_esam,
                           record_wallclock=args.record_wallclock)
-    return _wrote(args.out, TRADEOFF_HEADER, (r.to_csv() for r in rows))
+    return _wrote(args.out, TRADEOFF_HEADER, map(astuple, rows))
 
 
 def cmd_compare(args) -> int:
     result = paired_compare(load_config(args.config_a), load_config(args.config_b),
                             args.seed, metric=args.metric)
     if args.out:
-        lines = (",".join(fmt(v) for v in row) for row in
-                 zip(result.seeds, result.values_a, result.values_b, result.diffs))
-        _write_csv(args.out, f"seed,{args.metric}_a,{args.metric}_b,diff", lines)
+        _write_csv(args.out, f"seed,{args.metric}_a,{args.metric}_b,diff",
+                   zip(result.seeds, result.values_a, result.values_b, result.diffs))
     print(f"metric={result.metric} wins_a={result.wins_a} wins_b={result.wins_b} "
           f"ties={result.ties} p_value={fmt(result.p_value)}")
     return 0
@@ -274,21 +285,20 @@ def cmd_compare(args) -> int:
 
 def cmd_stability(args) -> int:
     columns, _ = run_seed(load_config(args.config), args.seed)
-    lines = (f"{t},{fmt(d)}" for t, d in enumerate(columns.eps_drift.tolist(), 1))
-    return _wrote(args.out, "t,drift", lines)
+    return _wrote(args.out, "t,drift", enumerate(columns.eps_drift.tolist(), 1))
 
 
 def cmd_mse(args) -> int:
     obj = NoisyQuadratic(np.ones(args.dim), sigma=args.sigma)
     x = obj.init_params(make_rng(args.seed, STREAM_INIT))
-    lines = []
+    rows = []
     for i, theta in enumerate(args.thetas):
         rng = make_rng(args.seed, STREAM_USER + i)
         mse_d, mse_g = _no_overflow(mse_suppression, obj, x, theta, args.steps, rng,
                                     flags=f"--sigma {args.sigma}")
         ratio = mse_d / mse_g if mse_g else float("nan")
-        lines.append(",".join(fmt(v) for v in (theta, mse_d, mse_g, ratio)))
-    return _wrote(args.out, "theta,mse_d,mse_g,ratio", lines)
+        rows.append((theta, mse_d, mse_g, ratio))
+    return _wrote(args.out, "theta,mse_d,mse_g,ratio", rows)
 
 
 def cmd_delta(args) -> int:
@@ -301,8 +311,7 @@ def cmd_delta(args) -> int:
     d_vasso = _no_overflow(delta_stability, obj, x, ema_slope_sampler(obj, x, args.theta),
                            args.rho, args.samples, make_rng(args.seed, STREAM_USER + 1),
                            flags=flags)
-    _write_csv(args.out, "slope,delta_hat",
-               [f"sam,{fmt(d_sam)}", f"vasso,{fmt(d_vasso)}"])
+    _write_csv(args.out, "slope,delta_hat", [("sam", d_sam), ("vasso", d_vasso)])
     # with delta_sam = 0 (e.g. rho = 0) there is no gap to compare against
     ratio = fmt(d_vasso / d_sam) if d_sam else "undefined"
     print(f"delta_vasso/delta_sam={ratio}")
@@ -313,9 +322,7 @@ def cmd_snr(args) -> int:
     grad = np.asarray(args.grad, dtype=np.float64)
     stats = snr_adversary_spread(grad, args.scales, args.draws,
                                  make_rng(args.seed, STREAM_USER))
-    lines = (",".join(fmt(v) for v in (s.noise_scale, s.mean_cos, s.std_cos))
-             for s in stats)
-    return _wrote(args.out, "noise_scale,mean_cos,std_cos", lines)
+    return _wrote(args.out, "noise_scale,mean_cos,std_cos", map(astuple, stats))
 
 
 def cmd_spectrum(args) -> int:
@@ -325,12 +332,10 @@ def cmd_spectrum(args) -> int:
     est = lanczos_spectrum(obj, x, k, iters,
                            make_rng(args.seed, STREAM_DIRECTION))
     if est.breakdown:
-        logging.getLogger("vasso_opt").info(
-            "lanczos breakdown after %d iterations (subspace converged)",
-            est.lanczos_iters)
-    lines = (",".join(fmt(v) for v in (i, ev, res)) for i, (ev, res) in
-             enumerate(zip(est.top_eigenvalues, est.residuals)))
-    return _wrote(args.out, "index,ritz_value,residual", lines)
+        log.info("lanczos breakdown after %d iterations (subspace converged)",
+                 est.lanczos_iters)
+    rows = zip(range(len(est.top_eigenvalues)), est.top_eigenvalues, est.residuals)
+    return _wrote(args.out, "index,ritz_value,residual", rows)
 
 
 def cmd_slice(args) -> int:
@@ -340,19 +345,18 @@ def cmd_slice(args) -> int:
     if args.two_d:
         dirs = [rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)]
         grid = landscape_slice(obj, x, dirs, alphas, betas=alphas)
-        lines = (f"{fmt(float(a))},{fmt(float(b))},{fmt(float(grid[i, j]))}"
-                 for i, a in enumerate(alphas) for j, b in enumerate(alphas))
-        return _wrote(args.out, "alpha,beta,loss", lines)
+        rows = ((a, b, grid[i, j])
+                for i, a in enumerate(alphas) for j, b in enumerate(alphas))
+        return _wrote(args.out, "alpha,beta,loss", rows)
     vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas)
-    lines = (f"{fmt(float(a))},{fmt(float(v))}" for a, v in zip(alphas, vals))
-    return _wrote(args.out, "alpha,loss", lines)
+    return _wrote(args.out, "alpha,loss", zip(alphas, vals))
 
 
 def cmd_sfw_check(args) -> int:
     rng = make_rng(args.seed, STREAM_USER)
     max_comp = 0.0
     max_val = 0.0
-    lines = []
+    rows = []
     for trial in range(args.trials):
         g = rng.standard_normal(args.dim)
         eps_sfw = sfw_solve(lambda bs, r: g, args.rho, 1, [1], [1.0], rng)
@@ -361,18 +365,19 @@ def cmd_sfw_check(args) -> int:
         val = abs(float(g @ eps_sfw) - float(g @ eps_sam))
         max_comp = max(max_comp, comp)
         max_val = max(max_val, val)
-        lines.append(",".join(fmt(v) for v in (trial, comp, val)))
+        rows.append((trial, comp, val))
     if args.out:
-        _write_csv(args.out, "trial,component_gap,value_gap", lines)
+        _write_csv(args.out, "trial,component_gap,value_gap", rows)
     print(f"max_component_gap={fmt(max_comp)} max_value_gap={fmt(max_val)}")
     return 0
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(message)s", force=True)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # INFO lines reach stderr for this call only; the caller's logging stays as it was
+    handler, level = logging.StreamHandler(sys.stderr), log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
     try:
         return args.run(args)
     except (VassoOptError, OSError, ValueError) as e:
@@ -381,6 +386,9 @@ def main(argv=None) -> int:
     except Exception as e:   # any other failure is a runtime error too, not a traceback
         print(f"vasso-opt: error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -80,11 +80,11 @@ METRICS_HEADER = "seed,t,loss,full_grad_norm,eps_drift,grad_evals_cum,wallclock_
 
 
 def fmt(v) -> str:
-    """Shortest round-trip decimal for floats; empty string for missing cells."""
+    """Shortest round-trip decimal for any float; empty string for missing cells."""
     if v is None:
         return ""
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
     return str(v)
 
 
@@ -786,10 +786,6 @@ class TradeoffRow:
     mean_final_loss: float
     mean_grad_evals: float
     mean_wallclock_ms: float | None
-
-    def to_csv(self) -> str:
-        return ",".join(fmt(v) for v in (self.optimizer, self.p, self.mean_final_loss,
-                                         self.mean_grad_evals, self.mean_wallclock_ms))
 
 
 TRADEOFF_HEADER = "optimizer,p,mean_final_loss,mean_grad_evals,mean_wallclock_ms"

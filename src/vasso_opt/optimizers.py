@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DEGENERATE_NORM_TOL, Schedule, norm2, normalize_to_sphere,
-                   row_norms, schedule_value)
+from .core import (DEGENERATE_NORM_TOL, Schedule, normalize_to_sphere, row_norms,
+                   schedule_value)
 from .errors import InvalidParameterError, NonFiniteError
 
 
@@ -300,7 +300,7 @@ def vasso_step(obj, x, state: AdversaryState | None, batch,
     else:
         g_adv = obj.grad(x, adv_batch)
         failed = _fail(failed, _finite_rows(g_adv),
-                       "non-finite gradient at perturbed point", t)
+                       "non-finite gradient on the adversary batch", t)
     state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))
     opened = cfg.gate(rng)   # one outcome per row of a stack
     n_closed = np.count_nonzero(np.logical_not(opened))
@@ -334,15 +334,10 @@ def sfw_solve(linear_obj_grad_sampler, constraint_radius: float, T: int,
         raise InvalidParameterError(f"T must be >= 1, got {T}")
     if len(batch_sizes) != T or len(gammas) != T:
         raise InvalidParameterError("batch_sizes and gammas must have length T")
-    x = None
-    for t in range(T):
-        ghat = np.asarray(linear_obj_grad_sampler(batch_sizes[t], rng), dtype=np.float64)
-        if x is None:
-            x = np.zeros_like(ghat)
-        if norm2(ghat) <= DEGENERATE_NORM_TOL:
-            v = np.zeros_like(ghat)
-        else:
-            v = normalize_to_sphere(ghat, constraint_radius)
-        gamma = gammas[t]
-        x = (1.0 - gamma) * x + gamma * v
+    if not constraint_radius > 0:
+        raise InvalidParameterError(f"rho must be positive, got {constraint_radius}")
+    x = 0.0
+    for batch_size, gamma in zip(batch_sizes, gammas):
+        ghat = np.asarray(linear_obj_grad_sampler(batch_size, rng), dtype=np.float64)
+        x = (1.0 - gamma) * x + gamma * normalize_to_sphere(ghat, constraint_radius)
     return x

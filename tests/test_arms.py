@@ -22,15 +22,6 @@ from vasso_opt.objectives import MlpObjective
 from vasso_opt.optimizers import ArmKnobs, vasso_step
 
 
-@pytest.fixture(autouse=True)
-def _drop_cli_log_handlers():
-    # main() installs a stderr handler; drop it again after each test
-    yield
-    for h in logging.root.handlers[:]:
-        logging.root.removeHandler(h)
-    logging.root.setLevel(logging.WARNING)
-
-
 _run_arms = harness.run_arms   # the engine, before any test patches the name
 
 

@@ -1,15 +1,17 @@
 """The package names that the benchmark's own code reads must keep existing.
 
 The benchmark runs each commit's package through ``benchmarks/``, so a name
-deleted from ``vasso_opt`` that those files still import, read or delete
-breaks the benchmark rather than any test here.  The files are parsed, never
-imported or run.  ``benchmarks/tracer.py`` is left out: its boundary names
-are strings that record a missing name rather than fail on it.
+deleted from ``vasso_opt`` that those files still import, read or delete, or
+a parameter renamed or dropped that they still pass, breaks the benchmark
+rather than any test here.  The files are parsed, never imported or run.
+``benchmarks/tracer.py`` is left out: its boundary names are strings that
+record a missing name rather than fail on it.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -18,25 +20,38 @@ BENCHMARKS = pathlib.Path(__file__).parents[1] / "benchmarks"
 FILES = ("checks.py", "child.py", "micro.py", "test_checks.py")
 
 
-def _names_read(tree: ast.AST) -> set[tuple[str, str]]:
-    """(module, name) for each package name the tree imports or reads off a module.
+def _imports(tree: ast.AST):
+    """The tree's package imports: (names, modules, functions).
 
-    A read is ``alias.name`` on a module bound by an import, or the name
-    string of a ``setattr``/``delattr`` call on one.
+    ``names`` holds (module, name) for each package name imported;
+    ``modules`` maps a local name to the package module bound to it, and
+    ``functions`` a local name to the (module, name) imported under it.
     """
-    aliases, names = {}, set()
+    names, modules, functions = set(), {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
                 if a.name.startswith("vasso_opt."):
                     names.add(tuple(a.name.rsplit(".", 1)))
                     if a.asname:
-                        aliases[a.asname] = a.name
+                        modules[a.asname] = a.name
         elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vasso_opt"):
             for a in node.names:
                 names.add((node.module, a.name))
                 if node.module == "vasso_opt":
-                    aliases[a.asname or a.name] = f"vasso_opt.{a.name}"
+                    modules[a.asname or a.name] = f"vasso_opt.{a.name}"
+                else:
+                    functions[a.asname or a.name] = (node.module, a.name)
+    return names, modules, functions
+
+
+def _names_read(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module, name) for each package name the tree imports or reads off a module.
+
+    A read is ``alias.name`` on a module bound by an import, or the name
+    string of a ``setattr``/``delattr`` call on one.
+    """
+    names, aliases, _ = _imports(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in aliases:
@@ -49,8 +64,30 @@ def _names_read(tree: ast.AST) -> set[tuple[str, str]]:
     return names
 
 
+def _package_calls(tree: ast.AST):
+    """(call, module, name) for each call of a package name in the tree.
+
+    That is ``alias.name(...)`` on a module bound by an import, or
+    ``name(...)`` on a name imported from a package module.
+    """
+    _, modules, functions = _imports(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id in modules:
+            yield node, modules[func.value.id], func.attr
+        elif isinstance(func, ast.Name) and func.id in functions:
+            yield (node, *functions[func.id])
+
+
+def _parse(name: str) -> ast.AST:
+    return ast.parse((BENCHMARKS / name).read_text())
+
+
 def _read(name: str) -> set[tuple[str, str]]:
-    return _names_read(ast.parse((BENCHMARKS / name).read_text()))
+    return _names_read(_parse(name))
 
 
 def _exists(module: str, name: str) -> bool:
@@ -75,3 +112,26 @@ def test_the_guarded_names_include_those_kept_only_for_the_benchmark():
             ("init_x", "build_objective", "run_seed", "MetricsRow", "norm2")} <= names
     assert ("vasso_opt.optimizers", "sgd_step") in names   # deleted by name
     assert ("vasso_opt.cli", "main") in names
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_every_package_call_the_benchmark_makes_binds_to_the_callee(name):
+    """Each call's positional count and keyword names fit the callee's signature."""
+    calls = list(_package_calls(_parse(name)))
+    assert calls, f"no vasso_opt call found in benchmarks/{name}"
+    unbound = []
+    for call, module, attr in calls:
+        signature = inspect.signature(getattr(importlib.import_module(module), attr))
+        try:
+            signature.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as e:
+            unbound.append(f"benchmarks/{name}:{call.lineno}: {module}.{attr}: {e}")
+    assert unbound == []
+
+
+def test_the_bound_calls_include_keywords_and_each_kind_of_import():
+    calls = [(module, attr, {k.arg for k in call.keywords}) for name in FILES
+             for call, module, attr in _package_calls(_parse(name))]
+    assert ("vasso_opt.harness", "run_seed", {"keep_final_x"}) in calls
+    assert ("vasso_opt.core", "Schedule", set()) in calls   # imported by name
+    assert ("vasso_opt.cli", "main", set()) in calls   # a module imported ``as``

@@ -19,16 +19,6 @@ from vasso_opt.objectives import MlpObjective
 DATA = pathlib.Path(__file__).parent / "data"
 
 
-@pytest.fixture(autouse=True)
-def _drop_cli_log_handlers():
-    # main() installs a stderr handler; drop it so later tests never write
-    # to a captured stream that pytest has already closed
-    yield
-    for h in logging.root.handlers[:]:
-        logging.root.removeHandler(h)
-    logging.root.setLevel(logging.WARNING)
-
-
 def _write_cfg(tmp_path, name="cfg.json", **over):
     raw = {
         "objective": {"kind": "quadratic", "diag": [2.0, 1.0], "sigma": 0.5},
@@ -209,6 +199,66 @@ def test_an_open_lower_bound_reads_greater_than(capsys):
     with pytest.raises(SystemExit):
         main(["sfw-check", "--seed", "0", "--dim", "2", "--rho", "0"])
     assert "argument --rho: must be finite and > 0, got 0" in capsys.readouterr().err
+
+
+_EMPTY_OUT_CASES = {
+    "train": ["--config", "{cfg}"],
+    "tradeoff": ["--config", "{cfg}", "--p-values", "0.5"],
+    "compare": ["--config-a", "{cfg}", "--config-b", "{cfg}"],
+    "stability": ["--config", "{cfg}"],
+    "mse": ["--steps", "3"],
+    "delta": ["--samples", "3"],
+    "snr": ["--grad", "1,0", "--scales", "1", "--draws", "2"],
+    "spectrum": ["--config", "{cfg}"],
+    "slice": ["--config", "{cfg}", "--points", "3"],
+    "sfw-check": ["--dim", "2", "--rho", "0.1", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_EMPTY_OUT_CASES))
+def test_an_empty_out_path_is_a_usage_error_before_any_work(cmd, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, T=5, output_path="m.csv")
+    argv = [cmd] + [a.format(cfg=cfg) for a in _EMPTY_OUT_CASES[cmd]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "0", "--out", ""])
+    assert exc.value.code == 1
+    assert f"vasso-opt {cmd}: error: argument --out: must be a non-empty path" \
+        in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_main_leaves_the_callers_logging_as_it_found_it(tmp_path, monkeypatch, capsys):
+    host = logging.FileHandler(tmp_path / "host.log")
+    logging.root.addHandler(host)
+    package = logging.getLogger("vasso_opt")
+
+    def state():
+        return (logging.root.handlers[:], logging.root.level,
+                package.handlers[:], package.level)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    cfg = _write_cfg(tmp_path, T=5)
+    stability = ["stability", "--seed", "0", "--out", str(tmp_path / "d.csv")]
+    before = state()
+    try:
+        assert main(["train", "--config", cfg, "--seed", "0",
+                     "--out", str(tmp_path / "m.csv")]) == 0
+        assert state() == before
+        assert main(stability + ["--config", str(tmp_path / "missing.json")]) == 2
+        assert state() == before
+        monkeypatch.setattr(cli, "run_seed", fail)
+        assert main(stability + ["--config", cfg]) == 2
+        assert state() == before
+        err = capsys.readouterr().err
+        assert "seed=0 done" in err and "error: RuntimeError: boom" in err
+        assert host.stream is not None and not host.stream.closed
+    finally:
+        logging.root.removeHandler(host)
+        host.close()
 
 
 def test_python_dash_m_runs_the_cli():

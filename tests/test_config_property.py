@@ -13,7 +13,6 @@ import contextlib
 import copy
 import io
 import json
-import logging
 import math
 import os
 
@@ -101,15 +100,6 @@ def mutated_configs(draw):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
-
-
-@pytest.fixture(autouse=True)
-def _drop_cli_log_handlers():
-    # main() installs a stderr handler; drop it again after the test
-    yield
-    for h in logging.root.handlers[:]:
-        logging.root.removeHandler(h)
-    logging.root.setLevel(logging.WARNING)
 
 
 def _with_dataset(raw, cut, workdir):

@@ -7,7 +7,6 @@ seed of a stack, whatever the other seeds of the stack do.
 """
 
 import json
-import logging
 import warnings
 
 import numpy as np
@@ -210,6 +209,14 @@ def test_a_row_failing_at_its_perturbed_point_leaves_the_others_alone():
     assert np.array_equal(x_new[1], xb_new) and rep.loss[1] == rep_b.loss
     with pytest.raises(NonFiniteError, match="perturbed point"):
         vasso_step(obj, np.stack([x_a, x_a]), None, np.zeros((2, 2)), cfg, None)
+
+
+def test_a_non_finite_slope_on_the_adversary_batch_names_that_batch():
+    obj = NoisyQuadratic(np.array([1.0, 2.0]))
+    cfg = OptimizerConfig(rho=0.1, theta=0.2, lr=Schedule("constant", 0.1))
+    with pytest.raises(NonFiniteError, match="non-finite gradient on the adversary batch"):
+        vasso_step(obj, np.ones(2), None, np.zeros(2), cfg, None,
+                   adv_batch=np.full(2, np.inf))
 
 
 # a finite row whose slope is zero or below DEGENERATE_NORM_TOL
@@ -510,15 +517,9 @@ def test_a_long_dead_tail_leaves_the_other_seed_and_the_console_alone(kind, tmp_
         "T": 400, "batch_size": 4, "seeds": [1, 5]})
     path, out = tmp_path / "cfg.json", tmp_path / "m.csv"
     path.write_text(cfg.serialize())
-    handlers = logging.root.handlers[:]
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = main(["train", "--config", str(path), "--seed", "1,5",
-                       "--out", str(out)])
-    finally:   # main() installs a stderr handler; drop it again
-        for h in logging.root.handlers[len(handlers):]:
-            logging.root.removeHandler(h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["train", "--config", str(path), "--seed", "1,5", "--out", str(out)])
     assert rc == 0
     assert "Warning" not in capsys.readouterr().err
     expected = [reference_run(cfg, s) for s in [1, 5]]

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 
 import numpy as np
@@ -569,14 +568,6 @@ def test_a_row_mask_computes_only_those_rows_of_a_stacked_gradient(monkeypatch):
     assert _same_bits(quad.grad(xq, noise, rows=mask), quad.grad(xq, noise))
 
 
-@pytest.fixture
-def _quiet_cli_logs():
-    yield
-    for h in logging.root.handlers[:]:
-        logging.root.removeHandler(h)
-    logging.root.setLevel(logging.WARNING)
-
-
 _BLOBS_3_CLASS_RELU = {
     "objective": {"kind": "blobs", "n_per_class": 16, "n_classes": 3, "dim": 2,
                   "separation": 2.0, "hidden": [8], "activation": "relu",
@@ -599,8 +590,7 @@ def _cli_output_bytes(workdir, cfg, monkeypatch):
     return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
 
 
-def test_cli_outputs_equal_those_of_the_reference_passes(tmp_path, monkeypatch,
-                                                         _quiet_cli_logs):
+def test_cli_outputs_equal_those_of_the_reference_passes(tmp_path, monkeypatch):
     cfg = tmp_path / "blobs.json"
     cfg.write_text(json.dumps(_BLOBS_3_CLASS_RELU))
     now = _cli_output_bytes(tmp_path / "now", str(cfg), monkeypatch)

@@ -469,6 +469,9 @@ def test_frank_wolfe_validates_inputs():
         sfw_solve(lambda bs, r: np.ones(2), 1.0, 0, [], [], make_rng(0, 16))
     with pytest.raises(InvalidParameterError):
         sfw_solve(lambda bs, r: np.ones(2), 1.0, 2, [1], [1.0], make_rng(0, 16))
+    for grad in (np.zeros(3), np.ones(3)):   # the radius is checked whatever the slope
+        with pytest.raises(InvalidParameterError, match="rho must be positive"):
+            sfw_solve(lambda bs, r: grad, 0.0, 1, [1], [1.0], None)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,24 @@ STREAM_USER = 16
 # Seeds are Philox key words that numpy takes exactly only below 2**63.
 MAX_SEED = 2**63 - 1
 
+# The working set of a stacked run, in bytes.  Per-seed randomness is drawn a
+# block of steps at a time, a block holding at most about BLOCK_BYTES for the
+# whole stack; a full-data pass over a stack runs a chunk of seeds at a time,
+# the chunk's widest activation holding at most about PASS_BYTES, a size that
+# stays in cache.  A block holds at least one step, a chunk at least one seed.
+BLOCK_BYTES = 1 << 20
+PASS_BYTES = 1 << 16
+
+
+def block_steps(n_rows: int, width: int) -> int:
+    """Steps per block when each of ``n_rows`` rows draws ``width`` floats a step."""
+    return max(1, BLOCK_BYTES // (8 * n_rows * width))
+
+
+def chunk_seeds(width: int) -> int:
+    """Seeds per chunk when a seed's widest activation holds ``width`` floats."""
+    return max(1, PASS_BYTES // (8 * width))
+
 
 def make_rng(seed: int, stream: int) -> Generator:
     """Deterministic generator for the given (seed, stream) pair."""

@@ -54,7 +54,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                   STREAM_INIT, Schedule, make_rng, row_norms)
+                   STREAM_INIT, Schedule, block_steps, make_rng, row_norms)
 from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import MlpObjective, NoisyQuadratic
@@ -406,16 +406,6 @@ class MetricsColumns:
         return "\n".join(map(",".join, cells)) + "\n" if k else ""
 
 
-# Per-seed randomness is drawn a block of steps at a time: a block holds at
-# most about this many bytes for the whole stack, and at least one step.
-BLOCK_BYTES = 1 << 20
-
-
-def _block_steps(n_rows: int, width: int) -> int:
-    """Steps per block when each row holds ``width`` float64 values a step."""
-    return max(1, BLOCK_BYTES // (8 * n_rows * width))
-
-
 def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     """The stack of batches of each of T steps: row r holds seed ``rows[r]``'s.
 
@@ -423,7 +413,8 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     however many rows read it.  Block samplers, a quadratic's noise or a
     gate stream's ``random``, draw a block of steps per call, each block
     equal bit for bit to as many single draws, so a run of T steps takes
-    exactly T draws from each.  ``samplers`` is read at the first step's
+    exactly T draws from each; a block holds ``core.block_steps`` steps of
+    ``width`` floats per row.  ``samplers`` is read at the first step's
     draw: samplers made lazily are made only if a step asks.  With
     ``epochs`` the samplers are epoch samplers, which share their sizes, and
     draw an epoch at a time: at the epoch's first step each draws its whole
@@ -431,19 +422,33 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     whose column slices are the epoch's batches, as the samplers' own calls
     would give them, the short last one included: epoch k is the
     ``batches_per_epoch`` steps from step k * ``batches_per_epoch``.
+
+    Each block, and each epoch table, is one array allocated whole, a
+    (k, rows[, width]) block or a (rows, n) table; each seed's draw is
+    written straight into its rows, so building it holds it once beside
+    one seed's draw.
     """
     samplers = list(samplers)
+    at = [np.flatnonzero(rows == i) for i in range(len(samplers))]   # each seed's rows
     if epochs:
         n, size = samplers[0].n, samplers[0].batch_size
         for t in range(0, T, samplers[0].batches_per_epoch):
-            table = np.array([sample.next_epoch() for sample in samplers])[rows]
+            table = np.empty((len(rows), n), dtype=np.intp)
+            for sample, where in zip(samplers, at):
+                table[where] = sample.next_epoch()
             for start in range(0, min(n, (T - t) * size), size):
                 yield table[:, start:start + size]
         return
-    block = _block_steps(len(rows), width)
+    block = block_steps(len(rows), width)
     for t in range(0, T, block):
         k = min(block, T - t)
-        yield from np.stack([sample(k) for sample in samplers], axis=1)[:, rows]
+        out = None
+        for sample, where in zip(samplers, at):
+            draw = sample(k)
+            if out is None:   # a gate draws a float a step, a noise sampler a vector
+                out = np.empty((k, len(rows)) + draw.shape[1:])
+            out[:, where] = draw[:, np.newaxis]
+        yield from out
 
 
 def _adv_batch_size(cfg: ExperimentConfig) -> int:

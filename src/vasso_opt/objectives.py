@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import STREAM_DATA, as_param_vector, make_rng, norm2, row_norms
+from .core import STREAM_DATA, as_param_vector, chunk_seeds, make_rng, norm2, row_norms
 from .errors import ConfigError, DimensionMismatchError, InvalidParameterError
 
 
@@ -572,16 +572,40 @@ class MlpObjective:
         """Features and labels of the whole training set, gathered on first use."""
         return self._gather(self._train_idx)
 
+    def _by_chunks(self, pass_, x, feats, labels, shape=()):
+        """``pass_(x, feats, labels)`` over a stack, a chunk of seeds at a time.
+
+        A chunk holds as many seeds as keep its widest activation (a seed's
+        rows times the widest layer) within ``core.PASS_BYTES``, and at least
+        one; each chunk's results, of ``shape`` per seed, go into one
+        preallocated output.  Each seed's slice of a stacked pass is computed
+        independently of the others, so the output equals the whole stack's
+        pass bit for bit.  A single vector, or a stack that fits in one
+        chunk, is the one-chunk case: passed whole.
+        """
+        step = chunk_seeds(labels.shape[-1] * max(self.mlp.layer_sizes))
+        if x.ndim == 1 or len(x) <= step:
+            return pass_(x, feats, labels)
+        out = np.empty((len(x),) + shape)
+        for lo in range(0, len(x), step):
+            at = slice(lo, lo + step)
+            out[at] = pass_(x[at], feats[at], labels[at])
+        return out
+
     def full_loss(self, x) -> float:
-        return self.mlp.loss(x, *self._train_rows)
+        """Mean loss over the training rows, in seed chunks (see ``_by_chunks``)."""
+        return self._by_chunks(self.mlp.loss, x, *self._train_rows)
 
     def full_grad(self, x) -> np.ndarray:
-        return self.mlp.loss_and_grad(x, *self._train_rows)[1]
+        """Mean gradient over the training rows, in seed chunks (see ``_by_chunks``)."""
+        return self._by_chunks(lambda *a: self.mlp.loss_and_grad(*a)[1], x,
+                               *self._train_rows, shape=(self.dim,))
 
     def holdout_loss(self, x) -> float:
+        """Mean loss over the held-out rows, in seed chunks (see ``_by_chunks``)."""
         if not self.has_holdout():
             raise InvalidParameterError("objective has no held-out split")
-        return self.mlp.loss(x, *self._gather(self._holdout_idx))
+        return self._by_chunks(self.mlp.loss, x, *self._gather(self._holdout_idx))
 
     def final_loss(self, x) -> float:
         return self.holdout_loss(x) if self.has_holdout() else self.full_loss(x)

@@ -7,12 +7,13 @@ seed of a stack, whatever the other seeds of the stack do.
 """
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from vasso_opt import harness
+from vasso_opt import core, harness
 from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
                             Schedule, make_rng, norm2, row_norms)
 from vasso_opt.cli import main
@@ -20,7 +21,7 @@ from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (METRICS_HEADER, MetricsColumns, MetricsRow,
                                build_objective, init_x,
                                parse_config, run_experiment, run_seed, run_seeds)
-from vasso_opt.objectives import EpochSampler, Mlp, NoisyQuadratic
+from vasso_opt.objectives import EpochSampler, Mlp, MlpObjective, NoisyQuadratic
 from vasso_opt.optimizers import AdversaryState, OptimizerConfig, vasso_step
 
 
@@ -315,8 +316,8 @@ def test_a_retired_seed_keeps_its_row_until_the_run_ends(monkeypatch):
 @pytest.mark.parametrize("T", [1, 6, 7, 20])
 def test_gate_blocks_equal_one_draw_per_step(T, monkeypatch):
     seeds = [3, 1, 4]
-    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * len(seeds) * 7)
-    assert harness._block_steps(len(seeds), 1) == 7
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * len(seeds) * 7)
+    assert core.block_steps(len(seeds), 1) == 7
     rngs = [make_rng(s, STREAM_GATE) for s in seeds]
     stream = harness._batch_stream((rng.random for rng in rngs), T, 1,
                                    np.arange(len(seeds)))
@@ -334,11 +335,81 @@ def test_runs_drawn_in_short_blocks_reproduce_the_per_seed_loop(kind, block,
                                                                 monkeypatch):
     # three seeds of a 5-dim quadratic: block steps of noise per block, and a
     # short last block at T=16 when block is 5
-    monkeypatch.setattr(harness, "BLOCK_BYTES", 8 * 3 * 5 * block)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 3 * 5 * block)
+    assert core.block_steps(3, 5) == block
     cfg = _case_cfg("quadratic-diag", kind, "plain", [3, 0, 7])
     for (columns, summary), seed in zip(run_seeds(cfg, [3, 0, 7]), [3, 0, 7]):
         ref_rows, ref = reference_run(cfg, seed)
         assert _csv(columns) == _csv(ref_rows) and summary == ref
+
+
+# blobs-holdout is a [2,5,2] net on 15 training and 5 held-out rows: a seed's
+# widest activation holds 75 floats in a training pass and 25 in a held-out
+# one, so these budgets split five seeds' passes into chunks of 1 and 2, 2, 1,
+# or of 2, 2, 1 and one chunk
+@pytest.mark.parametrize("budget", [8 * 25 * 2, 8 * 75 * 2], ids=["1-seed", "2-seed"])
+@pytest.mark.parametrize("kind", ["vasso", "evasso"])
+def test_runs_with_full_passes_in_seed_chunks_reproduce_the_per_seed_loop(
+        kind, budget, monkeypatch, tmp_path):
+    seeds = [3, 0, 7, 1, 4]
+    out = tmp_path / "m.csv"
+    cfg = _case_cfg("blobs-holdout", kind, "metrics-every-3", seeds, str(out))
+    expected = [reference_run(cfg, s) for s in seeds]
+    monkeypatch.setattr(core, "PASS_BYTES", budget)
+    assert core.chunk_seeds(75) < len(seeds)
+    result = run_experiment(cfg)
+    assert out.read_text() == METRICS_HEADER + "\n" + \
+        "".join(_csv(rows) for rows, _ in expected)
+    assert result.summaries == [s for _, s in expected]
+
+
+def _traced_peak(fn, *args):
+    """The peak of memory traced while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n_seeds", [8, 64])
+def test_a_stacked_full_gradient_peaks_under_one_bound_at_any_stack_size(n_seeds):
+    # the diagnostics network, [2,32,2] on 512 blob rows: one seed's hidden
+    # activation is 128 KiB, so a whole-stack pass would hold several of
+    # those per seed, about 4.4 MB traced at 8 seeds and 35 MB at 64
+    spec = {"n_per_class": 256, "n_classes": 2, "dim": 2, "separation": 3.0,
+            "label_noise": 0.0, "hidden": [32], "activation": "tanh",
+            "holdout_fraction": 0.0}
+    parts = MlpObjective.build(spec, range(n_seeds))
+    obj = MlpObjective.stack(parts)
+    x = np.stack([o.init_params(make_rng(s, 0)) for s, o in enumerate(parts)])
+    obj.full_grad(x)   # gathers the training rows, which the objective keeps
+    assert _traced_peak(obj.full_grad, x) < 1_000_000
+
+
+@pytest.mark.parametrize("rows", [np.arange(16), np.tile(np.arange(16), 2)],
+                         ids=["one-arm", "two-arms"])
+def test_a_noise_block_is_built_in_one_allocation(rows):
+    # 16 seeds of 8-dim noise: a block is about BLOCK_BYTES, and building it
+    # holds it once beside one seed's draw (the sampler's and its scaled copy)
+    quad = NoisyQuadratic(np.ones(8), sigma=0.5)
+    samplers = [quad.make_sampler(1, make_rng(s, STREAM_BATCH)) for s in range(16)]
+    k = core.block_steps(len(rows), 8)
+    stream = harness._batch_stream(samplers, 2 * k, 8, rows)
+    assert _traced_peak(next, stream) <= 1.25 * (k * len(rows) * 8 * 8)
+
+
+def test_an_epoch_table_is_built_in_one_allocation():
+    # 16 seeds of 512 rows over two arms: the (32, 512) table is allocated
+    # once beside the 16 orders the seeds' samplers draw and keep, half its size
+    spec = _case_cfg("blobs-holdout", "sgd", "plain", [0]).objective
+    spec = dict(spec, n_per_class=256, holdout_fraction=0.0, label_noise=0.0)
+    objs = harness.OBJECTIVES["blobs"].build(spec, range(16))
+    samplers = [o.make_sampler(64, make_rng(s, STREAM_BATCH)) for s, o in enumerate(objs)]
+    stream = harness._batch_stream(samplers, 4, 1, np.tile(np.arange(16), 2), epochs=True)
+    table_bytes = 32 * 512 * 8
+    assert _traced_peak(next, stream) <= 1.75 * table_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vasso_opt import objectives
+from vasso_opt import core, objectives
 from vasso_opt.cli import main
 from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import (ConfigError, DimensionMismatchError,
@@ -566,6 +566,47 @@ def test_a_row_mask_computes_only_those_rows_of_a_stacked_gradient(monkeypatch):
     quad = NoisyQuadratic([1.0, 2.0, 3.0], sigma=0.5)
     xq, noise = make_rng(0, 2).standard_normal((2, 4, 3))
     assert _same_bits(quad.grad(xq, noise, rows=mask), quad.grad(xq, noise))
+
+
+# ---------------------------------------------------------------------------
+# full-data passes over a stack, a chunk of seeds at a time
+
+
+def _pass_sizes(monkeypatch):
+    """The number of seeds of each forward pass the MLP runs, in call order."""
+    sizes, forward = [], Mlp._forward
+
+    def counting(self, layers, feats):
+        sizes.append(feats.shape[0] if feats.ndim == 3 else 1)
+        return forward(self, layers, feats)
+
+    monkeypatch.setattr(Mlp, "_forward", counting)
+    return sizes
+
+
+# a [2,4,2] net on 18 training and 6 held-out rows: a seed's widest training
+# activation holds 72 floats and its widest held-out one 24, so one seed's
+# training activation per chunk splits 8 seeds into chunks of 1 and 3, 3, 2
+# held out, and three seeds' splits them into 3, 3, 2 and one held-out chunk
+@pytest.mark.parametrize("budget, train, holdout",
+                         [(8 * 72, [1] * 8, [3, 3, 2]),
+                          (8 * 72 * 3, [3, 3, 2], [8])], ids=["1-seed", "3-seed"])
+def test_stacked_full_passes_in_seed_chunks_equal_the_per_seed_calls(
+        budget, train, holdout, monkeypatch):
+    seeds = list(range(8))
+    parts = [_blob_objective(holdout=0.25, seed=s) for s in seeds]
+    obj = MlpObjective.stack(parts)
+    x = np.stack([o.init_params(make_rng(s, 0)) for s, o in zip(seeds, parts)])
+    want = {name: np.array([getattr(o, name)(row) for o, row in zip(parts, x)])
+            for name in ("full_grad", "full_loss", "holdout_loss", "final_loss")}
+    monkeypatch.setattr(core, "PASS_BYTES", budget)
+    sizes = _pass_sizes(monkeypatch)
+    for name, chunks in [("full_grad", train), ("full_loss", train),
+                         ("holdout_loss", holdout), ("final_loss", holdout)]:
+        sizes.clear()
+        got = getattr(obj, name)(x)
+        assert sizes == chunks, name
+        assert _same_bits(got, want[name]), name
 
 
 _BLOBS_3_CLASS_RELU = {

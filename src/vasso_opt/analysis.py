@@ -141,10 +141,10 @@ def ema_chain(gs: np.ndarray, theta: float, d_init: np.ndarray | None = None
 
     ``d_init`` is d_{-1}; it defaults to gs[0], the warm start of
     ``vasso_update``, and every state is rounded as that update rounds it.
-    The scan runs one column at a time in plain Python floats, about 0.15 us
-    per entry, and writes each column into a preallocated C-contiguous
-    (n, dim) result; beyond that result it holds about one column of Python
-    floats at once.
+    The scan runs one column at a time in plain Python floats, about 0.1 us
+    per entry (0.09-0.11 us on a 2-core x86 box, numpy 2.4), and writes each
+    column into a preallocated C-contiguous (n, dim) result; beyond that
+    result it holds about one column of Python floats at once.
     """
     keep = 1.0 - theta
     d = gs[0] if d_init is None else np.asarray(d_init, dtype=np.float64)
@@ -328,21 +328,26 @@ def landscape_slice(obj, x_center, directions, alphas, betas=None) -> np.ndarray
     ``directions`` holds one or two vectors, each scaled by the objective's
     ``normalize_direction``: per-neuron for the MLP, to unit length for the
     quadratic.  Returns loss values of shape (len(alphas),)
-    or (len(alphas), len(betas)).
+    or (len(alphas), len(betas)).  The points of a 1-D slice, and of each
+    alpha-row of a 2-D one, go to ``obj.full_loss`` as one (points, dim)
+    stack; each loss equals the one-point call bit for bit.
     """
     dirs = [_normalized_direction(obj, np.asarray(d, dtype=np.float64), x_center)
             for d in directions]
     if len(dirs) == 1:
         if betas is not None:
             raise InvalidParameterError("betas given but only one direction")
-        return np.array([obj.full_loss(x_center + a * dirs[0]) for a in alphas])
+        return obj.full_loss(_line(x_center, alphas, dirs[0]))
     if len(dirs) == 2:
         if betas is None:
             raise InvalidParameterError("two directions need a beta grid")
         out = np.empty((len(alphas), len(betas)))
         for i, a in enumerate(alphas):
-            base = x_center + a * dirs[0]
-            for j, b in enumerate(betas):
-                out[i, j] = obj.full_loss(base + b * dirs[1])
+            out[i] = obj.full_loss(_line(x_center + a * dirs[0], betas, dirs[1]))
         return out
     raise InvalidParameterError("directions must hold 1 or 2 vectors")
+
+
+def _line(x: np.ndarray, steps, d: np.ndarray) -> np.ndarray:
+    """The points x + s * d, one row per step s, each rounded as the one-point sum."""
+    return x + np.multiply.outer(np.asarray(steps, dtype=np.float64), d)

@@ -43,7 +43,12 @@ MAX_SEED = 2**63 - 1
 # block of steps at a time, a block holding at most about BLOCK_BYTES for the
 # whole stack; a full-data pass over a stack runs a chunk of seeds at a time,
 # the chunk's widest activation holding at most about PASS_BYTES, a size that
-# stays in cache.  A block holds at least one step, a chunk at least one seed.
+# stays in cache.  A full-data pass over points that share one seed's rows (a
+# landscape slice's line) runs a chunk of points at a time, the chunk's widest
+# activation holding at most half of BLOCK_BYTES, the other half left for the
+# pass's narrower arrays: a chunk of several points pays the per-pass
+# overhead once, and a pass holds about a block at most.  A block holds at
+# least one step, a chunk at least one seed or point.
 BLOCK_BYTES = 1 << 20
 PASS_BYTES = 1 << 16
 
@@ -56,6 +61,11 @@ def block_steps(n_rows: int, width: int) -> int:
 def chunk_seeds(width: int) -> int:
     """Seeds per chunk when a seed's widest activation holds ``width`` floats."""
     return max(1, PASS_BYTES // (8 * width))
+
+
+def chunk_points(width: int) -> int:
+    """Points per chunk when a point's widest activation holds ``width`` floats."""
+    return max(1, BLOCK_BYTES // 2 // (8 * width))
 
 
 def make_rng(seed: int, stream: int) -> Generator:

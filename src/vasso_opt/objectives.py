@@ -29,7 +29,9 @@ gives S losses and an (S, dim) gradient, each row equal bit for bit to the
 one-vector call on that row.  A quadratic is the same for every seed, so one
 instance serves any stack (its ``stack`` returns it); ``MlpObjective.stack``
 joins the per-seed data of a network objective.  Values of a single vector
-stay Python floats.
+stay Python floats.  ``full_loss`` and ``full_grad`` of one seed's objective
+also take a stack of points, (P, dim), all on that seed's data: P losses or
+a (P, dim) gradient, each row equal bit for bit to the one-point call.
 ``grad(x, batch, rows=mask)`` hints that only the masked rows of a stack are
 read: the MLP computes just those and leaves the others zero, and the
 quadratic, whose gradient costs less than picking rows, computes them all.
@@ -44,7 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import STREAM_DATA, as_param_vector, chunk_seeds, make_rng, norm2, row_norms
+from .core import (STREAM_DATA, as_param_vector, chunk_points, chunk_seeds, make_rng,
+                   norm2, row_norms)
 from .errors import ConfigError, DimensionMismatchError, InvalidParameterError
 
 
@@ -188,14 +191,22 @@ class NoisyQuadratic:
         dim, sigma = self.dim, self.sigma
 
         def sample(k: int | None = None) -> np.ndarray:
-            return sigma * rng.standard_normal(dim if k is None else (k, dim))
+            # scaled in place: the block is the one array it holds
+            noise = rng.standard_normal(dim if k is None else (k, dim))
+            noise *= sigma
+            return noise
 
         return sample
 
     def grad_draws(self, x: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-        """n stochastic gradients at x, stacked; vectorized for Monte-Carlo loops."""
-        return self.full_grad(x)[np.newaxis, :] + \
-            self.sigma * rng.standard_normal((n, self.dim))
+        """n stochastic gradients at x, stacked; vectorized for Monte-Carlo loops.
+
+        Each row is ``full_grad(x) + sigma * draw``, formed in the draw's own array.
+        """
+        draws = rng.standard_normal((n, self.dim))
+        draws *= self.sigma
+        draws += self.full_grad(x)
+        return draws
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +316,11 @@ def inject_label_noise(dataset: Dataset, fraction: float,
 # multilayer perceptron with handwritten backprop
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of ``z``, written into ``out`` when given (``out=z`` for in place)."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        return np.maximum(z, 0.0, out=out)
+    return np.tanh(z, out=out)
 
 
 def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
@@ -402,11 +414,13 @@ class Mlp:
         return self._forward(self.unpack(x), feats)
 
     def _forward(self, layers, feats: np.ndarray):
+        # each activation is written over its pre-activation, which nothing
+        # reads again: a layer holds one array, not two
         acts = [feats]
         for i, (W, b) in enumerate(layers):
             z = acts[-1] @ W.mT
             z += b[..., np.newaxis, :]
-            acts.append(_act(z, self.activation) if i < len(layers) - 1 else z)
+            acts.append(_act(z, self.activation, out=z) if i < len(layers) - 1 else z)
         return acts
 
     def loss(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> float:
@@ -573,36 +587,49 @@ class MlpObjective:
         return self._gather(self._train_idx)
 
     def _by_chunks(self, pass_, x, feats, labels, shape=()):
-        """``pass_(x, feats, labels)`` over a stack, a chunk of seeds at a time.
+        """``pass_(x, feats, labels)`` over a stack, a chunk at a time.
 
-        A chunk holds as many seeds as keep its widest activation (a seed's
-        rows times the widest layer) within ``core.PASS_BYTES``, and at least
-        one; each chunk's results, of ``shape`` per seed, go into one
-        preallocated output.  Each seed's slice of a stacked pass is computed
-        independently of the others, so the output equals the whole stack's
-        pass bit for bit.  A single vector, or a stack that fits in one
+        A stack is either of seeds, whose rows carry a seed axis, or of
+        points that share one seed's rows (a landscape slice's line).  A
+        chunk holds as many as keep its widest activation (the rows times
+        the widest layer, per seed or point) within ``core.PASS_BYTES`` for
+        seeds (``core.chunk_seeds``) or half of ``core.BLOCK_BYTES`` for
+        points (``core.chunk_points``), and at least one.  A chunk of k
+        points is passed as a stack of k seeds: read-only ``np.broadcast_to``
+        views of the shared rows, (k, n, d) and (k, n).
+        Each chunk's results, of ``shape`` per row of ``x``, go into one
+        preallocated output.  Each row's slice of a stacked pass is computed
+        independently of the others, so the output equals the per-row calls
+        bit for bit.  A single vector, or a seed stack that fits in one
         chunk, is the one-chunk case: passed whole.
         """
-        step = chunk_seeds(labels.shape[-1] * max(self.mlp.layer_sizes))
-        if x.ndim == 1 or len(x) <= step:
+        if x.ndim == 1:
             return pass_(x, feats, labels)
-        out = np.empty((len(x),) + shape)
-        for lo in range(0, len(x), step):
-            at = slice(lo, lo + step)
-            out[at] = pass_(x[at], feats[at], labels[at])
+        n, width = len(x), labels.shape[-1] * max(self.mlp.layer_sizes)
+        points = feats.ndim == 2   # one seed's rows under a stack of points
+        step = chunk_points(width) if points else chunk_seeds(width)
+        if not points and n <= step:
+            return pass_(x, feats, labels)
+        out = np.empty((n,) + shape)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            rows = (np.broadcast_to(feats, (hi - lo,) + feats.shape),
+                    np.broadcast_to(labels, (hi - lo,) + labels.shape)) if points \
+                else (feats[lo:hi], labels[lo:hi])
+            out[lo:hi] = pass_(x[lo:hi], *rows)
         return out
 
     def full_loss(self, x) -> float:
-        """Mean loss over the training rows, in seed chunks (see ``_by_chunks``)."""
+        """Mean loss over the training rows, in chunks (see ``_by_chunks``)."""
         return self._by_chunks(self.mlp.loss, x, *self._train_rows)
 
     def full_grad(self, x) -> np.ndarray:
-        """Mean gradient over the training rows, in seed chunks (see ``_by_chunks``)."""
+        """Mean gradient over the training rows, in chunks (see ``_by_chunks``)."""
         return self._by_chunks(lambda *a: self.mlp.loss_and_grad(*a)[1], x,
                                *self._train_rows, shape=(self.dim,))
 
     def holdout_loss(self, x) -> float:
-        """Mean loss over the held-out rows, in seed chunks (see ``_by_chunks``)."""
+        """Mean loss over the held-out rows, in chunks (see ``_by_chunks``)."""
         if not self.has_holdout():
             raise InvalidParameterError("objective has no held-out split")
         return self._by_chunks(self.mlp.loss, x, *self._gather(self._holdout_idx))

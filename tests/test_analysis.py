@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vasso_opt import analysis
+from vasso_opt import analysis, core
 from vasso_opt.analysis import (delta_stability, ema_chain, ema_slope_sampler,
                                 ema_steady_state_mse, landscape_slice,
                                 lanczos_spectrum, mean_gaussian_norm,
@@ -13,7 +13,7 @@ from vasso_opt.analysis import (delta_stability, ema_chain, ema_slope_sampler,
                                 track_drift)
 from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import InvalidParameterError
-from vasso_opt.objectives import (NoisyQuadratic, make_blobs_dataset,
+from vasso_opt.objectives import (Mlp, NoisyQuadratic, make_blobs_dataset,
                                   mlp_objective)
 from vasso_opt.optimizers import AdversaryState, sam_adversary, vasso_update
 
@@ -526,6 +526,55 @@ def test_slice_normalizes_directions_through_the_objective_hook():
     # scaling the raw direction does not change the slice
     vals2 = landscape_slice(obj, x, [3.0 * d_raw], alphas)
     assert np.allclose(vals, vals2, rtol=1e-12)
+
+
+def _slice_by_points(obj, x, directions, alphas, betas=None):
+    """The slice as first written: one ``full_loss`` call per point."""
+    d = [obj.normalize_direction(np.asarray(v, dtype=np.float64), x) for v in directions]
+    if betas is None:
+        return np.array([obj.full_loss(x + a * d[0]) for a in alphas])
+    out = np.empty((len(alphas), len(betas)))
+    for i, a in enumerate(alphas):
+        base = x + a * d[0]
+        for j, b in enumerate(betas):
+            out[i, j] = obj.full_loss(base + b * d[1])
+    return out
+
+
+# the blobs net is [2,3,2] on 12 rows: a point's widest activation holds 36
+# floats, so a block of 2 * 8 * 36 * 3 bytes runs 7 points as chunks of 3, 3, 1
+@pytest.mark.parametrize("two_d", [False, True], ids=["1-d", "2-d"])
+@pytest.mark.parametrize("kind", ["blobs", "quadratic"])
+def test_a_slice_of_point_stacks_equals_the_per_point_loop(kind, two_d, monkeypatch):
+    rng = make_rng(8, 16)
+    if kind == "blobs":
+        obj = mlp_objective([2, 3, 2], "tanh", make_blobs_dataset(6, 2, 2, 2.0, rng))
+    else:
+        A = rng.standard_normal((20, 20))
+        obj = NoisyQuadratic(A @ A.T, b=rng.standard_normal(20))
+    x = 0.3 * rng.standard_normal(obj.dim)
+    dirs = list(rng.standard_normal((1 + two_d, obj.dim)))
+    alphas = np.linspace(-0.7, 0.7, 7)
+    betas = np.linspace(-0.4, 0.5, 7) if two_d else None
+    want = _slice_by_points(obj, x, dirs, alphas, betas)
+    monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 8 * 36 * 3)
+    calls, passes = [], []
+    full_loss, forward = type(obj).full_loss, Mlp._forward
+
+    def counting_loss(self, points):
+        calls.append(points.shape)
+        return full_loss(self, points)
+
+    def counting_forward(self, layers, feats):
+        passes.append(feats.shape[0])
+        return forward(self, layers, feats)
+
+    monkeypatch.setattr(type(obj), "full_loss", counting_loss)
+    monkeypatch.setattr(Mlp, "_forward", counting_forward)
+    got = landscape_slice(obj, x, dirs, alphas, betas)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert calls == [(7, obj.dim)] * (7 if two_d else 1)
+    assert passes == ([3, 3, 1] * len(calls) if kind == "blobs" else [])
 
 
 def test_slice_validates_inputs():

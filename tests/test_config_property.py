@@ -3,9 +3,10 @@
 Each example starts from a valid config of one objective kind (T <= 5),
 applies one to three mutations (delete a key, add an unknown key, or set a
 key to a value from a fixed pool) and truncates the dataset file at a drawn
-offset.  Through the library, ``parse_config`` and ``run_seeds`` either
-return or raise ``VassoOptError``; the only ``OSError`` allowed is a dataset
-file that does not exist.  Through ``cli.main(["train", ...])`` the exit
+offset.  Through the library, ``parse_config`` either returns or raises a
+``ConfigError`` that names its field, and ``run_seeds`` either returns or
+raises ``VassoOptError``; the only ``OSError`` allowed is a dataset file that
+does not exist.  Through ``cli.main(["train", ...])`` the exit
 code is 0 or 2, and a 2 comes with exactly one ``vasso-opt: error:`` line.
 """
 
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vasso_opt.cli import main
-from vasso_opt.errors import VassoOptError
+from vasso_opt.errors import ConfigError, VassoOptError
 from vasso_opt.harness import parse_config, run_seeds
 
 CSV = "0.5,1.0,0\n-0.5,2.0,1\n1.5,-1.0,0\n-1.5,0.5,1\n0.0,0.0,0\n2.0,1.0,1\n"
@@ -131,6 +132,10 @@ def test_a_mutated_config_runs_or_raises_a_package_error(case, workdir):
     raw = _with_dataset(raw, cut, workdir)
     try:
         cfg = parse_config(raw)
+    except ConfigError as e:
+        assert e.path, e
+        return
+    try:
         run_seeds(cfg, cfg.seeds)
     except VassoOptError:
         pass

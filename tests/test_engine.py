@@ -392,7 +392,7 @@ def test_a_stacked_full_gradient_peaks_under_one_bound_at_any_stack_size(n_seeds
                          ids=["one-arm", "two-arms"])
 def test_a_noise_block_is_built_in_one_allocation(rows):
     # 16 seeds of 8-dim noise: a block is about BLOCK_BYTES, and building it
-    # holds it once beside one seed's draw (the sampler's and its scaled copy)
+    # holds it once beside one seed's draw
     quad = NoisyQuadratic(np.ones(8), sigma=0.5)
     samplers = [quad.make_sampler(1, make_rng(s, STREAM_BATCH)) for s in range(16)]
     k = core.block_steps(len(rows), 8)

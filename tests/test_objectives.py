@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,37 @@ def test_a_noise_block_equals_as_many_single_draws(dim, k):
     assert np.concatenate(draws).tobytes() == want.tobytes()
     # and the stream goes on where the block left it
     assert blocked().tobytes() == single().tobytes()
+
+
+def _traced_peak(fn, *args):
+    """The peak of memory traced while ``fn(*args)`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_noise_block_is_its_scaled_draw_and_holds_only_itself():
+    # 1,024 steps of 8-dim noise: the block is drawn and scaled in one array
+    obj = NoisyQuadratic(np.ones(8), sigma=0.7)
+    rng = make_rng(5, 1)
+    block = obj.make_sampler(1, make_rng(5, 1))(1024)
+    assert block.tobytes() == (0.7 * rng.standard_normal((1024, 8))).tobytes()
+    assert _traced_peak(obj.make_sampler(1, rng), 1024) <= 1.1 * block.nbytes
+
+
+def test_gradient_draws_are_formed_in_the_draws_own_array():
+    # 16,384 draws of an 8-dim gradient (1 MiB): beyond them the call holds
+    # only numpy's fixed 64 KiB buffer for the broadcast add of the gradient
+    obj = NoisyQuadratic(np.ones(8), sigma=0.7)
+    x = np.linspace(-1.0, 1.0, 8)
+    rng = make_rng(5, 1)
+    draws = obj.grad_draws(x, 16384, make_rng(5, 1))
+    want = obj.full_grad(x) + 0.7 * rng.standard_normal((16384, 8))
+    assert draws.tobytes() == want.tobytes()
+    assert _traced_peak(obj.grad_draws, x, 16384, rng) <= 1.1 * draws.nbytes
 
 
 def test_gradient_lipschitz_witness():
@@ -607,6 +639,46 @@ def test_stacked_full_passes_in_seed_chunks_equal_the_per_seed_calls(
         got = getattr(obj, name)(x)
         assert sizes == chunks, name
         assert _same_bits(got, want[name]), name
+
+
+# ---------------------------------------------------------------------------
+# full-data passes over points on one seed's rows, a chunk of points at a time
+
+
+# a [2,4,2] net on 24 rows: a point's widest activation holds 96 floats, so a
+# block of 2 * 8 * 96 * 3 bytes gives chunks of 3 points, and 7 points run as
+# chunks of 3, 3 and 1, each a stack of seeds to the network
+def test_full_passes_over_a_point_stack_equal_the_per_point_calls(monkeypatch):
+    obj = _blob_objective()
+    points = 0.5 * make_rng(2, 16).standard_normal((7, obj.dim))
+    want = {name: np.array([getattr(obj, name)(p) for p in points])
+            for name in ("full_loss", "full_grad")}
+    monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 8 * 96 * 3)
+    assert core.chunk_points(96) == 3
+    sizes = _pass_sizes(monkeypatch)
+    for name in want:
+        sizes.clear()
+        got = getattr(obj, name)(points)
+        assert sizes == [3, 3, 1], name
+        assert _same_bits(got, want[name]), name
+
+
+def test_the_point_budget_gives_the_diagnostics_network_four_points():
+    # [2,32,2] on 512 rows: a point's hidden activation is 128 KiB
+    assert core.chunk_points(512 * 32) == 4
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_a_stacked_loss_holds_about_one_widest_activation(activation):
+    # four points on 256 shared rows of a [2,32,2] net: the hidden activation
+    # is written over its pre-activation, so the pass holds it once
+    mlp = Mlp([2, 32, 2], activation)
+    rng = make_rng(4, 16)
+    x = np.stack([mlp.init_params(rng) for _ in range(4)])
+    feats = np.broadcast_to(rng.standard_normal((256, 2)), (4, 256, 2))
+    labels = np.broadcast_to(rng.integers(0, 2, 256), (4, 256))
+    widest = 4 * 256 * 32 * 8
+    assert _traced_peak(mlp.loss, x, feats, labels) <= 1.5 * widest
 
 
 _BLOBS_3_CLASS_RELU = {

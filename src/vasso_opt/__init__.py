@@ -16,7 +16,7 @@ from .objectives import (Dataset, Mlp, MlpObjective, NoisyQuadratic,
                          load_dataset_csv, m_sharpness_example,
                          m_sharpness_objective, make_blobs_dataset,
                          mlp_objective)
-from .optimizers import (AdversaryState, OptimizerConfig, StepReport,
+from .optimizers import (AdversaryState, ArmKnobs, OptimizerConfig, StepReport,
                          base_update, sam_adversary, sam_step, sfw_solve,
                          sgd_step, vasso_step, vasso_update)
 from .analysis import (SpectrumEstimate, SpreadStat, StabilityTrace,

@@ -8,6 +8,8 @@ never share a stream.  ``run_seeds`` steps all seeds of a run in lockstep as
 one (S, dim) stack, and ``run_arms`` steps the seeds of several configs that
 differ only in the optimizer spec (the arms) as rows of one (arms*S, dim)
 stack; ``paired_compare`` and ``tradeoff_sweep`` run their arms that way.
+An optimizer kind is a setting of the one step (``KIND_KNOBS``), SAM-db's
+fresh adversary batch included; each config builds its knobs once.
 Wallclock timing is inherently nondeterministic, so its column is left empty
 unless explicitly requested; a recorded cell is the elapsed time of the
 whole stack, and ``tradeoff_sweep`` then times each arm in a stack of its
@@ -48,7 +50,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,10 +68,11 @@ log.addHandler(logging.NullHandler())
 # Each optimizer kind is a setting of the one step, vasso_step: theta=1 makes
 # the slope the raw gradient (SAM), p=0 skips the second gradient (SGD) and
 # p=1 always takes it (VASSO).  Knobs not fixed here come from the config;
-# sam_db also draws an independent adversary batch (see _lockstep).
+# fresh_adv sets the step's adv_batch knob, which the engine reads: the slope
+# is fed adv_batch_size fresh rows (a batch's worth by default).
 KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
               "vasso": {"p": 1.0}, "evasso": {},
-              "sam_db": {"theta": 1.0, "p": 1.0}}
+              "sam_db": {"theta": 1.0, "p": 1.0, "fresh_adv": True}}
 OPTIMIZER_KINDS = tuple(KIND_KNOBS)
 # The one map from an objective kind to code: the class that builds, stacks
 # and initialises the kind's objectives (see objectives).
@@ -182,6 +185,13 @@ def _parse_schedule(raw, path, T) -> Schedule:
         raise ConfigError(path, str(e)) from e
 
 
+def _parse_schedules(optimizer: dict, T: int) -> tuple[Schedule, Schedule | None]:
+    """The optimizer spec's lr and rho schedules, the latter None if it has none."""
+    rs = optimizer["rho_schedule"]
+    return (_parse_schedule(optimizer["lr"], "optimizer.lr", T),
+            None if rs is None else _parse_schedule(rs, "optimizer.rho_schedule", T))
+
+
 @dataclass
 class ExperimentConfig:
     objective: dict
@@ -191,6 +201,18 @@ class ExperimentConfig:
     seeds: list[int]
     metrics_every: int = 1
     output_path: str | None = None
+    # the schedules parse_config has parsed; not a field, so no output holds them
+    _schedules: InitVar[tuple | None] = None
+
+    def __post_init__(self, _schedules):   # the step's knobs, under the kind's fixed ones
+        o = self.optimizer
+        lr, rho_schedule = _schedules or _parse_schedules(o, self.T)
+        knobs = {"theta": o["theta"], "p": o["p"], **KIND_KNOBS[o["kind"]]}
+        if knobs.pop("fresh_adv", False):
+            knobs["adv_batch"] = o["adv_batch_size"] or self.batch_size
+        self._step = OptimizerConfig(rho=o["rho"], lr=lr, rho_schedule=rho_schedule,
+                                     momentum=o["momentum"],
+                                     weight_decay=o["weight_decay"], **knobs)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -206,15 +228,8 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def optimizer_config(self) -> OptimizerConfig:
-        o = self.optimizer
-        lr = _parse_schedule(o["lr"], "optimizer.lr", self.T)
-        rs = o.get("rho_schedule")
-        rho_schedule = None if rs is None else \
-            _parse_schedule(rs, "optimizer.rho_schedule", self.T)
-        knobs = {"theta": o["theta"], "p": o["p"], **KIND_KNOBS[o["kind"]]}
-        return OptimizerConfig(rho=o["rho"], lr=lr, rho_schedule=rho_schedule,
-                               momentum=o["momentum"],
-                               weight_decay=o["weight_decay"], **knobs)
+        """The step's knobs, built when the config was made."""
+        return self._step
 
 
 def _parse_objective(raw) -> dict:
@@ -267,7 +282,7 @@ def _parse_objective(raw) -> dict:
     return out
 
 
-def _parse_optimizer(raw, T: int) -> dict:
+def _parse_optimizer(raw, T: int) -> tuple[dict, tuple]:
     f = _Fields(raw, "optimizer")
     kind = f.take("kind")
     if kind not in OPTIMIZER_KINDS:
@@ -279,32 +294,28 @@ def _parse_optimizer(raw, T: int) -> dict:
         raise ConfigError("optimizer.theta", f"must be in (0,1], got {theta}")
     out["theta"] = theta
     out["p"] = f.number("p", 1.0, lo=0.0, hi=1.0)
-    lr = f.take("lr")
-    _parse_schedule(lr, "optimizer.lr", T)   # validate now, rebuild per-run
-    out["lr"] = lr
-    rs = f.take("rho_schedule", None)
-    if rs is not None:
-        _parse_schedule(rs, "optimizer.rho_schedule", T)
-    out["rho_schedule"] = rs
+    out["lr"] = f.take("lr")
+    out["rho_schedule"] = f.take("rho_schedule", None)
+    schedules = _parse_schedules(out, T)
     momentum = f.number("momentum", 0.0, lo=0.0)
     if momentum >= 1.0:
         raise ConfigError("optimizer.momentum", f"must be in [0,1), got {momentum}")
     out["momentum"] = momentum
     out["weight_decay"] = f.number("weight_decay", 0.0, lo=0.0)
     # the kind check comes first: a stray size is misplaced, whatever its type
-    if kind != "sam_db" and f.take("adv_batch_size", None) is not None:
+    if not KIND_KNOBS[kind].get("fresh_adv") and f.take("adv_batch_size", None) is not None:
         raise ConfigError("optimizer.adv_batch_size",
                           f"applies only to kind 'sam_db', not {kind!r}")
     out["adv_batch_size"] = f.number("adv_batch_size", None, lo=1, integer=True)
     f.finish()
-    return out
+    return out, schedules
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     f = _Fields(raw, "config")
     objective = _parse_objective(f.take("objective"))
     T = f.number("T", lo=1, integer=True)
-    optimizer = _parse_optimizer(f.take("optimizer"), T)
+    optimizer, schedules = _parse_optimizer(f.take("optimizer"), T)
     batch_size = f.number("batch_size", lo=1, integer=True)
     seeds = f.take("seeds")
     if not isinstance(seeds, list) or not seeds:
@@ -317,7 +328,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     output_path = f.typed("output_path", (str, type(None)), "a string", None)
     f.finish()
     return ExperimentConfig(objective, optimizer, T, batch_size, seeds,
-                            metrics_every, output_path)
+                            metrics_every, output_path, schedules)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -451,13 +462,6 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
         yield from out
 
 
-def _adv_batch_size(cfg: ExperimentConfig) -> int:
-    """The size of the batches that feed the slope: the update batch but for sam_db."""
-    if cfg.optimizer["kind"] != "sam_db":
-        return cfg.batch_size
-    return cfg.optimizer.get("adv_batch_size") or cfg.batch_size
-
-
 def run_arms(cfgs, seeds, record_wallclock: bool = False,
              keep_final_x: bool = False) -> list[list[tuple[MetricsColumns, dict]]]:
     """Run the seeds under each config, an arm; (columns, summary) per arm and seed.
@@ -476,9 +480,9 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False,
         return [[] for _ in cfgs]
     spec = cfgs[0].objective
     objs = OBJECTIVES[spec["kind"]].build(spec, seeds)
-    groups = {}
+    groups = {}   # by the size of the batches that feed the slope
     for a, cfg in enumerate(cfgs):
-        groups.setdefault(_adv_batch_size(cfg), []).append(a)
+        groups.setdefault(cfg.optimizer_config().adv_batch or cfg.batch_size, []).append(a)
     out = [None] * len(cfgs)
     for arms in groups.values():
         stack = _lockstep([cfgs[a] for a in arms], seeds, objs, record_wallclock,
@@ -527,8 +531,8 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     # log lines name a row's arm when there are several
     tag = [f"arm={r // n_seeds} " if n_arms > 1 else "" for r in range(n)]
     x = np.array([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])[seed_of]
-    ocfg = ArmKnobs([c.optimizer_config() for c in cfgs],
-                    np.repeat(np.arange(n_arms), n_seeds))
+    arm_cfgs = [c.optimizer_config() for c in cfgs]
+    ocfg = ArmKnobs(arm_cfgs, np.repeat(np.arange(n_arms), n_seeds))
     samplers = [o.make_sampler(cfg.batch_size, make_rng(s, STREAM_BATCH))
                 for o, s in zip(objs, seeds)]
     # the one place that asks: a dataset's batches come in epochs, every
@@ -537,15 +541,15 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     epochs = per_epoch > 0
     batches = _batch_stream(samplers, T, x.shape[1], seed_of, epochs=epochs)
     adv_batches = itertools.repeat(None)
-    decoupled = [c.optimizer["kind"] == "sam_db" for c in cfgs]
-    if any(decoupled):
-        adv_bs = _adv_batch_size(cfgs[decoupled.index(True)])
+    # the fresh arms' adversary batch size, which run_arms makes one per stack
+    adv_bs = max(c.adv_batch for c in arm_cfgs)
+    if adv_bs:
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
              for o, s in zip(objs, seeds)], T, x.shape[1], seed_of, epochs=epochs)
     pairs = zip(batches, adv_batches)
-    if any(decoupled) and not all(decoupled):
-        own = ~np.repeat(decoupled, n_seeds)[:, np.newaxis]   # rows that reuse their batch
+    if isinstance(ocfg.fresh, np.ndarray):   # the other rows' adversary batch is their own
+        own = ~ocfg.fresh[:, np.newaxis]
         pairs = ((b, np.where(own, b, a)) for b, a in pairs)
     # one uniform per seed and step, from streams made at the first draw
     gate_draws = _batch_stream((make_rng(s, STREAM_GATE).random for s in seeds),

@@ -10,16 +10,18 @@ schedules and is passed keyword-only.
 exponential moving average of the gradient with weight theta, and a
 Bernoulli(p) gate decides whether the second gradient is taken; on skipped
 steps the unperturbed gradient is reused.  theta=1 gives SAM, p=0 gives SGD,
-p=1 gives VASSO, 0<p<1 gives eVASSO, and an independently sampled adversary
-batch gives SAM-db.  ``sgd_step`` and ``sam_step`` are independent reference
-implementations of the two limits.  ``sfw_solve`` runs the Frank-Wolfe
-recursion over the sphere that the one-step adversary is a special case of.
+p=1 gives VASSO, 0<p<1 gives eVASSO, and theta=1 with the slope fed fresh
+adversary rows (``adv_batch`` > 0) gives SAM-db.  ``sgd_step`` and
+``sam_step`` are independent reference implementations of the two limits.
+``sfw_solve`` runs the Frank-Wolfe recursion over the sphere that the
+one-step adversary is a special case of.
 
 ``vasso_step``, ``vasso_update``, ``base_update`` and ``AdversaryState`` also
 take a stack of S seeds: x, batches, the slope and the momentum buffer carry
 a leading seed axis, and every row is computed exactly as the one-vector
-call on that row would compute it.  The rows of a stack may step under
-different configs (``ArmKnobs``): then the knobs are given per row.
+call on that row would compute it.  ``OptimizerConfig`` holds one validated
+setting, and ``vasso_step`` reads its knobs from an ``ArmKnobs`` only: the
+settings of a stack's rows, the arms, of which one config is a stack of one.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class OptimizerConfig:
     rho_schedule: Schedule | None = None
     momentum: float = 0.0
     weight_decay: float = 0.0
+    adv_batch: int = 0           # fresh adversary rows that feed the slope; 0: the update batch
 
     def __post_init__(self):
         if self.rho < 0:
@@ -54,6 +57,8 @@ class OptimizerConfig:
             raise InvalidParameterError(f"momentum must be in [0,1), got {self.momentum}")
         if self.weight_decay < 0:
             raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.adv_batch < 0:
+            raise InvalidParameterError(f"adv_batch must be >= 0, got {self.adv_batch}")
 
     def rho_at(self, t: int) -> float:
         if self.rho_schedule is None:
@@ -63,18 +68,6 @@ class OptimizerConfig:
     def lr_at(self, t: int) -> float:
         return schedule_value(self.lr, t)
 
-    @property
-    def always_opens(self) -> bool:
-        return self.p == 1.0
-
-    @property
-    def never_opens(self) -> bool:
-        return self.p == 0.0
-
-    def gate(self, rng):
-        """The Bernoulli(p) outcome, one per row of a stack; draws only if 0<p<1."""
-        return rng.random() < self.p if 0.0 < self.p < 1.0 else self.p == 1.0
-
 
 def _shared(values) -> bool:
     """Whether the floats are all one value, the sign of a zero included."""
@@ -82,28 +75,30 @@ def _shared(values) -> bool:
 
 
 class ArmKnobs:
-    """The knobs of a stack whose rows step under several configs, the arms.
+    """The knobs of a stack whose rows step under one or more configs, the arms.
 
-    Row i steps under ``configs[arm_of_row[i]]``.  A knob that every arm
-    shares stays a scalar.  Otherwise theta, momentum, weight decay and
-    ``lr_at(t)`` are (S, 1) columns, which scale each row by its own value,
-    and p and ``rho_at(t)`` hold one value per row.  An elementwise product
-    with a column equals the product with the row's scalar, so every row
-    steps bit for bit as a stack of its arm alone would.  ``gate`` draws
-    only when some row has 0 < p < 1; rows of p 0 and 1 read the outcome
-    their p forces.
+    Row i steps under ``configs[arm_of_row[i]]``, which one config need not
+    give.  A knob that every arm shares stays a scalar.  Otherwise theta,
+    momentum, weight decay and ``lr_at(t)`` are (S, 1) columns, which scale
+    each row by its own value, and p, ``rho_at(t)`` and ``fresh`` (whether
+    the slope reads fresh adversary rows) hold one value per row.  An
+    elementwise product with a column equals the product with the row's
+    scalar, so every row steps bit for bit as a stack of its arm alone
+    would.  ``gate`` draws only when some row has 0 < p < 1; rows of p 0
+    and 1 read the outcome their p forces.
     """
 
-    def __init__(self, configs, arm_of_row):
+    def __init__(self, configs, arm_of_row=(0,)):
         configs, self._arm = list(configs), np.asarray(arm_of_row)
         self.theta = self._knob([c.theta for c in configs], column=True)
         self.momentum = self._knob([c.momentum for c in configs], column=True)
         self.weight_decay = self._knob([c.weight_decay for c in configs], column=True)
         self.p = self._knob([c.p for c in configs], column=False)
-        ps = np.array([c.p for c in configs])
-        self.always_opens = bool(np.all(ps == 1.0))
-        self.never_opens = not np.any(ps)
-        self._gated = bool(np.any((ps > 0.0) & (ps < 1.0)))
+        self.always_opens = bool(np.all(self.p == 1.0))
+        self.never_opens = not np.any(self.p)
+        self._gated = bool(np.any((self.p > 0.0) & (self.p < 1.0)))
+        fresh = [bool(c.adv_batch) for c in configs]
+        self.fresh = fresh[0] if len(set(fresh)) == 1 else np.array(fresh)[self._arm]
         # a schedule that every arm shares is evaluated once per step
         self._lr = configs[:1] if len({c.lr for c in configs}) == 1 else configs
         self._rho = configs[:1] if \
@@ -255,50 +250,50 @@ def _fail(failed, ok, message: str, t: int):
     return failed
 
 
-def vasso_step(obj, x, state: AdversaryState | None, batch,
-               cfg: OptimizerConfig | ArmKnobs, rng, *, t: int = 0,
-               momentum_buffer=None, adv_batch=None):
-    """One sharpness-aware step with knobs theta, p and rho from ``cfg``.
+def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, *,
+               t: int = 0, momentum_buffer=None, adv_batch=None):
+    """One sharpness-aware step with knobs theta, p, rho and ``fresh`` from ``cfg``.
 
-    The EMA slope is fed the gradient on ``adv_batch`` when one is given
-    (SAM-db) and on ``batch`` otherwise; for p > 0 it is updated on every
-    step, whether or not the gate opens.  ``rng.random()`` draws the
-    Bernoulli(p) gate only when 0 < p < 1; a forced outcome consumes no draw.
-    p=0 returns right after the base update: one gradient evaluation and no
-    slope work, exactly SGD.  With an adversary batch and p=1 the gradient at
-    x on ``batch`` is never used, so only its loss is computed.
+    The EMA slope is fed the gradient on ``adv_batch`` on the fresh rows
+    (SAM-db) and on ``batch`` otherwise.  ``adv_batch`` is given exactly
+    when some row is fresh, every other row carrying its own batch there.
+    For p > 0 the slope is updated on every step, whether or not the gate
+    opens.  ``rng.random()`` draws the Bernoulli(p) gate only when 0 < p < 1,
+    one draw per row of a stack; a forced outcome consumes no draw.  p=0
+    returns right after the base update: one gradient evaluation and no
+    slope work, exactly SGD.  With an adversary batch and p=1 the gradient
+    at x on ``batch`` is never used, so only its loss is computed; otherwise
+    only the fresh rows take a gradient on ``adv_batch``.
 
-    For a stack of seeds, ``rng.random()`` returns one draw per row, and the
-    second gradient is taken on the rows whose gate opens: when some gates
-    stay closed, ``obj.grad`` gets the opened rows as its ``rows`` hint, and
-    a closed row keeps its gradient at x whatever the objective computed
-    there.  A row whose loss or gradient is not finite is marked in
+    When some gates of a stack stay closed, the second gradient is taken on
+    the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps
+    its gradient at x: a row of p=0 takes SGD's step and one evaluation.
+    A row whose loss or gradient is not finite is marked in
     ``report.failed`` (None while every row is finite) and its outputs are
     meaningless.  NonFiniteError is raised once every row has failed, which
     for a single vector is its first non-finite value.
-
-    With ``ArmKnobs`` each row steps under its own arm's knobs.  A row of
-    p=0 then takes the closed-gate path: its one gradient, a zero adversary
-    and one evaluation, as SGD does.  ``adv_batch`` then holds an adversary
-    batch on every row, a row of an arm without one carrying its own batch.
     """
+    fresh = cfg.fresh   # False, True, or one per row when the arms differ
+    if (adv_batch is None) != (fresh is False):
+        raise InvalidParameterError("adv_batch is given exactly when some row is fresh")
     if adv_batch is not None and cfg.always_opens:
         loss, g = obj.loss(x, batch), None
         ok = np.isfinite(loss)
     else:
         loss, g = obj.loss_and_grad(x, batch)
-        ok = _finite_rows(g)
-        if adv_batch is not None:   # a row whose gate always opens never uses g
-            ok = ok | (cfg.p == 1.0)
-        ok = np.isfinite(loss) & ok
+        # a fresh row whose gate always opens never uses g
+        ok = np.isfinite(loss) & (_finite_rows(g) | (fresh & (cfg.p == 1.0)))
     failed = _fail(None, ok, "non-finite loss or gradient", t)
     if cfg.never_opens:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
         return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
     if adv_batch is None:
         g_adv = g
-    else:
+    elif g is None or np.all(fresh):
         g_adv = obj.grad(x, adv_batch)
+    else:   # the other rows' adversary batch is their own: reuse g there
+        g_adv = np.where(fresh[:, np.newaxis], obj.grad(x, adv_batch, rows=fresh), g)
+    if adv_batch is not None:
         failed = _fail(failed, _finite_rows(g_adv),
                        "non-finite gradient on the adversary batch", t)
     state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))

@@ -20,8 +20,8 @@ from vasso_opt.core import STREAM_BATCH, Schedule, make_rng, norm2
 from vasso_opt.harness import (build_objective, init_x, paired_compare,
                                parse_config, run_seed, run_seeds)
 from vasso_opt.objectives import (Mlp, NoisyQuadratic, m_sharpness_objective)
-from vasso_opt.optimizers import (OptimizerConfig, sam_adversary, sam_step,
-                                  sfw_solve, sgd_step, vasso_step)
+from vasso_opt.optimizers import (ArmKnobs, OptimizerConfig, sam_adversary,
+                                  sam_step, sfw_solve, sgd_step, vasso_step)
 
 
 def _check(num: int, slug: str, ok: bool, detail: str) -> None:
@@ -239,6 +239,8 @@ def test_criterion_07_decoupled_adversary_batches_degrade_the_final_loss():
 
     obj = NoisyQuadratic(np.asarray(noisy["diag"]), sigma=3.0)
     ocfg = OptimizerConfig(rho=0.3, theta=1.0, lr=Schedule("constant", 0.05))
+    knobs = ArmKnobs([OptimizerConfig(rho=0.3, theta=1.0, lr=Schedule("constant", 0.05),
+                                      adv_batch=1)])
     xa = xb = make_rng(0, 0).standard_normal(20)
     state = None
     sampler_a = obj.make_sampler(1, make_rng(0, 1))
@@ -246,7 +248,7 @@ def test_criterion_07_decoupled_adversary_batches_degrade_the_final_loss():
     identical = True
     for t in range(1000):
         batch_a, batch_b = sampler_a(), sampler_b()
-        xa, state, ra, _ = vasso_step(obj, xa, state, batch_a, ocfg, None, t=t,
+        xa, state, ra, _ = vasso_step(obj, xa, state, batch_a, knobs, None, t=t,
                                       adv_batch=batch_a)
         xb, rb, _ = sam_step(obj, xb, batch_b, ocfg, None, t=t)
         identical = identical and np.array_equal(xa, xb) and ra.loss == rb.loss

@@ -18,7 +18,7 @@ from vasso_opt.core import STREAM_GATE, make_rng
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (paired_compare, parse_config, run_arms,
                                run_seeds, tradeoff_sweep)
-from vasso_opt.objectives import MlpObjective
+from vasso_opt.objectives import Mlp, MlpObjective
 from vasso_opt.optimizers import ArmKnobs, vasso_step
 
 
@@ -99,6 +99,38 @@ def test_arms_in_one_stack_equal_each_arm_alone(objective, arm_set):
     seeds = [3, 0, 7]
     _same_runs(run_arms(cfgs, seeds, keep_final_x=True),
                per_arm(cfgs, seeds, keep_final_x=True))
+
+
+def test_only_sam_db_rows_take_a_gradient_on_the_adversary_batch(monkeypatch):
+    # an eVASSO row's adversary batch is its own batch: its gradient at x is
+    # taken once, on the update batch, though some gates are random
+    cfgs = [parse_config({"objective": OBJECTIVES["blobs-holdout"], "optimizer": opt,
+                          "T": 16, "batch_size": 3, "seeds": [3, 0, 7],
+                          "metrics_every": 16})
+            for opt in ({"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.5, "lr": _LR},
+                        {"kind": "sam_db", "rho": 0.1, "lr": _LR})]
+    steps, real_grad = [], Mlp.loss_and_grad   # per step: its x, and each call's x
+
+    def step(obj, x, *args, **kwargs):
+        steps.append((x, []))
+        return vasso_step(obj, x, *args, **kwargs)
+
+    def loss_and_grad(self, x, feats, labels):
+        if steps:
+            steps[-1][1].append(x.copy())
+        return real_grad(self, x, feats, labels)
+
+    monkeypatch.setattr(harness, "vasso_step", step)
+    monkeypatch.setattr(Mlp, "loss_and_grad", loss_and_grad)
+    got = run_arms(cfgs, [3, 0, 7], keep_final_x=True)
+    monkeypatch.undo()
+    assert len(steps) == 16
+    for x, calls in steps:
+        at_x = [c for c in calls if all((x == row).all(axis=1).any() for row in c)]
+        # the update batch on every row, then the adversary batch on SAM-db's
+        assert [len(c) for c in at_x] == [6, 3]
+        assert np.array_equal(at_x[1], x[3:])
+    _same_runs(got, per_arm(cfgs, [3, 0, 7], keep_final_x=True))
 
 
 def test_one_arm_steps_on_scalar_knobs_and_several_on_columns(monkeypatch):

@@ -22,14 +22,14 @@ from vasso_opt.harness import (METRICS_HEADER, MetricsColumns, MetricsRow,
                                build_objective, init_x,
                                parse_config, run_experiment, run_seed, run_seeds)
 from vasso_opt.objectives import EpochSampler, Mlp, MlpObjective, NoisyQuadratic
-from vasso_opt.optimizers import AdversaryState, OptimizerConfig, vasso_step
+from vasso_opt.optimizers import AdversaryState, ArmKnobs, OptimizerConfig, vasso_step
 
 
 def reference_run(cfg, seed):
     """The per-seed loop: (metrics rows, summary) of one seed."""
     obj = build_objective(cfg.objective, seed)
     x = init_x(obj, cfg.objective, seed)
-    ocfg = cfg.optimizer_config()
+    ocfg = ArmKnobs([cfg.optimizer_config()])
     sampler = obj.make_sampler(cfg.batch_size, make_rng(seed, STREAM_BATCH))
     adv_sampler = None
     if cfg.optimizer["kind"] == "sam_db":
@@ -199,7 +199,7 @@ def test_seeds_leave_the_stack_one_by_one_until_none_is_left():
 def test_a_row_failing_at_its_perturbed_point_leaves_the_others_alone():
     # row a's gradient is finite at x but overflows at x + eps; row b's is not
     obj = NoisyQuadratic(np.array([1e150, 0.0]), b=[0.0, 1.0])
-    cfg = OptimizerConfig(rho=1e160, theta=1.0, lr=Schedule("constant", 0.1))
+    cfg = ArmKnobs([OptimizerConfig(rho=1e160, theta=1.0, lr=Schedule("constant", 0.1))])
     x_a, x_b, zero = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.zeros(2)
     with pytest.raises(NonFiniteError, match="perturbed point"):
         vasso_step(obj, x_a, None, zero, cfg, None)
@@ -214,7 +214,8 @@ def test_a_row_failing_at_its_perturbed_point_leaves_the_others_alone():
 
 def test_a_non_finite_slope_on_the_adversary_batch_names_that_batch():
     obj = NoisyQuadratic(np.array([1.0, 2.0]))
-    cfg = OptimizerConfig(rho=0.1, theta=0.2, lr=Schedule("constant", 0.1))
+    cfg = ArmKnobs([OptimizerConfig(rho=0.1, theta=0.2, lr=Schedule("constant", 0.1),
+                                    adv_batch=1)])
     with pytest.raises(NonFiniteError, match="non-finite gradient on the adversary batch"):
         vasso_step(obj, np.ones(2), None, np.zeros(2), cfg, None,
                    adv_batch=np.full(2, np.inf))
@@ -237,7 +238,7 @@ def test_a_nan_slope_row_leaves_the_adversary_of_the_others_alone(slope):
 def test_a_nan_gradient_row_leaves_the_step_of_the_others_alone(slope):
     # identity quadratic at the origin: each row's gradient is its batch row
     obj = NoisyQuadratic(np.ones(3))
-    cfg = OptimizerConfig(rho=0.1, theta=0.3, lr=Schedule("constant", 0.1))
+    cfg = ArmKnobs([OptimizerConfig(rho=0.1, theta=0.3, lr=Schedule("constant", 0.1))])
     x, batch = np.zeros((2, 3)), np.array([[np.nan, 0.0, 0.0], slope])
     x_new, state, rep, _ = vasso_step(obj, x, None, batch, cfg, None)
     x_one, state_one, rep_one, _ = vasso_step(obj, x[1:], None, batch[1:], cfg, None)

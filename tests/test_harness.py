@@ -18,7 +18,7 @@ from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
                                parse_config_text, run_experiment, run_seed,
                                sign_test_p_value, tradeoff_sweep)
 from vasso_opt.objectives import Mlp
-from vasso_opt.optimizers import vasso_step
+from vasso_opt.optimizers import ArmKnobs, vasso_step
 
 
 def _raw(**over):
@@ -223,7 +223,7 @@ def test_adversary_batch_size_applies_only_to_decoupled_batches():
     x, state, buf = init_x(obj, cfg.objective, 0), None, None
     sampler = obj.make_sampler(2, make_rng(0, STREAM_BATCH))
     adv_sampler = obj.make_sampler(4, make_rng(0, STREAM_ADV_BATCH))
-    ocfg = cfg.optimizer_config()
+    ocfg = ArmKnobs([cfg.optimizer_config()])
     losses = []
     for t in range(30):
         batch, adv_batch = sampler(), adv_sampler()

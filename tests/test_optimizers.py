@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from vasso_opt.core import Schedule, make_rng, norm2
 from vasso_opt.errors import InvalidParameterError, NonFiniteError
 from vasso_opt.objectives import NoisyQuadratic
-from vasso_opt.optimizers import (AdversaryState, OptimizerConfig, base_update,
-                                  sam_adversary, sam_step, sfw_solve, sgd_step,
-                                  vasso_step, vasso_update)
+from vasso_opt.optimizers import (AdversaryState, ArmKnobs, OptimizerConfig,
+                                  base_update, sam_adversary, sam_step, sfw_solve,
+                                  sgd_step, vasso_step, vasso_update)
 
 
 def _cfg(**kw):
@@ -18,14 +19,27 @@ def _cfg(**kw):
     return OptimizerConfig(**kw)
 
 
+def _knobs(**kw):
+    """The knobs of ``_cfg(**kw)``, a stack of one arm, as ``vasso_step`` takes them."""
+    return ArmKnobs([_cfg(**kw)])
+
+
 # ---------------------------------------------------------------------------
 # config validation
+
+
+def test_an_adversary_batch_is_given_exactly_when_a_row_reads_fresh_rows():
+    obj, x, batch = _quad(sigma=0.5), np.ones(2), np.zeros(2)
+    with pytest.raises(InvalidParameterError, match="adv_batch is given exactly"):
+        vasso_step(obj, x, None, batch, _knobs(rho=0.1), None, adv_batch=batch)
+    with pytest.raises(InvalidParameterError, match="adv_batch is given exactly"):
+        vasso_step(obj, x, None, batch, _knobs(rho=0.1, adv_batch=1), None)
 
 
 def test_optimizer_config_rejects_bad_values():
     for bad in (dict(rho=-0.1), dict(theta=0.0), dict(theta=1.5),
                 dict(p=-0.2), dict(p=1.2), dict(momentum=1.0),
-                dict(weight_decay=-1.0)):
+                dict(weight_decay=-1.0), dict(adv_batch=-1)):
         with pytest.raises(InvalidParameterError):
             _cfg(**bad)
 
@@ -206,13 +220,13 @@ def test_first_slope_step_equals_plain_adversary():
     x0 = np.array([2.0, 1.0])
     batch = obj.make_sampler(1, make_rng(5, 1))()
     g0 = obj.grad(x0, batch)
-    _, _, rep, _ = vasso_step(obj, x0, None, batch, _cfg(rho=0.3), None)
+    _, _, rep, _ = vasso_step(obj, x0, None, batch, _knobs(rho=0.3), None)
     assert np.allclose(rep.epsilon, sam_adversary(g0, 0.3), rtol=1e-14)
 
 
 def test_theta_one_trajectory_identical_to_sam():
     obj = _quad(sigma=0.5)
-    cfg_v = _cfg(rho=0.2, theta=1.0)
+    cfg_v = _knobs(rho=0.2, theta=1.0)
     cfg_s = _cfg(rho=0.2)
     xa = xb = np.array([1.0, 2.0])
     state = None
@@ -227,7 +241,7 @@ def test_theta_one_trajectory_identical_to_sam():
 
 def test_gate_probability_one_identical_to_ungated():
     obj = _quad(sigma=0.5)
-    cfg = _cfg(rho=0.2, theta=0.3, p=1.0)
+    cfg = _knobs(rho=0.2, theta=0.3, p=1.0)
     xa = xb = np.array([0.5, -0.5])
     st_a = st_b = None
     sa = obj.make_sampler(1, make_rng(2, 1))
@@ -242,7 +256,7 @@ def test_gate_probability_one_identical_to_ungated():
 
 def test_gate_probability_zero_reuses_unperturbed_gradient():
     obj = _quad(sigma=0.5)
-    cfg = _cfg(rho=0.2, theta=0.3, p=0.0)
+    cfg = _knobs(rho=0.2, theta=0.3, p=0.0)
     cfg_sgd = _cfg()
     xa = xb = np.array([0.5, -0.5])
     state = None
@@ -260,7 +274,7 @@ def test_gate_probability_zero_reuses_unperturbed_gradient():
 def test_gate_draws_once_per_step_only_when_the_outcome_is_random():
     obj = _quad(sigma=0.2)
     for p, draws in ((0.0, 0), (0.5, 25), (1.0, 0)):
-        cfg = _cfg(rho=0.1, p=p)
+        cfg = _knobs(rho=0.1, p=p)
         gate = make_rng(9, 3)
         x, state = np.array([1.0, 1.0]), None
         sampler = obj.make_sampler(1, make_rng(9, 1))
@@ -275,13 +289,13 @@ def test_gate_draws_once_per_step_only_when_the_outcome_is_random():
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_a_forced_gate_consumes_no_draw(p):
     gate = make_rng(0, 3)
-    assert OptimizerConfig(p=p).gate(gate) == (p == 1.0)
+    assert ArmKnobs([OptimizerConfig(p=p)]).gate(gate) == (p == 1.0)
     assert gate.random() == make_rng(0, 3).random()
 
 
 def test_gate_rate_concentrates_around_p():
     obj = _quad(sigma=0.2)
-    cfg = _cfg(rho=0.1, p=0.3, lr=Schedule("constant", 1e-3))
+    cfg = _knobs(rho=0.1, p=0.3, lr=Schedule("constant", 1e-3))
     gate = make_rng(1, 3)
     sampler = obj.make_sampler(1, make_rng(1, 1))
     x, state = np.ones(2), None
@@ -295,13 +309,14 @@ def test_gate_rate_concentrates_around_p():
 def test_decoupled_batch_equals_same_batch_when_shared():
     obj = _quad(sigma=0.8)
     cfg = _cfg(rho=0.2, theta=1.0)
+    knobs = _knobs(rho=0.2, theta=1.0, adv_batch=1)
     xa = xb = np.array([1.5, -0.5])
     state = None
     sa = obj.make_sampler(1, make_rng(4, 1))
     sb = obj.make_sampler(1, make_rng(4, 1))
     for t in range(50):
         batch_a, batch_b = sa(), sb()
-        xa, state, ra, _ = vasso_step(obj, xa, state, batch_a, cfg, None, t=t,
+        xa, state, ra, _ = vasso_step(obj, xa, state, batch_a, knobs, None, t=t,
                                       adv_batch=batch_a)
         xb, rb, _ = sam_step(obj, xb, batch_b, cfg, None, t=t)
         assert np.array_equal(xa, xb)
@@ -311,11 +326,12 @@ def test_decoupled_batch_equals_same_batch_when_shared():
 def test_decoupled_batch_equals_sam_without_noise():
     obj = _quad(sigma=0.0)
     cfg = _cfg(rho=0.2, theta=1.0)
+    knobs = _knobs(rho=0.2, theta=1.0, adv_batch=1)
     xa = xb = np.array([1.5, -0.5])
     state = None
     for t in range(20):
         # distinct zero batches: no stochasticity to decouple
-        xa, state, _, _ = vasso_step(obj, xa, state, np.zeros(2), cfg, None, t=t,
+        xa, state, _, _ = vasso_step(obj, xa, state, np.zeros(2), knobs, None, t=t,
                                      adv_batch=np.zeros(2))
         xb, _, _ = sam_step(obj, xb, np.zeros(2), cfg, None, t=t)
         assert np.array_equal(xa, xb)
@@ -488,7 +504,7 @@ def test_decoupled_batch_beats_shared_on_noisy_quadratic():
     """
     obj = NoisyQuadratic(np.linspace(0.5, 5.0, 20), sigma=3.0)
     cfg = _cfg(rho=0.3, lr=Schedule("constant", 0.05))
-    cfg_db = _cfg(rho=0.3, theta=1.0, lr=Schedule("constant", 0.05))
+    cfg_db = _knobs(rho=0.3, theta=1.0, lr=Schedule("constant", 0.05), adv_batch=1)
     wins_decoupled = 0
     for seed in range(20):
         finals = {}
@@ -507,3 +523,15 @@ def test_decoupled_batch_beats_shared_on_noisy_quadratic():
             finals[kind] = obj.full_loss(x)
         wins_decoupled += finals["sam_db"] < finals["sam"]
     assert wins_decoupled >= 15
+
+
+# ---------------------------------------------------------------------------
+# the documented single-config call
+
+
+def test_the_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    block = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))

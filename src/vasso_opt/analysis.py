@@ -43,40 +43,59 @@ def track_drift(epsilons, rho: float | None = None) -> StabilityTrace:
 _MSE_BLOCK = 1024   # draws per ema_chain call in mse_suppression
 
 
-def mse_suppression(obj, x_fixed, theta: float, n_steps: int, rng
-                    ) -> tuple[float, float]:
+def mse_suppression(obj, x_fixed, thetas, n_steps: int, rngs
+                    ) -> list[tuple[float, float]]:
     """Steady-state E||d - grad f||^2 and E||g - grad f||^2 at a fixed point.
 
-    Runs the EMA recursion against fresh stochastic gradients at ``x_fixed``
-    for ceil(10/theta) burn-in steps plus ``n_steps`` measured steps.  At the
-    fixpoint the EMA variance settles at theta/(2-theta) times the gradient
-    variance, which is what the returned ratio should approach.
+    One ``(mse_d, mse_g)`` pair per theta in ``thetas``; theta i draws its
+    stochastic gradients at ``x_fixed`` from ``rngs[i]``.  Each chain runs the
+    EMA recursion for ceil(10/theta) burn-in steps plus ``n_steps`` measured
+    steps.  At the fixpoint the EMA variance settles at theta/(2-theta) times
+    the gradient variance, which is what each ratio should approach.
 
-    The chain runs as ``ema_chain`` over blocks of ``_MSE_BLOCK`` draws, each
-    block warm-started from the last state of the one before, so memory stays
-    flat in ``n_steps``.  Squared errors are summed strictly in draw order, so
-    the result equals a step-by-step ``vasso_update`` loop bit for bit.
+    The chains are columns of one ``ema_chain`` over blocks of ``_MSE_BLOCK``
+    rows, each block warm-started from the last row of the one before, so
+    memory stays flat in ``n_steps``.  A chain whose burn-in is shorter than
+    the longest draws nothing past its own window; its columns idle at zero.
+    Squared errors are summed strictly in draw order, so each pair equals a
+    step-by-step ``vasso_update`` loop bit for bit.
     """
-    if not 0.0 < theta <= 1.0:
-        raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
+    thetas, rngs = list(thetas), list(rngs)
+    if len(thetas) != len(rngs):
+        raise InvalidParameterError(
+            f"need one rng per theta, got {len(thetas)} thetas and {len(rngs)} rngs")
+    for theta in thetas:
+        if not 0.0 < theta <= 1.0:
+            raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
     truth = obj.full_grad(x_fixed)
-    draw = _grad_draws(obj, x_fixed, rng)
-    burn = math.ceil(10.0 / theta)
-    total = burn + n_steps
+    dim = truth.size
+    draws = [_grad_draws(obj, x_fixed, rng) for rng in rngs]
+    burns = [math.ceil(10.0 / theta) for theta in thetas]
+    total = max(burns, default=0) + n_steps
+    theta_row = np.repeat(thetas, dim)
     d_last = None
-    acc_d = acc_g = 0.0
+    acc = [[0.0, 0.0] for _ in thetas]
     for start in range(0, total, _MSE_BLOCK):
-        gs = draw(min(_MSE_BLOCK, total - start))
-        chain = ema_chain(gs, theta, d_init=d_last)
+        n = min(_MSE_BLOCK, total - start)
+        gs = np.zeros((n, theta_row.size))
+        spans = []
+        for i, (draw, burn) in enumerate(zip(draws, burns)):
+            cols = slice(i * dim, (i + 1) * dim)
+            stop = max(min(burn + n_steps - start, n), 0)
+            if stop:
+                gs[:stop, cols] = draw(stop)
+            spans.append((slice(max(burn - start, 0), stop), cols))
+        chain = ema_chain(gs, theta_row, d_init=d_last)
         d_last = chain[-1]
-        skip = max(burn - start, 0)
-        acc_d = _sum_in_order(acc_d, _squared_errors(chain[skip:], truth))
-        acc_g = _sum_in_order(acc_g, _squared_errors(gs[skip:], truth))
-    return acc_d / n_steps, acc_g / n_steps
+        for span, sums in zip(spans, acc):
+            sums[0] = _sum_in_order(sums[0], _squared_errors(chain[span], truth))
+            sums[1] = _sum_in_order(sums[1], _squared_errors(gs[span], truth))
+    return [(acc_d / n_steps, acc_g / n_steps) for acc_d, acc_g in acc]
 
 
 def _squared_errors(rows: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """norm2(row - truth) ** 2 per row, rounded exactly as ``norm2`` rounds."""
+    """norm2(row - truth) ** 2 per row: each norm rounded as ``norm2`` rounds
+    it, squared as v * v (Python's ``v ** 2`` calls libm pow, an ulp off at times)."""
     return row_norms(rows - truth) ** 2
 
 
@@ -135,26 +154,31 @@ def ema_slope_sampler(obj, x, theta: float):
     return draw
 
 
-def ema_chain(gs: np.ndarray, theta: float, d_init: np.ndarray | None = None
-              ) -> np.ndarray:
+def ema_chain(gs: np.ndarray, theta: float | np.ndarray,
+              d_init: np.ndarray | None = None) -> np.ndarray:
     """The EMA states d_t = (1-theta) d_{t-1} + theta g_t, one per row of ``gs``.
 
-    ``d_init`` is d_{-1}; it defaults to gs[0], the warm start of
-    ``vasso_update``, and every state is rounded as that update rounds it.
-    The scan runs one column at a time in plain Python floats, about 0.1 us
-    per entry (0.09-0.11 us on a 2-core x86 box, numpy 2.4), and writes each
-    column into a preallocated C-contiguous (n, dim) result; beyond that
-    result it holds about one column of Python floats at once.
+    ``theta`` is one weight, or a row of one weight per column, so a stack of
+    independent chains runs as one scan.  ``d_init`` is d_{-1}; it defaults to
+    gs[0], the warm start of ``vasso_update``, and every state is rounded as
+    that update rounds it: fl(fl(keep*d) + fl(theta*g)).  The result starts
+    as theta*gs and each row is overwritten by keep*prev + row, two numpy
+    calls per row, so the cost is 0.8-1.5 us per row at widths 10 to 30:
+    0.08-0.15 us per entry at width 10 and 0.03-0.04 at width 30 (1024-row
+    blocks on a 2-core x86 box, numpy 2.4).  Beyond the C-contiguous (n, dim)
+    result it holds one row.  Like a scan in Python floats it raises no
+    warning where a state meets inf - inf or overflows.
     """
-    keep = 1.0 - theta
-    d = gs[0] if d_init is None else np.asarray(d_init, dtype=np.float64)
+    keep = np.ones(gs.shape[1]) - theta
     chain = np.empty(gs.shape)
-    for j, d_j in enumerate(d.tolist()):
-        col = []
-        for g in gs[:, j].tolist():
-            d_j = keep * d_j + theta * g
-            col.append(d_j)
-        chain[:, j] = col
+    scratch = np.empty(gs.shape[1])
+    prev = gs[0] if d_init is None else np.asarray(d_init, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        np.multiply(theta, gs, out=chain)
+        for row in chain:
+            np.multiply(keep, prev, out=scratch)
+            np.add(scratch, row, out=row)
+            prev = row
     return chain
 
 

@@ -291,13 +291,11 @@ def cmd_stability(args) -> int:
 def cmd_mse(args) -> int:
     obj = NoisyQuadratic(np.ones(args.dim), sigma=args.sigma)
     x = obj.init_params(make_rng(args.seed, STREAM_INIT))
-    rows = []
-    for i, theta in enumerate(args.thetas):
-        rng = make_rng(args.seed, STREAM_USER + i)
-        mse_d, mse_g = _no_overflow(mse_suppression, obj, x, theta, args.steps, rng,
-                                    flags=f"--sigma {args.sigma}")
-        ratio = mse_d / mse_g if mse_g else float("nan")
-        rows.append((theta, mse_d, mse_g, ratio))
+    rngs = [make_rng(args.seed, STREAM_USER + i) for i in range(len(args.thetas))]
+    pairs = _no_overflow(mse_suppression, obj, x, args.thetas, args.steps, rngs,
+                         flags=f"--sigma {args.sigma}")
+    rows = [(theta, mse_d, mse_g, mse_d / mse_g if mse_g else float("nan"))
+            for theta, (mse_d, mse_g) in zip(args.thetas, pairs)]
     return _wrote(args.out, "theta,mse_d,mse_g,ratio", rows)
 
 

@@ -113,11 +113,12 @@ def test_criterion_03_averaging_suppresses_slope_error_to_the_steady_state():
     t0 = time.perf_counter()
     obj = NoisyQuadratic(np.ones(4), sigma=0.5)   # total noise variance 1.0
     x = np.array([0.5, -0.5, 1.0, 0.0])
+    thetas = (0.2, 0.4, 0.9)
+    pairs = mse_suppression(obj, x, thetas, 100_000,
+                            [make_rng(30 + i, 16) for i in range(len(thetas))])
     ok = True
     parts = []
-    for i, theta in enumerate((0.2, 0.4, 0.9)):
-        mse_d, mse_g = mse_suppression(obj, x, theta, 100_000,
-                                       make_rng(30 + i, 16))
+    for theta, (mse_d, mse_g) in zip(thetas, pairs):
         target = theta / (2.0 - theta)
         good = (abs(mse_d - target) <= 0.10 * target and mse_d < theta
                 and abs(mse_g - 1.0) <= 0.05)

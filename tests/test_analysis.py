@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -69,15 +70,15 @@ def test_drift_equals_the_pairwise_loop_bit_for_bit(dim):
 
 def test_no_averaging_means_no_suppression():
     obj = NoisyQuadratic(np.ones(3), sigma=0.5)
-    mse_d, mse_g = mse_suppression(obj, np.array([1.0, 0.0, -1.0]), 1.0,
-                                   2000, make_rng(0, 16))
+    [(mse_d, mse_g)] = mse_suppression(obj, np.array([1.0, 0.0, -1.0]), [1.0],
+                                       2000, [make_rng(0, 16)])
     assert mse_d == pytest.approx(mse_g, rel=1e-12)
 
 
 def test_noiseless_gradients_have_zero_mse():
     obj = NoisyQuadratic(np.ones(2), sigma=0.0)
-    mse_d, mse_g = mse_suppression(obj, np.array([2.0, 1.0]), 0.3, 500,
-                                   make_rng(0, 16))
+    [(mse_d, mse_g)] = mse_suppression(obj, np.array([2.0, 1.0]), [0.3], 500,
+                                       [make_rng(0, 16)])
     assert mse_d == 0.0 and mse_g == 0.0
 
 
@@ -90,10 +91,16 @@ def test_steady_state_factor_values():
 def test_suppression_matches_steady_state_factor(theta):
     obj = NoisyQuadratic(np.ones(4), sigma=0.5)  # total variance 1.0
     x = np.array([0.5, -0.5, 1.0, 0.0])
-    mse_d, mse_g = mse_suppression(obj, x, theta, 30_000, make_rng(7, 16))
+    [(mse_d, mse_g)] = mse_suppression(obj, x, [theta], 30_000, [make_rng(7, 16)])
     assert mse_g == pytest.approx(1.0, rel=0.05)
     assert mse_d == pytest.approx(ema_steady_state_mse(theta, 1.0), rel=0.10)
     assert mse_d < theta * 1.0
+
+
+def _square(v):
+    # one rounding, as numpy's ** 2 squares; Python's v ** 2 calls libm pow,
+    # which can land an ulp away (1.164474607671078 ** 2)
+    return v * v
 
 
 def _mse_suppression_step_by_step(obj, x_fixed, theta, n_steps, rng):
@@ -108,39 +115,67 @@ def _mse_suppression_step_by_step(obj, x_fixed, theta, n_steps, rng):
         g = obj.grad(x_fixed, sampler())
         state, _ = vasso_update(state, g, theta, 0.0)
         if i >= burn:
-            acc_d += norm2(state.d - truth) ** 2
-            acc_g += norm2(g - truth) ** 2
+            acc_d += _square(norm2(state.d - truth))
+            acc_g += _square(norm2(g - truth))
     return acc_d / n_steps, acc_g / n_steps
 
 
-@pytest.mark.parametrize("theta", [0.2, 0.4, 0.9, 1.0])
+def _each_equals_the_step_by_step_loop(obj, x, thetas, n_steps, seed):
+    # theta i draws from make_rng(seed + i, 16) in the stack and on its own
+    got = mse_suppression(obj, x, thetas, n_steps,
+                          [make_rng(seed + i, 16) for i in range(len(thetas))])
+    want = [_mse_suppression_step_by_step(obj, x, theta, n_steps,
+                                          make_rng(seed + i, 16))
+            for i, theta in enumerate(thetas)]
+    assert got == want
+
+
+# a stack whose burn-ins (2000, 25, 10 steps) differ, the longest past a block
+_STACK = pytest.param((0.005, 0.4, 1.0), id="stack")
+
+
+@pytest.mark.parametrize("theta", [0.2, 0.4, 0.9, 1.0, _STACK])
 @pytest.mark.parametrize("dim", [1, 4, 10])
 @pytest.mark.parametrize("n_steps", [300, 2500])
 def test_blocked_suppression_equals_the_step_by_step_loop(theta, dim, n_steps):
     # 2500 measured steps span three blocks and end mid-block; 300 fit in one
     obj = NoisyQuadratic(np.linspace(0.5, 2.0, dim), sigma=0.7)
     x = make_rng(dim, 0).standard_normal(dim)
-    got = mse_suppression(obj, x, theta, n_steps, make_rng(5, 16))
-    want = _mse_suppression_step_by_step(obj, x, theta, n_steps, make_rng(5, 16))
-    assert got[0] == want[0] and got[1] == want[1]
+    _each_equals_the_step_by_step_loop(obj, x, np.atleast_1d(theta).tolist(),
+                                       n_steps, 5)
 
 
-def test_blocked_suppression_follows_the_sampler_of_a_network():
+@pytest.mark.parametrize("thetas", [(0.5,), (0.005, 0.5, 1.0)],
+                         ids=["one", "stack"])
+def test_blocked_suppression_follows_the_sampler_of_a_network(thetas):
     # no vectorized grad_draws: draws come from one sampler across blocks,
     # whose 12-row epochs do not line up with the block boundaries
     ds = make_blobs_dataset(6, 2, 2, 2.0, make_rng(0, 4))
     obj = mlp_objective([2, 3, 2], "tanh", ds)
     x = obj.init_params(make_rng(0, 0))
-    got = mse_suppression(obj, x, 0.5, 1100, make_rng(1, 16))
-    want = _mse_suppression_step_by_step(obj, x, 0.5, 1100, make_rng(1, 16))
-    assert got[0] == want[0] and got[1] == want[1]
+    _each_equals_the_step_by_step_loop(obj, x, list(thetas), 1100, 1)
 
 
-def test_suppression_rejects_theta_outside_the_unit_interval():
+_OUTSIDE = "theta must be in (0,1], got "
+
+
+@pytest.mark.parametrize("thetas, n_rngs, message", [
+    ((0.0,), 1, _OUTSIDE + "0.0"),
+    ((1.5,), 1, _OUTSIDE + "1.5"),
+    ((0.5, 0.0), 2, _OUTSIDE + "0.0"),
+    ((0.0, 0.5), 2, _OUTSIDE + "0.0"),
+    ((0.5, 1.0, 1.5), 3, _OUTSIDE + "1.5"),
+    ((0.2, 0.4), 1, "need one rng per theta"),
+    ((0.2, 0.4), 3, "need one rng per theta"),
+])
+def test_suppression_rejects_a_bad_stack_before_any_draw(thetas, n_rngs, message):
     obj = NoisyQuadratic(np.ones(2), sigma=1.0)
-    for theta in (0.0, 1.5):
-        with pytest.raises(InvalidParameterError):
-            mse_suppression(obj, np.zeros(2), theta, 10, make_rng(0, 16))
+    rngs = [make_rng(i, 16) for i in range(n_rngs)]
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        mse_suppression(obj, np.zeros(2), thetas, 10, rngs)
+    # every rng is still at the start of its stream
+    assert [rng.random() for rng in rngs] == \
+        [make_rng(i, 16).random() for i in range(n_rngs)]
 
 
 def test_chain_matches_sequential_updates_exactly():
@@ -170,21 +205,39 @@ def _update_loop(gs, theta, d_init=None):
     return np.array(states)
 
 
+def _column_loops(gs, thetas, d_init=None):
+    return np.column_stack([
+        _update_loop(gs[:, [j]], theta, None if d_init is None else d_init[[j]])
+        for j, theta in enumerate(thetas)])
+
+
 @pytest.mark.parametrize("warm_start", [False, True], ids=["default", "d_init"])
 @pytest.mark.parametrize("shape", [(1, 4), (300, 1), (300, 4), (60, 40)],
                          ids=["one-row", "dim1", "tall", "wide"])
-@pytest.mark.parametrize("theta", [1.0, 0.3, 1e-3])
+@pytest.mark.parametrize("theta", [1.0, 0.3, 1e-3, "row"])
 def test_chain_equals_the_update_loop_in_every_shape(theta, shape, warm_start):
     rng = make_rng(7, 16)
     gs = rng.standard_normal(shape)
     d_init = rng.standard_normal(shape[1]) if warm_start else None
+    if theta == "row":   # one weight per column, each column its own chain
+        theta = np.resize([1.0, 0.3, 1e-3], shape[1])
+        want = _column_loops(gs, theta, d_init)
+    else:
+        want = _update_loop(gs, theta, d_init)
     chain = ema_chain(gs, theta, d_init=d_init)
     assert chain.shape == shape and chain.dtype == np.float64
     assert chain.flags.c_contiguous
-    assert np.array_equal(chain, _update_loop(gs, theta, d_init))
+    assert np.array_equal(chain, want)
 
 
-def test_chain_holds_about_one_column_beyond_its_result():
+def test_chain_meets_inf_minus_inf_without_a_warning():
+    # as Python floats do: under the RuntimeWarning filter a warning would raise
+    chain = ema_chain(np.array([[np.inf, 1.0], [-np.inf, 1.0]]), 0.5)
+    assert chain[0].tolist() == [np.inf, 1.0]
+    assert np.isnan(chain[1, 0]) and chain[1, 1] == 1.0
+
+
+def test_chain_holds_about_one_row_beyond_its_result():
     gs = make_rng(7, 16).standard_normal((20_000, 10))
     tracemalloc.start()
     try:
@@ -250,7 +303,7 @@ def test_averaged_direction_is_more_stable_than_raw():
                               make_rng(2, 16))
     assert d_vasso < d_sam
     # at the mean-squared level the gap ratio tracks the steady-state factor
-    mse_d, mse_g = mse_suppression(obj, x, 0.2, 50_000, make_rng(3, 16))
+    [(mse_d, mse_g)] = mse_suppression(obj, x, [0.2], 50_000, [make_rng(3, 16)])
     assert mse_d / mse_g == pytest.approx(1.0 / 9.0, rel=0.15)
 
 

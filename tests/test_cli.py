@@ -571,6 +571,21 @@ def test_mse_reports_suppressed_error_per_theta(tmp_path):
     assert rows["0.2"][1] == pytest.approx(1.0, rel=0.2)
 
 
+def test_mse_rows_are_pinned_byte_for_byte(tmp_path, capsys):
+    # burn-ins of 2000, 25 and 10 steps: the longest chain crosses 1024-row
+    # block boundaries while the others end inside it
+    out = tmp_path / "mse.csv"
+    rc = main(["mse", "--seed", "0", "--dim", "4", "--thetas", "0.005,0.4,1",
+               "--steps", "3000", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_bytes() == (
+        b"theta,mse_d,mse_g,ratio\n"
+        b"0.005,0.009372948975897362,4.054241794914417,0.0023118870185923927\n"
+        b"0.4,0.9805263187021211,3.9725867003247965,0.2468231388435031\n"
+        b"1.0,4.028763652024107,4.028763652024107,1.0\n")
+
+
 def test_delta_prints_the_stability_ratio(tmp_path, capsys):
     out = tmp_path / "delta.csv"
     rc = main(["delta", "--seed", "0", "--dim", "6", "--samples", "2000",

@@ -146,6 +146,11 @@ class Schedule:
                 raise InvalidParameterError(
                     f"{self.kind} schedule needs a positive horizon, got {self.horizon}")
 
+    @property
+    def constant_in_t(self) -> bool:
+        """Whether the value is the same at every iteration: constant and theory."""
+        return self.kind in ("constant", "theory")
+
 
 def schedule_value(s: Schedule, t: int) -> float:
     """Evaluate schedule ``s`` at iteration ``t`` (0-based)."""

@@ -324,10 +324,12 @@ def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    """The activation's derivative, from the activation ``a`` the forward pass kept."""
+    """The activation's derivative, from the activation ``a`` the forward pass
+    kept, written over ``a``: relu's 1.0 or 0.0 scales as its mask would."""
     if kind == "relu":
-        return a > 0.0
-    return 1.0 - a * a
+        return np.greater(a, 0.0, out=a)
+    np.multiply(a, a, out=a)
+    return np.subtract(1.0, a, out=a)
 
 
 def _fold_columns(op, a: np.ndarray) -> np.ndarray:
@@ -443,8 +445,9 @@ class Mlp:
             w0, b0, end = self._offsets[i]
             grad[..., w0:b0] = (delta.mT @ acts[i]).reshape(lead + (-1,))
             grad[..., b0:end] = delta.sum(axis=-2)
-            if i > 0:
-                delta = (delta @ W) * _act_deriv(acts[i], self.activation)
+            if i > 0:   # the last read of acts[i]: its derivative, then delta, go over it
+                delta = np.multiply(delta @ W, _act_deriv(acts[i], self.activation),
+                                    out=acts[i])
         return loss, grad
 
     def normalize_direction(self, direction: np.ndarray, x: np.ndarray) -> np.ndarray:

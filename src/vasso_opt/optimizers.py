@@ -22,10 +22,16 @@ a leading seed axis, and every row is computed exactly as the one-vector
 call on that row would compute it.  ``OptimizerConfig`` holds one validated
 setting, and ``vasso_step`` reads its knobs from an ``ArmKnobs`` only: the
 settings of a stack's rows, the arms, of which one config is a stack of one.
+``ArmKnobs`` settles once per run what stays fixed over it (1 - theta, the
+lr and rho of schedules that do not depend on t, the forced gate outcome),
+so a step pays only for the arithmetic its knobs need: a momentum or weight
+decay that is zero on every row is never computed, and a stack that is all
+finite passes each finiteness check with one sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,38 +92,64 @@ class ArmKnobs:
     scalar, so every row steps bit for bit as a stack of its arm alone
     would.  ``gate`` draws only when some row has 0 < p < 1; rows of p 0
     and 1 read the outcome their p forces.
+
+    What does not change over a run is settled here, once: the EMA's
+    ``keep`` = 1 - theta, the lr and rho of schedules that do not depend on
+    t (returned for every t their horizons allow), the forced gate
+    outcome, and the rows whose gradient at x is never read.  A momentum or
+    weight decay that is zero on every row stays the scalar 0, and
+    ``base_update`` then never computes its term.
     """
 
     def __init__(self, configs, arm_of_row=(0,)):
         configs, self._arm = list(configs), np.asarray(arm_of_row)
         self.theta = self._knob([c.theta for c in configs], column=True)
+        self.keep = 1.0 - self.theta   # the EMA's weight on the old slope
         self.momentum = self._knob([c.momentum for c in configs], column=True)
         self.weight_decay = self._knob([c.weight_decay for c in configs], column=True)
         self.p = self._knob([c.p for c in configs], column=False)
         self.always_opens = bool(np.all(self.p == 1.0))
         self.never_opens = not np.any(self.p)
         self._gated = bool(np.any((self.p > 0.0) & (self.p < 1.0)))
+        self._forced = self.p == 1.0
         fresh = [bool(c.adv_batch) for c in configs]
         self.fresh = fresh[0] if len(set(fresh)) == 1 else np.array(fresh)[self._arm]
-        # a schedule that every arm shares is evaluated once per step
+        # a fresh row whose gate always opens never reads its gradient at x
+        self._unread_g = self.fresh & self._forced
+        # a schedule that every arm shares is evaluated once per step, and
+        # one that does not depend on t once per run
         self._lr = configs[:1] if len({c.lr for c in configs}) == 1 else configs
         self._rho = configs[:1] if \
             len({(c.rho, c.rho_schedule) for c in configs}) == 1 else configs
+        schedules = [c.lr for c in self._lr] + \
+            [c.rho_schedule for c in self._rho if c.rho_schedule is not None]
+        self._t_end = min((s.horizon for s in schedules if s.horizon is not None),
+                          default=math.inf)
+        self._lr_value = self._rho_value = None
+        if all(c.lr.constant_in_t for c in self._lr):
+            self._lr_value = self.lr_at(0)
+        if all(c.rho_schedule is None or c.rho_schedule.constant_in_t for c in self._rho):
+            self._rho_value = self.rho_at(0)
 
     def _knob(self, values, column: bool):
         if len(values) == 1 or _shared(values):
             return values[0]
         per_row = np.array(values, dtype=np.float64)[self._arm]
+        per_row.flags.writeable = False   # settled values are shared by every step
         return per_row[:, np.newaxis] if column else per_row
 
     def lr_at(self, t: int):
+        if self._lr_value is not None and 0 <= t < self._t_end:
+            return self._lr_value
         return self._knob([c.lr_at(t) for c in self._lr], column=True)
 
     def rho_at(self, t: int):
+        if self._rho_value is not None and 0 <= t < self._t_end:
+            return self._rho_value
         return self._knob([c.rho_at(t) for c in self._rho], column=False)
 
     def gate(self, rng):
-        return rng.random() < self.p if self._gated else self.p == 1.0
+        return rng.random() < self.p if self._gated else self._forced
 
 
 @dataclass
@@ -137,13 +169,12 @@ class AdversaryState:
         zero where rho == 0, and on every row whose slope is degenerate.
         """
         # NaN compares false: a failed row never moves the others off this path
+        zero = np.less_equal(self.d_norm, DEGENERATE_NORM_TOL)
         if isinstance(rho, np.ndarray):
-            zero = (self.d_norm <= DEGENERATE_NORM_TOL) | (rho == 0.0)
+            zero |= rho == 0.0
         elif rho == 0.0:
             return np.zeros(self.d.shape)
-        else:
-            zero = np.asarray(self.d_norm) <= DEGENERATE_NORM_TOL
-        if not zero.any():
+        if not np.count_nonzero(zero):
             return np.divide(rho, self.d_norm)[..., np.newaxis] * self.d
         eps = np.divide(rho, np.where(zero, 1.0, self.d_norm))[..., np.newaxis] * self.d
         eps[zero] = 0.0
@@ -175,16 +206,29 @@ def vasso_update(state: AdversaryState | None, g: np.ndarray, theta, rho
 
     ``state=None`` means the warm start d_{-1} := g, so the first adversary
     coincides with SAM's regardless of theta.  For a stack, theta may be an
-    (S, 1) column and rho one radius per row.
+    (S, 1) column and rho one radius per row.  ``theta`` may also be the
+    ``ArmKnobs`` that hold it: their configs validated theta and the knobs
+    settled 1 - theta once per run, so the step checks and subtracts
+    nothing.  A number or column is checked here on every call.
     """
-    ok = ((0.0 < theta) & (theta <= 1.0)).all() if isinstance(theta, np.ndarray) \
-        else 0.0 < theta <= 1.0
-    if not ok:
-        raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
+    if isinstance(theta, ArmKnobs):
+        theta, keep = theta.theta, theta.keep
+    else:
+        ok = ((0.0 < theta) & (theta <= 1.0)).all() if isinstance(theta, np.ndarray) \
+            else 0.0 < theta <= 1.0
+        if not ok:
+            raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
+        keep = 1.0 - theta
     prev = g if state is None else state.d
-    d = (1.0 - theta) * prev + theta * g
+    d = keep * prev
+    d += theta * g
     new_state = AdversaryState(d=d, d_norm=row_norms(d))
     return new_state, new_state.epsilon(rho)
+
+
+def _is_zero(knob) -> bool:
+    """Whether a knob is one zero, not a column of per-row values."""
+    return not isinstance(knob, np.ndarray) and knob == 0.0
 
 
 def base_update(x: np.ndarray, g_update: np.ndarray, cfg: OptimizerConfig | ArmKnobs,
@@ -193,14 +237,20 @@ def base_update(x: np.ndarray, g_update: np.ndarray, cfg: OptimizerConfig | ArmK
     """Heavy-ball update with decoupled-at-x weight decay.
 
     v <- momentum*v + g + wd*x ;  x <- x - eta_t*v.  Weight decay is taken at
-    the unperturbed point x_t even when g came from a perturbed point.
+    the unperturbed point x_t even when g came from a perturbed point.  A
+    momentum or weight decay that is one zero (``ArmKnobs`` keeps a knob
+    that is zero on every row a scalar) is never computed.  Dropping
+    ``0*x`` or ``0*v`` changes v at most in the sign of a zero entry, and
+    ``x - eta*(+-0)`` is x for every finite x but -0, which no run's
+    iterate holds (a -0 entry only arises from a -0 start).  So the new x is
+    the full formula's bit for bit; a row whose x or v is not finite has
+    already failed its gradient check.
     """
     eta = cfg.lr_at(t)
-    step_dir = g_update + cfg.weight_decay * x
-    if momentum_buffer is None:
-        v = step_dir
-    else:
-        v = cfg.momentum * momentum_buffer + step_dir
+    wd, momentum = cfg.weight_decay, cfg.momentum
+    v = g_update if _is_zero(wd) else g_update + wd * x
+    if momentum_buffer is not None and not _is_zero(momentum):
+        v = momentum * momentum_buffer + v
     return x - eta * v, v
 
 
@@ -240,6 +290,21 @@ def _finite_rows(g: np.ndarray):
     return np.isfinite(g).all(axis=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _all_finite(a, b=None) -> bool:
+    """True if the sum of every entry of ``a`` and ``b`` is finite.
+
+    An inf or NaN entry makes the sum inf or NaN, so True proves every
+    entry finite.  False may also come from finite entries whose sum
+    overflows: the caller then checks row by row.  A sum costs less than a
+    row check; a dot product would cost the same but raises the peak RSS
+    of a run that takes no other dot product.
+    """
+    total = np.add.reduce(a, None) if b is None else \
+        np.add.reduce(a, None) + np.add.reduce(b, None)
+    return math.isfinite(total)
+
+
 def _fail(failed, ok, message: str, t: int):
     """Add the rows that are not ``ok`` to ``failed``; raise once all have failed."""
     if ok.all():
@@ -276,37 +341,41 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
     fresh = cfg.fresh   # False, True, or one per row when the arms differ
     if (adv_batch is None) != (fresh is False):
         raise InvalidParameterError("adv_batch is given exactly when some row is fresh")
+    failed = None
     if adv_batch is not None and cfg.always_opens:
         loss, g = obj.loss(x, batch), None
-        ok = np.isfinite(loss)
+        if not _all_finite(loss):
+            failed = _fail(None, np.isfinite(loss), "non-finite loss or gradient", t)
     else:
         loss, g = obj.loss_and_grad(x, batch)
-        # a fresh row whose gate always opens never uses g
-        ok = np.isfinite(loss) & (_finite_rows(g) | (fresh & (cfg.p == 1.0)))
-    failed = _fail(None, ok, "non-finite loss or gradient", t)
+        if not _all_finite(loss, g):   # a row that never reads g may hold a non-finite one
+            failed = _fail(None, np.isfinite(loss) & (_finite_rows(g) | cfg._unread_g),
+                           "non-finite loss or gradient", t)
     if cfg.never_opens:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
         return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
     if adv_batch is None:
         g_adv = g
-    elif g is None or np.all(fresh):
+    elif g is None or fresh is True:
         g_adv = obj.grad(x, adv_batch)
     else:   # the other rows' adversary batch is their own: reuse g there
         g_adv = np.where(fresh[:, np.newaxis], obj.grad(x, adv_batch, rows=fresh), g)
-    if adv_batch is not None:
+    if adv_batch is not None and not _all_finite(g_adv):
         failed = _fail(failed, _finite_rows(g_adv),
                        "non-finite gradient on the adversary batch", t)
-    state, eps = vasso_update(state, g_adv, cfg.theta, cfg.rho_at(t))
+    state, eps = vasso_update(state, g_adv, cfg, cfg.rho_at(t))
     opened = cfg.gate(rng)   # one outcome per row of a stack
-    n_closed = np.count_nonzero(np.logical_not(opened))
+    n_closed = 0 if cfg.always_opens else np.count_nonzero(np.logical_not(opened))
     if not n_closed:
         g_upd = obj.grad(x + eps, batch)
-        failed = _fail(failed, _finite_rows(g_upd),
-                       "non-finite gradient at perturbed point", t)
+        if not _all_finite(g_upd):
+            failed = _fail(failed, _finite_rows(g_upd),
+                           "non-finite gradient at perturbed point", t)
     elif n_closed < np.size(opened):   # some rows of a stack keep their gradient at x
         g_pert = obj.grad(x + eps, batch, rows=opened)
-        failed = _fail(failed, _finite_rows(g_pert) | ~opened,
-                       "non-finite gradient at perturbed point", t)
+        if not _all_finite(g_pert):
+            failed = _fail(failed, _finite_rows(g_pert) | ~opened,
+                           "non-finite gradient at perturbed point", t)
         g_upd = np.where(opened[:, np.newaxis], g_pert, g)
         eps = np.where(opened[:, np.newaxis], eps, 0.0)
     else:

@@ -71,6 +71,15 @@ ARM_SETS = {
                 {"kind": "sgd", "lr": {"kind": "cosine", "base": 0.1}}],
     "gates-forced-only": [{"kind": "evasso", "rho": 0.1, "p": 0.0, "lr": _LR},
                           {"kind": "evasso", "rho": 0.1, "p": 1.0, "lr": _LR}],
+    # only momentum, or only weight decay, differs: alone, the zero arm never
+    # computes that term, and in the stack its row scales it by a column's 0
+    "momentum-only": [{"kind": "vasso", "rho": 0.1, "theta": 0.3, "lr": _LR},
+                      {"kind": "vasso", "rho": 0.1, "theta": 0.3, "lr": _LR,
+                       "momentum": 0.9}],
+    "weight-decay-only": [{"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.5,
+                           "lr": _LR, "weight_decay": 0.01},
+                          {"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.5,
+                           "lr": _LR}],
 }
 
 
@@ -160,6 +169,17 @@ def test_a_knob_every_arm_shares_stays_a_scalar():
     assert knobs.p.tolist() == [0.5, 0.5, 0.0, 0.0, 1.0, 1.0]
     assert knobs.lr_at(5)[:, 0].tolist() == [c.lr_at(5) for c in cfgs[:3] for _ in "ab"]
     assert knobs.rho_at(5).tolist() == [c.rho_at(5) for c in cfgs[:3] for _ in "ab"]
+
+
+@pytest.mark.parametrize("arm_set, knob", [("momentum-only", "momentum"),
+                                            ("weight-decay-only", "weight_decay")])
+def test_a_zero_knob_is_a_scalar_alone_and_a_column_beside_another_value(arm_set, knob):
+    # alone the zero arm skips the term; beside the other arm its rows scale by 0
+    cfgs = [cfg.optimizer_config() for cfg in _arms("quadratic-diag", arm_set)]
+    zero = next(c for c in cfgs if getattr(c, knob) == 0.0)
+    assert np.ndim(getattr(ArmKnobs([zero], [0, 0]), knob)) == 0
+    column = getattr(ArmKnobs(cfgs, [0, 0, 1, 1]), knob)
+    assert column.shape == (4, 1) and np.count_nonzero(column) == 2
 
 
 def test_arms_of_another_adversary_batch_size_keep_their_own_stack(monkeypatch):

@@ -681,6 +681,20 @@ def test_a_stacked_loss_holds_about_one_widest_activation(activation):
     assert _traced_peak(mlp.loss, x, feats, labels) <= 1.5 * widest
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_a_backward_pass_writes_each_derivative_over_its_activation(activation):
+    # one point on 512 rows of a [2,32,2] net: the backward pass holds the
+    # hidden activation, its derivative written over it, and delta @ W
+    mlp = Mlp([2, 32, 2], activation)
+    rng = make_rng(5, 16)
+    x = mlp.init_params(rng)
+    feats, labels = rng.standard_normal((512, 2)), rng.integers(0, 2, 512)
+    kept = feats.copy()
+    mlp.loss_and_grad(x, feats, labels)
+    assert _traced_peak(mlp.loss_and_grad, x, feats, labels) <= 2.5 * 512 * 32 * 8
+    assert feats.tobytes() == kept.tobytes()   # the input layer is never written
+
+
 _BLOBS_3_CLASS_RELU = {
     "objective": {"kind": "blobs", "n_per_class": 16, "n_classes": 3, "dim": 2,
                   "separation": 2.0, "hidden": [8], "activation": "relu",

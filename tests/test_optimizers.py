@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vasso_opt.core import Schedule, make_rng, norm2
+from vasso_opt import optimizers
+from vasso_opt.core import Schedule, make_rng, norm2, schedule_value
 from vasso_opt.errors import InvalidParameterError, NonFiniteError
+from vasso_opt.harness import parse_config, run_seeds
 from vasso_opt.objectives import NoisyQuadratic
 from vasso_opt.optimizers import (AdversaryState, ArmKnobs, OptimizerConfig,
                                   base_update, sam_adversary, sam_step, sfw_solve,
@@ -166,6 +168,98 @@ def test_base_update_uses_schedule_at_t():
     cfg = _cfg(lr=Schedule("inverse-sqrt", 1.0))
     x, _ = base_update(np.array([0.0]), np.array([1.0]), cfg, t=3)
     assert np.array_equal(x, [-0.5])
+
+
+def _full_base_update(x, g_update, cfg, momentum_buffer=None, *, t=0):
+    """The heavy-ball formula with every term computed, zero knobs included."""
+    v = g_update + cfg.weight_decay * x
+    if momentum_buffer is not None:
+        v = cfg.momentum * momentum_buffer + v
+    return x - cfg.lr_at(t) * v, v
+
+
+@pytest.mark.parametrize("knobs", [dict(), dict(momentum=0.9), dict(weight_decay=0.1)])
+def test_a_zero_momentum_or_weight_decay_term_keeps_the_bits(knobs):
+    # -0.0 gradient entries against +0.0, negative and positive x entries:
+    # g + 0*x flips the sign of a zero entry of v, and x - eta*v does not see it
+    cfg = ArmKnobs([_cfg(lr=Schedule("constant", 0.25), **knobs)])
+    x = np.array([[0.0, -1.5, 2.0, 0.0], [3.0, 0.0, 1e-300, -2.0]])
+    grads = [np.array([[-0.0, -0.0, 0.0, 1.0], [-0.0, 0.5, -0.0, 0.0]]),
+             np.array([[-0.0, 1.0, -0.0, -0.0], [2.0, -0.0, -0.0, -0.0]]),
+             np.array([[0.0, -0.0, -0.0, -0.0], [-0.0, -0.0, 1.0, -0.0]])]
+    xa = xb = x
+    va = vb = None
+    for t, g in enumerate(grads):
+        xa, va = base_update(xa, g, cfg, va, t=t)
+        xb, vb = _full_base_update(xb, g, cfg, vb, t=t)
+        assert xa.tobytes() == xb.tobytes()
+        assert np.array_equal(va, vb)   # equal up to the sign of a zero
+    if not knobs:   # neither term is computed: the step direction is g itself
+        g = grads[0]
+        assert base_update(x, g, cfg, np.ones_like(x))[1] is g
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])
+def test_a_diverging_row_aborts_as_under_the_full_formula(kind, monkeypatch):
+    # negative curvature: seed 1's row overflows at step 154, seeds 0 and 4
+    # run on; every row steps with zero momentum and weight decay
+    cfg = parse_config({
+        "objective": {"kind": "quadratic", "diag": [-9.0, 1.0], "sigma": 0.5},
+        "optimizer": {"kind": kind, "rho": 0.1, "theta": 0.3,
+                      "lr": {"kind": "constant", "base": 1.0},
+                      **({"p": 0.5} if kind == "evasso" else {})},
+        "T": 155, "batch_size": 1, "seeds": [0, 1, 4]})
+    got = run_seeds(cfg, [0, 1, 4], keep_final_x=True)
+    monkeypatch.setattr(optimizers, "base_update", _full_base_update)
+    want = run_seeds(cfg, [0, 1, 4], keep_final_x=True)
+    assert [s["aborted_at"] for _, s in got] == [None, 154, None]
+    for (rows, summary), (ref_rows, ref) in zip(got, want):
+        assert rows.to_csv() == ref_rows.to_csv()
+        assert summary.pop("final_x").tobytes() == ref.pop("final_x").tobytes()
+        assert summary == ref
+
+
+_SCHEDULES = [Schedule("constant", 0.3), Schedule("constant", 0.2, horizon=12),
+              Schedule("cosine", 0.4, horizon=12), Schedule("inverse-sqrt", 0.5),
+              Schedule("theory", 0.6, horizon=12)]
+
+
+def test_lr_and_rho_settled_per_run_equal_the_schedules_at_every_step(monkeypatch):
+    cfgs = [_cfg(lr=lr, rho=0.1, rho_schedule=rho)
+            for lr in _SCHEDULES for rho in [None] + _SCHEDULES]
+    arm_sets = [[c] for c in cfgs] + [cfgs[:2], [cfgs[0], cfgs[4]], cfgs[::5], cfgs]
+    for arms in arm_sets:
+        arm_of_row = np.repeat(np.arange(len(arms)), 2)
+        knobs = ArmKnobs(arms, arm_of_row)
+        for t in range(12):
+            lr = [schedule_value(arms[a].lr, t) for a in arm_of_row]
+            rho = [arms[a].rho_at(t) for a in arm_of_row]
+            got_lr, got_rho = knobs.lr_at(t), knobs.rho_at(t)
+            # one value stays a scalar, else a column (lr) or one per row (rho)
+            assert np.ndim(got_lr) == (0 if len(set(lr)) == 1 else 2)
+            assert np.ndim(got_rho) == (0 if len(set(rho)) == 1 else 1)
+            assert np.broadcast_to(got_lr, (len(lr), 1)).tobytes() == \
+                np.array(lr)[:, None].tobytes()
+            assert np.broadcast_to(got_rho, len(rho)).tobytes() == np.array(rho).tobytes()
+        # past a horizon, or before t=0, the schedule raises as it would
+        bounded = any(c.lr.horizon or (c.rho_schedule and c.rho_schedule.horizon)
+                      for c in arms)
+        for t in (-1, 12) if bounded else (-1,):
+            with pytest.raises(InvalidParameterError):
+                knobs.lr_at(t), knobs.rho_at(t)
+    # a schedule that does not depend on t is evaluated once per run
+    calls = []
+    real = optimizers.schedule_value
+    monkeypatch.setattr(optimizers, "schedule_value",
+                        lambda s, t: calls.append(t) or real(s, t))
+    cfg = parse_config({"objective": {"kind": "quadratic", "diag": [1.0, 2.0], "sigma": 0.1},
+                        "optimizer": {"kind": "vasso", "rho": 0.1, "lr": {
+                            "kind": "constant", "base": 0.1}, "rho_schedule": {
+                            "kind": "theory", "base": 0.1}},
+                        "T": 20, "batch_size": 1, "seeds": [0, 1]})
+    run_seeds(cfg, [0, 1])
+    assert calls == [0, 0]
 
 
 # ---------------------------------------------------------------------------

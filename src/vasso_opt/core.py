@@ -1,4 +1,4 @@
-"""Vector arithmetic, deterministic RNG streams, and hyperparameter schedules.
+"""Vectors, deterministic RNG streams, schedules, and strict config readers.
 
 Parameter vectors are plain 1-D float64 numpy arrays throughout the package;
 ``as_param_vector`` is the single place where that contract is enforced.  The
@@ -22,7 +22,7 @@ import numpy as np
 # first command of a run does not pay for that import.
 from numpy.random import Generator, Philox
 
-from .errors import DimensionMismatchError, InvalidParameterError
+from .errors import ConfigError, DimensionMismatchError, InvalidParameterError
 
 # Norms at or below this are treated as degenerate (no preferred direction).
 DEGENERATE_NORM_TOL = 1e-12
@@ -169,3 +169,64 @@ def schedule_value(s: Schedule, t: int) -> float:
     if s.horizon == 1:
         return s.base
     return 0.5 * s.base * (1.0 + math.cos(math.pi * t / (s.horizon - 1)))
+
+
+_REQUIRED = object()   # the default of a key that has none: it must be given
+
+
+class _Fields:
+    """Tracks consumed keys of one JSON object and rejects leftovers.
+
+    Each key is named once: ``take`` returns its value (a key is required
+    exactly when it has no default), and ``number`` and ``typed`` check it
+    too, naming it by its dotted path, the object's path and the key.
+    """
+
+    def __init__(self, raw: dict, path: str):
+        if not isinstance(raw, dict):
+            raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
+        self.raw = raw
+        self.path = path
+        self.seen = set()
+
+    def take(self, key, default=_REQUIRED):
+        self.seen.add(key)
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"{self.path}.{key}", "missing required field")
+        return default
+
+    def number(self, key, default=_REQUIRED, **bounds):
+        """A finite number within ``bounds`` (``_as_number``); null, if that is the default."""
+        v = self.take(key, default)
+        if v is None and default is None:
+            return None
+        return _as_number(v, f"{self.path}.{key}", **bounds)
+
+    def typed(self, key, type_, what: str, default=_REQUIRED):
+        """The key's value, which must be an instance of ``type_`` (``what``, in errors)."""
+        v = self.take(key, default)
+        if not isinstance(v, type_):
+            raise ConfigError(f"{self.path}.{key}", f"expected {what}")
+        return v
+
+    def finish(self):
+        unknown = set(self.raw) - self.seen
+        if unknown:
+            key = sorted(unknown)[0]
+            raise ConfigError(f"{self.path}.{key}", "unknown key")
+
+
+def _as_number(v, path, lo=None, hi=None, integer=False):
+    ok = isinstance(v, int) and not isinstance(v, bool) if integer else \
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not ok:
+        raise ConfigError(path, f"expected {'an integer' if integer else 'a number'}, got {v!r}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(path, f"must be finite, got {v}")
+    if lo is not None and v < lo:
+        raise ConfigError(path, f"must be >= {lo}, got {v}")
+    if hi is not None and v > hi:
+        raise ConfigError(path, f"must be <= {hi}, got {v}")
+    return int(v) if integer else float(v)

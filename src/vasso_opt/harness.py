@@ -18,15 +18,7 @@ own, so its ``mean_wallclock_ms`` stays per arm.
 Config schema (JSON, unknown keys are errors)::
 
     {
-      "objective": {"kind": "quadratic", "diag": [...] | "matrix": [[...]],
-                    "sigma": 1.0, "b": [...]?, "init_scale": 1.0?}
-                 | {"kind": "blobs", "n_per_class": 64, "n_classes": 2?,
-                    "dim": 2, "separation": 3.0, "label_noise": 0.0?,
-                    "hidden": [8], "activation": "tanh"?,
-                    "holdout_fraction": 0.0?}
-                 | {"kind": "dataset", "path": "d.csv", "header": false?,
-                    "hidden": [8], "activation": "tanh"?, "label_noise": 0.0?,
-                    "holdout_fraction": 0.0?},
+      "objective": {"kind": "quadratic|blobs|dataset", ...},
       "optimizer": {"kind": "sgd|sam|vasso|evasso|sam_db", "rho": 0.05?,
                     "theta": 0.2?, "p": 1.0?, "lr": {"kind": "constant",
                     "base": 0.01, "horizon": null?}, "rho_schedule": {...}?,
@@ -36,11 +28,12 @@ Config schema (JSON, unknown keys are errors)::
       "metrics_every": 1?, "output_path": "metrics.csv"?
     }
 
-``OBJECTIVES`` maps each objective kind to its class, which answers the whole
-surface the engine reads (``build``, ``stack``, ``init_params``,
-``final_loss``, ...; see objectives).  The harness "final_loss" metric is the
-objective's ``final_loss``: the held-out loss when it has a held-out split,
-and the full (noise-free) objective value otherwise.
+``OBJECTIVES`` maps each objective kind to its class, which parses the
+kind's keys (its docstring names them) and answers the whole surface the
+engine reads (``build``, ``stack``, ``init_params``, ``final_loss``, ...;
+see objectives).  The harness "final_loss" metric is the objective's
+``final_loss``: the held-out loss when it has a held-out split, and the full
+(noise-free) objective value otherwise.
 """
 
 from __future__ import annotations
@@ -56,7 +49,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                   STREAM_INIT, Schedule, block_steps, make_rng, row_norms)
+                   STREAM_INIT, Schedule, _as_number, _Fields, block_steps, make_rng,
+                   row_norms)
 from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import MlpObjective, NoisyQuadratic
@@ -74,10 +68,9 @@ KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
               "vasso": {"p": 1.0}, "evasso": {},
               "sam_db": {"theta": 1.0, "p": 1.0, "fresh_adv": True}}
 OPTIMIZER_KINDS = tuple(KIND_KNOBS)
-# The one map from an objective kind to code: the class that builds, stacks
-# and initialises the kind's objectives (see objectives).
+# The one map from an objective kind to code: the class that parses, builds,
+# stacks and initialises the kind's objectives (see objectives).
 OBJECTIVES = {"quadratic": NoisyQuadratic, "blobs": MlpObjective, "dataset": MlpObjective}
-OBJECTIVE_KINDS = tuple(OBJECTIVES)
 
 METRICS_HEADER = "seed,t,loss,full_grad_norm,eps_drift,grad_evals_cum,wallclock_ms"
 
@@ -93,77 +86,6 @@ def fmt(v) -> str:
 
 # ---------------------------------------------------------------------------
 # strict config parsing
-
-
-_REQUIRED = object()   # the default of a key that has none: it must be given
-
-
-class _Fields:
-    """Tracks consumed keys of one JSON object and rejects leftovers.
-
-    Each key is named once: ``take`` returns its value (a key is required
-    exactly when it has no default), and ``number`` and ``typed`` check it
-    too, naming it by its dotted path, the object's path and the key.
-    """
-
-    def __init__(self, raw: dict, path: str):
-        if not isinstance(raw, dict):
-            raise ConfigError(path, f"expected an object, got {type(raw).__name__}")
-        self.raw = raw
-        self.path = path
-        self.seen = set()
-
-    def take(self, key, default=_REQUIRED):
-        self.seen.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if default is _REQUIRED:
-            raise ConfigError(f"{self.path}.{key}", "missing required field")
-        return default
-
-    def number(self, key, default=_REQUIRED, **bounds):
-        """A finite number within ``bounds`` (``_as_number``); null, if that is the default."""
-        v = self.take(key, default)
-        if v is None and default is None:
-            return None
-        return _as_number(v, f"{self.path}.{key}", **bounds)
-
-    def typed(self, key, type_, what: str, default=_REQUIRED):
-        """The key's value, which must be an instance of ``type_`` (``what``, in errors)."""
-        v = self.take(key, default)
-        if not isinstance(v, type_):
-            raise ConfigError(f"{self.path}.{key}", f"expected {what}")
-        return v
-
-    def finish(self):
-        unknown = set(self.raw) - self.seen
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(f"{self.path}.{key}", "unknown key")
-
-
-def _as_number(v, path, lo=None, hi=None, integer=False):
-    ok = isinstance(v, int) and not isinstance(v, bool) if integer else \
-        isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not ok:
-        raise ConfigError(path, f"expected {'an integer' if integer else 'a number'}, got {v!r}")
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(path, f"must be finite, got {v}")
-    if lo is not None and v < lo:
-        raise ConfigError(path, f"must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(path, f"must be <= {hi}, got {v}")
-    return int(v) if integer else float(v)
-
-
-def _as_list(v, path) -> list:
-    if not isinstance(v, list) or not v:
-        raise ConfigError(path, f"expected a non-empty list, got {v!r}")
-    return v
-
-
-def _number_list(v, path) -> list[float]:
-    return [_as_number(x, path) for x in _as_list(v, path)]
 
 
 def _parse_schedule(raw, path, T) -> Schedule:
@@ -233,53 +155,14 @@ class ExperimentConfig:
 
 
 def _parse_objective(raw) -> dict:
+    """The objective spec: its kind's class parses every key but ``kind``."""
     f = _Fields(raw, "objective")
     kind = f.take("kind")
-    if kind not in OBJECTIVE_KINDS:
-        raise ConfigError("objective.kind", f"must be one of {OBJECTIVE_KINDS}, got {kind!r}")
-    out = {"kind": kind}
-    if kind == "quadratic":
-        diag = f.take("diag", None)
-        matrix = f.take("matrix", None)
-        if (diag is None) == (matrix is None):
-            raise ConfigError("objective", "give exactly one of 'diag' or 'matrix'")
-        if diag is not None:
-            out["diag"] = _number_list(diag, "objective.diag")
-        else:
-            out["matrix"] = [_number_list(row, "objective.matrix")
-                             for row in _as_list(matrix, "objective.matrix")]
-            if any(len(row) != len(matrix) for row in matrix):
-                raise ConfigError("objective.matrix", "must be square")
-            A = np.array(out["matrix"])
-            if not np.allclose(A, A.T, atol=1e-12):
-                raise ConfigError("objective.matrix", "must be symmetric")
-        dim = len(diag if diag is not None else matrix)
-        out["sigma"] = f.number("sigma", lo=0.0)
-        b = f.take("b", None)
-        if b is not None:
-            out["b"] = _number_list(b, "objective.b")
-            if len(b) != dim:
-                raise ConfigError("objective.b", f"expected {dim} entries, got {len(b)}")
-        out["init_scale"] = f.number("init_scale", 1.0)
-    else:
-        if kind == "blobs":
-            out["n_per_class"] = f.number("n_per_class", lo=1, integer=True)
-            out["n_classes"] = f.number("n_classes", 2, lo=2, integer=True)
-            out["dim"] = f.number("dim", lo=1, integer=True)
-            out["separation"] = f.number("separation")
-        else:
-            out["path"] = f.typed("path", str, "a string")
-            out["header"] = f.typed("header", bool, "a boolean", False)
-        out["hidden"] = [_as_number(v, "objective.hidden", lo=1, integer=True)
-                         for v in f.typed("hidden", list, "a list of layer widths")]
-        activation = f.take("activation", "tanh")
-        if activation not in ("relu", "tanh"):
-            raise ConfigError("objective.activation", f"must be relu or tanh, got {activation!r}")
-        out["activation"] = activation
-        out["label_noise"] = f.number("label_noise", 0.0, lo=0.0, hi=1.0)
-        out["holdout_fraction"] = f.number("holdout_fraction", 0.0, lo=0.0, hi=1.0)
+    if not isinstance(kind, str) or kind not in OBJECTIVES:
+        raise ConfigError("objective.kind", f"must be one of {tuple(OBJECTIVES)}, got {kind!r}")
+    spec = OBJECTIVES[kind].parse(f, kind)
     f.finish()
-    return out
+    return spec
 
 
 def _parse_optimizer(raw, T: int) -> tuple[dict, tuple]:

@@ -3,6 +3,8 @@
 Every objective class answers the same surface, the whole of what the
 engine and the diagnostics read::
 
+    parse(fields, kind)  -- classmethod: a config's ``objective`` spec; the
+                            class docstring names its keys, ``?`` if optional
     build(spec, seeds)   -- classmethod: the objective of each seed, from a
                             parsed config spec; ConfigError on a bad one
     stack(objs)          -- classmethod: one objective over a stack of seeds
@@ -46,9 +48,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (STREAM_DATA, as_param_vector, chunk_points, chunk_seeds, make_rng,
-                   norm2, row_norms)
+from .core import (STREAM_DATA, _as_number, as_param_vector, chunk_points, chunk_seeds,
+                   make_rng, norm2, row_norms)
 from .errors import ConfigError, DimensionMismatchError, InvalidParameterError
+
+
+def _number_list(v, path, of=_as_number) -> list:
+    """A config's non-empty list of numbers, or of what ``of`` reads."""
+    if not isinstance(v, list) or not v:
+        raise ConfigError(path, f"expected a non-empty list, got {v!r}")
+    return [of(x, path) for x in v]
 
 
 def _as_loss(v):
@@ -100,7 +109,10 @@ class NoisyQuadratic:
     ``loss(x, zeta) = f(x) + zeta'x`` so the batch gradient is exactly the
     gradient of the batch loss.  ``sigma2`` = dim * sigma^2 is the declared
     total gradient-noise variance E||g - grad f||^2.  An initial point is
-    ``init_scale`` times a standard normal draw.
+    ``init_scale`` times a standard normal draw.  Its ``objective`` config::
+
+        {"kind": "quadratic", "diag": [...] | "matrix": [[...]],
+         "sigma": 1.0, "b": [...]?, "init_scale": 1.0?}
     """
 
     def __init__(self, A, b=None, sigma: float = 0.0, init_scale: float = 1.0):
@@ -127,11 +139,37 @@ class NoisyQuadratic:
         self.init_scale = init_scale
 
     @classmethod
+    def parse(cls, fields, kind: str) -> dict:
+        out = {"kind": kind}
+        diag = fields.take("diag", None)
+        matrix = fields.take("matrix", None)
+        if (diag is None) == (matrix is None):
+            raise ConfigError("objective", "give exactly one of 'diag' or 'matrix'")
+        if diag is not None:
+            out["diag"] = _number_list(diag, "objective.diag")
+        else:
+            out["matrix"] = _number_list(matrix, "objective.matrix", of=_number_list)
+            if any(len(row) != len(matrix) for row in matrix):
+                raise ConfigError("objective.matrix", "must be square")
+            A = np.array(out["matrix"])
+            if not np.allclose(A, A.T, atol=1e-12):
+                raise ConfigError("objective.matrix", "must be symmetric")
+        dim = len(diag if diag is not None else matrix)
+        out["sigma"] = fields.number("sigma", lo=0.0)
+        b = fields.take("b", None)
+        if b is not None:
+            out["b"] = _number_list(b, "objective.b")
+            if len(b) != dim:
+                raise ConfigError("objective.b", f"expected {dim} entries, got {len(b)}")
+        out["init_scale"] = fields.number("init_scale", 1.0)
+        return out
+
+    @classmethod
     def build(cls, spec: dict, seeds) -> list["NoisyQuadratic"]:
         """A quadratic does not depend on the seed: one instance serves them all."""
-        A = spec["matrix"] if spec.get("diag") is None else spec["diag"]
+        A = spec["diag"] if "diag" in spec else spec["matrix"]
         return [cls(A, b=spec.get("b"), sigma=spec["sigma"],
-                    init_scale=spec.get("init_scale", 1.0))] * len(seeds)
+                    init_scale=spec["init_scale"])] * len(seeds)
 
     @staticmethod
     def stack(objectives) -> "NoisyQuadratic":
@@ -281,8 +319,10 @@ def make_blobs_dataset(n_per_class: int, n_classes: int, dim: int,
     """Gaussian blobs, one unit-variance cloud per class.
 
     Class c is centred at separation * (+-e_{c mod dim}), cycling through the
-    coordinate axes with a sign flip on each wrap.
+    coordinate axes with a sign flip on each wrap: at most 2*dim classes.
     """
+    if n_classes > 2 * dim:
+        raise InvalidParameterError(f"{dim} dims hold {2 * dim} blob centres, not {n_classes}")
     feats, labels = [], []
     for c in range(n_classes):
         center = np.zeros(dim)
@@ -473,7 +513,13 @@ class MlpObjective:
 
     ``MlpObjective.stack`` builds the objective of a stack of seeds: its
     data, labels and splits carry a leading seed axis, and a batch is an
-    (S, B) array of each seed's row indices.
+    (S, B) array of each seed's row indices.  Its ``objective`` config::
+
+        {"kind": "blobs", "n_per_class": 64, "n_classes": 2?, "dim": 2,
+         "separation": 3.0, "hidden": [8], "activation": "tanh"?,
+         "label_noise": 0.0?, "holdout_fraction": 0.0?}
+        {"kind": "dataset", "path": "d.csv", "header": false?, "hidden": [8],
+         "activation": "tanh"?, "label_noise": 0.0?, "holdout_fraction": 0.0?}
     """
 
     def __init__(self, mlp: Mlp, dataset: Dataset,
@@ -500,6 +546,29 @@ class MlpObjective:
             self._train_idx = np.arange(dataset.n_samples)
         self._features, self._labels = dataset.features, dataset.labels
         self._seed_index = ()   # prefix of every row index; a stack's picks its seed
+
+    @classmethod
+    def parse(cls, fields, kind: str) -> dict:
+        out = {"kind": kind}
+        if kind == "blobs":
+            out["n_per_class"] = fields.number("n_per_class", lo=1, integer=True)
+            k = out["n_classes"] = fields.number("n_classes", 2, lo=2, integer=True)
+            dim = out["dim"] = fields.number("dim", lo=1, integer=True)
+            if k > 2 * dim:   # blobs have 2*dim centres
+                raise ConfigError("objective.n_classes", f"must be <= 2*dim = {2 * dim}, got {k}")
+            out["separation"] = fields.number("separation")
+        else:
+            out["path"] = fields.typed("path", str, "a string")
+            out["header"] = fields.typed("header", bool, "a boolean", False)
+        out["hidden"] = [_as_number(v, "objective.hidden", lo=1, integer=True)
+                         for v in fields.typed("hidden", list, "a list of layer widths")]
+        activation = fields.take("activation", "tanh")
+        if activation not in ("relu", "tanh"):
+            raise ConfigError("objective.activation", f"must be relu or tanh, got {activation!r}")
+        out["activation"] = activation
+        out["label_noise"] = fields.number("label_noise", 0.0, lo=0.0, hi=1.0)
+        out["holdout_fraction"] = fields.number("holdout_fraction", 0.0, lo=0.0, hi=1.0)
+        return out
 
     @classmethod
     def build(cls, spec: dict, seeds) -> list["MlpObjective"]:

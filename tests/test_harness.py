@@ -1,6 +1,9 @@
+import ast
 import copy
 import json
 import logging
+import pathlib
+import re
 from dataclasses import astuple
 from fractions import Fraction
 from math import comb
@@ -8,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from vasso_opt import harness, objectives
+from vasso_opt import core, harness, objectives
 from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_INIT, make_rng,
                             schedule_value)
 from vasso_opt.errors import ConfigError
@@ -97,6 +100,7 @@ def test_network_objective_fields_are_checked():
     assert cfg.objective["activation"] == "tanh"
     for field, value, path in [
             ("n_classes", 1, "objective.n_classes"),
+            ("n_classes", 5, "objective.n_classes"),
             ("activation", "sigmoid", "objective.activation"),
             ("label_noise", 1.5, "objective.label_noise"),
             ("hidden", 4, "objective.hidden")]:
@@ -172,8 +176,9 @@ def test_invalid_json_text_is_a_config_error():
     assert err.value.path == "config"
 
 
-def test_config_round_trips_through_its_dict_and_text_forms():
-    cfg = _cfg(output_path="m.csv")
+@pytest.mark.parametrize("kind", list(harness.OBJECTIVES))
+def test_config_round_trips_through_its_dict_and_text_forms(kind, tmp_path):
+    cfg = _cfg(objective=_kind_spec(kind, tmp_path), output_path="m.csv")
     assert parse_config(cfg.to_dict()) == cfg
     assert parse_config_text(cfg.serialize()) == cfg
 
@@ -190,6 +195,43 @@ def test_derive_rejects_an_unknown_key_and_leaves_the_config_alone():
     derived = cfg.derive({"p": 0.5}, seeds=[5], T=7)
     assert (derived.optimizer["p"], derived.seeds, derived.T) == (0.5, [5], 7)
     assert cfg.serialize() == before
+
+
+# each kind's objective object with every optional key given
+_FULL_OBJECTIVES = {
+    "quadratic": {"kind": "quadratic", "diag": [2.0, 1.0], "sigma": 0.5,
+                  "b": [0.1, -0.2], "init_scale": 0.7},
+    "blobs": {"kind": "blobs", "n_per_class": 6, "n_classes": 3, "dim": 2,
+              "separation": 2.0, "hidden": [3], "activation": "relu",
+              "label_noise": 0.2, "holdout_fraction": 0.25},
+    "dataset": {"kind": "dataset", "path": "toy.csv", "header": True, "hidden": [4],
+                "activation": "relu", "label_noise": 0.1, "holdout_fraction": 0.3},
+}
+
+
+def _keys_read(kind) -> set:
+    """The keys that parsing ``kind``'s full objective object reads."""
+    f = core._Fields(_FULL_OBJECTIVES[kind], "objective")
+    f.take("kind")
+    harness.OBJECTIVES[kind].parse(f, kind)
+    f.finish()   # every key given was read
+    return f.seen
+
+
+@pytest.mark.parametrize("kind", list(harness.OBJECTIVES))
+def test_each_kind_reads_exactly_the_keys_its_class_docstring_names(kind):
+    schema = re.search(r'\{"kind": "%s"[^}]*\}' % kind, harness.OBJECTIVES[kind].__doc__)
+    assert schema, f"{kind} has no schema in its class docstring"
+    assert _keys_read(kind) == set(re.findall(r'"(\w+)":', schema.group()))
+
+
+def test_the_config_property_test_knows_every_objective_key():
+    # read, not imported: the property test's module stays its own
+    source = (pathlib.Path(__file__).parent / "test_config_property.py").read_text()
+    keys = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "KEYS")
+    read = set().union(*map(_keys_read, harness.OBJECTIVES))
+    assert read | {"kind"} == set(keys["objective"])
 
 
 def test_load_config_reads_a_file(tmp_path):

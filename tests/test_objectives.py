@@ -196,6 +196,17 @@ def test_blobs_shapes_and_centers():
         assert np.linalg.norm(mean - center) < 1.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_blobs_hold_at_most_two_classes_per_dimension(dim):
+    # class c sits at +-e_(c mod dim): 2*dim distinct centres, one per class
+    ds = make_blobs_dataset(50, 2 * dim, dim, 5.0, make_rng(0, 4))
+    means = np.array([ds.features[ds.labels == c].mean(axis=0) for c in range(2 * dim)])
+    gaps = np.linalg.norm(means[:, np.newaxis] - means, axis=-1)
+    assert gaps[~np.eye(2 * dim, dtype=bool)].min() > 5.0
+    with pytest.raises(InvalidParameterError):
+        make_blobs_dataset(50, 2 * dim + 1, dim, 5.0, make_rng(0, 4))
+
+
 def test_blobs_deterministic_per_seed():
     a = make_blobs_dataset(5, 2, 3, 1.0, make_rng(7, 4))
     b = make_blobs_dataset(5, 2, 3, 1.0, make_rng(7, 4))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERATE_NORM_TOL, norm2, row_norms
+from .core import DEGENERATE_NORM_TOL, block_steps, norm2, row_norms
 from .errors import InvalidParameterError
 
 
@@ -40,7 +40,7 @@ def track_drift(epsilons, rho: float | None = None) -> StabilityTrace:
     return StabilityTrace(row_norms(np.diff(E, axis=0)), float(rho))
 
 
-_MSE_BLOCK = 1024   # draws per ema_chain call in mse_suppression
+_MSE_BLOCK = 1024   # the most draws per ema_chain call in mse_suppression
 
 
 def mse_suppression(obj, x_fixed, thetas, n_steps: int, rngs
@@ -53,10 +53,11 @@ def mse_suppression(obj, x_fixed, thetas, n_steps: int, rngs
     steps.  At the fixpoint the EMA variance settles at theta/(2-theta) times
     the gradient variance, which is what each ratio should approach.
 
-    The chains are columns of one ``ema_chain`` over blocks of ``_MSE_BLOCK``
-    rows, each block warm-started from the last row of the one before, so
-    memory stays flat in ``n_steps``.  A chain whose burn-in is shorter than
-    the longest draws nothing past its own window; its columns idle at zero.
+    The chains are columns of one ``ema_chain`` over blocks of
+    ``core.block_steps`` rows, at most ``_MSE_BLOCK``, each block warm-started
+    from the last row of the one before, so memory stays flat in ``n_steps``
+    and in the width.  A chain whose burn-in is shorter than the longest
+    draws nothing past its own window; its columns idle at zero.
     Squared errors are summed strictly in draw order, so each pair equals a
     step-by-step ``vasso_update`` loop bit for bit.
     """
@@ -75,8 +76,9 @@ def mse_suppression(obj, x_fixed, thetas, n_steps: int, rngs
     theta_row = np.repeat(thetas, dim)
     d_last = None
     acc = [[0.0, 0.0] for _ in thetas]
-    for start in range(0, total, _MSE_BLOCK):
-        n = min(_MSE_BLOCK, total - start)
+    block = min(_MSE_BLOCK, block_steps(1, theta_row.size))
+    for start in range(0, total, block):
+        n = min(block, total - start)
         gs = np.zeros((n, theta_row.size))
         spans = []
         for i, (draw, burn) in enumerate(zip(draws, burns)):

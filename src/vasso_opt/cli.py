@@ -2,11 +2,13 @@
 
 Every subcommand requires --seed (there is no hidden nondeterminism) and
 writes plot-ready CSV.  Exit codes: 0 success, 1 usage error, 2 runtime
-failure.  Flags override config-file values.  The seeds of a run step
-together in lockstep, in one process; outputs list them in the order given.
-A recorded ``wallclock_ms`` cell is therefore the elapsed time of the whole
-stack of seeds at step t, and the per-seed INFO lines on stderr may come
-out in a different order than the seeds.
+failure.  Flags override config-file values, save that a flag may not set
+a knob that the config's optimizer kind fixes at another value: ``train
+--p 0.25`` on a ``vasso`` config exits 2 naming ``optimizer.p``.  The seeds
+of a run step together in lockstep, in one process; outputs list them in
+the order given.  A recorded ``wallclock_ms`` cell is therefore the elapsed
+time of the whole stack of seeds at step t, and the per-seed INFO lines on
+stderr may come out in a different order than the seeds.
 """
 
 from __future__ import annotations

@@ -146,6 +146,26 @@ class Schedule:
                 raise InvalidParameterError(
                     f"{self.kind} schedule needs a positive horizon, got {self.horizon}")
 
+    @classmethod
+    def parse(cls, raw, path: str, T: int) -> "Schedule":
+        """The schedule of the object at ``path`` over T steps, no horizon below T::
+
+            {"kind": "constant|cosine|inverse-sqrt|theory", "base": 0.01, "horizon": T?}
+        """
+        f = _Fields(raw, path)
+        kind, base, horizon = f.take("kind"), f.number("base", lo=0.0), f.take("horizon", None)
+        f.finish()
+        if horizon is None and kind in ("cosine", "theory"):
+            horizon = T
+        elif horizon is not None:
+            horizon = _as_number(horizon, f"{path}.horizon", lo=1, integer=True)
+            if horizon < T:   # a schedule has no value past its horizon
+                raise ConfigError(f"{path}.horizon", f"must be >= T ({T}), got {horizon}")
+        try:
+            return cls(kind, base, horizon)
+        except InvalidParameterError as e:
+            raise ConfigError(path, str(e)) from e
+
     @property
     def constant_in_t(self) -> bool:
         """Whether the value is the same at every iteration: constant and theory."""

@@ -8,30 +8,27 @@ never share a stream.  ``run_seeds`` steps all seeds of a run in lockstep as
 one (S, dim) stack, and ``run_arms`` steps the seeds of several configs that
 differ only in the optimizer spec (the arms) as rows of one (arms*S, dim)
 stack; ``paired_compare`` and ``tradeoff_sweep`` run their arms that way.
-An optimizer kind is a setting of the one step (``KIND_KNOBS``), SAM-db's
-fresh adversary batch included; each config builds its knobs once.
-Wallclock timing is inherently nondeterministic, so its column is left empty
-unless explicitly requested; a recorded cell is the elapsed time of the
-whole stack, and ``tradeoff_sweep`` then times each arm in a stack of its
-own, so its ``mean_wallclock_ms`` stays per arm.
+An optimizer kind is a setting of the one step (``optimizers.KIND_KNOBS``);
+a config builds its step once (``OptimizerConfig.from_spec``).  Wallclock
+timing is inherently nondeterministic, so its column is left empty unless
+explicitly requested; a recorded cell is the elapsed time of the whole stack,
+and ``tradeoff_sweep`` then times each arm in a stack of its own, so its
+``mean_wallclock_ms`` stays per arm.
 
 Config schema (JSON, unknown keys are errors)::
 
     {
       "objective": {"kind": "quadratic|blobs|dataset", ...},
-      "optimizer": {"kind": "sgd|sam|vasso|evasso|sam_db", "rho": 0.05?,
-                    "theta": 0.2?, "p": 1.0?, "lr": {"kind": "constant",
-                    "base": 0.01, "horizon": null?}, "rho_schedule": {...}?,
-                    "momentum": 0.0?, "weight_decay": 0.0?,
-                    "adv_batch_size": null? (sam_db only)},
+      "optimizer": {"kind": "sgd|sam|vasso|evasso|sam_db", ...},
       "T": 1000, "batch_size": 8, "seeds": [0, 1],
       "metrics_every": 1?, "output_path": "metrics.csv"?
     }
 
-``OBJECTIVES`` maps each objective kind to its class, which parses the
-kind's keys (its docstring names them) and answers the whole surface the
-engine reads (``build``, ``stack``, ``init_params``, ``final_loss``, ...;
-see objectives).  The harness "final_loss" metric is the objective's
+``OptimizerConfig`` names and parses the optimizer's keys.  ``OBJECTIVES``
+maps each objective kind to its class, which parses the kind's keys (its
+docstring names them) and answers the whole surface the engine reads
+(``build``, ``stack``, ``init_params``, ``final_loss``, ...; see
+objectives).  The harness "final_loss" metric is the objective's
 ``final_loss``: the held-out loss when it has a held-out split, and the full
 (noise-free) objective value otherwise.
 """
@@ -43,14 +40,13 @@ import json
 import logging
 import math
 import time
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                   STREAM_INIT, Schedule, _as_number, _Fields, block_steps, make_rng,
-                   row_norms)
+                   STREAM_INIT, _as_number, _Fields, block_steps, make_rng, row_norms)
 from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import MlpObjective, NoisyQuadratic
@@ -59,15 +55,6 @@ from .optimizers import ArmKnobs, OptimizerConfig, vasso_step
 log = logging.getLogger("vasso_opt")
 log.addHandler(logging.NullHandler())
 
-# Each optimizer kind is a setting of the one step, vasso_step: theta=1 makes
-# the slope the raw gradient (SAM), p=0 skips the second gradient (SGD) and
-# p=1 always takes it (VASSO).  Knobs not fixed here come from the config;
-# fresh_adv sets the step's adv_batch knob, which the engine reads: the slope
-# is fed adv_batch_size fresh rows (a batch's worth by default).
-KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
-              "vasso": {"p": 1.0}, "evasso": {},
-              "sam_db": {"theta": 1.0, "p": 1.0, "fresh_adv": True}}
-OPTIMIZER_KINDS = tuple(KIND_KNOBS)
 # The one map from an objective kind to code: the class that parses, builds,
 # stacks and initialises the kind's objectives (see objectives).
 OBJECTIVES = {"quadratic": NoisyQuadratic, "blobs": MlpObjective, "dataset": MlpObjective}
@@ -88,32 +75,6 @@ def fmt(v) -> str:
 # strict config parsing
 
 
-def _parse_schedule(raw, path, T) -> Schedule:
-    """A schedule over the T steps of a run; its horizon defaults to T."""
-    f = _Fields(raw, path)
-    kind = f.take("kind")
-    base = f.number("base", lo=0.0)
-    horizon = f.take("horizon", None)
-    f.finish()
-    if horizon is None and kind in ("cosine", "theory"):
-        horizon = T
-    elif horizon is not None:
-        horizon = _as_number(horizon, f"{path}.horizon", lo=1, integer=True)
-        if horizon < T:   # a schedule has no value past its horizon
-            raise ConfigError(f"{path}.horizon", f"must be >= T ({T}), got {horizon}")
-    try:
-        return Schedule(kind, base, horizon)
-    except VassoOptError as e:
-        raise ConfigError(path, str(e)) from e
-
-
-def _parse_schedules(optimizer: dict, T: int) -> tuple[Schedule, Schedule | None]:
-    """The optimizer spec's lr and rho schedules, the latter None if it has none."""
-    rs = optimizer["rho_schedule"]
-    return (_parse_schedule(optimizer["lr"], "optimizer.lr", T),
-            None if rs is None else _parse_schedule(rs, "optimizer.rho_schedule", T))
-
-
 @dataclass
 class ExperimentConfig:
     objective: dict
@@ -123,28 +84,22 @@ class ExperimentConfig:
     seeds: list[int]
     metrics_every: int = 1
     output_path: str | None = None
-    # the schedules parse_config has parsed; not a field, so no output holds them
-    _schedules: InitVar[tuple | None] = None
 
-    def __post_init__(self, _schedules):   # the step's knobs, under the kind's fixed ones
-        o = self.optimizer
-        lr, rho_schedule = _schedules or _parse_schedules(o, self.T)
-        knobs = {"theta": o["theta"], "p": o["p"], **KIND_KNOBS[o["kind"]]}
-        if knobs.pop("fresh_adv", False):
-            knobs["adv_batch"] = o["adv_batch_size"] or self.batch_size
-        self._step = OptimizerConfig(rho=o["rho"], lr=lr, rho_schedule=rho_schedule,
-                                     momentum=o["momentum"],
-                                     weight_decay=o["weight_decay"], **knobs)
+    def __post_init__(self):
+        self._step = OptimizerConfig.from_spec(self.optimizer, self.T, self.batch_size)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def derive(self, optimizer: dict | None = None, **fields) -> "ExperimentConfig":
-        """A parsed copy with top-level ``fields`` and ``optimizer`` keys replaced."""
+        """A parsed copy with top-level ``fields`` and ``optimizer`` keys replaced;
+        an ``optimizer`` key that the kind fixes otherwise is a ConfigError."""
         d = self.to_dict()
         d.update(fields)
         d["optimizer"].update(optimizer or {})
-        return parse_config(d)
+        cfg = parse_config(d)
+        OptimizerConfig.check_override(cfg.optimizer, optimizer or ())
+        return cfg
 
     def serialize(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -165,40 +120,11 @@ def _parse_objective(raw) -> dict:
     return spec
 
 
-def _parse_optimizer(raw, T: int) -> tuple[dict, tuple]:
-    f = _Fields(raw, "optimizer")
-    kind = f.take("kind")
-    if kind not in OPTIMIZER_KINDS:
-        raise ConfigError("optimizer.kind", f"must be one of {OPTIMIZER_KINDS}, got {kind!r}")
-    out = {"kind": kind}
-    out["rho"] = f.number("rho", 0.05, lo=0.0)
-    theta = f.number("theta", 0.2)
-    if not 0.0 < theta <= 1.0:
-        raise ConfigError("optimizer.theta", f"must be in (0,1], got {theta}")
-    out["theta"] = theta
-    out["p"] = f.number("p", 1.0, lo=0.0, hi=1.0)
-    out["lr"] = f.take("lr")
-    out["rho_schedule"] = f.take("rho_schedule", None)
-    schedules = _parse_schedules(out, T)
-    momentum = f.number("momentum", 0.0, lo=0.0)
-    if momentum >= 1.0:
-        raise ConfigError("optimizer.momentum", f"must be in [0,1), got {momentum}")
-    out["momentum"] = momentum
-    out["weight_decay"] = f.number("weight_decay", 0.0, lo=0.0)
-    # the kind check comes first: a stray size is misplaced, whatever its type
-    if not KIND_KNOBS[kind].get("fresh_adv") and f.take("adv_batch_size", None) is not None:
-        raise ConfigError("optimizer.adv_batch_size",
-                          f"applies only to kind 'sam_db', not {kind!r}")
-    out["adv_batch_size"] = f.number("adv_batch_size", None, lo=1, integer=True)
-    f.finish()
-    return out, schedules
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     f = _Fields(raw, "config")
     objective = _parse_objective(f.take("objective"))
     T = f.number("T", lo=1, integer=True)
-    optimizer, schedules = _parse_optimizer(f.take("optimizer"), T)
+    optimizer = OptimizerConfig.parse(_Fields(f.take("optimizer"), "optimizer"), T)
     batch_size = f.number("batch_size", lo=1, integer=True)
     seeds = f.take("seeds")
     if not isinstance(seeds, list) or not seeds:
@@ -211,7 +137,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     output_path = f.typed("output_path", (str, type(None)), "a string", None)
     f.finish()
     return ExperimentConfig(objective, optimizer, T, batch_size, seeds,
-                            metrics_every, output_path, schedules)
+                            metrics_every, output_path)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:

@@ -283,10 +283,11 @@ def load_dataset_csv(path: str, header: bool = False) -> Dataset:
     """CSV rows are features followed by an integer label in the last column.
 
     Every row needs the first row's number of cells (at least two), every
-    cell a finite number and every label a non-negative integer; a row that
-    breaks this is a ConfigError at ``<path>:<line>``.
+    cell a finite number and every label a non-negative integer, and every
+    class up to the largest label needs a row; a row that breaks this, or the
+    largest label's first row, is a ConfigError at ``<path>:<line>``.
     """
-    rows = []
+    rows, lines = [], []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         if header:
@@ -308,9 +309,15 @@ def load_dataset_csv(path: str, header: bool = False) -> Dataset:
                 raise ConfigError(where, f"the label must be a non-negative integer, "
                                          f"got {row[-1]!r}")
             rows.append(values)
+            lines.append(reader.line_num)
     if not rows:
         raise ConfigError(path, "dataset file has no rows")
     arr = np.asarray(rows, dtype=np.float64)
+    classes = np.unique(arr[:, -1])   # before the cast: a huge label sizes the output
+    if classes[-1] >= len(classes):
+        missing, top = np.argmax(classes != np.arange(len(classes))), np.argmax(arr[:, -1])
+        raise ConfigError(f"{path}:{lines[top]}", f"the labels must be dense: class "
+                          f"{missing} has no row, below the largest label {classes[-1]:g}")
     return Dataset(arr[:, :-1], arr[:, -1].astype(np.int64))
 
 

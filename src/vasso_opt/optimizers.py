@@ -38,11 +38,31 @@ import numpy as np
 
 from .core import (DEGENERATE_NORM_TOL, Schedule, normalize_to_sphere, row_norms,
                    schedule_value)
-from .errors import InvalidParameterError, NonFiniteError
+from .errors import ConfigError, InvalidParameterError, NonFiniteError
+
+# Each optimizer kind is a setting of the one step, vasso_step: theta=1 makes
+# the slope the raw gradient (SAM), p=0 skips the second gradient (SGD) and
+# p=1 always takes it (VASSO).  Knobs not fixed here come from the config;
+# fresh_adv sets the adv_batch knob, which the engine reads: the slope is fed
+# adv_batch_size fresh rows (a batch's worth by default).
+KIND_KNOBS = {"sgd": {"p": 0.0}, "sam": {"theta": 1.0, "p": 1.0},
+              "vasso": {"p": 1.0}, "evasso": {},
+              "sam_db": {"theta": 1.0, "p": 1.0, "fresh_adv": True}}
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """One validated setting of the step's knobs, from a config's ``optimizer`` object::
+
+        {"kind": "sgd|sam|vasso|evasso|sam_db", "rho": 0.05?, "theta": 0.2?,
+         "p": 1.0?, "lr": schedule, "rho_schedule": schedule?,
+         "momentum": 0.0?, "weight_decay": 0.0?, "adv_batch_size": null?}
+
+    ``parse`` checks it into the spec a config keeps (a schedule is a
+    ``Schedule.parse`` object), and ``from_spec`` builds the step under the
+    kind's fixed knobs (``KIND_KNOBS``), ignoring the spec's values for them.
+    """
+
     rho: float = 0.05            # perturbation radius
     theta: float = 0.2           # EMA weight; 1 collapses VASSO to SAM
     p: float = 1.0               # gate probability; 1 collapses eVASSO to VASSO
@@ -65,6 +85,59 @@ class OptimizerConfig:
             raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.adv_batch < 0:
             raise InvalidParameterError(f"adv_batch must be >= 0, got {self.adv_batch}")
+
+    @classmethod
+    def parse(cls, fields, T: int) -> dict:
+        """The ``optimizer`` spec of a run of T steps, read from every one of ``fields``."""
+        kind, kinds = fields.take("kind"), tuple(KIND_KNOBS)
+        if kind not in kinds:
+            raise ConfigError("optimizer.kind", f"must be one of {kinds}, got {kind!r}")
+        out = {"kind": kind, "rho": fields.number("rho", 0.05, lo=0.0)}
+        out["theta"] = theta = fields.number("theta", 0.2)
+        if not 0.0 < theta <= 1.0:
+            raise ConfigError("optimizer.theta", f"must be in (0,1], got {theta}")
+        out["p"] = fields.number("p", 1.0, lo=0.0, hi=1.0)
+        out["lr"] = fields.take("lr")
+        out["rho_schedule"] = fields.take("rho_schedule", None)
+        cls._schedules(out, T)   # checked here, built by from_spec
+        out["momentum"] = momentum = fields.number("momentum", 0.0, lo=0.0)
+        if momentum >= 1.0:
+            raise ConfigError("optimizer.momentum", f"must be in [0,1), got {momentum}")
+        out["weight_decay"] = fields.number("weight_decay", 0.0, lo=0.0)
+        # the kind check comes first: a stray size is misplaced, whatever its type
+        if not KIND_KNOBS[kind].get("fresh_adv") and \
+                fields.take("adv_batch_size", None) is not None:
+            raise ConfigError("optimizer.adv_batch_size",
+                              f"applies only to kind 'sam_db', not {kind!r}")
+        out["adv_batch_size"] = fields.number("adv_batch_size", None, lo=1, integer=True)
+        fields.finish()
+        return out
+
+    @staticmethod
+    def _schedules(spec: dict, T: int) -> tuple[Schedule, Schedule | None]:
+        """The spec's lr and rho schedules, the latter None if it has none."""
+        rs = spec["rho_schedule"]
+        return (Schedule.parse(spec["lr"], "optimizer.lr", T),
+                None if rs is None else Schedule.parse(rs, "optimizer.rho_schedule", T))
+
+    @classmethod
+    def from_spec(cls, spec: dict, T: int, batch_size: int) -> "OptimizerConfig":
+        """The step a spec sets over T steps; a fresh adversary batch defaults to batch_size."""
+        lr, rho_schedule = cls._schedules(spec, T)
+        knobs = {"theta": spec["theta"], "p": spec["p"], **KIND_KNOBS[spec["kind"]]}
+        if knobs.pop("fresh_adv", False):
+            knobs["adv_batch"] = spec["adv_batch_size"] or batch_size
+        return cls(rho=spec["rho"], lr=lr, rho_schedule=rho_schedule,
+                   momentum=spec["momentum"], weight_decay=spec["weight_decay"], **knobs)
+
+    @staticmethod
+    def check_override(spec: dict, keys) -> None:
+        """Reject a key of ``keys`` whose value in ``spec`` the kind fixes otherwise."""
+        fixed = KIND_KNOBS[spec["kind"]]
+        for key in keys:
+            if key in fixed and spec[key] != fixed[key]:
+                raise ConfigError(f"optimizer.{key}", f"kind {spec['kind']!r} fixes "
+                                  f"{key} at {fixed[key]}, got {spec[key]}")
 
     def rho_at(self, t: int) -> float:
         if self.rho_schedule is None:

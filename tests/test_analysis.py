@@ -156,6 +156,27 @@ def test_blocked_suppression_follows_the_sampler_of_a_network(thetas):
     _each_equals_the_step_by_step_loop(obj, x, list(thetas), 1100, 1)
 
 
+def test_suppression_holds_a_block_of_about_a_megabyte_at_any_width(monkeypatch):
+    # at dim 2000 a block of 1,024 rows of three chains held about 150 MB
+    obj = NoisyQuadratic(np.ones(2000), sigma=1.0)
+    x = make_rng(3, 0).standard_normal(2000)
+
+    def run():
+        return mse_suppression(obj, x, [0.2, 0.4, 0.9], 2000,
+                               [make_rng(3, 16 + i) for i in range(3)])
+
+    tracemalloc.start()
+    try:
+        got = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * core.BLOCK_BYTES
+    # the sums do not depend on where the blocks break
+    monkeypatch.setattr(analysis, "block_steps", lambda n_rows, width: 97)
+    assert run() == got
+
+
 _OUTSIDE = "theta must be in (0,1], got "
 
 

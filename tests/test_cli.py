@@ -452,6 +452,24 @@ def test_flag_overrides_change_the_run(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 10
 
 
+@pytest.mark.parametrize("kind, flag", [("vasso", ["--p", "0.25"]),
+                                        ("sam", ["--theta", "0.5"]),
+                                        ("sam_db", ["--theta", "0.5"]),
+                                        ("sgd", ["--p", "1"])])
+def test_a_flag_the_kind_fixes_otherwise_exits_2_and_writes_nothing(
+        tmp_path, capsys, kind, flag):
+    cfg = _write_cfg(tmp_path, optimizer={"kind": kind,
+                                          "lr": {"kind": "constant", "base": 0.05}})
+    out = tmp_path / "m.csv"
+    rc = main(["train", "--config", cfg, "--seed", "0", "--out", str(out), *flag])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"vasso-opt: error: optimizer.{flag[0][2:]}: ")
+    assert repr(kind) in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def test_wallclock_column_is_opt_in(tmp_path):
     cfg = _write_cfg(tmp_path, T=5)
     out = tmp_path / "m.csv"

@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from vasso_opt import core, harness, objectives
+from vasso_opt import core, harness, objectives, optimizers
 from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_INIT, make_rng,
                             schedule_value)
 from vasso_opt.errors import ConfigError
@@ -192,9 +192,31 @@ def test_derive_rejects_an_unknown_key_and_leaves_the_config_alone():
     with pytest.raises(ConfigError) as err:
         cfg.derive({"bogus": 1}, seeds=[5])
     assert err.value.path == "optimizer.bogus"
-    derived = cfg.derive({"p": 0.5}, seeds=[5], T=7)
+    derived = cfg.derive({"kind": "evasso", "p": 0.5}, seeds=[5], T=7)
     assert (derived.optimizer["p"], derived.seeds, derived.T) == (0.5, [5], 7)
     assert cfg.serialize() == before
+
+
+@pytest.mark.parametrize("kind, override, key", [
+    ("vasso", {"p": 0.5}, "p"),
+    ("sgd", {"p": 1.0}, "p"),
+    ("sam", {"theta": 0.5}, "theta"),
+    ("sam_db", {"theta": 0.5}, "theta"),
+    ("evasso", {"kind": "sam", "p": 0.5}, "p"),
+])
+def test_derive_rejects_a_knob_the_kind_fixes_at_another_value(kind, override, key):
+    lr = {"kind": "constant", "base": 0.05}
+    cfg = _cfg(optimizer={"kind": kind, "lr": lr})
+    new_kind = override.get("kind", kind)
+    fixed = optimizers.KIND_KNOBS[new_kind][key]
+    with pytest.raises(ConfigError) as err:
+        cfg.derive(override)
+    assert err.value.path == f"optimizer.{key}"
+    assert f"{new_kind!r} fixes {key} at {fixed}," in str(err.value)
+    derived = cfg.derive(dict(override, **{key: fixed}))   # the fixed value is no override
+    # a config file's value for the knob is ignored
+    from_file = _cfg(optimizer={"kind": new_kind, "lr": lr, key: override[key]})
+    assert from_file.optimizer_config() == derived.optimizer_config()
 
 
 # each kind's objective object with every optional key given
@@ -232,6 +254,49 @@ def test_the_config_property_test_knows_every_objective_key():
                 if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "KEYS")
     read = set().union(*map(_keys_read, harness.OBJECTIVES))
     assert read | {"kind"} == set(keys["objective"])
+
+
+# an optimizer object with every key given, and a schedule with every key
+_FULL_OPTIMIZER = {"kind": "sam_db", "rho": 0.1, "theta": 0.5, "p": 0.5,
+                   "lr": {"kind": "cosine", "base": 0.1, "horizon": 80},
+                   "rho_schedule": {"kind": "constant", "base": 0.1},
+                   "momentum": 0.9, "weight_decay": 0.01, "adv_batch_size": 4}
+
+
+def _property_test_keys() -> dict:
+    """``KEYS`` of the property test: read, not imported, so its module stays its own."""
+    source = (pathlib.Path(__file__).parent / "test_config_property.py").read_text()
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "KEYS")
+
+
+def _docstring_keys(doc: str, kind: str) -> set:
+    """The keys of the first ``{"kind": "<kind>...}`` schema in ``doc``."""
+    schema = re.search(r'\{"kind": "%s[^}]*\}' % kind, doc)
+    assert schema, f"no {kind} schema in the docstring"
+    return set(re.findall(r'"(\w+)":', schema.group()))
+
+
+def test_the_optimizer_parse_reads_exactly_the_keys_its_schema_names():
+    f = core._Fields(_FULL_OPTIMIZER, "optimizer")
+    optimizers.OptimizerConfig.parse(f, 60)   # it finishes: every key given was read
+    assert f.seen == _docstring_keys(optimizers.OptimizerConfig.__doc__, "sgd")
+    assert f.seen == set(_property_test_keys()["optimizer"])
+
+
+def test_the_schedule_parse_reads_exactly_the_keys_its_schema_names(monkeypatch):
+    finished = []
+
+    class Fields(core._Fields):
+        def finish(self):
+            finished.append(self.seen)
+            super().finish()
+
+    monkeypatch.setattr(core, "_Fields", Fields)
+    core.Schedule.parse(_FULL_OPTIMIZER["lr"], "optimizer.lr", 80)
+    [seen] = finished   # every key given was read
+    assert seen == _docstring_keys(core.Schedule.parse.__doc__, "constant")
+    assert seen == set(_property_test_keys()["schedule"])
 
 
 def test_load_config_reads_a_file(tmp_path):

@@ -297,6 +297,18 @@ def test_a_non_integer_label_names_its_line(tmp_path):
     assert "non-negative integer" in str(err.value)
 
 
+@pytest.mark.parametrize("label, shown", [("1000000000000", "1e+12"), ("1e300", "1e+300"),
+                                          ("2", "2")])
+def test_labels_that_skip_a_class_name_the_first_row_of_the_largest(tmp_path, label, shown):
+    # a label of 1e12 once sized a 29 TiB output layer, and 1e300 overflowed the int cast
+    p = tmp_path / "d.csv"
+    p.write_text(f"0.5,1.0,0\n-0.5,2.0,{label}\n1.5,0.0,0\n0.0,1.0,{label}\n")
+    with pytest.raises(ConfigError) as err:
+        load_dataset_csv(str(p))
+    assert err.value.path == f"{p}:2"
+    assert str(err.value).endswith(f"class 1 has no row, below the largest label {shown}")
+
+
 @pytest.mark.parametrize("text, line", [("0.5,x,1\n", 1), ("0.5,1.0,1\n0.5,nan,0\n", 2),
                                         ("1\n", 1)])
 def test_a_csv_cell_that_is_not_a_finite_number_names_its_line(tmp_path, text, line):

@@ -40,21 +40,25 @@ STREAM_USER = 16
 MAX_SEED = 2**63 - 1
 
 # The working set of a stacked run, in bytes.  Per-seed randomness is drawn a
-# block of steps at a time, a block holding at most about BLOCK_BYTES for the
-# whole stack; a full-data pass over a stack runs a chunk of seeds at a time,
-# the chunk's widest activation holding at most about PASS_BYTES, a size that
-# stays in cache.  A full-data pass over points that share one seed's rows (a
-# landscape slice's line) runs a chunk of points at a time, the chunk's widest
-# activation holding at most half of BLOCK_BYTES, the other half left for the
-# pass's narrower arrays: a chunk of several points pays the per-pass
-# overhead once, and a pass holds about a block at most.  A block holds at
+# block of steps at a time, each stream refilling one resident block; a run's
+# block streams (noise, adversary noise, gates) draw the same steps per block,
+# so their blocks together hold at most about BLOCK_BYTES for the whole stack.
+# Only the callers that read metrics columns keep (T, rows) tables (see
+# harness.run_arms).  A full-data pass over a stack runs a chunk of seeds at a
+# time, the chunk's widest activation holding at most about PASS_BYTES, a size
+# that stays in cache.  A full-data pass over points that share one seed's
+# rows (a landscape slice's line) runs a chunk of points at a time, the
+# chunk's widest activation holding at most half of BLOCK_BYTES, the other
+# half left for the pass's narrower arrays: a chunk of several points pays the
+# per-pass overhead once, and a pass holds about a block at most.  A block holds at
 # least one step, a chunk at least one seed or point.
 BLOCK_BYTES = 1 << 20
 PASS_BYTES = 1 << 16
 
 
 def block_steps(n_rows: int, width: int) -> int:
-    """Steps per block when each of ``n_rows`` rows draws ``width`` floats a step."""
+    """Steps per block when each of ``n_rows`` rows draws ``width`` floats a step:
+    the floats of every stream that shares the budget, counted together."""
     return max(1, BLOCK_BYTES // (8 * n_rows * width))
 
 

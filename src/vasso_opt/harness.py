@@ -194,12 +194,12 @@ class MetricsRow:
 class MetricsColumns:
     """One seed's metrics: a column per CSV field over its first k steps.
 
-    The columns are views of the run's (T, S) tables and hold only the cells
-    a run writes: ``loss`` and ``grad_evals_cum`` at every step,
-    ``full_grad_norm`` at the steps of the metrics cadence (t = 0, every,
-    2*every, ...), ``eps_drift`` from t=1, and ``wallclock_ms`` at every step
-    when it was recorded (None otherwise).  The CSV leaves the other cells
-    blank.
+    The columns are views of the run's (T, S) tables, the gradient norms'
+    holding one row per metrics step, and hold only the cells a run writes:
+    ``loss`` and ``grad_evals_cum`` at every step, ``full_grad_norm`` at the
+    steps of the metrics cadence (t = 0, every, 2*every, ...), ``eps_drift``
+    from t=1, and ``wallclock_ms`` at every step when it was recorded (None
+    otherwise).  The CSV leaves the other cells blank.
     """
     seed: int
     metrics_every: int
@@ -233,20 +233,27 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     however many rows read it.  Block samplers, a quadratic's noise or a
     gate stream's ``random``, draw a block of steps per call, each block
     equal bit for bit to as many single draws, so a run of T steps takes
-    exactly T draws from each; a block holds ``core.block_steps`` steps of
-    ``width`` floats per row.  ``samplers`` is read at the first step's
-    draw: samplers made lazily are made only if a step asks.  With
-    ``epochs`` the samplers are epoch samplers, which share their sizes, and
-    draw an epoch at a time: at the epoch's first step each draws its whole
-    order (``next_epoch``), and the rows' orders form one (rows, n) table
-    whose column slices are the epoch's batches, as the samplers' own calls
-    would give them, the short last one included: epoch k is the
-    ``batches_per_epoch`` steps from step k * ``batches_per_epoch``.
+    exactly T draws from each.  A block holds ``core.block_steps(len(rows),
+    width)`` steps, where ``width`` counts the floats a row draws per step
+    across all the run's block streams: each stream passes the same width,
+    so they draw the same steps per block and their blocks share one
+    budget.  ``samplers`` is read at the first step's draw: samplers made
+    lazily are made only if a step asks.  With ``epochs`` the samplers are
+    epoch samplers, which share their sizes, and draw an epoch at a time: at
+    the epoch's first step each draws its whole order (``next_epoch``), and
+    the rows' orders form one (rows, n) table whose column slices are the
+    epoch's batches, as the samplers' own calls would give them, the short
+    last one included: epoch k is the ``batches_per_epoch`` steps from step
+    k * ``batches_per_epoch``.  An epoch table does not count in ``width``.
 
-    Each block, and each epoch table, is one array allocated whole, a
-    (k, rows[, width]) block or a (rows, n) table; each seed's draw is
-    written straight into its rows, so building it holds it once beside
-    one seed's draw.
+    A block stream holds one resident (k, rows[, dim]) block, allocated at
+    its first draw and refilled in place at every later block; each seed's
+    draw goes into one (k, ...) array, made by the stream's first draw
+    (``sample(k)``) and refilled by the others (``sample(k, out=draw)``),
+    and is copied into the seed's rows.  A yielded batch is a view of the
+    block, valid only until the stream draws its next block.  Each epoch
+    table is a (rows, n) array of its own, written straight from each
+    seed's order; its batches stay valid as long as they are held.
     """
     samplers = list(samplers)
     at = [np.flatnonzero(rows == i) for i in range(len(samplers))]   # each seed's rows
@@ -259,20 +266,22 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
             for start in range(0, min(n, (T - t) * size), size):
                 yield table[:, start:start + size]
         return
-    block = block_steps(len(rows), width)
-    for t in range(0, T, block):
-        k = min(block, T - t)
-        out = None
+    steps = block_steps(len(rows), width)
+    block = draw = None
+    for t in range(0, T, steps):
+        k = min(steps, T - t)
         for sample, where in zip(samplers, at):
-            draw = sample(k)
-            if out is None:   # a gate draws a float a step, a noise sampler a vector
-                out = np.empty((k, len(rows)) + draw.shape[1:])
-            out[:, where] = draw[:, np.newaxis]
-        yield from out
+            if draw is None:   # a gate draws a float a step, a noise sampler a vector
+                draw = sample(k)
+                block = np.empty((k, len(rows)) + draw.shape[1:])
+            else:
+                sample(k, out=draw[:k])
+            block[:k, where] = draw[:k, np.newaxis]
+        yield from block[:k]
 
 
-def run_arms(cfgs, seeds, record_wallclock: bool = False,
-             keep_final_x: bool = False) -> list[list[tuple[MetricsColumns, dict]]]:
+def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = False,
+             *, columns: bool = True) -> list[list]:
     """Run the seeds under each config, an arm; (columns, summary) per arm and seed.
 
     The arms may differ only in the optimizer spec.  They share each seed's
@@ -280,6 +289,9 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False,
     save that an arm whose adversary batches differ in size from its update
     batches steps in a stack with the arms of its size.  Every arm's metrics
     and summaries equal those of a run of that arm alone, bit for bit.
+    With ``columns=False`` each arm's list holds its seeds' summaries alone:
+    the run keeps no (T, rows) tables and takes no metrics-cadence gradient
+    norms, so its working set does not grow with T.
     """
     cfgs, seeds = list(cfgs), list(seeds)
     shared = [dict(c.to_dict(), optimizer=None, output_path=None) for c in cfgs]
@@ -295,7 +307,7 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False,
     out = [None] * len(cfgs)
     for arms in groups.values():
         stack = _lockstep([cfgs[a] for a in arms], seeds, objs, record_wallclock,
-                          keep_final_x)
+                          keep_final_x, columns)
         for a, results in zip(arms, stack):
             out[a] = results
     return out
@@ -305,8 +317,8 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False,
 # values until the run ends: an outcome the summary reports (aborted_at), not
 # numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
-              keep_final_x: bool) -> list[list[tuple[MetricsColumns, dict]]]:
+def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = False,
+              keep_final_x: bool = False, columns: bool = True) -> list[list]:
     """Step every pair of an arm and a seed as one row of a lockstep stack.
 
     Row a*S + i of the (A*S, dim) stack runs seed i (objective ``objs[i]``)
@@ -318,12 +330,23 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     as one when another arm has them.  A row whose loss or gradient turns
     non-finite is retired at that step (``aborted_at``) and the others run
     on; it stays in the stack until the run ends, but nothing it computes
-    after that step is read.  The run keeps one record of itself: the (T, n)
-    tables, each row's step count (a row is live while it is T) and its
-    final iterate.  ``keep_final_x`` stashes each final iterate
-    in its summary under ``final_x`` (not JSON-serializable; for in-process
-    callers only).  Recorded wallclock cells hold the elapsed time of the
-    whole stack.
+    after that step is read.
+
+    Every summary comes from running values, one per row: the grad-eval
+    total and the drift sum, each added in step order and frozen with the
+    row's final iterate when the row is retired, and each row's step count
+    (a row is live while it is T).  ``keep_final_x`` stashes each final
+    iterate in its summary under ``final_x`` (not JSON-serializable; for
+    in-process callers only).  With ``columns`` the run also writes its
+    (T, n) tables, whose views are the rows' ``MetricsColumns``, and takes
+    the gradient norms of the metrics cadence; recorded wallclock cells
+    hold the elapsed time of the whole stack.  Without it the run returns
+    the summaries alone, and holds nothing that grows with T.  The run's
+    block streams (noise, adversary noise, gates) draw the same steps per
+    block, their blocks within one ``core.BLOCK_BYTES`` budget; a batch is
+    read only during its own step, as ``_batch_stream`` requires.  A stack
+    whose gate never opens has a zero adversary at every step, so its drift
+    cells stay +0.0 and no drift norm is taken.
 
     At 0<p<1 only the rows whose gate opens take the second gradient, a
     retired row among them; on a network objective the other rows cost
@@ -331,11 +354,11 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     the live rows' ``epoch=`` lines joined by newlines in row order, and
     one record of every row's ``done:`` line; neither is built while INFO
     is off.  An epoch's line goes out at the first step of the next epoch,
-    so the last epoch of a run gets none; its mean is read from the
-    epoch's rows of the loss table.
+    so the last epoch of a run gets none; its mean is the epoch's running
+    loss sum, added in step order, over its steps.
     """
     cfg, n_arms, n_seeds = cfgs[0], len(cfgs), len(seeds)
-    n, T = n_arms * n_seeds, cfg.T
+    n, T, every = n_arms * n_seeds, cfg.T, cfg.metrics_every
     seed_of = np.tile(np.arange(n_seeds), n_arms)   # the seed of each row
     # log lines name a row's arm when there are several
     tag = [f"arm={r // n_seeds} " if n_arms > 1 else "" for r in range(n)]
@@ -348,55 +371,60 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
     # seed's sampler turning together
     per_epoch = getattr(samplers[0], "batches_per_epoch", 0)
     epochs = per_epoch > 0
-    batches = _batch_stream(samplers, T, x.shape[1], seed_of, epochs=epochs)
-    adv_batches = itertools.repeat(None)
     # the fresh arms' adversary batch size, which run_arms makes one per stack
     adv_bs = max(c.adv_batch for c in arm_cfgs)
+    # the floats a row draws per step across the block streams, which share
+    # one budget: a noise stream's dim each, and a float of the gate stream
+    width = (0 if epochs else x.shape[1] * (1 + bool(adv_bs))) + int(ocfg.gated)
+    batches = _batch_stream(samplers, T, width, seed_of, epochs=epochs)
+    adv_batches = itertools.repeat(None)
     if adv_bs:
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
-             for o, s in zip(objs, seeds)], T, x.shape[1], seed_of, epochs=epochs)
+             for o, s in zip(objs, seeds)], T, width, seed_of, epochs=epochs)
     pairs = zip(batches, adv_batches)
     if isinstance(ocfg.fresh, np.ndarray):   # the other rows' adversary batch is their own
         own = ~ocfg.fresh[:, np.newaxis]
         pairs = ((b, np.where(own, b, a)) for b, a in pairs)
     # one uniform per seed and step, from streams made at the first draw
     gate_draws = _batch_stream((make_rng(s, STREAM_GATE).random for s in seeds),
-                               T, 1, seed_of)
+                               T, width, seed_of)
     gates = SimpleNamespace(random=gate_draws.__next__)
     obj = type(objs[0]).stack([objs[i] for i in seed_of])
 
-    # Each step writes one cell per row straight into the (T, n) tables, the
-    # retired rows included; a row's columns read only the cells of its
-    # first steps[r] steps.  Gradient norms are taken on the metrics cadence
-    # and drift cells start at t=1; other cells stay unwritten.
-    tables = {"loss": np.zeros((T, n)), "fg_norm": np.zeros((T, n)),
-              "drift": np.zeros((T, n)), "evals": np.zeros((T, n), dtype=np.int64)}
-    wallclock = np.zeros(T) if record_wallclock else None
+    # With columns, each step writes one cell per row straight into the
+    # tables, the retired rows included; a row's columns read only the
+    # cells of its first steps[r] steps.  Gradient norms are taken on the
+    # metrics cadence, one table row each, and drift cells start at t=1.
+    if columns:
+        loss_tab, drift_tab = np.zeros((T, n)), np.zeros((T, n))
+        fg_tab = np.zeros((-(-T // every), n))
+        evals_tab = np.zeros((T, n), dtype=np.int64)   # running totals
+    wallclock = np.zeros(T) if columns and record_wallclock else None
     steps = np.full(n, T)   # a row is live while steps[r] == T
-    final_x = np.empty_like(x)
+    evals, drift = np.zeros(n, dtype=np.int64), np.zeros(n)   # running, every row
+    final_x, final_evals, final_drift = np.empty_like(x), np.empty_like(evals), \
+        np.empty_like(drift)
 
     def retire(mask, t: int) -> None:
-        """The live rows in ``mask`` stop at step t, at their current x."""
+        """The live rows in ``mask`` stop at step t, at their current x and totals."""
         mask = mask & (steps == T)
         steps[mask], final_x[mask] = t, x[mask]
+        final_evals[mask], final_drift[mask] = evals[mask], drift[mask]
 
-    state = buf = prev_eps = None
+    state = buf = prev_eps = epoch_loss = None
+    log_epochs = epochs and log.isEnabledFor(logging.INFO)
     t0 = time.perf_counter()
 
     for t, (batch, adv_batch) in zip(range(T), pairs):
-        if epochs and t and t % per_epoch == 0 and (steps == T).any() \
-                and log.isEnabledFor(logging.INFO):
-            # the epoch that just ended: its rows of the loss table, added
-            # left to right
-            means = (np.cumsum(tables["loss"][t - per_epoch:t], axis=0)[-1]
-                     / per_epoch).tolist()
+        if log_epochs and t and t % per_epoch == 0 and (steps == T).any():
+            means = (epoch_loss / per_epoch).tolist()
             log.info("\n".join(
                 "%sseed=%d epoch=%d mean_batch_loss=%.6f"
                 % (tag[r], seeds[seed_of[r]], t // per_epoch - 1, means[r])
                 for r in np.flatnonzero(steps == T)))
-        if t % cfg.metrics_every == 0:
-            tables["fg_norm"][t] = row_norms(obj.full_grad(x))
+        if columns and t % every == 0:
+            fg_tab[t // every] = row_norms(obj.full_grad(x))
         try:
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
@@ -404,59 +432,66 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool,
         except NonFiniteError:   # every row, so every live row, failed at t
             retire(True, t)
             break
-        tables["loss"][t] = rep.loss
-        tables["evals"][t] = rep.grad_evals
-        if prev_eps is not None:
-            tables["drift"][t] = row_norms(rep.epsilon - prev_eps)
-        prev_eps = rep.epsilon
         if rep.failed is not None:   # a retired row may be flagged again
             retire(rep.failed, t)
+        # the totals take step t after its failed rows froze theirs
+        evals += rep.grad_evals
+        if prev_eps is not None:
+            d = row_norms(rep.epsilon - prev_eps)
+            drift += d
+            if columns:
+                drift_tab[t] = d
+        if not ocfg.never_opens:
+            prev_eps = rep.epsilon
+        if log_epochs:   # the epoch's losses, added left to right
+            epoch_loss = rep.loss.copy() if t % per_epoch == 0 else epoch_loss + rep.loss
+        if columns:
+            loss_tab[t], evals_tab[t] = rep.loss, evals
+            if record_wallclock:
+                wallclock[t] = (time.perf_counter() - t0) * 1e3
         x = x_new
-        if record_wallclock:
-            wallclock[t] = (time.perf_counter() - t0) * 1e3
 
     finals = obj.final_loss(x).tolist() if (steps == T).any() else None
     retire(True, T)
-    # running totals, in place: ints, added in step order
-    evals_cum = np.cumsum(tables["evals"], axis=0, out=tables["evals"])
-    steps = steps.tolist()
+    steps, final_evals, final_drift = steps.tolist(), final_evals.tolist(), \
+        final_drift.tolist()
     results = []
     for r in range(n):
-        seed, k = seeds[seed_of[r]], steps[r]
-        drifts = tables["drift"][1:k, r]
-        columns = MetricsColumns(
-            seed, cfg.metrics_every, tables["loss"][:k, r],
-            tables["fg_norm"][:k:cfg.metrics_every, r], drifts, evals_cum[:k, r],
-            None if wallclock is None else wallclock[:k])
-        summary = {
-            "seed": seed,
+        k = steps[r]
+        results.append({
+            "seed": seeds[seed_of[r]],
             "aborted": k < T,
             "aborted_at": k if k < T else None,
-            "total_grad_evals": int(evals_cum[k - 1, r]) if k else 0,
-            # left to right, as a running sum adds them
-            "mean_drift": float(np.cumsum(drifts)[-1]) / (k - 1) if k > 1 else 0.0,
+            "total_grad_evals": final_evals[r],
+            "mean_drift": final_drift[r] / (k - 1) if k > 1 else 0.0,
             "final_loss": finals[r] if k == T else None,
-        }
+        })
         if keep_final_x:
-            summary["final_x"] = final_x[r]
-        results.append((columns, summary))
+            results[r]["final_x"] = final_x[r]
     if log.isEnabledFor(logging.INFO):
         log.info("\n".join(
             "%sseed=%d done: steps=%d final_loss=%s grad_evals=%d"
             % (tag[r], s["seed"], steps[r], fmt(s["final_loss"]), s["total_grad_evals"])
-            for r, (_, s) in enumerate(results)))
+            for r, s in enumerate(results)))
+    if columns:
+        results = [(MetricsColumns(s["seed"], every, loss_tab[:k, r],
+                                   fg_tab[:-(-k // every), r], drift_tab[1:k, r],
+                                   evals_tab[:k, r],
+                                   None if wallclock is None else wallclock[:k]), s)
+                   for r, (s, k) in enumerate(zip(results, steps))]
     return [results[a * n_seeds:(a + 1) * n_seeds] for a in range(n_arms)]
 
 
 def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
-              keep_final_x: bool = False) -> list[tuple[MetricsColumns, dict]]:
+              keep_final_x: bool = False, *, columns: bool = True) -> list:
     """Run the seeds in lockstep; returns (metrics columns, summary) per seed.
 
     The seeds' parameters step together as one (S, dim) stack through
-    ``vasso_step``: ``run_arms`` with one arm.  Each seed's metrics and
-    summary equal those of a run of that seed alone, bit for bit.
+    ``vasso_step``: ``run_arms`` with one arm, whose ``columns=False``
+    returns the summaries alone.  Each seed's metrics and summary equal
+    those of a run of that seed alone, bit for bit.
     """
-    return run_arms([cfg], seeds, record_wallclock, keep_final_x)[0]
+    return run_arms([cfg], seeds, record_wallclock, keep_final_x, columns=columns)[0]
 
 
 def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
@@ -469,15 +504,13 @@ def objective_point(cfg: ExperimentConfig, seed: int, train_steps: int):
     """The seed's objective and its point after ``train_steps`` steps of ``cfg``.
 
     Zero steps give the initial point.  The objective is built once, and
-    the training run steps on it.
+    the training run steps on it, keeping its summary alone.
     """
     obj = build_objective(cfg.objective, seed)
     if train_steps == 0:
         return obj, init_x(obj, cfg.objective, seed)
-    train_cfg = cfg.derive(seeds=[seed], T=train_steps,
-                           metrics_every=train_steps,   # only final_x is kept
-                           output_path=None)
-    [[(_, summary)]] = _lockstep([train_cfg], [seed], [obj], False, True)
+    train_cfg = cfg.derive(seeds=[seed], T=train_steps, output_path=None)
+    [[summary]] = _lockstep([train_cfg], [seed], [obj], keep_final_x=True, columns=False)
     if summary["aborted"]:
         raise VassoOptError("training diverged before the evaluation point")
     return obj, summary["final_x"]
@@ -575,13 +608,12 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     if metric not in ("final_loss", "mean_drift"):
         raise ConfigError("metric", f"must be final_loss or mean_drift, got {metric!r}")
     seeds = list(seeds)
-    # both arms step in one stack; the metrics cadence is never read here
-    results_a, results_b = run_arms(
+    # both arms step in one stack, keeping their summaries alone; the
+    # metrics cadence is never read here
+    summaries_a, summaries_b = run_arms(
         [c.derive(seeds=seeds, metrics_every=c.T, output_path=None)
          for c in (cfg_a, cfg_b)],
-        seeds, keep_final_x=True)
-    summaries_a = [s for _, s in results_a]
-    summaries_b = [s for _, s in results_b]
+        seeds, keep_final_x=True, columns=False)
     for summary in (s for pair in zip(summaries_a, summaries_b) for s in pair):
         if summary["aborted"]:
             raise NonFiniteError(f"seed {summary['seed']} aborted",
@@ -641,13 +673,13 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
         runs, walls = [], []
         for cfg in cfgs:
             t0 = time.perf_counter()
-            runs.append(run_seeds(cfg, seeds))
+            runs.append(run_seeds(cfg, seeds, columns=False))
             walls.append((time.perf_counter() - t0) * 1e3 / len(seeds))
     else:
-        runs, walls = run_arms(cfgs, seeds), [None] * len(cfgs)
+        runs, walls = run_arms(cfgs, seeds, columns=False), [None] * len(cfgs)
     rows = []
-    for (name, _, p), results, wall in zip(arms, runs, walls):
-        agg = _aggregate([s for _, s in results])
+    for (name, _, p), summaries, wall in zip(arms, runs, walls):
+        agg = _aggregate(summaries)
         if agg["n_aborted"]:
             raise NonFiniteError(f"a {name} run aborted during the tradeoff sweep")
         rows.append(TradeoffRow(name, p, agg["mean_final_loss"],

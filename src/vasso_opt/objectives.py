@@ -224,13 +224,15 @@ class NoisyQuadratic:
         """One noise draw per batch (batch_size is irrelevant here).
 
         ``sample()`` returns one batch; ``sample(k)`` returns the next k as a
-        (k, dim) block, equal bit for bit to k single draws.
+        (k, dim) block, equal bit for bit to k single draws, and
+        ``sample(k, out=block)`` draws them into ``block``, a C-contiguous
+        (k, dim) array, and returns it.
         """
         dim, sigma = self.dim, self.sigma
 
-        def sample(k: int | None = None) -> np.ndarray:
+        def sample(k: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
             # scaled in place: the block is the one array it holds
-            noise = rng.standard_normal(dim if k is None else (k, dim))
+            noise = rng.standard_normal(dim if k is None else (k, dim), out=out)
             noise *= sigma
             return noise
 

@@ -163,15 +163,16 @@ class ArmKnobs:
     the slope reads fresh adversary rows) hold one value per row.  An
     elementwise product with a column equals the product with the row's
     scalar, so every row steps bit for bit as a stack of its arm alone
-    would.  ``gate`` draws only when some row has 0 < p < 1; rows of p 0
-    and 1 read the outcome their p forces.
+    would.  ``gate`` draws only when some row has 0 < p < 1 (``gated``);
+    rows of p 0 and 1 read the outcome their p forces.
 
     What does not change over a run is settled here, once: the EMA's
     ``keep`` = 1 - theta, the lr and rho of schedules that do not depend on
     t (returned for every t their horizons allow), the forced gate
-    outcome, and the rows whose gradient at x is never read.  A momentum or
-    weight decay that is zero on every row stays the scalar 0, and
-    ``base_update`` then never computes its term.
+    outcome, the rows whose gradient at x is never read, and the zero
+    adversary of a stack whose gate never opens.  A momentum or weight decay
+    that is zero on every row stays the scalar 0, and ``base_update`` then
+    never computes its term.
     """
 
     def __init__(self, configs, arm_of_row=(0,)):
@@ -183,7 +184,7 @@ class ArmKnobs:
         self.p = self._knob([c.p for c in configs], column=False)
         self.always_opens = bool(np.all(self.p == 1.0))
         self.never_opens = not np.any(self.p)
-        self._gated = bool(np.any((self.p > 0.0) & (self.p < 1.0)))
+        self.gated = bool(np.any((self.p > 0.0) & (self.p < 1.0)))
         self._forced = self.p == 1.0
         fresh = [bool(c.adv_batch) for c in configs]
         self.fresh = fresh[0] if len(set(fresh)) == 1 else np.array(fresh)[self._arm]
@@ -198,7 +199,7 @@ class ArmKnobs:
             [c.rho_schedule for c in self._rho if c.rho_schedule is not None]
         self._t_end = min((s.horizon for s in schedules if s.horizon is not None),
                           default=math.inf)
-        self._lr_value = self._rho_value = None
+        self._lr_value = self._rho_value = self._zero = None
         if all(c.lr.constant_in_t for c in self._lr):
             self._lr_value = self.lr_at(0)
         if all(c.rho_schedule is None or c.rho_schedule.constant_in_t for c in self._rho):
@@ -222,7 +223,14 @@ class ArmKnobs:
         return self._knob([c.rho_at(t) for c in self._rho], column=False)
 
     def gate(self, rng):
-        return rng.random() < self.p if self._gated else self._forced
+        return rng.random() < self.p if self.gated else self._forced
+
+    def zero_adversary(self, shape) -> np.ndarray:
+        """A read-only zero adversary of ``shape``, made once for the steps of a run."""
+        if self._zero is None or self._zero.shape != shape:
+            self._zero = np.zeros(shape)
+            self._zero.flags.writeable = False
+        return self._zero
 
 
 @dataclass
@@ -399,9 +407,10 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
     opens.  ``rng.random()`` draws the Bernoulli(p) gate only when 0 < p < 1,
     one draw per row of a stack; a forced outcome consumes no draw.  p=0
     returns right after the base update: one gradient evaluation and no
-    slope work, exactly SGD.  With an adversary batch and p=1 the gradient
-    at x on ``batch`` is never used, so only its loss is computed; otherwise
-    only the fresh rows take a gradient on ``adv_batch``.
+    slope work, exactly SGD, its adversary the run's read-only zero
+    (``ArmKnobs.zero_adversary``).  With an adversary batch and p=1 the
+    gradient at x on ``batch`` is never used, so only its loss is computed;
+    otherwise only the fresh rows take a gradient on ``adv_batch``.
 
     When some gates of a stack stay closed, the second gradient is taken on
     the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps
@@ -426,7 +435,7 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
                            "non-finite loss or gradient", t)
     if cfg.never_opens:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
-        return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
+        return x_new, state, StepReport(loss, 1, cfg.zero_adversary(x.shape), failed), buf
     if adv_batch is None:
         g_adv = g
     elif g is None or fresh is True:

@@ -1,7 +1,5 @@
 import math
 import re
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -156,7 +154,8 @@ def test_blocked_suppression_follows_the_sampler_of_a_network(thetas):
     _each_equals_the_step_by_step_loop(obj, x, list(thetas), 1100, 1)
 
 
-def test_suppression_holds_a_block_of_about_a_megabyte_at_any_width(monkeypatch):
+def test_suppression_holds_a_block_of_about_a_megabyte_at_any_width(monkeypatch,
+                                                                    traced_peak):
     # at dim 2000 a block of 1,024 rows of three chains held about 150 MB
     obj = NoisyQuadratic(np.ones(2000), sigma=1.0)
     x = make_rng(3, 0).standard_normal(2000)
@@ -165,16 +164,11 @@ def test_suppression_holds_a_block_of_about_a_megabyte_at_any_width(monkeypatch)
         return mse_suppression(obj, x, [0.2, 0.4, 0.9], 2000,
                                [make_rng(3, 16 + i) for i in range(3)])
 
-    tracemalloc.start()
-    try:
-        got = run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * core.BLOCK_BYTES
+    got = []
+    assert traced_peak(lambda: got.append(run())) < 8 * core.BLOCK_BYTES
     # the sums do not depend on where the blocks break
     monkeypatch.setattr(analysis, "block_steps", lambda n_rows, width: 97)
-    assert run() == got
+    assert [run()] == got
 
 
 _OUTSIDE = "theta must be in (0,1], got "
@@ -258,15 +252,9 @@ def test_chain_meets_inf_minus_inf_without_a_warning():
     assert np.isnan(chain[1, 0]) and chain[1, 1] == 1.0
 
 
-def test_chain_holds_about_one_row_beyond_its_result():
+def test_chain_holds_about_one_row_beyond_its_result(traced_peak):
     gs = make_rng(7, 16).standard_normal((20_000, 10))
-    tracemalloc.start()
-    try:
-        ema_chain(gs, 0.2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * gs.nbytes
+    assert traced_peak(ema_chain, gs, 0.2) < 3 * gs.nbytes
 
 
 def test_samplers_draw_the_requested_shapes():

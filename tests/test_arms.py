@@ -324,17 +324,16 @@ def test_tradeoff_writes_the_bytes_of_per_arm_runs(objective, esam, tmp_path,
     assert got == want and got[0] == 0
 
 
-def test_the_sweeps_take_the_metrics_gradient_once_per_run(monkeypatch):
+def test_the_sweeps_take_no_metrics_gradient(monkeypatch):
+    # the sweeps read summaries alone, so not even t=0's norm is taken
     calls = []
     full_grad = MlpObjective.full_grad
     monkeypatch.setattr(MlpObjective, "full_grad",
                         lambda self, x: calls.append(len(x)) or full_grad(self, x))
     base = _arms("blobs-holdout", "mixed", T=16, metrics_every=1)[0]
     tradeoff_sweep(base, [0.5], [3, 0])
-    assert calls == [10]   # 5 arms x 2 seeds, at t=0 only
-    calls.clear()
     paired_compare(base, base.derive({"kind": "sam"}), [3, 0])
-    assert calls == [4]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

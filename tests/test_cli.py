@@ -769,7 +769,7 @@ def test_a_slice_after_training_takes_no_discarded_gradient_norms(tmp_path,
     rc = main(["slice", "--config", cfg, "--seed", "0", "--radius", "1",
                "--points", "3", "--train-steps", "50", "--out", str(out)])
     assert rc == 0
-    assert len(calls) == 1   # the prefix's only metrics step, t=0
+    assert len(calls) == 0   # the prefix keeps its summary alone
     # the evaluation point is the one a metrics_every=1 run ends at
     center = dict(line.split(",") for line in out.read_text().splitlines()[1:])["0.0"]
     obj = build_objective(load_config(cfg).objective, 0)

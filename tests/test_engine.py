@@ -7,7 +7,6 @@ seed of a stack, whatever the other seeds of the stack do.
 """
 
 import json
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -323,7 +322,8 @@ def test_gate_blocks_equal_one_draw_per_step(T, monkeypatch):
     stream = harness._batch_stream((rng.random for rng in rngs), T, 1,
                                    np.arange(len(seeds)))
     refs = [make_rng(s, STREAM_GATE) for s in seeds]
-    got = np.array(list(stream))
+    # a batch is valid until the stream's next block: each row is copied
+    got = np.array([batch.copy() for batch in stream])
     want = np.array([[ref.random() for ref in refs] for _ in range(T)])
     assert got.tobytes() == want.tobytes()
     # exactly T draws each: the streams stand where the per-step ones do
@@ -364,18 +364,9 @@ def test_runs_with_full_passes_in_seed_chunks_reproduce_the_per_seed_loop(
     assert result.summaries == [s for _, s in expected]
 
 
-def _traced_peak(fn, *args):
-    """The peak of memory traced while ``fn(*args)`` runs, in bytes."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n_seeds", [8, 64])
-def test_a_stacked_full_gradient_peaks_under_one_bound_at_any_stack_size(n_seeds):
+def test_a_stacked_full_gradient_peaks_under_one_bound_at_any_stack_size(n_seeds,
+                                                                        traced_peak):
     # the diagnostics network, [2,32,2] on 512 blob rows: one seed's hidden
     # activation is 128 KiB, so a whole-stack pass would hold several of
     # those per seed, about 4.4 MB traced at 8 seeds and 35 MB at 64
@@ -386,22 +377,22 @@ def test_a_stacked_full_gradient_peaks_under_one_bound_at_any_stack_size(n_seeds
     obj = MlpObjective.stack(parts)
     x = np.stack([o.init_params(make_rng(s, 0)) for s, o in enumerate(parts)])
     obj.full_grad(x)   # gathers the training rows, which the objective keeps
-    assert _traced_peak(obj.full_grad, x) < 1_000_000
+    assert traced_peak(obj.full_grad, x) < 1_000_000
 
 
 @pytest.mark.parametrize("rows", [np.arange(16), np.tile(np.arange(16), 2)],
                          ids=["one-arm", "two-arms"])
-def test_a_noise_block_is_built_in_one_allocation(rows):
+def test_a_noise_block_is_built_in_one_allocation(rows, traced_peak):
     # 16 seeds of 8-dim noise: a block is about BLOCK_BYTES, and building it
     # holds it once beside one seed's draw
     quad = NoisyQuadratic(np.ones(8), sigma=0.5)
     samplers = [quad.make_sampler(1, make_rng(s, STREAM_BATCH)) for s in range(16)]
     k = core.block_steps(len(rows), 8)
     stream = harness._batch_stream(samplers, 2 * k, 8, rows)
-    assert _traced_peak(next, stream) <= 1.25 * (k * len(rows) * 8 * 8)
+    assert traced_peak(next, stream) <= 1.25 * (k * len(rows) * 8 * 8)
 
 
-def test_an_epoch_table_is_built_in_one_allocation():
+def test_an_epoch_table_is_built_in_one_allocation(traced_peak):
     # 16 seeds of 512 rows over two arms: the (32, 512) table is allocated
     # once beside the 16 orders the seeds' samplers draw and keep, half its size
     spec = _case_cfg("blobs-holdout", "sgd", "plain", [0]).objective
@@ -410,7 +401,104 @@ def test_an_epoch_table_is_built_in_one_allocation():
     samplers = [o.make_sampler(64, make_rng(s, STREAM_BATCH)) for s, o in enumerate(objs)]
     stream = harness._batch_stream(samplers, 4, 1, np.tile(np.arange(16), 2), epochs=True)
     table_bytes = 32 * 512 * 8
-    assert _traced_peak(next, stream) <= 1.75 * table_bytes
+    assert traced_peak(next, stream) <= 1.75 * table_bytes
+
+
+# ---------------------------------------------------------------------------
+# the working set of a run: one resident block per stream, one budget per
+# run, and nothing that grows with T when the summaries are all it keeps
+
+
+@pytest.mark.parametrize("rows", [np.arange(16), np.tile(np.arange(16), 2)],
+                         ids=["one-arm", "two-arms"])
+@pytest.mark.parametrize("stream", ["noise", "gates"])
+def test_a_block_boundary_holds_one_block_per_stream(stream, rows, traced_peak):
+    # three blocks of 16 seeds' draws, read as the engine reads them: the
+    # loop holds each batch while the stream draws the next
+    if stream == "noise":
+        quad = NoisyQuadratic(np.ones(8), sigma=0.5)
+        samplers, width = [quad.make_sampler(1, make_rng(s, STREAM_BATCH))
+                           for s in range(16)], 8
+    else:
+        samplers, width = [make_rng(s, STREAM_GATE).random for s in range(16)], 1
+    k = core.block_steps(len(rows), width)
+    batches = harness._batch_stream(samplers, 3 * k, width, rows)
+
+    def read_all():
+        for _ in batches:
+            pass
+
+    assert traced_peak(read_all) <= 1.25 * (k * len(rows) * width * 8)
+
+
+def _quad_stack_cfg(kind, dim, T, seeds):
+    return parse_config({
+        "objective": {"kind": "quadratic", "sigma": 0.5,
+                      "diag": np.linspace(0.5, 2.0, dim).tolist()},
+        "optimizer": {"kind": kind, "lr": {"kind": "constant", "base": 0.05},
+                      **KINDS[kind]},
+        "T": T, "batch_size": 1, "seeds": seeds, "metrics_every": T})
+
+
+@pytest.mark.parametrize("kind, width", [("sam_db", 8), ("evasso", 5)],
+                         ids=["two-noise-streams", "noise-and-gates"])
+def test_the_block_streams_of_a_run_share_one_budget(kind, width, traced_peak):
+    # 16 seeds of a 4-dim quadratic over two blocks and a few steps: each
+    # stream alone would fill BLOCK_BYTES, so a run holding more than one
+    # budget of blocks peaks near twice that
+    seeds = list(range(16))
+    cfg = _quad_stack_cfg(kind, 4, 2 * core.block_steps(16, width) + 5, seeds)
+    assert traced_peak(run_seeds, cfg, seeds, columns=False) <= 1.25 * core.BLOCK_BYTES
+
+
+def test_a_summary_only_run_peaks_alike_at_any_horizon(monkeypatch, traced_peak):
+    # three arms, one gated, over four seeds of a 20-dim quadratic; blocks of
+    # 50 steps, shorter than either run, leave T as the only difference
+    seeds = [0, 1, 2, 3]
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 12 * 21 * 50)
+
+    def peak(T):
+        cfgs = [_quad_stack_cfg(kind, 20, T, seeds) for kind in ("sam", "vasso", "evasso")]
+        return traced_peak(harness.run_arms, cfgs, seeds, columns=False)
+
+    assert abs(peak(2000) - peak(200)) <= 64 * 1024
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("kind, T", [("sgd", 155), ("vasso", 155), ("sam_db", 155),
+                                     ("evasso", 155), ("evasso", 160)],
+                         ids=["sgd", "vasso", "sam_db", "evasso", "evasso-all-diverge"])
+def test_running_totals_of_aborted_rows_equal_the_columns_run(kind, T):
+    # at T=155 seed 1 diverges and the others finish; at T=160 every seed
+    # diverges, the last of them raising for the whole stack
+    cfg, seeds = _diverging_cfg(kind, T), [0, 1, 4]
+    kept = run_seeds(cfg, seeds, keep_final_x=True)
+    alone = run_seeds(cfg, seeds, keep_final_x=True, columns=False)
+    assert any(s["aborted"] for _, s in kept)
+    assert all(s["aborted"] for _, s in kept) == (T == 160)
+    for (columns, want), got in zip(kept, alone):
+        assert got["final_x"].tobytes() == want.pop("final_x").tobytes()
+        got.pop("final_x")
+        assert json.dumps(got) == json.dumps(want)
+        # and the totals are those the columns add up
+        k = len(columns)
+        assert want["total_grad_evals"] == (columns.grad_evals_cum[-1] if k else 0)
+        assert want["mean_drift"] == \
+            (float(np.cumsum(columns.eps_drift)[-1]) / (k - 1) if k > 1 else 0.0)
+
+
+def test_a_stack_whose_gate_never_opens_takes_no_drift_norm(monkeypatch):
+    norms = []
+    monkeypatch.setattr(harness, "row_norms", lambda a: norms.append(1) or row_norms(a))
+    cfg = _case_cfg("quadratic-diag", "sgd", "plain", [3, 0, 7])
+    summaries = run_seeds(cfg, [3, 0, 7], columns=False)
+    assert norms == [] and [s["mean_drift"] for s in summaries] == [0.0] * 3
+    # its adversary is one read-only zero, shared by every step
+    knobs, x = ArmKnobs([cfg.optimizer_config()]), np.ones((3, 5))
+    obj = NoisyQuadratic(np.ones(5))
+    eps = [vasso_step(obj, x, None, np.zeros((3, 5)), knobs, None, t=t)[2].epsilon
+           for t in range(2)]
+    assert eps[0] is eps[1] and not eps[0].flags.writeable and not eps[0].any()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,26 +138,16 @@ def test_a_noise_block_equals_as_many_single_draws(dim, k):
     assert blocked().tobytes() == single().tobytes()
 
 
-def _traced_peak(fn, *args):
-    """The peak of memory traced while ``fn(*args)`` runs, in bytes."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_a_noise_block_is_its_scaled_draw_and_holds_only_itself():
+def test_a_noise_block_is_its_scaled_draw_and_holds_only_itself(traced_peak):
     # 1,024 steps of 8-dim noise: the block is drawn and scaled in one array
     obj = NoisyQuadratic(np.ones(8), sigma=0.7)
     rng = make_rng(5, 1)
     block = obj.make_sampler(1, make_rng(5, 1))(1024)
     assert block.tobytes() == (0.7 * rng.standard_normal((1024, 8))).tobytes()
-    assert _traced_peak(obj.make_sampler(1, rng), 1024) <= 1.1 * block.nbytes
+    assert traced_peak(obj.make_sampler(1, rng), 1024) <= 1.1 * block.nbytes
 
 
-def test_gradient_draws_are_formed_in_the_draws_own_array():
+def test_gradient_draws_are_formed_in_the_draws_own_array(traced_peak):
     # 16,384 draws of an 8-dim gradient (1 MiB): beyond them the call holds
     # only numpy's fixed 64 KiB buffer for the broadcast add of the gradient
     obj = NoisyQuadratic(np.ones(8), sigma=0.7)
@@ -167,7 +156,7 @@ def test_gradient_draws_are_formed_in_the_draws_own_array():
     draws = obj.grad_draws(x, 16384, make_rng(5, 1))
     want = obj.full_grad(x) + 0.7 * rng.standard_normal((16384, 8))
     assert draws.tobytes() == want.tobytes()
-    assert _traced_peak(obj.grad_draws, x, 16384, rng) <= 1.1 * draws.nbytes
+    assert traced_peak(obj.grad_draws, x, 16384, rng) <= 1.1 * draws.nbytes
 
 
 def test_gradient_lipschitz_witness():
@@ -692,7 +681,7 @@ def test_the_point_budget_gives_the_diagnostics_network_four_points():
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_a_stacked_loss_holds_about_one_widest_activation(activation):
+def test_a_stacked_loss_holds_about_one_widest_activation(activation, traced_peak):
     # four points on 256 shared rows of a [2,32,2] net: the hidden activation
     # is written over its pre-activation, so the pass holds it once
     mlp = Mlp([2, 32, 2], activation)
@@ -701,11 +690,11 @@ def test_a_stacked_loss_holds_about_one_widest_activation(activation):
     feats = np.broadcast_to(rng.standard_normal((256, 2)), (4, 256, 2))
     labels = np.broadcast_to(rng.integers(0, 2, 256), (4, 256))
     widest = 4 * 256 * 32 * 8
-    assert _traced_peak(mlp.loss, x, feats, labels) <= 1.5 * widest
+    assert traced_peak(mlp.loss, x, feats, labels) <= 1.5 * widest
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_a_backward_pass_writes_each_derivative_over_its_activation(activation):
+def test_a_backward_pass_writes_each_derivative_over_its_activation(activation, traced_peak):
     # one point on 512 rows of a [2,32,2] net: the backward pass holds the
     # hidden activation, its derivative written over it, and delta @ W
     mlp = Mlp([2, 32, 2], activation)
@@ -714,7 +703,7 @@ def test_a_backward_pass_writes_each_derivative_over_its_activation(activation):
     feats, labels = rng.standard_normal((512, 2)), rng.integers(0, 2, 512)
     kept = feats.copy()
     mlp.loss_and_grad(x, feats, labels)
-    assert _traced_peak(mlp.loss_and_grad, x, feats, labels) <= 2.5 * 512 * 32 * 8
+    assert traced_peak(mlp.loss_and_grad, x, feats, labels) <= 2.5 * 512 * 32 * 8
     assert feats.tobytes() == kept.tobytes()   # the input layer is never written
 
 

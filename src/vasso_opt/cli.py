@@ -372,11 +372,24 @@ def cmd_sfw_check(args) -> int:
     return 0
 
 
+def _reaches_stderr(logger: logging.Logger) -> bool:
+    """Whether a handler that ``logger``'s INFO records propagate to already
+    writes them to the current ``sys.stderr``."""
+    while logger is not None:
+        if any(isinstance(h, logging.StreamHandler) and h.stream is sys.stderr
+               and h.level <= logging.INFO for h in logger.handlers):
+            return True
+        logger = logger.parent if logger.propagate else None
+    return False
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # INFO lines reach stderr for this call only; the caller's logging stays as it was
+    # INFO lines reach stderr once, for this call only; the caller's logging
+    # stays as it was, and its handlers still receive the records
     handler, level = logging.StreamHandler(sys.stderr), log.level
-    log.addHandler(handler)
+    if not _reaches_stderr(log):
+        log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
         return args.run(args)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -394,18 +393,21 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
     ``logits`` is (n, classes), or (S, n, classes) for a stack, which gives
     S means.  Also returns the max-shifted exponentials, their row sums and
-    the index of each row's label entry, from which the backward pass forms
-    its error.  The class-axis max, and below 8 classes the sum, run as
-    column scans: numpy reduces a short axis slowly, and each scan equals
-    its reduction bit for bit.
+    the flat index of each row's label entry, ``labels`` shaped: row r's
+    entry sits at ``classes * r + labels[r]`` of a C-ordered (..., classes)
+    array read as one flat vector.  From these the backward pass forms its
+    error.  The class-axis max, and below 8 classes the sum, run as column
+    scans: numpy reduces a short axis slowly, and each scan equals its
+    reduction bit for bit.
     """
     zmax = _fold_columns(np.maximum, logits)
     exps = np.exp(logits - zmax[..., np.newaxis])
     # below 8 terms numpy sums in a plain left-to-right loop; from 8 it sums pairwise
     sums = _fold_columns(np.add, exps) if exps.shape[-1] < 8 else exps.sum(axis=-1)
     logsumexp = zmax + np.log(sums)
-    at = (*np.indices(labels.shape, sparse=True), labels)
-    loss = _as_loss(np.add.reduce(logsumexp - logits[at], axis=-1) / labels.shape[-1])
+    at = labels + logits.shape[-1] * np.arange(labels.size).reshape(labels.shape)
+    loss = _as_loss(np.add.reduce(logsumexp - logits.reshape(-1).take(at), axis=-1)
+                    / labels.shape[-1])
     return loss, exps, sums[..., np.newaxis], at
 
 
@@ -486,8 +488,11 @@ class Mlp:
         loss, exps, sums, at = _cross_entropy(acts[-1], labels)
 
         grad = np.zeros(x.shape)
-        delta = exps / sums
-        delta[at] -= 1.0
+        # the label write goes through delta's flat view, which is delta itself
+        # only while delta is C-ordered: the softmax goes over exps, copied
+        # into C order if exps is laid out otherwise
+        delta = np.ascontiguousarray(np.divide(exps, sums, out=exps))
+        delta.reshape(-1)[at] -= 1.0
         delta /= feats.shape[-2]
         for i in range(len(layers) - 1, -1, -1):
             W, _ = layers[i]
@@ -520,9 +525,14 @@ class Mlp:
 class MlpObjective:
     """An Mlp bound to a dataset (optionally with a held-out split).
 
-    ``MlpObjective.stack`` builds the objective of a stack of seeds: its
-    data, labels and splits carry a leading seed axis, and a batch is an
-    (S, B) array of each seed's row indices.  Its ``objective`` config::
+    Each split, training and held-out, is gathered once when the objective
+    is built: features (n, d) and labels (n,).  A batch of training row
+    indices reads both with one ``take`` each.  ``MlpObjective.stack``
+    builds the objective of a stack of seeds: its splits carry a leading
+    seed axis, (S, n, d) and (S, n), and a batch is an (S, B) array of each
+    seed's row indices, read from the split's flat (S * n, d) rows at
+    ``batch`` plus an (S, 1) column of offsets, s * n on row s.  Its
+    ``objective`` config::
 
         {"kind": "blobs", "n_per_class": 64, "n_classes": 2?, "dim": 2,
          "separation": 3.0, "hidden": [8], "activation": "tanh"?,
@@ -548,13 +558,11 @@ class MlpObjective:
             n = dataset.n_samples
             k = int(math.floor(holdout_fraction * n))
             perm = rng.permutation(n)
-            self._holdout_idx = np.sort(perm[:k])
-            self._train_idx = np.sort(perm[k:])
+            holdout, train = np.sort(perm[:k]), np.sort(perm[k:])
         else:
-            self._holdout_idx = np.arange(0)
-            self._train_idx = np.arange(dataset.n_samples)
-        self._features, self._labels = dataset.features, dataset.labels
-        self._seed_index = ()   # prefix of every row index; a stack's picks its seed
+            holdout, train = np.arange(0), np.arange(dataset.n_samples)
+        self._train, self._holdout = self._gather(train), self._gather(holdout)
+        self._offsets = 0   # each row's first flat training row: a stack's (S, 1) column
 
     @classmethod
     def parse(cls, fields, kind: str) -> dict:
@@ -615,30 +623,36 @@ class MlpObjective:
 
         They must share the network and the numbers of rows and of held-out
         rows, as the objectives of one config do.  The stack has no
-        ``dataset``.
+        ``dataset``: it stacks each seed's splits, features (S, n, d) and
+        labels (S, n), and row s of a batch reads flat rows from s * n.
         """
         first = objectives[0]
         out = cls.__new__(cls)
         out.mlp, out.dataset, out.dim = first.mlp, None, first.dim
-        for name in ("_features", "_labels", "_train_idx", "_holdout_idx"):
-            setattr(out, name, np.stack([getattr(o, name) for o in objectives]))
-        out._seed_index = (np.arange(len(objectives))[:, np.newaxis],)
+        for name in ("_train", "_holdout"):
+            setattr(out, name, tuple(np.stack(part) for part in
+                                     zip(*(getattr(o, name) for o in objectives))))
+        out._offsets = first.n_samples * np.arange(len(objectives))[:, np.newaxis]
         return out
 
     @property
     def n_samples(self) -> int:
-        return self._train_idx.shape[-1]
+        return self._train[1].shape[-1]
 
     def has_holdout(self) -> bool:
-        return self._holdout_idx.size > 0
+        return self._holdout[1].size > 0
 
-    def _gather(self, idx: np.ndarray, seed_index=None):
-        at = (self._seed_index if seed_index is None else seed_index) + (idx,)
-        return self._features[at], self._labels[at]
+    def _gather(self, idx: np.ndarray):
+        """The features and labels of the dataset's rows ``idx``, in that order."""
+        return self.dataset.features[idx], self.dataset.labels[idx]
 
-    def _rows(self, batch: np.ndarray, seed_index=None):
-        seed_index = self._seed_index if seed_index is None else seed_index
-        return self._gather(self._train_idx[seed_index + (batch,)], seed_index)
+    def _rows(self, batch: np.ndarray, offsets=None):
+        """A batch's features and labels, each read by one ``take`` of the
+        training split's flat rows at ``batch + offsets``; ``offsets`` are
+        the stack's own unless given, as a row mask's are."""
+        feats, labels = self._train
+        at = batch + (self._offsets if offsets is None else offsets)
+        return feats.reshape(-1, feats.shape[-1]).take(at, axis=0), labels.reshape(-1).take(at)
 
     def loss_and_grad(self, x, batch):
         feats, labels = self._rows(batch)
@@ -652,26 +666,24 @@ class MlpObjective:
         """The batch gradient; on a stack, ``rows`` may mask the rows wanted.
 
         Only the masked rows are computed, each as the whole stack computes
-        it, by narrowing the seed index to them; the other rows stay zero.
+        it, by reading their batches at their own offsets; the other rows
+        stay zero.
         """
         if rows is None:
             return self.loss_and_grad(x, batch)[1]
         picked = np.flatnonzero(rows)
         g = np.zeros(x.shape)
         g[picked] = self.mlp.loss_and_grad(
-            x[picked], *self._rows(batch[picked], (picked[:, np.newaxis],)))[1]
+            x[picked], *self._rows(batch[picked], self._offsets[picked]))[1]
         return g
-
-    @cached_property
-    def _train_rows(self):
-        """Features and labels of the whole training set, gathered on first use."""
-        return self._gather(self._train_idx)
 
     def _by_chunks(self, pass_, x, feats, labels, shape=()):
         """``pass_(x, feats, labels)`` over a stack, a chunk at a time.
 
-        A stack is either of seeds, whose rows carry a seed axis, or of
-        points that share one seed's rows (a landscape slice's line).  A
+        ``feats`` and ``labels`` are a split as the objective keeps it,
+        gathered when it was built, so a pass gathers no rows.  A stack is
+        either of seeds, whose rows carry a seed axis, or of points that
+        share one seed's rows (a landscape slice's line).  A
         chunk holds as many as keep its widest activation (the rows times
         the widest layer, per seed or point) within ``core.PASS_BYTES`` for
         seeds (``core.chunk_seeds``) or half of ``core.BLOCK_BYTES`` for
@@ -702,18 +714,18 @@ class MlpObjective:
 
     def full_loss(self, x) -> float:
         """Mean loss over the training rows, in chunks (see ``_by_chunks``)."""
-        return self._by_chunks(self.mlp.loss, x, *self._train_rows)
+        return self._by_chunks(self.mlp.loss, x, *self._train)
 
     def full_grad(self, x) -> np.ndarray:
         """Mean gradient over the training rows, in chunks (see ``_by_chunks``)."""
         return self._by_chunks(lambda *a: self.mlp.loss_and_grad(*a)[1], x,
-                               *self._train_rows, shape=(self.dim,))
+                               *self._train, shape=(self.dim,))
 
     def holdout_loss(self, x) -> float:
         """Mean loss over the held-out rows, in chunks (see ``_by_chunks``)."""
         if not self.has_holdout():
             raise InvalidParameterError("objective has no held-out split")
-        return self._by_chunks(self.mlp.loss, x, *self._gather(self._holdout_idx))
+        return self._by_chunks(self.mlp.loss, x, *self._holdout)
 
     def final_loss(self, x) -> float:
         return self.holdout_loss(x) if self.has_holdout() else self.full_loss(x)

@@ -261,6 +261,26 @@ def test_main_leaves_the_callers_logging_as_it_found_it(tmp_path, monkeypatch, c
         host.close()
 
 
+@pytest.mark.parametrize("host", ["stderr", "file"])
+def test_a_hosts_root_handler_leaves_each_info_line_on_stderr_once(host, tmp_path, capsys):
+    # a host's own stderr handler prints the lines in place of main's, and
+    # a host's file handler still receives them
+    log_file = tmp_path / "host.log"
+    handler = logging.StreamHandler(sys.stderr) if host == "stderr" \
+        else logging.FileHandler(log_file)
+    logging.root.addHandler(handler)
+    try:
+        assert main(["train", "--config", _write_cfg(tmp_path, T=5), "--seed", "0,1",
+                     "--out", str(tmp_path / "m.csv")]) == 0
+    finally:
+        logging.root.removeHandler(handler)
+        handler.close()
+    err = capsys.readouterr().err
+    assert err.count("seed=0 done") == 1 and err.count("seed=1 done") == 1
+    if host == "file":
+        assert log_file.read_text().count("seed=0 done") == 1
+
+
 def test_python_dash_m_runs_the_cli():
     helped = _fresh_python("-m", "vasso_opt", "--help")
     assert helped.returncode == 0

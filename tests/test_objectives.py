@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vasso_opt import core, objectives
 from vasso_opt.cli import main
@@ -449,8 +451,7 @@ def test_objective_losses_run_no_backward_pass(monkeypatch):
     x = obj.init_params(make_rng(1, 0))
     want = [obj.mlp.loss_and_grad(x, *obj._rows(np.arange(4)))[0],
             obj.mlp.loss_and_grad(x, *obj._rows(np.arange(obj.n_samples)))[0],
-            obj.mlp.loss_and_grad(x, obj.dataset.features[obj._holdout_idx],
-                                  obj.dataset.labels[obj._holdout_idx])[0]]
+            obj.mlp.loss_and_grad(x, *obj._holdout)[0]]
 
     def no_backward(*args):
         raise AssertionError("a loss-only call ran the backward pass")
@@ -563,27 +564,37 @@ def test_numpys_short_axis_sum_is_the_left_to_right_scan(n_classes, lead):
     assert _same_bits(scan, exps.sum(axis=-1))
 
 
-@pytest.mark.parametrize("stacked", [False, True])
-def test_the_training_rows_are_gathered_once_per_objective(stacked, monkeypatch):
-    seeds = [0, 1, 2] if stacked else [0]
-    parts = [_blob_objective(holdout=0.25, seed=s) for s in seeds]
-    obj = MlpObjective.stack(parts) if stacked else parts[0]
-    gathered = []
-    real = MlpObjective._gather
+def _gathers(monkeypatch):
+    """The row indices of each split an objective gathers, in call order."""
+    gathered, real = [], MlpObjective._gather
 
     def counting(self, idx):
         gathered.append(idx)
         return real(self, idx)
 
     monkeypatch.setattr(MlpObjective, "_gather", counting)
+    return gathered
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_the_training_rows_are_gathered_once_per_objective(stacked, monkeypatch):
+    seeds = [0, 1, 2] if stacked else [0]
+    gathered = _gathers(monkeypatch)
+    parts = [_blob_objective(holdout=0.25, seed=s) for s in seeds]
+    obj = MlpObjective.stack(parts) if stacked else parts[0]
+    # each seed's objective gathers its training rows, then its held-out
+    # rows, when it is built; a stack and the passes gather nothing more
+    assert [len(idx) for idx in gathered] == [18, 6] * len(seeds)
     x = np.stack([o.init_params(make_rng(s, 0)) for s, o in zip(seeds, parts)])
     x = x if stacked else x[0]
     losses = [obj.full_loss(x) for _ in range(3)]
     grads = [obj.full_grad(x) for _ in range(3)]
-    assert len(gathered) == 1 and gathered[0] is obj._train_idx
+    assert len(gathered) == 2 * len(seeds)
     assert all(_same_bits(v, losses[0]) for v in losses)
     assert all(_same_bits(g, grads[0]) for g in grads)
-    feats, labels = real(obj, obj._train_idx)
+    feats = np.stack([o.dataset.features[idx] for o, idx in zip(parts, gathered[::2])])
+    labels = np.stack([o.dataset.labels[idx] for o, idx in zip(parts, gathered[::2])])
+    feats, labels = (feats, labels) if stacked else (feats[0], labels[0])
     assert _same_bits(losses[0], _reference_loss(obj.mlp, x, feats, labels))
     assert _same_bits(grads[0], _reference_loss_and_grad(obj.mlp, x, feats, labels)[1])
 
@@ -610,6 +621,73 @@ def test_a_row_mask_computes_only_those_rows_of_a_stacked_gradient(monkeypatch):
     quad = NoisyQuadratic([1.0, 2.0, 3.0], sigma=0.5)
     xq, noise = make_rng(0, 2).standard_normal((2, 4, 3))
     assert _same_bits(quad.grad(xq, noise, rows=mask), quad.grad(xq, noise))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "swapped"])
+@pytest.mark.parametrize("stack", [False, True])
+def test_the_label_write_lands_in_delta_whatever_the_layout_of_exps(layout, stack,
+                                                                    monkeypatch):
+    # the backward pass subtracts 1.0 at each label entry through delta's
+    # flat view; a delta laid out as a non-C-ordered exps would make that
+    # view a copy, and the write would be lost
+    rng = make_rng(7, 16)
+    mlp = Mlp([3, 5, 4])
+    lead = (3,) if stack else ()
+    x = np.stack([mlp.init_params(rng) for _ in range(3)]) if stack else mlp.init_params(rng)
+    feats, labels = rng.standard_normal(lead + (20, 3)), rng.integers(0, 4, lead + (20,))
+    real = objectives._cross_entropy
+
+    def relaid(logits, labels):
+        loss, exps, sums, at = real(logits, labels)
+        if layout == "fortran":
+            out = np.asfortranarray(exps)
+        else:   # rows and classes swapped in memory
+            out = np.empty(exps.shape[:-2] + exps.shape[:-3:-1]).swapaxes(-1, -2)
+            out[...] = exps
+        assert not out.flags.c_contiguous
+        return loss, out, sums, at
+
+    monkeypatch.setattr(objectives, "_cross_entropy", relaid)
+    got = mlp.loss_and_grad(x, feats, labels)[1]
+    assert _same_bits(got, _reference_loss_and_grad(mlp, x, feats, labels)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds=st.integers(1, 5), n_classes=st.integers(2, 17), holdout=st.booleans(),
+       data=st.data())
+def test_a_stack_reads_each_seeds_own_rows(seeds, n_classes, holdout, data):
+    # each seed has data of its own, so a row read at another seed's offset
+    # gives a different loss
+    rng = make_rng(seeds * 100 + n_classes, 16)
+    n = data.draw(st.integers(4, 24), label="rows")   # a quarter holds out a row
+    parts = [mlp_objective([3, 5, n_classes], "tanh",
+                           Dataset(rng.standard_normal((n, 3)), rng.integers(0, n_classes, n)),
+                           holdout_fraction=0.25 * holdout, rng=make_rng(s, 4))
+             for s in range(seeds)]
+    obj = MlpObjective.stack(parts)
+    x = np.stack([o.init_params(rng) + 0.3 * rng.standard_normal(o.dim) for o in parts])
+    size = data.draw(st.integers(1, obj.n_samples), label="batch")
+    start = data.draw(st.integers(0, obj.n_samples - size), label="start")
+    # a column slice of a table of orders, as the engine's epoch batches are
+    batch = np.stack([rng.permutation(obj.n_samples) for _ in parts])[:, start:start + size]
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=seeds, max_size=seeds)
+                              .filter(any), label="mask"))
+
+    def each(name, *args):
+        return np.array([getattr(o, name)(x[s], *(a[s] for a in args))
+                         for s, o in enumerate(parts)])
+
+    loss, grad = obj.loss_and_grad(x, batch)
+    assert _same_bits(loss, each("loss", batch))
+    assert _same_bits(obj.loss(x, batch), loss)
+    assert _same_bits(grad, each("grad", batch))
+    masked = obj.grad(x, batch, rows=mask)
+    assert _same_bits(masked[mask], grad[mask]) and not masked[~mask].any()
+    assert _same_bits(obj.full_loss(x), each("full_loss"))
+    assert _same_bits(obj.full_grad(x), each("full_grad"))
+    assert obj.has_holdout() == holdout
+    if holdout:
+        assert _same_bits(obj.holdout_loss(x), each("holdout_loss"))
 
 
 # ---------------------------------------------------------------------------
@@ -759,11 +837,12 @@ def test_batch_gradients_average_to_full_gradient():
     assert np.allclose(mean_g, obj.full_grad(x), atol=1e-10)
 
 
-def test_holdout_split_partitions_the_dataset():
+def test_holdout_split_partitions_the_dataset(monkeypatch):
+    gathered = _gathers(monkeypatch)
     obj = _blob_objective(holdout=0.25)
     assert obj.has_holdout()
     assert obj.n_samples == 18
-    both = np.concatenate([obj._train_idx, obj._holdout_idx])
+    both = np.concatenate(gathered)
     assert sorted(both.tolist()) == list(range(24))
     x = obj.init_params(make_rng(1, 0))
     assert math.isfinite(obj.holdout_loss(x))

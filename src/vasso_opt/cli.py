@@ -2,7 +2,9 @@
 
 Every subcommand requires --seed (there is no hidden nondeterminism) and
 writes plot-ready CSV.  Exit codes: 0 success, 1 usage error, 2 runtime
-failure.  Flags override config-file values, save that a flag may not set
+failure.  An output path (``--out``, or ``train``'s config ``output_path``)
+whose directory does not exist, or that names a directory, exits 2 before
+any work.  Flags override config-file values, save that a flag may not set
 a knob that the config's optimizer kind fixes at another value: ``train
 --p 0.25`` on a ``vasso`` config exits 2 naming ``optimizer.p``.  The seeds
 of a run step together in lockstep, in one process; outputs list them in
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import sys
 from dataclasses import astuple
 from functools import partial
@@ -107,6 +110,15 @@ def _out_path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("must be a non-empty path")
     return text
+
+
+def _writable(path: str) -> None:
+    """Fail, before any work, unless ``path`` names a file in a directory that exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise VassoOptError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(path):
+        raise VassoOptError(f"cannot write {path}: it is a directory")
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -258,6 +270,7 @@ def cmd_train(args) -> int:
                                           seeds=args.seed, **fields)
     if cfg.output_path is None:
         raise VassoOptError("no metrics path: give --out or set output_path in the config")
+    _writable(cfg.output_path)
     result = run_experiment(cfg, record_wallclock=args.record_wallclock)
     if result.aggregate["n_aborted"] == len(cfg.seeds):
         raise VassoOptError("every seed aborted on non-finite loss; see " +
@@ -392,6 +405,8 @@ def main(argv=None) -> int:
         log.addHandler(handler)
     log.setLevel(logging.INFO)
     try:
+        if args.out is not None:   # every subcommand has --out
+            _writable(args.out)
         return args.run(args)
     except (VassoOptError, OSError, ValueError) as e:
         print(f"vasso-opt: error: {e}", file=sys.stderr)

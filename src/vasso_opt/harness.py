@@ -212,18 +212,52 @@ class MetricsColumns:
     def __len__(self) -> int:
         return len(self.loss)
 
-    def to_csv(self) -> str:
-        """The seed's CSV lines, newline-terminated, in the cell format of ``fmt``."""
-        k = len(self)
+    def to_csv(self, ints: "_IntCells | None" = None) -> str:
+        """The seed's CSV lines, newline-terminated, in the cell format of ``fmt``.
+
+        The step and grad-eval cells come from ``ints``, which the writer of
+        a file shares across its seeds, so that each step index, and each
+        grad-eval total a seed repeats from the seed before, is formatted
+        once per file; by default from a fresh one.
+        """
+        k, ints = len(self), _IntCells() if ints is None else ints
         fg = [""] * k
         fg[::self.metrics_every] = map(repr, self.full_grad_norm.tolist())
         drift = [""] + list(map(repr, self.eps_drift.tolist())) if k else []
         wall = [""] * k if self.wallclock_ms is None else \
             map(repr, self.wallclock_ms.tolist())
-        cells = zip(itertools.repeat(str(self.seed), k), map(str, range(k)),
+        cells = zip(itertools.repeat(str(self.seed), k), ints.steps(k),
                     map(repr, self.loss.tolist()), fg, drift,
-                    map(str, self.grad_evals_cum.tolist()), wall)
+                    ints.evals(self.grad_evals_cum), wall)
         return "\n".join(map(",".join, cells)) + "\n" if k else ""
+
+
+class _IntCells:
+    """The integer cells of one metrics file, as ``fmt`` writes them.
+
+    ``steps(k)`` gives the step indices 0..k-1, each formatted once; and
+    ``evals(column)`` a seed's grad-eval totals, reusing the previous
+    seed's strings up to the first step at which the two seeds' totals
+    differ.  It holds one seed's step cells and one seed's grad-eval cells
+    at most, and lives for one write.
+    """
+
+    def __init__(self):
+        self._steps = []
+        self._evals, self._eval_cells = np.zeros(0, dtype=np.int64), []
+
+    def steps(self, k: int) -> list[str]:
+        if k > len(self._steps):
+            self._steps += map(str, range(len(self._steps), k))
+        return self._steps[:k]
+
+    def evals(self, column: np.ndarray) -> list[str]:
+        m = min(len(column), len(self._evals))
+        differ = np.flatnonzero(column[:m] != self._evals[:m])
+        same = differ[0] if len(differ) else m
+        cells = self._eval_cells[:same] + list(map(str, column[same:].tolist()))
+        self._evals, self._eval_cells = column, cells
+        return cells
 
 
 def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
@@ -281,7 +315,7 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
 
 
 def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = False,
-             *, columns: bool = True) -> list[list]:
+             *, columns: bool = True, drift: bool = True) -> list[list]:
     """Run the seeds under each config, an arm; (columns, summary) per arm and seed.
 
     The arms may differ only in the optimizer spec.  They share each seed's
@@ -291,7 +325,10 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = F
     and summaries equal those of a run of that arm alone, bit for bit.
     With ``columns=False`` each arm's list holds its seeds' summaries alone:
     the run keeps no (T, rows) tables and takes no metrics-cadence gradient
-    norms, so its working set does not grow with T.
+    norms, so its working set does not grow with T.  With ``drift=False``
+    too, for callers that read no drift, it takes no drift norms and each
+    summary's ``mean_drift`` is None; a columns run always takes them.
+    Each seed's objective is released once the last stack is built from it.
     """
     cfgs, seeds = list(cfgs), list(seeds)
     shared = [dict(c.to_dict(), optimizer=None, output_path=None) for c in cfgs]
@@ -304,10 +341,13 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = F
     groups = {}   # by the size of the batches that feed the slope
     for a, cfg in enumerate(cfgs):
         groups.setdefault(cfg.optimizer_config().adv_batch or cfg.batch_size, []).append(a)
-    out = [None] * len(cfgs)
-    for arms in groups.values():
-        stack = _lockstep([cfgs[a] for a in arms], seeds, objs, record_wallclock,
-                          keep_final_x, columns)
+    out, groups = [None] * len(cfgs), list(groups.values())
+    for g, arms in enumerate(groups):
+        # _lockstep empties the list it is given: the last stack takes objs
+        # itself, so no reference to a seed's objective outlives its build
+        stack = _lockstep([cfgs[a] for a in arms], seeds,
+                          objs if g == len(groups) - 1 else list(objs),
+                          record_wallclock, keep_final_x, columns, drift)
         for a, results in zip(arms, stack):
             out[a] = results
     return out
@@ -318,7 +358,8 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = F
 # numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = False,
-              keep_final_x: bool = False, columns: bool = True) -> list[list]:
+              keep_final_x: bool = False, columns: bool = True,
+              drift: bool = True) -> list[list]:
     """Step every pair of an arm and a seed as one row of a lockstep stack.
 
     Row a*S + i of the (A*S, dim) stack runs seed i (objective ``objs[i]``)
@@ -346,7 +387,11 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
     block, their blocks within one ``core.BLOCK_BYTES`` budget; a batch is
     read only during its own step, as ``_batch_stream`` requires.  A stack
     whose gate never opens has a zero adversary at every step, so its drift
-    cells stay +0.0 and no drift norm is taken.
+    cells stay +0.0 and no drift norm is taken.  A summaries-only run with
+    ``drift=False`` takes none either, keeps no previous adversary, and
+    reports ``mean_drift`` as None.  Once the stack's objective is built,
+    ``objs`` is emptied: each seed's objective is then released unless the
+    caller holds it.
 
     At 0<p<1 only the rows whose gate opens take the second gradient, a
     retired row among them; on a network objective the other rows cost
@@ -391,6 +436,8 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
                                T, width, seed_of)
     gates = SimpleNamespace(random=gate_draws.__next__)
     obj = type(objs[0]).stack([objs[i] for i in seed_of])
+    objs.clear()   # the stack holds all it reads of them
+    drift = drift or columns   # a columns run writes drift cells
 
     # With columns, each step writes one cell per row straight into the
     # tables, the retired rows included; a row's columns read only the
@@ -402,15 +449,15 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
         evals_tab = np.zeros((T, n), dtype=np.int64)   # running totals
     wallclock = np.zeros(T) if columns and record_wallclock else None
     steps = np.full(n, T)   # a row is live while steps[r] == T
-    evals, drift = np.zeros(n, dtype=np.int64), np.zeros(n)   # running, every row
+    evals, drift_sum = np.zeros(n, dtype=np.int64), np.zeros(n)   # running, every row
     final_x, final_evals, final_drift = np.empty_like(x), np.empty_like(evals), \
-        np.empty_like(drift)
+        np.empty_like(drift_sum)
 
     def retire(mask, t: int) -> None:
         """The live rows in ``mask`` stop at step t, at their current x and totals."""
         mask = mask & (steps == T)
         steps[mask], final_x[mask] = t, x[mask]
-        final_evals[mask], final_drift[mask] = evals[mask], drift[mask]
+        final_evals[mask], final_drift[mask] = evals[mask], drift_sum[mask]
 
     state = buf = prev_eps = epoch_loss = None
     log_epochs = epochs and log.isEnabledFor(logging.INFO)
@@ -438,10 +485,10 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
         evals += rep.grad_evals
         if prev_eps is not None:
             d = row_norms(rep.epsilon - prev_eps)
-            drift += d
+            drift_sum += d
             if columns:
                 drift_tab[t] = d
-        if not ocfg.never_opens:
+        if drift and not ocfg.never_opens:
             prev_eps = rep.epsilon
         if log_epochs:   # the epoch's losses, added left to right
             epoch_loss = rep.loss.copy() if t % per_epoch == 0 else epoch_loss + rep.loss
@@ -463,7 +510,7 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
             "aborted": k < T,
             "aborted_at": k if k < T else None,
             "total_grad_evals": final_evals[r],
-            "mean_drift": final_drift[r] / (k - 1) if k > 1 else 0.0,
+            "mean_drift": (final_drift[r] / (k - 1) if k > 1 else 0.0) if drift else None,
             "final_loss": finals[r] if k == T else None,
         })
         if keep_final_x:
@@ -504,13 +551,15 @@ def objective_point(cfg: ExperimentConfig, seed: int, train_steps: int):
     """The seed's objective and its point after ``train_steps`` steps of ``cfg``.
 
     Zero steps give the initial point.  The objective is built once, and
-    the training run steps on it, keeping its summary alone.
+    the training run steps on it, keeping its summary alone and taking no
+    drift norm.
     """
     obj = build_objective(cfg.objective, seed)
     if train_steps == 0:
         return obj, init_x(obj, cfg.objective, seed)
     train_cfg = cfg.derive(seeds=[seed], T=train_steps, output_path=None)
-    [[summary]] = _lockstep([train_cfg], [seed], [obj], keep_final_x=True, columns=False)
+    [[summary]] = _lockstep([train_cfg], [seed], [obj], keep_final_x=True, columns=False,
+                            drift=False)
     if summary["aborted"]:
         raise VassoOptError("training diverged before the evaluation point")
     return obj, summary["final_x"]
@@ -533,7 +582,8 @@ def _aggregate(summaries: list[dict]) -> dict:
         agg["min_final_loss"] = min(finals)
         agg["max_final_loss"] = max(finals)
         agg["mean_total_grad_evals"] = sum(s["total_grad_evals"] for s in done) / len(done)
-        agg["mean_drift"] = sum(s["mean_drift"] for s in done) / len(done)
+        if done[0]["mean_drift"] is not None:   # a run without drift reports none
+            agg["mean_drift"] = sum(s["mean_drift"] for s in done) / len(done)
     return agg
 
 
@@ -553,8 +603,9 @@ def run_experiment(cfg: ExperimentConfig,
         summary_path = cfg.output_path + ".summary.json"
         with open(metrics_path, "w") as fh:
             fh.write(METRICS_HEADER + "\n")
+            ints = _IntCells()   # the file's integer cells, shared by its seeds
             for columns, _ in results:
-                fh.write(columns.to_csv())
+                fh.write(columns.to_csv(ints))
         with open(summary_path, "w") as fh:
             json.dump({"config": cfg.to_dict(), "per_seed": summaries,
                        "aggregate": aggregate}, fh, sort_keys=True, indent=2)
@@ -649,9 +700,11 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
     Rows cover eVASSO at each p (p=1 is VASSO), the eSAM analog (theta=1,
     same Bernoulli gating) when requested, and one ungated SAM reference row.
     Every arm is parsed before any runs, so a bad seed or p fails first.  All
-    arms step as rows of one stack (``run_arms``).  Wallclock is measured
-    only on request, and is never deterministic: then each arm runs in a
-    stack of its own, and its cell is that run's time per seed.
+    arms step as rows of one stack (``run_arms``), which keeps their
+    summaries alone and, as no row of the table reads drift, takes no drift
+    norm.  Wallclock is measured only on request, and is never
+    deterministic: then each arm runs in a stack of its own, and its cell is
+    that run's time per seed.
     """
     ps = sorted(set(float(p) for p in p_values) | {1.0})
     seeds = list(seeds)
@@ -673,10 +726,11 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
         runs, walls = [], []
         for cfg in cfgs:
             t0 = time.perf_counter()
-            runs.append(run_seeds(cfg, seeds, columns=False))
+            runs.append(run_arms([cfg], seeds, columns=False, drift=False)[0])
             walls.append((time.perf_counter() - t0) * 1e3 / len(seeds))
     else:
-        runs, walls = run_arms(cfgs, seeds, columns=False), [None] * len(cfgs)
+        runs = run_arms(cfgs, seeds, columns=False, drift=False)
+        walls = [None] * len(cfgs)
     rows = []
     for (name, _, p), summaries, wall in zip(arms, runs, walls):
         agg = _aggregate(summaries)

@@ -112,6 +112,14 @@ class NoisyQuadratic:
 
         {"kind": "quadratic", "diag": [...] | "matrix": [[...]],
          "sigma": 1.0, "b": [...]?, "init_scale": 1.0?}
+
+    Built without ``b``, the quadratic keeps none (``self.b is None``), and
+    its losses and gradients take no linear term: no ``b'x`` and no ``+ b``.
+    A given ``b``, an all-zero one included, is added as written.  Skipping
+    ``+ 0.0`` can change only the sign of an entry of ``Ax`` that is exactly
+    zero, which no output sees: the loss adds that entry's product into
+    ``0.5 x'Ax``, and every output reads a gradient through a norm or after
+    adding noise to it.
     """
 
     def __init__(self, A, b=None, sigma: float = 0.0, init_scale: float = 1.0):
@@ -132,7 +140,7 @@ class NoisyQuadratic:
             raise DimensionMismatchError(f"A must be 1-D or 2-D, got ndim {A.ndim}")
         if sigma < 0:
             raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-        self.b = np.zeros(self.dim) if b is None else as_param_vector(b, self.dim)
+        self.b = None if b is None else as_param_vector(b, self.dim)
         self.sigma = float(sigma)
         self.sigma2 = self.dim * self.sigma * self.sigma   # inf, not an error, on overflow
         self.init_scale = init_scale
@@ -184,7 +192,11 @@ class NoisyQuadratic:
         return np.matmul(self._A, x[..., np.newaxis])[..., 0]
 
     def _value(self, x: np.ndarray, ax: np.ndarray):
-        return np.vecdot(0.5 * x, ax) + np.vecdot(self.b, x)
+        value = np.vecdot(0.5 * x, ax)
+        return value if self.b is None else value + np.vecdot(self.b, x)
+
+    def _plus_b(self, ax: np.ndarray) -> np.ndarray:
+        return ax if self.b is None else ax + self.b
 
     def lambda_max(self) -> float:
         if self._diag is not None:
@@ -195,7 +207,7 @@ class NoisyQuadratic:
         return _as_loss(self._value(x, self._Ax(x)))
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return self._Ax(x) + self.b
+        return self._plus_b(self._Ax(x))
 
     def final_loss(self, x: np.ndarray) -> float:
         return self.full_loss(x)
@@ -210,7 +222,7 @@ class NoisyQuadratic:
     def loss_and_grad(self, x, batch):
         ax = self._Ax(x)
         return (_as_loss(self._value(x, ax) + np.vecdot(batch, x)),
-                ax + self.b + batch)
+                self._plus_b(ax) + batch)
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._Ax(v)

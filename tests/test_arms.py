@@ -8,13 +8,15 @@ those of ``run_seeds`` on that arm alone, bit for bit, and so must the
 
 import json
 import logging
+import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from vasso_opt import harness
 from vasso_opt.cli import main
-from vasso_opt.core import STREAM_GATE, make_rng
+from vasso_opt.core import STREAM_GATE, make_rng, row_norms
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (paired_compare, parse_config, run_arms,
                                run_seeds, tradeoff_sweep)
@@ -334,6 +336,62 @@ def test_the_sweeps_take_no_metrics_gradient(monkeypatch):
     tradeoff_sweep(base, [0.5], [3, 0])
     paired_compare(base, base.derive({"kind": "sam"}), [3, 0])
     assert calls == []
+
+
+def _drifting(cfgs, seeds, *args, **kwargs):
+    """``run_arms`` taking drift whatever its caller asks."""
+    return _run_arms(cfgs, seeds, *args, **dict(kwargs, drift=True))
+
+
+@pytest.mark.parametrize("record_wallclock", [False, True],
+                         ids=["one-stack", "a-stack-per-arm"])
+def test_the_sweep_and_a_training_prefix_take_no_drift_norm(record_wallclock,
+                                                             monkeypatch):
+    # neither reads drift: the rows and the final iterate are those of runs
+    # that take it, counted as the never-opening stack's norms are counted
+    base = _arms("blobs-holdout", "mixed", T=16)[0]   # eVASSO, p=0.5
+
+    def outputs():
+        rows = tradeoff_sweep(base, [0.0, 0.5], [3, 0],
+                              record_wallclock=record_wallclock)
+        _, x = harness.objective_point(base, 7, 16)
+        return [astuple(r)[:-1] for r in rows], x.tobytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_arms", _drifting)
+        want = outputs()
+    want_x = run_seeds(base.derive(seeds=[7]), [7], keep_final_x=True,
+                       columns=False)[0]["final_x"]
+    norms = []
+    monkeypatch.setattr(harness, "row_norms", lambda a: norms.append(1) or row_norms(a))
+    assert outputs() == want and want[1] == want_x.tobytes()
+    assert norms == []
+    # a columns run and the compare still take them
+    paired_compare(base, base.derive({"kind": "sam"}), [3, 0], metric="mean_drift")
+    assert norms
+
+
+@pytest.mark.parametrize("arm_set, stacks", [("mixed", 1), ("sam-db-own-adv-size", 2)])
+def test_each_seeds_objective_is_released_once_its_last_stack_is_built(
+        arm_set, stacks, monkeypatch):
+    refs, build = [], MlpObjective.build
+
+    def spy_build(cls, spec, seeds):
+        objs = build(spec, seeds)
+        refs.extend(map(weakref.ref, objs))
+        return objs
+
+    alive, step = [], harness.vasso_step
+
+    def spy_step(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(MlpObjective, "build", classmethod(spy_build))
+    monkeypatch.setattr(harness, "vasso_step", spy_step)
+    run_arms(_arms("blobs-holdout", arm_set, T=16), [3, 0, 7])
+    # an earlier stack steps while the last one still needs the objectives
+    assert len(refs) == 3 and alive == [3] * 16 * (stacks - 1) + [0] * 16
 
 
 # ---------------------------------------------------------------------------

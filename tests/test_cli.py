@@ -229,6 +229,36 @@ def test_an_empty_out_path_is_a_usage_error_before_any_work(cmd, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+@pytest.mark.parametrize("where", ["in-no-directory", "a-directory"])
+@pytest.mark.parametrize("cmd", sorted(_EMPTY_OUT_CASES))
+def test_an_out_path_that_cannot_be_written_exits_2_before_any_work(
+        cmd, where, tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(tmp_path, T=5)
+    out = tmp_path / "missing" / "o.csv" if where == "in-no-directory" else tmp_path
+    why = f"no directory {out.parent}" if where == "in-no-directory" else "it is a directory"
+    work = []   # every command reads a config or makes a random stream first
+    monkeypatch.setattr(cli, "load_config", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "make_rng", lambda *a: work.append(a))
+    argv = [cmd] + [a.format(cfg=cfg) for a in _EMPTY_OUT_CASES[cmd]]
+    assert main(argv + ["--seed", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"vasso-opt: error: cannot write {out}: {why}"]
+    assert captured.out == "" and work == []
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_a_config_output_path_in_no_directory_exits_2_before_training(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "missing" / "m.csv"
+    cfg = _write_cfg(tmp_path, T=5, output_path=str(out))
+    runs = []
+    monkeypatch.setattr(harness, "_lockstep", lambda *a: runs.append(a))
+    assert main(["train", "--config", cfg, "--seed", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"vasso-opt: error: cannot write {out}: no directory {out.parent}"]
+    assert runs == [] and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_main_leaves_the_callers_logging_as_it_found_it(tmp_path, monkeypatch, capsys):
     host = logging.FileHandler(tmp_path / "host.log")
     logging.root.addHandler(host)

@@ -694,6 +694,40 @@ def test_a_long_dead_tail_leaves_the_other_seed_and_the_console_alone(kind, tmp_
 # the column writer against the row writer
 
 
+@pytest.mark.parametrize("every", [1, 3])
+def test_a_metrics_file_formats_each_integer_once_in_the_row_writers_bytes(
+        every, tmp_path, monkeypatch):
+    # gated eVASSO runs, whose seeds' grad-eval totals differ, around an
+    # ungated one, at three horizons in one process
+    seeds, strs = [3, 0, 7, 5], []
+    for kind, T in [("evasso", 40), ("vasso", 25), ("evasso", 13)]:
+        out = tmp_path / f"{kind}-{T}.csv"
+        cfg = parse_config({
+            "objective": OBJECTIVES["quadratic-diag"],
+            "optimizer": {"kind": kind, "lr": {"kind": "constant", "base": 0.05},
+                          **KINDS[kind]},
+            "T": T, "batch_size": 1, "seeds": seeds, "metrics_every": every,
+            "output_path": str(out)})
+        with monkeypatch.context() as m:
+            m.setattr(harness, "str", lambda v: strs.append(v) or str(v), raising=False)
+            run_experiment(cfg)
+        results = run_seeds(cfg, seeds)
+        assert out.read_text() == METRICS_HEADER + "\n" + "".join(_csv([
+            MetricsRow(c.seed, t, float(c.loss[t]),
+                       float(c.full_grad_norm[t // every]) if t % every == 0 else None,
+                       float(c.eps_drift[t - 1]) if t else None,
+                       int(c.grad_evals_cum[t]), None)
+            for t in range(T)]) for c, _ in results)
+        totals = [c.grad_evals_cum.tolist() for c, _ in results]
+        assert (len(set(map(tuple, totals))) == 1) == (kind == "vasso")
+        # a seed cell per seed and each step index once; a seed's grad-eval
+        # totals from the first step where they differ from the seed before
+        same = [next((t for t in range(T) if a[t] != b[t]), T)
+                for a, b in zip(totals, totals[1:])]
+        assert len(strs) == len(seeds) + T + T + sum(T - k for k in same)
+        strs.clear()
+
+
 def _tables(T):
     """Cells of every kind a run writes: tiny, huge, integral, signed zero,
     non-finite and ordinary floats, and growing evaluation counts."""

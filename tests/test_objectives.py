@@ -173,6 +173,47 @@ def test_gradient_lipschitz_witness():
             assert lhs <= L * np.linalg.norm(x - y) + 1e-9
 
 
+_MATRIX = [[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, -0.2, 0.0],
+           [0.0, -0.2, 0.5, 0.3], [0.1, 0.0, 0.3, 1.5]]
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)], ids=["vector", "stack"])
+@pytest.mark.parametrize("A", [np.linspace(0.5, 5.0, 4), _MATRIX], ids=["diag", "matrix"])
+def test_a_quadratic_without_b_equals_one_with_a_zero_b_and_skips_its_term(
+        A, shape, monkeypatch):
+    bare, zero = NoisyQuadratic(A, sigma=0.7), NoisyQuadratic(A, b=np.zeros(4), sigma=0.7)
+    assert bare.b is None and zero.b.tolist() == [0.0] * 4
+    rng = make_rng(9, 16)
+    x, batch = rng.standard_normal(shape), rng.standard_normal(shape)
+    vecdots, vecdot = [], np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda *a: vecdots.append(1) or vecdot(*a))
+
+    def outputs(obj):
+        """Each method's output, and the vecdots it took."""
+        calls = {"loss": lambda: obj.loss(x, batch),
+                 "loss_and_grad": lambda: obj.loss_and_grad(x, batch),
+                 "grad": lambda: obj.grad(x, batch),
+                 "full_loss": lambda: obj.full_loss(x),
+                 "full_grad": lambda: obj.full_grad(x),
+                 "grad_draws": lambda: obj.grad_draws(x.reshape(-1, 4)[-1], 5,
+                                                      make_rng(3, 16))}
+        out = {}
+        for name, call in calls.items():
+            vecdots.clear()
+            got = call()
+            out[name] = ([(type(v), np.asarray(v).tobytes())
+                          for v in (got if isinstance(got, tuple) else (got,))],
+                         len(vecdots))
+        return out
+
+    got, want = outputs(bare), outputs(zero)
+    assert {k: v[0] for k, v in got.items()} == {k: v[0] for k, v in want.items()}
+    # the linear term is one vecdot per loss, taken only where b was given
+    assert {k: want[k][1] - v[1] for k, v in got.items()} == {
+        "loss": 1, "loss_and_grad": 1, "grad": 0, "full_loss": 1, "full_grad": 0,
+        "grad_draws": 0}
+
+
 # ---------------------------------------------------------------------------
 # datasets
 

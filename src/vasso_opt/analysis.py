@@ -286,6 +286,13 @@ class SpectrumEstimate:
     breakdown: bool = False
 
 
+def check_spectrum_sizes(k: int, iters: int, dim: int) -> None:
+    """Raise InvalidParameterError unless ``1 <= k <= iters <= dim``."""
+    if not 1 <= k <= iters or iters > dim:
+        raise InvalidParameterError(f"need 1 <= k <= iters <= dim, got k={k}, "
+                                    f"iters={iters}, dim={dim}")
+
+
 def lanczos_spectrum(obj, x, k: int, iters: int, rng) -> SpectrumEstimate:
     """Top-k Ritz values of the Hessian at x via Lanczos with full reorthogonalization.
 
@@ -294,9 +301,7 @@ def lanczos_spectrum(obj, x, k: int, iters: int, rng) -> SpectrumEstimate:
     flagged via ``breakdown``.
     """
     dim = obj.dim
-    if not 1 <= k <= iters or iters > dim:
-        raise InvalidParameterError(f"need 1 <= k <= iters <= dim, got k={k}, "
-                                    f"iters={iters}, dim={dim}")
+    check_spectrum_sizes(k, iters, dim)
     V = np.zeros((iters, dim))
     alphas = np.zeros(iters)
     betas = np.zeros(iters)

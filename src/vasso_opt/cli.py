@@ -25,13 +25,14 @@ from functools import partial
 
 import numpy as np
 
-from .analysis import (delta_stability, ema_slope_sampler, landscape_slice,
-                       lanczos_spectrum, mse_suppression, noisy_grad_sampler,
-                       snr_adversary_spread)
+from .analysis import (check_spectrum_sizes, delta_stability, ema_slope_sampler,
+                       landscape_slice, lanczos_spectrum, mse_suppression,
+                       noisy_grad_sampler, snr_adversary_spread)
 from .core import MAX_SEED, STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
 from .errors import VassoOptError
-from .harness import (TRADEOFF_HEADER, fmt, load_config, objective_point,
-                      paired_compare, run_experiment, run_seed, tradeoff_sweep)
+from .harness import (TRADEOFF_HEADER, build_objective, fmt, load_config,
+                      paired_compare, run_experiment, run_seed, trained_point,
+                      tradeoff_sweep)
 from .objectives import NoisyQuadratic
 from .optimizers import sam_adversary, sfw_solve
 
@@ -121,12 +122,17 @@ def _writable(path: str) -> None:
         raise VassoOptError(f"cannot write {path}: it is a directory")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write ``header``, then a line per row of cells, each cell as ``fmt`` writes it."""
+def _write_lines(path: str, header: str, lines) -> None:
+    """Write ``header``, then each of ``lines``, each ended by a newline."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(map(fmt, row)) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header``, then a line per row of cells, each cell as ``fmt`` writes it."""
+    _write_lines(path, header, (",".join(map(fmt, row)) for row in rows))
 
 
 def _wrote(path: str, header: str, rows) -> int:
@@ -339,9 +345,12 @@ def cmd_snr(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    obj, x = objective_point(load_config(args.config), args.seed, args.train_steps)
+    cfg = load_config(args.config)
+    obj = build_objective(cfg.objective, args.seed)
     k = min(5, obj.dim) if args.k is None else args.k
     iters = min(60, obj.dim) if args.iters is None else args.iters
+    check_spectrum_sizes(k, iters, obj.dim)   # before any training step
+    x = trained_point(cfg, args.seed, obj, args.train_steps)
     est = lanczos_spectrum(obj, x, k, iters,
                            make_rng(args.seed, STREAM_DIRECTION))
     if est.breakdown:
@@ -352,17 +361,24 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    obj, x = objective_point(load_config(args.config), args.seed, args.train_steps)
+    cfg = load_config(args.config)
+    obj = build_objective(cfg.objective, args.seed)
+    x = trained_point(cfg, args.seed, obj, args.train_steps)
     rng = make_rng(args.seed, STREAM_DIRECTION)
     alphas = np.linspace(-args.radius, args.radius, args.points)
+    # each axis value is formatted once, not once per line it is on
+    cells = list(map(fmt, alphas.tolist()))
     if args.two_d:
         dirs = [rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)]
-        grid = landscape_slice(obj, x, dirs, alphas, betas=alphas)
-        rows = ((a, b, grid[i, j])
-                for i, a in enumerate(alphas) for j, b in enumerate(alphas))
-        return _wrote(args.out, "alpha,beta,loss", rows)
-    vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas)
-    return _wrote(args.out, "alpha,loss", zip(alphas, vals))
+        grid = landscape_slice(obj, x, dirs, alphas, betas=alphas).tolist()
+        header = "alpha,beta,loss"
+        lines = (f"{a},{b},{fmt(v)}" for a, row in zip(cells, grid) for b, v in zip(cells, row))
+    else:
+        vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas).tolist()
+        header, lines = "alpha,loss", (f"{a},{fmt(v)}" for a, v in zip(cells, vals))
+    _write_lines(args.out, header, lines)
+    print(f"wrote {args.out}")
+    return 0
 
 
 def cmd_sfw_check(args) -> int:

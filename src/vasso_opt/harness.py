@@ -547,22 +547,20 @@ def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
     return run_seeds(cfg, [seed], record_wallclock, keep_final_x)[0]
 
 
-def objective_point(cfg: ExperimentConfig, seed: int, train_steps: int):
-    """The seed's objective and its point after ``train_steps`` steps of ``cfg``.
+def trained_point(cfg: ExperimentConfig, seed: int, obj, train_steps: int) -> np.ndarray:
+    """The point after ``train_steps`` steps of ``cfg`` on ``obj``, the seed's objective.
 
-    Zero steps give the initial point.  The objective is built once, and
-    the training run steps on it, keeping its summary alone and taking no
-    drift norm.
+    Zero steps give the initial point.  The training run steps on ``obj``,
+    keeping its summary alone and taking no drift norm.
     """
-    obj = build_objective(cfg.objective, seed)
     if train_steps == 0:
-        return obj, init_x(obj, cfg.objective, seed)
+        return init_x(obj, cfg.objective, seed)
     train_cfg = cfg.derive(seeds=[seed], T=train_steps, output_path=None)
     [[summary]] = _lockstep([train_cfg], [seed], [obj], keep_final_x=True, columns=False,
                             drift=False)
     if summary["aborted"]:
         raise VassoOptError("training diverged before the evaluation point")
-    return obj, summary["final_x"]
+    return summary["final_x"]
 
 
 @dataclass

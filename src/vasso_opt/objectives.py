@@ -394,8 +394,10 @@ def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
 
 def _fold_columns(op, a: np.ndarray) -> np.ndarray:
     """``op`` applied along the last axis, one column at a time from the left."""
-    out = a[..., 0].copy()
-    for c in range(1, a.shape[-1]):
+    if a.shape[-1] == 1:
+        return a[..., 0].copy()
+    out = op(a[..., 0], a[..., 1])
+    for c in range(2, a.shape[-1]):
         op(out, a[..., c], out=out)
     return out
 
@@ -404,23 +406,39 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy by a stable log-softmax over the rows of ``logits``.
 
     ``logits`` is (n, classes), or (S, n, classes) for a stack, which gives
-    S means.  Also returns the max-shifted exponentials, their row sums and
-    the flat index of each row's label entry, ``labels`` shaped: row r's
-    entry sits at ``classes * r + labels[r]`` of a C-ordered (..., classes)
-    array read as one flat vector.  From these the backward pass forms its
-    error.  The class-axis max, and below 8 classes the sum, run as column
-    scans: numpy reduces a short axis slowly, and each scan equals its
-    reduction bit for bit.
+    S means.  Also returns the max-shifted exponentials, built C-ordered in
+    one array, their row sums and the flat index of each row's label entry,
+    ``labels`` shaped: row r's entry sits at ``classes * r + labels[r]`` of
+    a C-ordered (..., classes) array read as one flat vector.  From these
+    the backward pass forms its error.  The class-axis max, and below 8
+    classes the sum, run as column scans: numpy reduces a short axis slowly,
+    and each scan equals its reduction bit for bit.
     """
+    classes = logits.shape[-1]
     zmax = _fold_columns(np.maximum, logits)
-    exps = np.exp(logits - zmax[..., np.newaxis])
+    exps = np.subtract(logits, zmax[..., np.newaxis], out=np.empty(logits.shape))
+    np.exp(exps, out=exps)
     # below 8 terms numpy sums in a plain left-to-right loop; from 8 it sums pairwise
-    sums = _fold_columns(np.add, exps) if exps.shape[-1] < 8 else exps.sum(axis=-1)
+    sums = _fold_columns(np.add, exps) if classes < 8 else exps.sum(axis=-1)
     logsumexp = zmax + np.log(sums)
-    at = labels + logits.shape[-1] * np.arange(labels.size).reshape(labels.shape)
+    at = labels + classes * np.arange(labels.size).reshape(labels.shape)
     loss = _as_loss(np.add.reduce(logsumexp - logits.reshape(-1).take(at), axis=-1)
                     / labels.shape[-1])
     return loss, exps, sums[..., np.newaxis], at
+
+
+def _sum_rows(delta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum over the rows (axis -2) of ``delta``, written into ``out``.
+
+    Equals ``delta.sum(axis=-2)`` bit for bit.  From width 2 numpy adds the
+    rows in order, and so does this einsum, 3-4x faster on a 96-seed stack
+    of width 2 or 8, where numpy's sum runs one short inner loop per row of
+    each seed.  A width-1 ``delta`` has its rows contiguous: numpy then
+    sums them pairwise and einsum does not, so that case keeps ``add.reduce``.
+    """
+    if delta.shape[-1] == 1:
+        return np.add.reduce(delta, axis=-2, out=out)
+    return np.einsum("...bh->...h", delta, out=out)
 
 
 def _group_norms(W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -499,10 +517,10 @@ class Mlp:
         acts = self._forward(layers, feats)
         loss, exps, sums, at = _cross_entropy(acts[-1], labels)
 
-        grad = np.zeros(x.shape)
+        grad = np.empty(x.shape)   # every layer's slices are written below
         # the label write goes through delta's flat view, which is delta itself
-        # only while delta is C-ordered: the softmax goes over exps, copied
-        # into C order if exps is laid out otherwise
+        # only while delta is C-ordered: the softmax goes over exps, which
+        # _cross_entropy builds C-ordered, copied into C order if it is not
         delta = np.ascontiguousarray(np.divide(exps, sums, out=exps))
         delta.reshape(-1)[at] -= 1.0
         delta /= feats.shape[-2]
@@ -510,7 +528,7 @@ class Mlp:
             W, _ = layers[i]
             w0, b0, end = self._offsets[i]
             grad[..., w0:b0] = (delta.mT @ acts[i]).reshape(lead + (-1,))
-            grad[..., b0:end] = delta.sum(axis=-2)
+            _sum_rows(delta, out=grad[..., b0:end])
             if i > 0:   # the last read of acts[i]: its derivative, then delta, go over it
                 delta = np.multiply(delta @ W, _act_deriv(acts[i], self.activation),
                                     out=acts[i])

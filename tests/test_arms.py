@@ -354,7 +354,7 @@ def test_the_sweep_and_a_training_prefix_take_no_drift_norm(record_wallclock,
     def outputs():
         rows = tradeoff_sweep(base, [0.0, 0.5], [3, 0],
                               record_wallclock=record_wallclock)
-        _, x = harness.objective_point(base, 7, 16)
+        x = harness.trained_point(base, 7, harness.build_objective(base.objective, 7), 16)
         return [astuple(r)[:-1] for r in rows], x.tobytes()
 
     with monkeypatch.context() as m:

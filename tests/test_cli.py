@@ -11,8 +11,10 @@ import pytest
 
 import vasso_opt
 from vasso_opt import cli, harness, objectives
+from vasso_opt.analysis import landscape_slice
 from vasso_opt.cli import main
-from vasso_opt.harness import METRICS_HEADER, build_objective, init_x, \
+from vasso_opt.core import STREAM_DIRECTION, make_rng
+from vasso_opt.harness import METRICS_HEADER, build_objective, fmt, init_x, \
     load_config, parse_config, run_seed
 from vasso_opt.objectives import MlpObjective
 
@@ -787,6 +789,25 @@ def test_spectrum_after_a_short_training_run(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("iters", ["500", "12"])
+def test_spectrum_checks_its_sizes_before_any_training_step(tmp_path, capsys,
+                                                            monkeypatch, iters):
+    cfg = _write_cfg(tmp_path, objective={
+        "kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,
+        "hidden": [4]}, batch_size=4)
+    steps, real = [], harness.vasso_step
+    monkeypatch.setattr(harness, "vasso_step",
+                        lambda *a, **k: steps.append(1) or real(*a, **k))
+    out = tmp_path / "spec.csv"
+    rc = main(["spectrum", "--config", cfg, "--seed", "0", "--k", "2",
+               "--iters", iters, "--train-steps", "30", "--out", str(out)])
+    if iters == "500":   # the [2, 4, 2] net has 22 parameters
+        assert rc == 2 and steps == [] and not out.exists()
+        assert "got k=2, iters=500, dim=22" in capsys.readouterr().err
+    else:
+        assert rc == 0 and len(steps) == 30
+
+
 def test_slice_center_row_is_the_exact_loss(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "slice.csv"
@@ -857,6 +878,33 @@ def test_two_direction_slice_writes_the_full_grid(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "alpha,beta,loss"
     assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("two_d", [False, True])
+def test_slice_csvs_hold_fmt_of_each_computed_value(tmp_path, two_d):
+    cfg = _write_cfg(tmp_path, objective={
+        "kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,
+        "hidden": [4]}, batch_size=4)
+    out = tmp_path / "slice.csv"
+    rc = main(["slice", "--config", cfg, "--seed", "3", "--radius", "0.7",
+               "--points", "6", "--train-steps", "10", "--out", str(out)]
+              + ["--two-d"] * two_d)
+    assert rc == 0
+    loaded = load_config(cfg)
+    obj = build_objective(loaded.objective, 3)
+    x = harness.trained_point(loaded, 3, obj, 10)
+    rng = make_rng(3, STREAM_DIRECTION)
+    alphas = np.linspace(-0.7, 0.7, 6)
+    if two_d:
+        dirs = [rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)]
+        grid = landscape_slice(obj, x, dirs, alphas, betas=alphas)
+        want = ["alpha,beta,loss"] + [f"{fmt(a)},{fmt(b)},{fmt(grid[i, j])}"
+                                      for i, a in enumerate(alphas)
+                                      for j, b in enumerate(alphas)]
+    else:
+        vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas)
+        want = ["alpha,loss"] + [f"{fmt(a)},{fmt(v)}" for a, v in zip(alphas, vals)]
+    assert out.read_bytes() == "".join(line + "\n" for line in want).encode()
 
 
 def test_frank_wolfe_check_reports_zero_gaps(tmp_path, capsys):

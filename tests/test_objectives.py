@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -603,6 +604,47 @@ def test_numpys_short_axis_sum_is_the_left_to_right_scan(n_classes, lead):
     for c in range(1, n_classes):
         scan += exps[..., c]
     assert _same_bits(scan, exps.sum(axis=-1))
+
+
+_WIDTHS = [1, 2, 3, 8, 9, 32, 33]
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+@pytest.mark.parametrize("batch", [1, 7, 8, 16, 96, 512])
+def test_bias_gradients_equal_numpys_row_sums_bit_for_bit(width, batch):
+    # each bias gradient is an in-order einsum over the batch rows, save that
+    # a width-1 layer keeps numpy's sum, which adds its contiguous rows
+    # pairwise; the reference sums by delta.sum(axis=-2) into a zero-filled
+    # gradient, from exponentials of broadcast max-shifted logits
+    rng = make_rng(width, batch)
+    nets = [([3, width, 9], "relu"), ([3, 5, width], "tanh"), ([3, width, 1, 3], "tanh")]
+    for (sizes, activation), lead in itertools.product(nets, [(), (1,), (6,), (96,)]):
+        mlp = Mlp(sizes, activation)
+        x = mlp.init_params(rng) + 0.3 * rng.standard_normal(lead + (mlp.dim,))
+        feats = rng.standard_normal(lead + (batch, 3))
+        labels = rng.integers(0, sizes[-1], lead + (batch,))
+        loss, grad = mlp.loss_and_grad(x, feats, labels)
+        want_loss, want_grad = _reference_loss_and_grad(mlp, x, feats, labels)
+        assert _same_bits(loss, want_loss), (sizes, lead)
+        assert _same_bits(grad, want_grad), (sizes, lead)
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_a_masked_stack_gradient_equals_the_reference_bit_for_bit(width):
+    parts = [mlp_objective([4, width, 9], "relu",
+                           make_blobs_dataset(12, 8, 4, 2.0, make_rng(s, 4)))
+             for s in range(6)]
+    obj = MlpObjective.stack(parts)
+    rng = make_rng(width, 6)
+    x = np.stack([o.init_params(rng) for o in parts])
+    x += 0.3 * rng.standard_normal(x.shape)
+    batch = np.stack([rng.permutation(obj.n_samples)[:16] for _ in parts])
+    mask = np.array([True, False, True, True, False, True])
+    got = obj.grad(x, batch, rows=mask)
+    feats = np.stack([o.dataset.features[b] for o, b in zip(parts, batch)])[mask]
+    labels = np.stack([o.dataset.labels[b] for o, b in zip(parts, batch)])[mask]
+    want = _reference_loss_and_grad(obj.mlp, x[mask], feats, labels)[1]
+    assert _same_bits(got[mask], want) and not got[~mask].any()
 
 
 def _gathers(monkeypatch):

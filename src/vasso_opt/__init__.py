@@ -24,10 +24,10 @@ from .analysis import (SpectrumEstimate, SpreadStat, StabilityTrace,
                        landscape_slice, lanczos_spectrum, mse_suppression,
                        noise_scale_for_snr, noisy_grad_sampler,
                        snr_adversary_spread, track_drift)
-from .harness import (ExperimentConfig, ExperimentResult, MetricsColumns,
-                      MetricsRow, PairedCompareResult, TradeoffRow, load_config,
-                      paired_compare, parse_config, parse_config_text,
-                      run_arms, run_experiment, run_seed, run_seeds,
-                      tradeoff_sweep)
+from .harness import (Columns, Drift, ExperimentConfig, ExperimentResult, FinalX,
+                      MetricsColumns, MetricsRow, PairedCompareResult, Recorder,
+                      TradeoffRow, load_config, paired_compare, parse_config,
+                      parse_config_text, run_arms, run_experiment, run_seed,
+                      run_seeds, tradeoff_sweep)
 
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from .analysis import (check_spectrum_sizes, delta_stability, ema_slope_sampler,
                        noisy_grad_sampler, snr_adversary_spread)
 from .core import MAX_SEED, STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
 from .errors import VassoOptError
-from .harness import (TRADEOFF_HEADER, build_objective, fmt, load_config,
-                      paired_compare, run_experiment, run_seed, trained_point,
+from .harness import (TRADEOFF_HEADER, Drift, build_objective, fmt, load_config,
+                      paired_compare, run_experiment, run_seeds, trained_point,
                       tradeoff_sweep)
 from .objectives import NoisyQuadratic
 from .optimizers import sam_adversary, sfw_solve
@@ -305,8 +305,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    columns, _ = run_seed(load_config(args.config), args.seed)
-    return _wrote(args.out, "t,drift", enumerate(columns.eps_drift.tolist(), 1))
+    [(drift, _)] = run_seeds(load_config(args.config), [args.seed],
+                             (partial(Drift, table=True),))
+    return _wrote(args.out, "t,drift", enumerate(drift.tolist(), 1))
 
 
 def cmd_mse(args) -> int:
@@ -364,39 +365,44 @@ def cmd_slice(args) -> int:
     cfg = load_config(args.config)
     obj = build_objective(cfg.objective, args.seed)
     x = trained_point(cfg, args.seed, obj, args.train_steps)
-    rng = make_rng(args.seed, STREAM_DIRECTION)
-    alphas = np.linspace(-args.radius, args.radius, args.points)
+    rng, flags = make_rng(args.seed, STREAM_DIRECTION), f"--radius {args.radius}"
+    alphas = _no_overflow(np.linspace, -args.radius, args.radius, args.points, flags=flags)
     # each axis value is formatted once, not once per line it is on
     cells = list(map(fmt, alphas.tolist()))
     if args.two_d:
         dirs = [rng.standard_normal(obj.dim), rng.standard_normal(obj.dim)]
-        grid = landscape_slice(obj, x, dirs, alphas, betas=alphas).tolist()
+        grid = _no_overflow(landscape_slice, obj, x, dirs, alphas, alphas,
+                            flags=flags).tolist()
         header = "alpha,beta,loss"
         lines = (f"{a},{b},{fmt(v)}" for a, row in zip(cells, grid) for b, v in zip(cells, row))
     else:
-        vals = landscape_slice(obj, x, [rng.standard_normal(obj.dim)], alphas).tolist()
+        vals = _no_overflow(landscape_slice, obj, x, [rng.standard_normal(obj.dim)], alphas,
+                            flags=flags).tolist()
         header, lines = "alpha,loss", (f"{a},{fmt(v)}" for a, v in zip(cells, vals))
     _write_lines(args.out, header, lines)
     print(f"wrote {args.out}")
     return 0
 
 
+def _sfw_gaps(rng, dim: int, rho: float, trials: int) -> np.ndarray:
+    """Each trial's largest component gap and value gap between the one-step
+    Frank-Wolfe adversary and the closed form, at a fresh gradient."""
+    gaps = np.empty((trials, 2))
+    for trial in range(trials):
+        g = rng.standard_normal(dim)
+        eps_sfw = sfw_solve(lambda bs, r: g, rho, 1, [1], [1.0], rng)
+        eps_sam = sam_adversary(g, rho)
+        gaps[trial] = np.max(np.abs(eps_sfw - eps_sam)), abs(g @ eps_sfw - g @ eps_sam)
+    return gaps
+
+
 def cmd_sfw_check(args) -> int:
-    rng = make_rng(args.seed, STREAM_USER)
-    max_comp = 0.0
-    max_val = 0.0
-    rows = []
-    for trial in range(args.trials):
-        g = rng.standard_normal(args.dim)
-        eps_sfw = sfw_solve(lambda bs, r: g, args.rho, 1, [1], [1.0], rng)
-        eps_sam = sam_adversary(g, args.rho)
-        comp = float(np.max(np.abs(eps_sfw - eps_sam)))
-        val = abs(float(g @ eps_sfw) - float(g @ eps_sam))
-        max_comp = max(max_comp, comp)
-        max_val = max(max_val, val)
-        rows.append((trial, comp, val))
+    gaps = _no_overflow(_sfw_gaps, make_rng(args.seed, STREAM_USER), args.dim, args.rho,
+                        args.trials, flags=f"--rho {args.rho}")
     if args.out:
-        _write_csv(args.out, "trial,component_gap,value_gap", rows)
+        _write_csv(args.out, "trial,component_gap,value_gap",
+                   ((trial, *row) for trial, row in enumerate(gaps.tolist())))
+    max_comp, max_val = gaps.max(axis=0).tolist()
     print(f"max_component_gap={fmt(max_comp)} max_value_gap={fmt(max_val)}")
     return 0
 

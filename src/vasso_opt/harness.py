@@ -9,11 +9,14 @@ one (S, dim) stack, and ``run_arms`` steps the seeds of several configs that
 differ only in the optimizer spec (the arms) as rows of one (arms*S, dim)
 stack; ``paired_compare`` and ``tradeoff_sweep`` run their arms that way.
 An optimizer kind is a setting of the one step (``optimizers.KIND_KNOBS``);
-a config builds its step once (``OptimizerConfig.from_spec``).  Wallclock
-timing is inherently nondeterministic, so its column is left empty unless
-explicitly requested; a recorded cell is the elapsed time of the whole stack,
-and ``tradeoff_sweep`` then times each arm in a stack of its own, so its
-``mean_wallclock_ms`` stays per arm.
+a config builds its step once (``OptimizerConfig.from_spec``).  The stepping
+loop (``_lockstep``) keeps the summaries; each other output is a recorder
+that the loop feeds (``Recorder``), named by its caller: the metrics
+columns (``Columns``, the default), drift (``Drift``) and final iterates
+(``FinalX``).  Wallclock timing is inherently nondeterministic, so its
+column is left empty unless explicitly requested; a recorded cell is the
+elapsed time of the whole stack, and ``tradeoff_sweep`` then times each arm
+in a stack of its own, so its ``mean_wallclock_ms`` stays per arm.
 
 Config schema (JSON, unknown keys are errors)::
 
@@ -41,6 +44,7 @@ import logging
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -314,21 +318,128 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
         yield from block[:k]
 
 
-def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = False,
-             *, columns: bool = True, drift: bool = True) -> list[list]:
-    """Run the seeds under each config, an arm; (columns, summary) per arm and seed.
+class Recorder:
+    """An output of a ``_lockstep`` run, which the run makes and its loop feeds
+    (see there); this base records nothing."""
+
+    def step(self, t: int, x: np.ndarray, rep) -> None:
+        pass
+
+    def retire(self, mask, x: np.ndarray) -> None:
+        pass
+
+    def result(self, r: int, k: int, summary: dict, out):
+        return out
+
+
+class Drift(Recorder):
+    """Each row's adversary drift ||eps_t - eps_{t-1}||, from t=1.
+
+    Its running sum, added in step order and frozen at retirement, gives the
+    summary's ``mean_drift`` over the row's k-1 drift steps (0.0 under two).
+    With ``table`` the norms also fill a (T, rows) table, and a row's result
+    pairs its drift cells (t = 1..k-1) with its summary.  A stack whose gate
+    never opens has a zero adversary at every step: it takes no norm, and
+    its cells stay +0.0.
+    """
+
+    def __init__(self, run, table: bool = False):
+        self.sum, self.final = np.zeros(run.n), np.empty(run.n)
+        self.table = np.zeros((run.T, run.n)) if table else None
+        self.prev, self.keep_prev = None, not run.never_opens
+
+    def step(self, t, x, rep):
+        if self.prev is not None:
+            d = row_norms(rep.epsilon - self.prev)
+            self.sum += d
+            if self.table is not None:
+                self.table[t] = d
+        if self.keep_prev:
+            self.prev = rep.epsilon
+
+    def retire(self, mask, x):
+        self.final[mask] = self.sum[mask]
+
+    def result(self, r, k, summary, out):
+        summary["mean_drift"] = float(self.final[r]) / (k - 1) if k > 1 else 0.0
+        return out if self.table is None else (self.table[1:k, r], summary)
+
+
+class Columns(Drift):
+    """The (T, rows) tables whose views, cut to a row's k steps, are its
+    ``MetricsColumns``, paired with its summary.  Every step writes a cell
+    per row, retired rows included; with ``wallclock``, each step's cell is
+    the elapsed time of the whole stack."""
+
+    def __init__(self, run, wallclock: bool = False):
+        super().__init__(run, table=True)
+        self.run, T, n = run, run.T, run.n
+        self.loss, self.evals = np.zeros((T, n)), np.zeros((T, n), dtype=np.int64)
+        self.fg = np.zeros((-(-T // run.every), n))   # a row per metrics step
+        self.fg[0] = row_norms(run.obj.full_grad(run.x))
+        self.wall = np.zeros(T) if wallclock else None
+        self.t0 = time.perf_counter()
+
+    def step(self, t, x, rep):
+        super().step(t, x, rep)
+        self.loss[t], self.evals[t] = rep.loss, self.run.evals
+        if self.wall is not None:
+            self.wall[t] = (time.perf_counter() - self.t0) * 1e3
+        every = self.run.every   # the next metrics step's norm, at the point it starts from
+        if (t + 1) % every == 0 and t + 1 < self.run.T:
+            self.fg[(t + 1) // every] = row_norms(self.run.obj.full_grad(x))
+
+    def result(self, r, k, summary, out):
+        drift, summary = super().result(r, k, summary, out)
+        every = self.run.every
+        return MetricsColumns(summary["seed"], every, self.loss[:k, r],
+                              self.fg[:-(-k // every), r], drift, self.evals[:k, r],
+                              None if self.wall is None else self.wall[:k]), summary
+
+
+class FinalX(Recorder):
+    """Each row's last iterate, as ``final_x`` in its summary (for in-process callers):
+    where a finished row ended, or where a retired row's failing step began."""
+
+    def __init__(self, run):
+        self.x = np.empty_like(run.x)
+
+    def retire(self, mask, x):
+        self.x[mask] = x[mask]
+
+    def result(self, r, k, summary, out):
+        summary["final_x"] = self.x[r]
+        return out
+
+
+class _EpochLog(Recorder):
+    """The INFO log's record of each epoch but the run's last: the live rows'
+    ``epoch=`` lines, in row order, each row's mean its running loss sum over
+    the epoch's steps, added in step order."""
+
+    def __init__(self, run):
+        self.run, self.loss = run, None
+
+    def step(self, t, x, rep):
+        run, per = self.run, self.run.per_epoch
+        self.loss = rep.loss.copy() if t % per == 0 else self.loss + rep.loss
+        if (t + 1) % per == 0 and t + 1 < run.T and (run.steps == run.T).any():
+            means = (self.loss / per).tolist()
+            log.info("\n".join("%s epoch=%d mean_batch_loss=%.6f"
+                               % (run.names[r], t // per, means[r])
+                               for r in np.flatnonzero(run.steps == run.T)))
+
+
+def run_arms(cfgs, seeds, record=(Columns,)) -> list[list]:
+    """Run the seeds under each config, an arm; a result per arm and seed.
 
     The arms may differ only in the optimizer spec.  They share each seed's
-    objective, and step as rows of one lockstep stack (see ``_lockstep``),
-    save that an arm whose adversary batches differ in size from its update
-    batches steps in a stack with the arms of its size.  Every arm's metrics
-    and summaries equal those of a run of that arm alone, bit for bit.
-    With ``columns=False`` each arm's list holds its seeds' summaries alone:
-    the run keeps no (T, rows) tables and takes no metrics-cadence gradient
-    norms, so its working set does not grow with T.  With ``drift=False``
-    too, for callers that read no drift, it takes no drift norms and each
-    summary's ``mean_drift`` is None; a columns run always takes them.
-    Each seed's objective is released once the last stack is built from it.
+    objective, and step as rows of one lockstep stack (see ``_lockstep``,
+    which ``record`` goes to), save that an arm whose adversary batches
+    differ in size from its update batches steps in a stack with the arms of
+    its size.  Every arm's results equal those of a run of that arm alone,
+    bit for bit.  Each seed's objective is released once the last stack is
+    built from it.
     """
     cfgs, seeds = list(cfgs), list(seeds)
     shared = [dict(c.to_dict(), optimizer=None, output_path=None) for c in cfgs]
@@ -346,8 +457,7 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = F
         # _lockstep empties the list it is given: the last stack takes objs
         # itself, so no reference to a seed's objective outlives its build
         stack = _lockstep([cfgs[a] for a in arms], seeds,
-                          objs if g == len(groups) - 1 else list(objs),
-                          record_wallclock, keep_final_x, columns, drift)
+                          objs if g == len(groups) - 1 else list(objs), record)
         for a, results in zip(arms, stack):
             out[a] = results
     return out
@@ -357,9 +467,7 @@ def run_arms(cfgs, seeds, record_wallclock: bool = False, keep_final_x: bool = F
 # values until the run ends: an outcome the summary reports (aborted_at), not
 # numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
-def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = False,
-              keep_final_x: bool = False, columns: bool = True,
-              drift: bool = True) -> list[list]:
+def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[list]:
     """Step every pair of an arm and a seed as one row of a lockstep stack.
 
     Row a*S + i of the (A*S, dim) stack runs seed i (objective ``objs[i]``)
@@ -373,40 +481,37 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
     on; it stays in the stack until the run ends, but nothing it computes
     after that step is read.
 
-    Every summary comes from running values, one per row: the grad-eval
-    total and the drift sum, each added in step order and frozen with the
-    row's final iterate when the row is retired, and each row's step count
-    (a row is live while it is T).  ``keep_final_x`` stashes each final
-    iterate in its summary under ``final_x`` (not JSON-serializable; for
-    in-process callers only).  With ``columns`` the run also writes its
-    (T, n) tables, whose views are the rows' ``MetricsColumns``, and takes
-    the gradient norms of the metrics cadence; recorded wallclock cells
-    hold the elapsed time of the whole stack.  Without it the run returns
-    the summaries alone, and holds nothing that grows with T.  The run's
-    block streams (noise, adversary noise, gates) draw the same steps per
-    block, their blocks within one ``core.BLOCK_BYTES`` budget; a batch is
-    read only during its own step, as ``_batch_stream`` requires.  A stack
-    whose gate never opens has a zero adversary at every step, so its drift
-    cells stay +0.0 and no drift norm is taken.  A summaries-only run with
-    ``drift=False`` takes none either, keeps no previous adversary, and
-    reports ``mean_drift`` as None.  Once the stack's objective is built,
-    ``objs`` is emptied: each seed's objective is then released unless the
-    caller holds it.
+    The loop steps and retires rows; its summary of a row comes from the
+    row's step count (a row is live while it is T), its grad-eval total,
+    added in step order and frozen at retirement, and the final loss.  Each
+    other output is a ``Recorder``, made by a factory in ``record`` (a class,
+    or a partial of one) as ``make(run)`` from the run's facts (``run.x`` the
+    initial point).  After step t's failed rows are retired and the totals
+    take t, the loop calls each recorder's ``step(t, x, rep)``, x the point
+    step t reached; ``retire(mask, x)`` freezes the live rows in ``mask`` at
+    x; and ``result(r, k, summary, out)`` adds its part to row r's summary (k
+    steps run) and returns the row's result: ``out``, the result so far, or
+    the row's cells paired with its summary.  The default, ``Columns``, makes
+    each result a (MetricsColumns, summary) pair; with no recorder the run
+    holds nothing that grows with T.  If INFO is on, every row's ``done:``
+    line goes out in one record, and where batches come in epochs the run
+    records its epoch lines (``_EpochLog``).  The block streams (noise,
+    adversary noise, gates) draw the same steps per block, their blocks
+    within one ``core.BLOCK_BYTES`` budget; a batch is read only during its
+    own step, as ``_batch_stream`` requires.  Once the stack's objective is
+    built, ``objs`` is emptied: each seed's objective is then released unless
+    the caller holds it.
 
     At 0<p<1 only the rows whose gate opens take the second gradient, a
     retired row among them; on a network objective the other rows cost
-    nothing (see ``vasso_step``).  The INFO log gets one record per epoch,
-    the live rows' ``epoch=`` lines joined by newlines in row order, and
-    one record of every row's ``done:`` line; neither is built while INFO
-    is off.  An epoch's line goes out at the first step of the next epoch,
-    so the last epoch of a run gets none; its mean is the epoch's running
-    loss sum, added in step order, over its steps.
+    nothing (see ``vasso_step``).
     """
     cfg, n_arms, n_seeds = cfgs[0], len(cfgs), len(seeds)
-    n, T, every = n_arms * n_seeds, cfg.T, cfg.metrics_every
+    n, T = n_arms * n_seeds, cfg.T
     seed_of = np.tile(np.arange(n_seeds), n_arms)   # the seed of each row
     # log lines name a row's arm when there are several
-    tag = [f"arm={r // n_seeds} " if n_arms > 1 else "" for r in range(n)]
+    names = ["%sseed=%d" % (f"arm={r // n_seeds} " if n_arms > 1 else "",
+                            seeds[seed_of[r]]) for r in range(n)]
     x = np.array([init_x(o, cfg.objective, s) for o, s in zip(objs, seeds)])[seed_of]
     arm_cfgs = [c.optimizer_config() for c in cfgs]
     ocfg = ArmKnobs(arm_cfgs, np.repeat(np.arange(n_arms), n_seeds))
@@ -437,41 +542,25 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
     gates = SimpleNamespace(random=gate_draws.__next__)
     obj = type(objs[0]).stack([objs[i] for i in seed_of])
     objs.clear()   # the stack holds all it reads of them
-    drift = drift or columns   # a columns run writes drift cells
 
-    # With columns, each step writes one cell per row straight into the
-    # tables, the retired rows included; a row's columns read only the
-    # cells of its first steps[r] steps.  Gradient norms are taken on the
-    # metrics cadence, one table row each, and drift cells start at t=1.
-    if columns:
-        loss_tab, drift_tab = np.zeros((T, n)), np.zeros((T, n))
-        fg_tab = np.zeros((-(-T // every), n))
-        evals_tab = np.zeros((T, n), dtype=np.int64)   # running totals
-    wallclock = np.zeros(T) if columns and record_wallclock else None
-    steps = np.full(n, T)   # a row is live while steps[r] == T
-    evals, drift_sum = np.zeros(n, dtype=np.int64), np.zeros(n)   # running, every row
-    final_x, final_evals, final_drift = np.empty_like(x), np.empty_like(evals), \
-        np.empty_like(drift_sum)
+    steps, evals = np.full(n, T), np.zeros(n, dtype=np.int64)   # evals: running totals
+    final_evals = np.empty_like(evals)
+    run = SimpleNamespace(n=n, T=T, every=cfg.metrics_every, obj=obj, evals=evals,
+                          steps=steps, x=x, never_opens=ocfg.never_opens,
+                          per_epoch=per_epoch, names=names)
+    recorders = [make(run) for make in record]
+    if epochs and log.isEnabledFor(logging.INFO):
+        recorders.append(_EpochLog(run))
 
     def retire(mask, t: int) -> None:
         """The live rows in ``mask`` stop at step t, at their current x and totals."""
         mask = mask & (steps == T)
-        steps[mask], final_x[mask] = t, x[mask]
-        final_evals[mask], final_drift[mask] = evals[mask], drift_sum[mask]
+        steps[mask], final_evals[mask] = t, evals[mask]
+        for rec in recorders:
+            rec.retire(mask, x)
 
-    state = buf = prev_eps = epoch_loss = None
-    log_epochs = epochs and log.isEnabledFor(logging.INFO)
-    t0 = time.perf_counter()
-
+    state = buf = None
     for t, (batch, adv_batch) in zip(range(T), pairs):
-        if log_epochs and t and t % per_epoch == 0 and (steps == T).any():
-            means = (epoch_loss / per_epoch).tolist()
-            log.info("\n".join(
-                "%sseed=%d epoch=%d mean_batch_loss=%.6f"
-                % (tag[r], seeds[seed_of[r]], t // per_epoch - 1, means[r])
-                for r in np.flatnonzero(steps == T)))
-        if columns and t % every == 0:
-            fg_tab[t // every] = row_norms(obj.full_grad(x))
         try:
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
@@ -481,83 +570,55 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record_wallclock: bool = Fals
             break
         if rep.failed is not None:   # a retired row may be flagged again
             retire(rep.failed, t)
-        # the totals take step t after its failed rows froze theirs
-        evals += rep.grad_evals
-        if prev_eps is not None:
-            d = row_norms(rep.epsilon - prev_eps)
-            drift_sum += d
-            if columns:
-                drift_tab[t] = d
-        if drift and not ocfg.never_opens:
-            prev_eps = rep.epsilon
-        if log_epochs:   # the epoch's losses, added left to right
-            epoch_loss = rep.loss.copy() if t % per_epoch == 0 else epoch_loss + rep.loss
-        if columns:
-            loss_tab[t], evals_tab[t] = rep.loss, evals
-            if record_wallclock:
-                wallclock[t] = (time.perf_counter() - t0) * 1e3
+        evals += rep.grad_evals   # after step t's failed rows froze theirs
         x = x_new
+        for rec in recorders:
+            rec.step(t, x, rep)
 
     finals = obj.final_loss(x).tolist() if (steps == T).any() else None
     retire(True, T)
-    steps, final_evals, final_drift = steps.tolist(), final_evals.tolist(), \
-        final_drift.tolist()
-    results = []
-    for r in range(n):
-        k = steps[r]
-        results.append({
-            "seed": seeds[seed_of[r]],
-            "aborted": k < T,
-            "aborted_at": k if k < T else None,
-            "total_grad_evals": final_evals[r],
-            "mean_drift": (final_drift[r] / (k - 1) if k > 1 else 0.0) if drift else None,
-            "final_loss": finals[r] if k == T else None,
-        })
-        if keep_final_x:
-            results[r]["final_x"] = final_x[r]
+    steps, final_evals = steps.tolist(), final_evals.tolist()
+    summaries, results = [], []
+    for r, k in enumerate(steps):
+        summary = out = {"seed": seeds[seed_of[r]], "aborted": k < T,
+                         "aborted_at": k if k < T else None,
+                         "total_grad_evals": final_evals[r], "mean_drift": None,
+                         "final_loss": finals[r] if k == T else None}
+        for rec in recorders:
+            out = rec.result(r, k, summary, out)
+        summaries.append(summary)
+        results.append(out)
     if log.isEnabledFor(logging.INFO):
-        log.info("\n".join(
-            "%sseed=%d done: steps=%d final_loss=%s grad_evals=%d"
-            % (tag[r], s["seed"], steps[r], fmt(s["final_loss"]), s["total_grad_evals"])
-            for r, s in enumerate(results)))
-    if columns:
-        results = [(MetricsColumns(s["seed"], every, loss_tab[:k, r],
-                                   fg_tab[:-(-k // every), r], drift_tab[1:k, r],
-                                   evals_tab[:k, r],
-                                   None if wallclock is None else wallclock[:k]), s)
-                   for r, (s, k) in enumerate(zip(results, steps))]
+        log.info("\n".join("%s done: steps=%d final_loss=%s grad_evals=%d"
+                           % (names[r], k, fmt(s["final_loss"]), s["total_grad_evals"])
+                           for r, (s, k) in enumerate(zip(summaries, steps))))
     return [results[a * n_seeds:(a + 1) * n_seeds] for a in range(n_arms)]
 
 
-def run_seeds(cfg: ExperimentConfig, seeds, record_wallclock: bool = False,
-              keep_final_x: bool = False, *, columns: bool = True) -> list:
-    """Run the seeds in lockstep; returns (metrics columns, summary) per seed.
-
-    The seeds' parameters step together as one (S, dim) stack through
-    ``vasso_step``: ``run_arms`` with one arm, whose ``columns=False``
-    returns the summaries alone.  Each seed's metrics and summary equal
-    those of a run of that seed alone, bit for bit.
-    """
-    return run_arms([cfg], seeds, record_wallclock, keep_final_x, columns=columns)[0]
+def run_seeds(cfg: ExperimentConfig, seeds, record=(Columns,)) -> list:
+    """Run the seeds in lockstep, one (S, dim) stack: ``run_arms`` with one arm.
+    Each seed's result equals that of a run of that seed alone, bit for bit."""
+    return run_arms([cfg], seeds, record)[0]
 
 
-def run_seed(cfg: ExperimentConfig, seed: int, record_wallclock: bool = False,
+def run_seed(cfg: ExperimentConfig, seed: int,
              keep_final_x: bool = False) -> tuple[MetricsColumns, dict]:
-    """Run one seed: ``run_seeds`` with a stack of one."""
-    return run_seeds(cfg, [seed], record_wallclock, keep_final_x)[0]
+    """One seed's ``run_seeds`` columns, and with ``keep_final_x`` its final
+    iterate.  Nothing in the package calls it: it is kept for the benchmark
+    scripts (``benchmarks/``)."""
+    return run_seeds(cfg, [seed], (Columns, FinalX) if keep_final_x else (Columns,))[0]
 
 
 def trained_point(cfg: ExperimentConfig, seed: int, obj, train_steps: int) -> np.ndarray:
     """The point after ``train_steps`` steps of ``cfg`` on ``obj``, the seed's objective.
 
     Zero steps give the initial point.  The training run steps on ``obj``,
-    keeping its summary alone and taking no drift norm.
+    recording its final iterate alone.
     """
     if train_steps == 0:
         return init_x(obj, cfg.objective, seed)
     train_cfg = cfg.derive(seeds=[seed], T=train_steps, output_path=None)
-    [[summary]] = _lockstep([train_cfg], [seed], [obj], keep_final_x=True, columns=False,
-                            drift=False)
+    [[summary]] = _lockstep([train_cfg], [seed], [obj], (FinalX,))
     if summary["aborted"]:
         raise VassoOptError("training diverged before the evaluation point")
     return summary["final_x"]
@@ -592,7 +653,7 @@ def run_experiment(cfg: ExperimentConfig,
     Output goes to cfg.output_path (the summary beside it with a
     ``.summary.json`` suffix); passing output_path=None skips file output.
     """
-    results = run_seeds(cfg, cfg.seeds, record_wallclock)
+    results = run_seeds(cfg, cfg.seeds, (partial(Columns, wallclock=record_wallclock),))
     summaries = [summary for _, summary in results]
     aggregate = _aggregate(summaries)
     metrics_path = summary_path = None
@@ -657,12 +718,10 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     if metric not in ("final_loss", "mean_drift"):
         raise ConfigError("metric", f"must be final_loss or mean_drift, got {metric!r}")
     seeds = list(seeds)
-    # both arms step in one stack, keeping their summaries alone; the
-    # metrics cadence is never read here
+    # both arms step in one stack; the metrics cadence is never read here
     summaries_a, summaries_b = run_arms(
         [c.derive(seeds=seeds, metrics_every=c.T, output_path=None)
-         for c in (cfg_a, cfg_b)],
-        seeds, keep_final_x=True, columns=False)
+         for c in (cfg_a, cfg_b)], seeds, (Drift, FinalX))
     for summary in (s for pair in zip(summaries_a, summaries_b) for s in pair):
         if summary["aborted"]:
             raise NonFiniteError(f"seed {summary['seed']} aborted",
@@ -698,9 +757,8 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
     Rows cover eVASSO at each p (p=1 is VASSO), the eSAM analog (theta=1,
     same Bernoulli gating) when requested, and one ungated SAM reference row.
     Every arm is parsed before any runs, so a bad seed or p fails first.  All
-    arms step as rows of one stack (``run_arms``), which keeps their
-    summaries alone and, as no row of the table reads drift, takes no drift
-    norm.  Wallclock is measured only on request, and is never
+    arms step as rows of one stack (``run_arms``) that records nothing but
+    their summaries.  Wallclock is measured only on request, and is never
     deterministic: then each arm runs in a stack of its own, and its cell is
     that run's time per seed.
     """
@@ -724,10 +782,10 @@ def tradeoff_sweep(base_cfg: ExperimentConfig, p_values, seeds,
         runs, walls = [], []
         for cfg in cfgs:
             t0 = time.perf_counter()
-            runs.append(run_arms([cfg], seeds, columns=False, drift=False)[0])
+            runs.append(run_arms([cfg], seeds, ())[0])
             walls.append((time.perf_counter() - t0) * 1e3 / len(seeds))
     else:
-        runs = run_arms(cfgs, seeds, columns=False, drift=False)
+        runs = run_arms(cfgs, seeds, ())
         walls = [None] * len(cfgs)
     rows = []
     for (name, _, p), summaries, wall in zip(arms, runs, walls):

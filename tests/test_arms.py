@@ -18,8 +18,8 @@ from vasso_opt import harness
 from vasso_opt.cli import main
 from vasso_opt.core import STREAM_GATE, make_rng, row_norms
 from vasso_opt.errors import NonFiniteError
-from vasso_opt.harness import (paired_compare, parse_config, run_arms,
-                               run_seeds, tradeoff_sweep)
+from vasso_opt.harness import (Columns, Drift, FinalX, paired_compare, parse_config,
+                               run_arms, run_seeds, tradeoff_sweep)
 from vasso_opt.objectives import Mlp, MlpObjective
 from vasso_opt.optimizers import ArmKnobs, vasso_step
 
@@ -108,8 +108,8 @@ def _same_runs(got, want):
 def test_arms_in_one_stack_equal_each_arm_alone(objective, arm_set):
     cfgs = _arms(objective, arm_set)
     seeds = [3, 0, 7]
-    _same_runs(run_arms(cfgs, seeds, keep_final_x=True),
-               per_arm(cfgs, seeds, keep_final_x=True))
+    _same_runs(run_arms(cfgs, seeds, (Columns, FinalX)),
+               per_arm(cfgs, seeds, (Columns, FinalX)))
 
 
 def test_only_sam_db_rows_take_a_gradient_on_the_adversary_batch(monkeypatch):
@@ -133,7 +133,7 @@ def test_only_sam_db_rows_take_a_gradient_on_the_adversary_batch(monkeypatch):
 
     monkeypatch.setattr(harness, "vasso_step", step)
     monkeypatch.setattr(Mlp, "loss_and_grad", loss_and_grad)
-    got = run_arms(cfgs, [3, 0, 7], keep_final_x=True)
+    got = run_arms(cfgs, [3, 0, 7], (Columns, FinalX))
     monkeypatch.undo()
     assert len(steps) == 16
     for x, calls in steps:
@@ -141,7 +141,7 @@ def test_only_sam_db_rows_take_a_gradient_on_the_adversary_batch(monkeypatch):
         # the update batch on every row, then the adversary batch on SAM-db's
         assert [len(c) for c in at_x] == [6, 3]
         assert np.array_equal(at_x[1], x[3:])
-    _same_runs(got, per_arm(cfgs, [3, 0, 7], keep_final_x=True))
+    _same_runs(got, per_arm(cfgs, [3, 0, 7], (Columns, FinalX)))
 
 
 def test_one_arm_steps_on_scalar_knobs_and_several_on_columns(monkeypatch):
@@ -338,9 +338,9 @@ def test_the_sweeps_take_no_metrics_gradient(monkeypatch):
     assert calls == []
 
 
-def _drifting(cfgs, seeds, *args, **kwargs):
+def _drifting(cfgs, seeds, record):
     """``run_arms`` taking drift whatever its caller asks."""
-    return _run_arms(cfgs, seeds, *args, **dict(kwargs, drift=True))
+    return _run_arms(cfgs, seeds, (*record, Drift))
 
 
 @pytest.mark.parametrize("record_wallclock", [False, True],
@@ -360,8 +360,7 @@ def test_the_sweep_and_a_training_prefix_take_no_drift_norm(record_wallclock,
     with monkeypatch.context() as m:
         m.setattr(harness, "run_arms", _drifting)
         want = outputs()
-    want_x = run_seeds(base.derive(seeds=[7]), [7], keep_final_x=True,
-                       columns=False)[0]["final_x"]
+    want_x = run_seeds(base.derive(seeds=[7]), [7], (Drift, FinalX))[0]["final_x"]
     norms = []
     monkeypatch.setattr(harness, "row_norms", lambda a: norms.append(1) or row_norms(a))
     assert outputs() == want and want[1] == want_x.tobytes()
@@ -409,10 +408,10 @@ def _diverging(T, lrs, kind="vasso"):
 
 def test_a_diverging_arm_leaves_the_other_arms_alone():
     cfgs = _diverging(155, [0.001, 1.0])
-    got = run_arms(cfgs, [0, 1, 4], keep_final_x=True)
+    got = run_arms(cfgs, [0, 1, 4], (Columns, FinalX))
     assert [s["aborted_at"] for _, s in got[1]] == [None, 154, None]
     assert not any(s["aborted"] for _, s in got[0])
-    _same_runs(got, per_arm(cfgs, [0, 1, 4], keep_final_x=True))
+    _same_runs(got, per_arm(cfgs, [0, 1, 4], (Columns, FinalX)))
 
 
 def _raised(fn, monkeypatch, reference):

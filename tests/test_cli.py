@@ -16,7 +16,7 @@ from vasso_opt.cli import main
 from vasso_opt.core import STREAM_DIRECTION, make_rng
 from vasso_opt.harness import METRICS_HEADER, build_objective, fmt, init_x, \
     load_config, parse_config, run_seed
-from vasso_opt.objectives import MlpObjective
+from vasso_opt.objectives import MlpObjective, NoisyQuadratic
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -282,7 +282,7 @@ def test_main_leaves_the_callers_logging_as_it_found_it(tmp_path, monkeypatch, c
         assert state() == before
         assert main(stability + ["--config", str(tmp_path / "missing.json")]) == 2
         assert state() == before
-        monkeypatch.setattr(cli, "run_seed", fail)
+        monkeypatch.setattr(cli, "run_seeds", fail)
         assert main(stability + ["--config", cfg]) == 2
         assert state() == before
         err = capsys.readouterr().err
@@ -628,6 +628,51 @@ def test_stability_traces_the_drift(tmp_path):
     assert all(0.0 <= d <= 2 * 0.1 + 1e-10 for d in drifts)
 
 
+_BLOBS = {"kind": "blobs", "n_per_class": 64, "dim": 2, "separation": 3.0,
+          "hidden": [8], "label_noise": 0.1}   # a [2, 8, 2] network over 128 rows
+_VASSO = {"kind": "vasso", "rho": 0.1, "theta": 0.2, "lr": {"kind": "constant", "base": 0.1}}
+
+
+def test_stability_takes_no_full_gradient(tmp_path, monkeypatch):
+    calls = []
+    for cls in (MlpObjective, NoisyQuadratic):
+        monkeypatch.setattr(cls, "full_grad", lambda self, x, real=cls.full_grad:
+                            calls.append(len(x)) or real(self, x))
+    cfg = _write_cfg(tmp_path, objective=_BLOBS, optimizer=_VASSO, T=200, batch_size=16)
+    out = tmp_path / "drift.csv"
+    assert main(["stability", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    assert calls == [] and len(out.read_text().splitlines()) == 200
+
+
+@pytest.mark.parametrize("over, seed", [
+    ({"optimizer": {"kind": "evasso", "rho": 0.1, "theta": 0.2, "p": 0.5,
+                    "lr": {"kind": "constant", "base": 0.05}}}, 0),
+    ({"optimizer": {"kind": "sgd", "lr": {"kind": "constant", "base": 0.05}}}, 0),
+    ({"objective": _BLOBS, "optimizer": {"kind": "sam_db", "rho": 0.1, "adv_batch_size": 4,
+                                         "lr": {"kind": "constant", "base": 0.1}},
+      "batch_size": 16}, 3),
+    # seed 1 overflows at step 154
+    ({"objective": {"kind": "quadratic", "diag": [-9.0, 1.0], "sigma": 0.5},
+      "optimizer": dict(_VASSO, theta=0.3, lr={"kind": "constant", "base": 1.0}),
+      "T": 155}, 1),
+], ids=["gated-evasso", "sgd", "blobs-sam-db", "diverging"])
+def test_stability_writes_the_drift_column_of_a_training_run(over, seed, tmp_path):
+    cfg = _write_cfg(tmp_path, **over)
+    out = tmp_path / "drift.csv"
+    assert main(["stability", "--config", cfg, "--seed", str(seed), "--out", str(out)]) == 0
+    columns, summary = run_seed(load_config(cfg).derive(seeds=[seed]), seed)
+    cells = [fmt(d) for d in columns.eps_drift.tolist()]
+    assert out.read_text() == "".join(f"{line}\n" for line in
+                                      ["t,drift"] + [f"{t},{c}" for t, c in enumerate(cells, 1)])
+    kind = over["optimizer"]["kind"]
+    if kind == "sgd":   # no adversary: every cell +0.0
+        assert set(cells) == {"0.0"}
+    if kind == "evasso":   # two closed gates in a row leave a zero cell
+        assert "0.0" in cells and set(cells) != {"0.0"}
+    if seed == 1:   # only the steps before the abort are written
+        assert summary["aborted_at"] == 154 and len(cells) == 153
+
+
 def test_mse_reports_suppressed_error_per_theta(tmp_path):
     out = tmp_path / "mse.csv"
     rc = main(["mse", "--seed", "0", "--dim", "4", "--sigma", "0.5",
@@ -670,17 +715,24 @@ def test_delta_prints_the_stability_ratio(tmp_path, capsys):
                                 b"vasso,0.013607724259715698\n")
 
 
-@pytest.mark.parametrize("argv", [["mse", "--steps", "100"],
-                                  ["delta", "--samples", "100"]])
-def test_a_diagnostic_that_overflows_exits_2_naming_sigma(argv, tmp_path):
+@pytest.mark.parametrize("argv, flag", [
+    (["mse", "--steps", "100", "--sigma", "1e200"], "--sigma 1e+200"),
+    (["delta", "--samples", "100", "--sigma", "1e200"], "--sigma 1e+200"),
+    (["slice", "--config", "{cfg}", "--radius", "1e200"], "--radius 1e+200"),
+    (["slice", "--config", "{cfg}", "--radius", "1e200", "--two-d"], "--radius 1e+200"),
+    # the alpha grid's own step overflows
+    (["slice", "--config", "{cfg}", "--radius", "1e308"], "--radius 1e+308"),
+    (["sfw-check", "--dim", "50", "--rho", "1e308", "--trials", "3"], "--rho 1e+308"),
+], ids=["mse", "delta", "slice", "slice-two-d", "slice-grid", "sfw-check"])
+def test_a_diagnostic_that_overflows_exits_2_naming_its_flag(argv, flag, tmp_path):
     # in a fresh interpreter: in this one, the error::RuntimeWarning filter
     # would turn a numpy warning into an exit 2 of its own
-    out = tmp_path / "out.csv"
-    run = _fresh_python("-m", "vasso_opt", *argv, "--sigma", "1e200",
+    out, cfg = tmp_path / "out.csv", _write_cfg(tmp_path)
+    run = _fresh_python("-m", "vasso_opt", *[a.format(cfg=cfg) for a in argv],
                         "--seed", "0", "--out", str(out))
     assert run.returncode == 2 and run.stdout == ""
     [line] = run.stderr.splitlines()   # no warning text beside the error
-    assert line.startswith("vasso-opt: error: ") and "--sigma 1e+200" in line
+    assert line.startswith("vasso-opt: error: ") and flag in line
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ seed of a stack, whatever the other seeds of the stack do.
 
 import json
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
                             Schedule, make_rng, norm2, row_norms)
 from vasso_opt.cli import main
 from vasso_opt.errors import NonFiniteError
-from vasso_opt.harness import (METRICS_HEADER, MetricsColumns, MetricsRow,
-                               build_objective, init_x,
+from vasso_opt.harness import (METRICS_HEADER, Columns, Drift, FinalX, MetricsColumns,
+                               MetricsRow, build_objective, init_x,
                                parse_config, run_experiment, run_seed, run_seeds)
 from vasso_opt.objectives import EpochSampler, Mlp, MlpObjective, NoisyQuadratic
 from vasso_opt.optimizers import AdversaryState, ArmKnobs, OptimizerConfig, vasso_step
@@ -130,7 +131,7 @@ def test_engine_reproduces_the_per_seed_loop(objective, kind, option, seeds,
 
 def test_one_seed_run_is_a_stack_of_one():
     cfg = _case_cfg("blobs-holdout", "evasso", "plain", [0, 1, 2])
-    stacked = run_seeds(cfg, [0, 1, 2], keep_final_x=True)
+    stacked = run_seeds(cfg, [0, 1, 2], (Columns, FinalX))
     for seed, (rows, summary) in zip([0, 1, 2], stacked):
         alone_rows, alone = run_seed(cfg, seed, keep_final_x=True)
         assert _csv(alone_rows) == _csv(rows)
@@ -170,7 +171,7 @@ def _diverging_cfg(kind, T):
 @pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])
 def test_only_the_diverging_seed_leaves_the_stack(kind):
     cfg = _diverging_cfg(kind, T=155)
-    stacked = run_seeds(cfg, [0, 1, 4], keep_final_x=True)
+    stacked = run_seeds(cfg, [0, 1, 4], (Columns, FinalX))
     expected = [reference_run(cfg, s) for s in [0, 1, 4]]
     assert [s["aborted_at"] for _, s in stacked] == [None, 154, None]
     for seed, (rows, summary), (ref_rows, ref) in zip([0, 1, 4], stacked, expected):
@@ -448,7 +449,7 @@ def test_the_block_streams_of_a_run_share_one_budget(kind, width, traced_peak):
     # budget of blocks peaks near twice that
     seeds = list(range(16))
     cfg = _quad_stack_cfg(kind, 4, 2 * core.block_steps(16, width) + 5, seeds)
-    assert traced_peak(run_seeds, cfg, seeds, columns=False) <= 1.25 * core.BLOCK_BYTES
+    assert traced_peak(run_seeds, cfg, seeds, (Drift,)) <= 1.25 * core.BLOCK_BYTES
 
 
 def test_a_summary_only_run_peaks_alike_at_any_horizon(monkeypatch, traced_peak):
@@ -459,7 +460,7 @@ def test_a_summary_only_run_peaks_alike_at_any_horizon(monkeypatch, traced_peak)
 
     def peak(T):
         cfgs = [_quad_stack_cfg(kind, 20, T, seeds) for kind in ("sam", "vasso", "evasso")]
-        return traced_peak(harness.run_arms, cfgs, seeds, columns=False)
+        return traced_peak(harness.run_arms, cfgs, seeds, (Drift,))
 
     assert abs(peak(2000) - peak(200)) <= 64 * 1024
 
@@ -472,8 +473,8 @@ def test_running_totals_of_aborted_rows_equal_the_columns_run(kind, T):
     # at T=155 seed 1 diverges and the others finish; at T=160 every seed
     # diverges, the last of them raising for the whole stack
     cfg, seeds = _diverging_cfg(kind, T), [0, 1, 4]
-    kept = run_seeds(cfg, seeds, keep_final_x=True)
-    alone = run_seeds(cfg, seeds, keep_final_x=True, columns=False)
+    kept = run_seeds(cfg, seeds, (Columns, FinalX))
+    alone = run_seeds(cfg, seeds, (Drift, FinalX))
     assert any(s["aborted"] for _, s in kept)
     assert all(s["aborted"] for _, s in kept) == (T == 160)
     for (columns, want), got in zip(kept, alone):
@@ -491,7 +492,7 @@ def test_a_stack_whose_gate_never_opens_takes_no_drift_norm(monkeypatch):
     norms = []
     monkeypatch.setattr(harness, "row_norms", lambda a: norms.append(1) or row_norms(a))
     cfg = _case_cfg("quadratic-diag", "sgd", "plain", [3, 0, 7])
-    summaries = run_seeds(cfg, [3, 0, 7], columns=False)
+    summaries = run_seeds(cfg, [3, 0, 7], (Drift,))
     assert norms == [] and [s["mean_drift"] for s in summaries] == [0.0] * 3
     # its adversary is one read-only zero, shared by every step
     knobs, x = ArmKnobs([cfg.optimizer_config()]), np.ones((3, 5))
@@ -569,7 +570,7 @@ def test_a_run_builds_no_metrics_row(objective, monkeypatch, tmp_path):
     monkeypatch.setattr(harness, "MetricsRow", refuse)
     cfg = _case_cfg(objective, "evasso", "metrics-every-3", [3, 0],
                     str(tmp_path / "m.csv"))
-    run_seeds(cfg, [3, 0], record_wallclock=True)
+    run_seeds(cfg, [3, 0], (partial(Columns, wallclock=True),))
     run_experiment(cfg)
     assert len((tmp_path / "m.csv").read_text().splitlines()) == 1 + 2 * cfg.T
 
@@ -618,7 +619,7 @@ def test_a_diverging_network_seed_leaves_the_stack(kind, monkeypatch, caplog):
                       **({"p": 0.5} if kind == "evasso" else {})},
         "T": 60, "batch_size": 4, "seeds": seeds})
     caplog.set_level("INFO", logger="vasso_opt")
-    stacked = run_seeds(cfg, seeds, keep_final_x=True)
+    stacked = run_seeds(cfg, seeds, (Columns, FinalX))
     stacked_epochs = {s: _epoch_lines(caplog, s) for s in seeds}
     aborted = [s["aborted_at"] for _, s in stacked]
     assert aborted[0] is None and None not in aborted[1:]

@@ -6,6 +6,7 @@ import pathlib
 import re
 from dataclasses import astuple
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -16,10 +17,10 @@ from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_INIT, make_rn
                             schedule_value)
 from vasso_opt.errors import ConfigError
 from vasso_opt.harness import (METRICS_HEADER, TRADEOFF_HEADER,
-                               ExperimentConfig, build_objective, fmt, init_x,
+                               Columns, ExperimentConfig, build_objective, fmt, init_x,
                                load_config, paired_compare, parse_config,
                                parse_config_text, run_experiment, run_seed,
-                               sign_test_p_value, tradeoff_sweep)
+                               run_seeds, sign_test_p_value, tradeoff_sweep)
 from vasso_opt.objectives import Mlp
 from vasso_opt.optimizers import ArmKnobs, vasso_step
 
@@ -440,7 +441,7 @@ def test_metrics_cells_follow_the_cadence():
     assert len(columns.full_grad_norm) == 3 and len(columns.eps_drift) == 11
     assert len(columns.loss) == len(columns.grad_evals_cum) == 12
     assert columns.wallclock_ms is None
-    columns, _ = run_seed(_cfg(T=4), 0, record_wallclock=True)
+    [(columns, _)] = run_seeds(_cfg(T=4), [0], (partial(Columns, wallclock=True),))
     assert len(columns.wallclock_ms) == 4
 
 

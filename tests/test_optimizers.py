@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vasso_opt import optimizers
 from vasso_opt.core import Schedule, make_rng, norm2, schedule_value
 from vasso_opt.errors import InvalidParameterError, NonFiniteError
-from vasso_opt.harness import parse_config, run_seeds
+from vasso_opt.harness import Columns, FinalX, parse_config, run_seeds
 from vasso_opt.objectives import NoisyQuadratic
 from vasso_opt.optimizers import (AdversaryState, ArmKnobs, OptimizerConfig,
                                   base_update, sam_adversary, sam_step, sfw_solve,
@@ -210,9 +210,9 @@ def test_a_diverging_row_aborts_as_under_the_full_formula(kind, monkeypatch):
                       "lr": {"kind": "constant", "base": 1.0},
                       **({"p": 0.5} if kind == "evasso" else {})},
         "T": 155, "batch_size": 1, "seeds": [0, 1, 4]})
-    got = run_seeds(cfg, [0, 1, 4], keep_final_x=True)
+    got = run_seeds(cfg, [0, 1, 4], (Columns, FinalX))
     monkeypatch.setattr(optimizers, "base_update", _full_base_update)
-    want = run_seeds(cfg, [0, 1, 4], keep_final_x=True)
+    want = run_seeds(cfg, [0, 1, 4], (Columns, FinalX))
     assert [s["aborted_at"] for _, s in got] == [None, 154, None]
     for (rows, summary), (ref_rows, ref) in zip(got, want):
         assert rows.to_csv() == ref_rows.to_csv()

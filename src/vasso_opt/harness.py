@@ -320,12 +320,11 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
 
 class Recorder:
     """An output of a ``_lockstep`` run, which the run makes and its loop feeds
-    (see there); this base records nothing."""
+    (see there) through two hooks, ``step`` and ``result``.  The loop alone
+    retires rows: a recorder reads its live mask and frozen state, and keeps
+    no copy of a retired row.  This base records nothing."""
 
     def step(self, t: int, x: np.ndarray, rep) -> None:
-        pass
-
-    def retire(self, mask, x: np.ndarray) -> None:
         pass
 
     def result(self, r: int, k: int, summary: dict, out):
@@ -335,33 +334,26 @@ class Recorder:
 class Drift(Recorder):
     """Each row's adversary drift ||eps_t - eps_{t-1}||, from t=1.
 
-    Its running sum, added in step order and frozen at retirement, gives the
-    summary's ``mean_drift`` over the row's k-1 drift steps (0.0 under two).
-    With ``table`` the norms also fill a (T, rows) table, and a row's result
-    pairs its drift cells (t = 1..k-1) with its summary.  A stack whose gate
-    never opens has a zero adversary at every step: it takes no norm, and
-    its cells stay +0.0.
+    Its running sum, added in step order over the row's live steps, gives
+    the summary's ``mean_drift`` over the row's k-1 drift steps (0.0 under
+    two).  With ``table`` the norms also fill a (T, rows) table, and a row's
+    result pairs its drift cells (t = 1..k-1) with its summary.
     """
 
     def __init__(self, run, table: bool = False):
-        self.sum, self.final = np.zeros(run.n), np.empty(run.n)
+        self.run, self.sum, self.prev = run, np.zeros(run.n), None
         self.table = np.zeros((run.T, run.n)) if table else None
-        self.prev, self.keep_prev = None, not run.never_opens
 
     def step(self, t, x, rep):
         if self.prev is not None:
             d = row_norms(rep.epsilon - self.prev)
-            self.sum += d
+            np.add(self.sum, d, out=self.sum, where=self.run.live)   # a retired row's stays
             if self.table is not None:
                 self.table[t] = d
-        if self.keep_prev:
-            self.prev = rep.epsilon
-
-    def retire(self, mask, x):
-        self.final[mask] = self.sum[mask]
+        self.prev = rep.epsilon
 
     def result(self, r, k, summary, out):
-        summary["mean_drift"] = float(self.final[r]) / (k - 1) if k > 1 else 0.0
+        summary["mean_drift"] = float(self.sum[r]) / (k - 1) if k > 1 else 0.0
         return out if self.table is None else (self.table[1:k, r], summary)
 
 
@@ -398,17 +390,15 @@ class Columns(Drift):
 
 
 class FinalX(Recorder):
-    """Each row's last iterate, as ``final_x`` in its summary (for in-process callers):
-    where a finished row ended, or where a retired row's failing step began."""
+    """Each row's last iterate, as ``final_x`` in its summary (for in-process
+    callers): the loop's frozen iterate, where a finished row ended, or where
+    a retired row's failing step began."""
 
     def __init__(self, run):
-        self.x = np.empty_like(run.x)
-
-    def retire(self, mask, x):
-        self.x[mask] = x[mask]
+        self.run = run
 
     def result(self, r, k, summary, out):
-        summary["final_x"] = self.x[r]
+        summary["final_x"] = self.run.final_x[r]
         return out
 
 
@@ -423,11 +413,11 @@ class _EpochLog(Recorder):
     def step(self, t, x, rep):
         run, per = self.run, self.run.per_epoch
         self.loss = rep.loss.copy() if t % per == 0 else self.loss + rep.loss
-        if (t + 1) % per == 0 and t + 1 < run.T and (run.steps == run.T).any():
+        if (t + 1) % per == 0 and t + 1 < run.T and run.live.any():
             means = (self.loss / per).tolist()
             log.info("\n".join("%s epoch=%d mean_batch_loss=%.6f"
                                % (run.names[r], t // per, means[r])
-                               for r in np.flatnonzero(run.steps == run.T)))
+                               for r in np.flatnonzero(run.live)))
 
 
 def run_arms(cfgs, seeds, record=(Columns,)) -> list[list]:
@@ -463,9 +453,9 @@ def run_arms(cfgs, seeds, record=(Columns,)) -> list[list]:
     return out
 
 
-# A diverging seed overflows before it is retired, and its row computes unread
-# values until the run ends: an outcome the summary reports (aborted_at), not
-# numpy warnings for the console.
+# The run's one floating-point policy: a diverging seed overflows before it is
+# retired, and its row computes unread values until the run ends, an outcome
+# the summary reports (aborted_at), not numpy warnings for the console.
 @np.errstate(over="ignore", invalid="ignore")
 def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[list]:
     """Step every pair of an arm and a seed as one row of a lockstep stack.
@@ -475,21 +465,19 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
     whose knobs are scalars where every arm shares them).  Each row keeps its
     seed's data, initial point and Philox streams: the rows of one seed
     read the same batches, adversary batches and gate draws, each drawn
-    once.  A row of an arm without adversary batches carries its own batch
-    as one when another arm has them.  A row whose loss or gradient turns
-    non-finite is retired at that step (``aborted_at``) and the others run
-    on; it stays in the stack until the run ends, but nothing it computes
-    after that step is read.
+    once.  A row whose loss or gradient turns non-finite is retired at that
+    step (``aborted_at``) and the others run on; it stays in the stack until
+    the run ends, but nothing it computes after that step is read.
 
-    The loop steps and retires rows; its summary of a row comes from the
-    row's step count (a row is live while it is T), its grad-eval total,
-    added in step order and frozen at retirement, and the final loss.  Each
-    other output is a ``Recorder``, made by a factory in ``record`` (a class,
-    or a partial of one) as ``make(run)`` from the run's facts (``run.x`` the
-    initial point).  After step t's failed rows are retired and the totals
-    take t, the loop calls each recorder's ``step(t, x, rep)``, x the point
-    step t reached; ``retire(mask, x)`` freezes the live rows in ``mask`` at
-    x; and ``result(r, k, summary, out)`` adds its part to row r's summary (k
+    The loop steps the stack and alone retires rows: it keeps the live mask
+    (``run.live``) and freezes a retired row's step count, its grad-eval
+    total, added in step order, and its iterate (``run.final_x``); with the
+    final loss these make the row's summary.  Each other output is a
+    ``Recorder``, made by a factory in ``record`` (a class, or a partial of
+    one) as ``make(run)`` from the run's facts (``run.x`` the initial point).
+    After step t's failed rows are retired and the totals take t, the loop
+    calls each recorder's ``step(t, x, rep)``, x the point step t reached;
+    and ``result(r, k, summary, out)`` adds its part to row r's summary (k
     steps run) and returns the row's result: ``out``, the result so far, or
     the row's cells paired with its summary.  The default, ``Columns``, makes
     each result a (MetricsColumns, summary) pair; with no recorder the run
@@ -532,35 +520,31 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
              for o, s in zip(objs, seeds)], T, width, seed_of, epochs=epochs)
-    pairs = zip(batches, adv_batches)
-    if isinstance(ocfg.fresh, np.ndarray):   # the other rows' adversary batch is their own
-        own = ~ocfg.fresh[:, np.newaxis]
-        pairs = ((b, np.where(own, b, a)) for b, a in pairs)
-    # one uniform per seed and step, from streams made at the first draw
+    # one uniform per seed and step, from streams made at the first draw; a
+    # step's draw holds the uniform of every row that the step's gates ask for
     gate_draws = _batch_stream((make_rng(s, STREAM_GATE).random for s in seeds),
                                T, width, seed_of)
-    gates = SimpleNamespace(random=gate_draws.__next__)
+    gates = SimpleNamespace(random=lambda rows: next(gate_draws))
     obj = type(objs[0]).stack([objs[i] for i in seed_of])
     objs.clear()   # the stack holds all it reads of them
 
-    steps, evals = np.full(n, T), np.zeros(n, dtype=np.int64)   # evals: running totals
-    final_evals = np.empty_like(evals)
+    live, steps = np.ones(n, dtype=bool), np.full(n, T)
+    evals = np.zeros(n, dtype=np.int64)   # running totals
+    final_evals, final_x = np.empty_like(evals), np.empty_like(x)
     run = SimpleNamespace(n=n, T=T, every=cfg.metrics_every, obj=obj, evals=evals,
-                          steps=steps, x=x, never_opens=ocfg.never_opens,
-                          per_epoch=per_epoch, names=names)
+                          live=live, x=x, final_x=final_x, per_epoch=per_epoch, names=names)
     recorders = [make(run) for make in record]
     if epochs and log.isEnabledFor(logging.INFO):
         recorders.append(_EpochLog(run))
 
     def retire(mask, t: int) -> None:
         """The live rows in ``mask`` stop at step t, at their current x and totals."""
-        mask = mask & (steps == T)
-        steps[mask], final_evals[mask] = t, evals[mask]
-        for rec in recorders:
-            rec.retire(mask, x)
+        mask = mask & live
+        steps[mask], final_evals[mask], final_x[mask] = t, evals[mask], x[mask]
+        live[mask] = False
 
     state = buf = None
-    for t, (batch, adv_batch) in zip(range(T), pairs):
+    for t, batch, adv_batch in zip(range(T), batches, adv_batches):
         try:
             x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
                                                 t=t, momentum_buffer=buf,
@@ -575,15 +559,16 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
         for rec in recorders:
             rec.step(t, x, rep)
 
-    finals = obj.final_loss(x).tolist() if (steps == T).any() else None
+    finals = obj.final_loss(x) if live.any() else np.full(n, np.nan)
+    done = (live & np.isfinite(finals)).tolist()   # a non-finite final loss did not finish
     retire(True, T)
-    steps, final_evals = steps.tolist(), final_evals.tolist()
+    steps, final_evals, finals = steps.tolist(), final_evals.tolist(), finals.tolist()
     summaries, results = [], []
     for r, k in enumerate(steps):
-        summary = out = {"seed": seeds[seed_of[r]], "aborted": k < T,
-                         "aborted_at": k if k < T else None,
+        summary = out = {"seed": seeds[seed_of[r]], "aborted": not done[r],
+                         "aborted_at": None if done[r] else k,
                          "total_grad_evals": final_evals[r], "mean_drift": None,
-                         "final_loss": finals[r] if k == T else None}
+                         "final_loss": finals[r] if done[r] else None}
         for rec in recorders:
             out = rec.result(r, k, summary, out)
         summaries.append(summary)
@@ -667,7 +652,7 @@ def run_experiment(cfg: ExperimentConfig,
                 fh.write(columns.to_csv(ints))
         with open(summary_path, "w") as fh:
             json.dump({"config": cfg.to_dict(), "per_seed": summaries,
-                       "aggregate": aggregate}, fh, sort_keys=True, indent=2)
+                       "aggregate": aggregate}, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     return ExperimentResult(summaries, aggregate, metrics_path, summary_path)
 

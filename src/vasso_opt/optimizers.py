@@ -168,11 +168,10 @@ class ArmKnobs:
 
     What does not change over a run is settled here, once: the EMA's
     ``keep`` = 1 - theta, the lr and rho of schedules that do not depend on
-    t (returned for every t their horizons allow), the forced gate
-    outcome, the rows whose gradient at x is never read, and the zero
-    adversary of a stack whose gate never opens.  A momentum or weight decay
-    that is zero on every row stays the scalar 0, and ``base_update`` then
-    never computes its term.
+    t (returned for every t their horizons allow), the forced gate outcome,
+    and the rows whose gradient at x is never read.  A momentum or weight
+    decay that is zero on every row stays the scalar 0, and ``base_update``
+    then never computes its term.
     """
 
     def __init__(self, configs, arm_of_row=(0,)):
@@ -199,7 +198,7 @@ class ArmKnobs:
             [c.rho_schedule for c in self._rho if c.rho_schedule is not None]
         self._t_end = min((s.horizon for s in schedules if s.horizon is not None),
                           default=math.inf)
-        self._lr_value = self._rho_value = self._zero = None
+        self._lr_value = self._rho_value = None
         if all(c.lr.constant_in_t for c in self._lr):
             self._lr_value = self.lr_at(0)
         if all(c.rho_schedule is None or c.rho_schedule.constant_in_t for c in self._rho):
@@ -222,15 +221,10 @@ class ArmKnobs:
             return self._rho_value
         return self._knob([c.rho_at(t) for c in self._rho], column=False)
 
-    def gate(self, rng):
-        return rng.random() < self.p if self.gated else self._forced
-
-    def zero_adversary(self, shape) -> np.ndarray:
-        """A read-only zero adversary of ``shape``, made once for the steps of a run."""
-        if self._zero is None or self._zero.shape != shape:
-            self._zero = np.zeros(shape)
-            self._zero.flags.writeable = False
-        return self._zero
+    def gate(self, rng, rows=None):
+        """The outcome of each of ``rows`` rows' gates, or of one gate: one
+        ``rng.random`` uniform per row, in row order, when some p is random."""
+        return rng.random(rows) < self.p if self.gated else self._forced
 
 
 @dataclass
@@ -371,7 +365,6 @@ def _finite_rows(g: np.ndarray):
     return np.isfinite(g).all(axis=-1)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _all_finite(a, b=None) -> bool:
     """True if the sum of every entry of ``a`` and ``b`` is finite.
 
@@ -402,15 +395,17 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
 
     The EMA slope is fed the gradient on ``adv_batch`` on the fresh rows
     (SAM-db) and on ``batch`` otherwise.  ``adv_batch`` is given exactly
-    when some row is fresh, every other row carrying its own batch there.
+    when some row is fresh; the other rows' entries there are never read.
     For p > 0 the slope is updated on every step, whether or not the gate
-    opens.  ``rng.random()`` draws the Bernoulli(p) gate only when 0 < p < 1,
-    one draw per row of a stack; a forced outcome consumes no draw.  p=0
-    returns right after the base update: one gradient evaluation and no
-    slope work, exactly SGD, its adversary the run's read-only zero
-    (``ArmKnobs.zero_adversary``).  With an adversary batch and p=1 the
-    gradient at x on ``batch`` is never used, so only its loss is computed;
-    otherwise only the fresh rows take a gradient on ``adv_batch``.
+    opens.  ``rng.random`` draws the Bernoulli(p) gates only when 0 < p < 1,
+    one uniform per row of a stack, in row order; a forced outcome consumes
+    no draw.  p=0 returns right after the base update: one gradient
+    evaluation and no slope work, exactly SGD, its adversary zero.  With an
+    adversary batch and p=1 the gradient at x on ``batch`` is never used, so
+    only its loss is computed, and the slope's gradient is taken on every
+    row: on ``adv_batch`` where the row is fresh and on ``batch`` elsewhere.
+    Otherwise only the fresh rows take a gradient on ``adv_batch``, and the
+    other rows' slope is their gradient at x.
 
     When some gates of a stack stay closed, the second gradient is taken on
     the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps
@@ -418,7 +413,9 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
     A row whose loss or gradient is not finite is marked in
     ``report.failed`` (None while every row is finite) and its outputs are
     meaningless.  NonFiniteError is raised once every row has failed, which
-    for a single vector is its first non-finite value.
+    for a single vector is its first non-finite value.  The step sets no
+    floating-point policy: numpy's warnings on an overflowing row are the
+    caller's to silence, as the training loop does for a whole run.
     """
     fresh = cfg.fresh   # False, True, or one per row when the arms differ
     if (adv_batch is None) != (fresh is False):
@@ -435,18 +432,20 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
                            "non-finite loss or gradient", t)
     if cfg.never_opens:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
-        return x_new, state, StepReport(loss, 1, cfg.zero_adversary(x.shape), failed), buf
+        return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
     if adv_batch is None:
         g_adv = g
-    elif g is None or fresh is True:
+    elif fresh is True:
         g_adv = obj.grad(x, adv_batch)
-    else:   # the other rows' adversary batch is their own: reuse g there
+    elif g is None:   # the other rows' slope reads their own batch
+        g_adv = obj.grad(x, np.where(fresh[:, np.newaxis], adv_batch, batch))
+    else:   # the other rows' slope is their gradient at x
         g_adv = np.where(fresh[:, np.newaxis], obj.grad(x, adv_batch, rows=fresh), g)
     if adv_batch is not None and not _all_finite(g_adv):
         failed = _fail(failed, _finite_rows(g_adv),
                        "non-finite gradient on the adversary batch", t)
     state, eps = vasso_update(state, g_adv, cfg, cfg.rho_at(t))
-    opened = cfg.gate(rng)   # one outcome per row of a stack
+    opened = cfg.gate(rng, len(x) if x.ndim > 1 else None)   # one outcome per row
     n_closed = 0 if cfg.always_opens else np.count_nonzero(np.logical_not(opened))
     if not n_closed:
         g_upd = obj.grad(x + eps, batch)

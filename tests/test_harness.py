@@ -472,6 +472,29 @@ def test_divergent_seed_is_reported_as_aborted():
     assert result.aggregate == {"n_seeds": 2, "n_aborted": 2}
 
 
+def test_a_seed_whose_final_loss_is_not_finite_is_reported_as_aborted(tmp_path):
+    # negative curvature: seed 0 runs all 155 steps, but its final loss is -inf;
+    # seed 1 overflows at step 154 and seed 4 finishes
+    cfg = _cfg(objective={"kind": "quadratic", "diag": [-9.0, 1.0], "sigma": 0.5},
+               optimizer={"kind": "vasso", "rho": 0.1, "theta": 0.3,
+                          "lr": {"kind": "constant", "base": 1.0}},
+               T=155, batch_size=1, seeds=[0, 1, 4], output_path=str(tmp_path / "m.csv"))
+    result = run_experiment(cfg)
+    s0, s1, s4 = result.summaries
+    assert (s0["aborted"], s0["aborted_at"], s0["final_loss"]) == (True, 155, None)
+    assert (s1["aborted"], s1["aborted_at"]) == (True, 154)
+    assert not s4["aborted"] and np.isfinite(s4["final_loss"])
+    assert result.aggregate["n_aborted"] == 2
+    assert result.aggregate["mean_final_loss"] == s4["final_loss"]
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads(pathlib.Path(result.summary_path).read_text(),
+                         parse_constant=reject)
+    assert summary["per_seed"] == result.summaries
+
+
 def test_dataset_objective_runs_from_csv(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "toy.csv"

@@ -203,7 +203,8 @@ def test_a_zero_momentum_or_weight_decay_term_keeps_the_bits(knobs):
 @pytest.mark.parametrize("kind", ["sgd", "vasso", "evasso", "sam_db"])
 def test_a_diverging_row_aborts_as_under_the_full_formula(kind, monkeypatch):
     # negative curvature: seed 1's row overflows at step 154, seeds 0 and 4
-    # run on; every row steps with zero momentum and weight decay
+    # run on, seed 0 to a final loss of -inf; every row steps with zero
+    # momentum and weight decay
     cfg = parse_config({
         "objective": {"kind": "quadratic", "diag": [-9.0, 1.0], "sigma": 0.5},
         "optimizer": {"kind": kind, "rho": 0.1, "theta": 0.3,
@@ -213,7 +214,7 @@ def test_a_diverging_row_aborts_as_under_the_full_formula(kind, monkeypatch):
     got = run_seeds(cfg, [0, 1, 4], (Columns, FinalX))
     monkeypatch.setattr(optimizers, "base_update", _full_base_update)
     want = run_seeds(cfg, [0, 1, 4], (Columns, FinalX))
-    assert [s["aborted_at"] for _, s in got] == [None, 154, None]
+    assert [s["aborted_at"] for _, s in got] == [155, 154, None]
     for (rows, summary), (ref_rows, ref) in zip(got, want):
         assert rows.to_csv() == ref_rows.to_csv()
         assert summary.pop("final_x").tobytes() == ref.pop("final_x").tobytes()
@@ -378,6 +379,17 @@ def test_gate_draws_once_per_step_only_when_the_outcome_is_random():
         reference = make_rng(9, 3)
         reference.random(draws)
         assert gate.random() == reference.random()
+
+
+def test_a_directly_stepped_stack_draws_one_gate_per_row():
+    obj = _quad(sigma=0.2)
+    knobs = _knobs(rho=0.1, p=0.5)
+    gate, reference = make_rng(0, 3), make_rng(0, 3)
+    x, state = np.ones((8, 2)), None
+    for t in range(4):
+        x, state, rep, _ = vasso_step(obj, x, state, np.zeros((8, 2)), knobs, gate, t=t)
+        assert np.array_equal(rep.grad_evals, 1 + (reference.random(8) < 0.5))
+    assert gate.random() == reference.random()   # 8 draws a step, in row order
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])

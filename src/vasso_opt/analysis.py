@@ -1,5 +1,6 @@
-"""Diagnostics: adversary drift, EMA variance suppression, delta-stability,
-SNR adversary spread, Lanczos spectra, and landscape slices.
+"""Diagnostics: EMA variance suppression, delta-stability, SNR adversary
+spread, Lanczos spectra, and landscape slices.  A run's adversary drift is
+the training engine's to record (``harness.Drift``).
 
 Everything here is pure given (objective, rng) and built for desk-scale
 problems: dense vectors, full reorthogonalization, closed forms where they
@@ -17,27 +18,6 @@ import numpy as np
 
 from .core import DEGENERATE_NORM_TOL, block_steps, norm2, row_norms
 from .errors import InvalidParameterError
-
-
-@dataclass
-class StabilityTrace:
-    drifts: np.ndarray   # drifts[t] = ||eps_{t+1} - eps_t||
-    rho: float
-
-
-def track_drift(epsilons, rho: float | None = None) -> StabilityTrace:
-    """Chord lengths between consecutive adversaries.
-
-    All adversaries live on a common sphere (or are zero), so every drift is
-    at most the diameter 2*rho.  When ``rho`` is not given it is inferred as
-    the largest adversary norm in the sequence.
-    """
-    E = np.array(list(epsilons), dtype=np.float64)
-    if len(E) < 2:
-        return StabilityTrace(np.zeros(0), rho if rho is not None else 0.0)
-    if rho is None:
-        rho = row_norms(E).max()
-    return StabilityTrace(row_norms(np.diff(E, axis=0)), float(rho))
 
 
 _MSE_BLOCK = 1024   # the most draws per ema_chain call in mse_suppression
@@ -184,20 +164,17 @@ def ema_chain(gs: np.ndarray, theta: float | np.ndarray,
     return chain
 
 
-def delta_stability(obj, x, v, rho: float, n_samples: int, rng) -> float:
+def delta_stability(obj, x, sampler, rho: float, n_samples: int, rng) -> float:
     """Empirical E|L(v) - L(grad f(x))| with L(v) = f(x) + rho*||v||.
 
-    ``v`` is either a fixed vector or a sampler ``(n, rng) -> (n, dim)``
-    providing draws of the slope estimate.
+    ``sampler(n, rng)`` draws n slope estimates v as an (n, dim) stack; a
+    fixed slope is a sampler that repeats it.
     """
     if rho < 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
     g_norm = norm2(obj.full_grad(x))
-    if callable(v):
-        draws = v(n_samples, rng)
-        norms = np.linalg.norm(draws, axis=1)
-        return float(np.mean(np.abs(rho * norms - rho * g_norm)))
-    return abs(rho * norm2(np.asarray(v, dtype=np.float64)) - rho * g_norm)
+    norms = np.linalg.norm(sampler(n_samples, rng), axis=1)
+    return float(np.mean(np.abs(rho * norms - rho * g_norm)))
 
 
 # -- SNR adversary spread ---------------------------------------------------

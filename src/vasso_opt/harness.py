@@ -465,9 +465,9 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
     whose knobs are scalars where every arm shares them).  Each row keeps its
     seed's data, initial point and Philox streams: the rows of one seed
     read the same batches, adversary batches and gate draws, each drawn
-    once.  A row whose loss or gradient turns non-finite is retired at that
-    step (``aborted_at``) and the others run on; it stays in the stack until
-    the run ends, but nothing it computes after that step is read.
+    once.  A row flagged in ``rep.failed`` is retired at that step
+    (``aborted_at``) and the others run on, to T or until none is live; the
+    row stays in the stack, but nothing it computes after that step is read.
 
     The loop steps the stack and alone retires rows: it keeps the live mask
     (``run.live``) and freezes a retired row's step count, its grad-eval
@@ -545,15 +545,12 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
 
     state = buf = None
     for t, batch, adv_batch in zip(range(T), batches, adv_batches):
-        try:
-            x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates,
-                                                t=t, momentum_buffer=buf,
-                                                adv_batch=adv_batch)
-        except NonFiniteError:   # every row, so every live row, failed at t
-            retire(True, t)
-            break
+        x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates, t=t,
+                                            momentum_buffer=buf, adv_batch=adv_batch)
         if rep.failed is not None:   # a retired row may be flagged again
             retire(rep.failed, t)
+            if not live.any():
+                break
         evals += rep.grad_evals   # after step t's failed rows froze theirs
         x = x_new
         for rec in recorders:
@@ -617,17 +614,23 @@ class ExperimentResult:
     summary_path: str | None
 
 
+def _mean(values: list) -> float:
+    """The sum over the count; where the sum overflows, the sum of each value over it."""
+    total, n = sum(values), len(values)
+    return sum(v / n for v in values) if math.isinf(total) else total / n
+
+
 def _aggregate(summaries: list[dict]) -> dict:
     done = [s for s in summaries if not s["aborted"]]
     agg = {"n_seeds": len(summaries), "n_aborted": len(summaries) - len(done)}
     if done:
         finals = [s["final_loss"] for s in done]
-        agg["mean_final_loss"] = sum(finals) / len(finals)
+        agg["mean_final_loss"] = _mean(finals)
         agg["min_final_loss"] = min(finals)
         agg["max_final_loss"] = max(finals)
-        agg["mean_total_grad_evals"] = sum(s["total_grad_evals"] for s in done) / len(done)
+        agg["mean_total_grad_evals"] = _mean([s["total_grad_evals"] for s in done])
         if done[0]["mean_drift"] is not None:   # a run without drift reports none
-            agg["mean_drift"] = sum(s["mean_drift"] for s in done) / len(done)
+            agg["mean_drift"] = _mean([s["mean_drift"] for s in done])
     return agg
 
 
@@ -637,12 +640,21 @@ def run_experiment(cfg: ExperimentConfig,
 
     Output goes to cfg.output_path (the summary beside it with a
     ``.summary.json`` suffix); passing output_path=None skips file output.
+    The summary is strict JSON: a value it cannot hold (inf or NaN) raises
+    NonFiniteError, naming its field, before either file is opened.
     """
     results = run_seeds(cfg, cfg.seeds, (partial(Columns, wallclock=record_wallclock),))
     summaries = [summary for _, summary in results]
     aggregate = _aggregate(summaries)
     metrics_path = summary_path = None
     if cfg.output_path is not None:
+        bad = [(f"per_seed[{i}].{k}", v) for i, s in enumerate(summaries) for k, v in s.items()
+               if isinstance(v, float) and not math.isfinite(v)]
+        if bad:   # the config's numbers were parsed finite; the aggregate's are if these are
+            raise NonFiniteError("the summary's %s is %s, which JSON cannot hold; no file "
+                                 "written" % bad[0])
+        text = json.dumps({"config": cfg.to_dict(), "per_seed": summaries,
+                           "aggregate": aggregate}, sort_keys=True, indent=2, allow_nan=False)
         metrics_path = cfg.output_path
         summary_path = cfg.output_path + ".summary.json"
         with open(metrics_path, "w") as fh:
@@ -651,9 +663,7 @@ def run_experiment(cfg: ExperimentConfig,
             for columns, _ in results:
                 fh.write(columns.to_csv(ints))
         with open(summary_path, "w") as fh:
-            json.dump({"config": cfg.to_dict(), "per_seed": summaries,
-                       "aggregate": aggregate}, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(text + "\n")
     return ExperimentResult(summaries, aggregate, metrics_path, summary_path)
 
 
@@ -713,6 +723,9 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
                                  t=summary["aborted_at"])
     values_a = [s[metric] for s in summaries_a]
     values_b = [s[metric] for s in summaries_b]
+    for seed, a, b in zip(seeds, values_a, values_b):   # a NaN difference is no tie
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise NonFiniteError(f"seed {seed}: {metric} is {a} under A and {b} under B")
     diffs = [a - b for a, b in zip(values_a, values_b)]
     wins_a = sum(1 for d in diffs if d < 0)
     wins_b = sum(1 for d in diffs if d > 0)

@@ -329,24 +329,11 @@ def base_update(x: np.ndarray, g_update: np.ndarray, cfg: OptimizerConfig | ArmK
     return x - eta * v, v
 
 
-def _checked_loss_grad(obj, x, batch, t):
-    loss, g = obj.loss_and_grad(x, batch)
-    if not np.isfinite(loss) or not np.all(np.isfinite(g)):
-        raise NonFiniteError("non-finite loss or gradient", t=t)
-    return loss, g
-
-
-def _checked_grad(obj, x, batch, t):
-    g = obj.grad(x, batch)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteError("non-finite gradient at perturbed point", t=t)
-    return g
-
-
 def sgd_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
              momentum_buffer=None):
     """Plain base update with g_t(x_t); one gradient evaluation."""
-    loss, g = _checked_loss_grad(obj, x, batch, t)
+    loss, g = obj.loss_and_grad(x, batch)
+    _fail(None, np.isfinite(loss) & _finite_rows(g), "non-finite loss or gradient", t)
     x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
     return x_new, StepReport(loss, 1, np.zeros_like(x)), buf
 
@@ -354,9 +341,11 @@ def sgd_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
 def sam_step(obj, x, batch, cfg: OptimizerConfig, rng, *, t: int = 0,
              momentum_buffer=None):
     """Ascend to x + rho*g/||g||, update with the gradient there (same batch)."""
-    loss, g = _checked_loss_grad(obj, x, batch, t)
+    loss, g = obj.loss_and_grad(x, batch)
+    _fail(None, np.isfinite(loss) & _finite_rows(g), "non-finite loss or gradient", t)
     eps = sam_adversary(g, cfg.rho_at(t))
-    g_upd = _checked_grad(obj, x + eps, batch, t)
+    g_upd = obj.grad(x + eps, batch)
+    _fail(None, _finite_rows(g_upd), "non-finite gradient at perturbed point", t)
     x_new, buf = base_update(x, g_upd, cfg, momentum_buffer, t=t)
     return x_new, StepReport(loss, 2, eps), buf
 
@@ -380,13 +369,12 @@ def _all_finite(a, b=None) -> bool:
 
 
 def _fail(failed, ok, message: str, t: int):
-    """Add the rows that are not ``ok`` to ``failed``; raise once all have failed."""
+    """Add a stack's rows that are not ``ok`` to ``failed``; one vector raises instead."""
     if ok.all():
         return failed
-    failed = ~ok if failed is None else failed | ~ok
-    if failed.all():
+    if ok.ndim == 0:
         raise NonFiniteError(message, t=t)
-    return failed
+    return ~ok if failed is None else failed | ~ok
 
 
 def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, *,
@@ -410,10 +398,10 @@ def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, 
     When some gates of a stack stay closed, the second gradient is taken on
     the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps
     its gradient at x: a row of p=0 takes SGD's step and one evaluation.
-    A row whose loss or gradient is not finite is marked in
-    ``report.failed`` (None while every row is finite) and its outputs are
-    meaningless.  NonFiniteError is raised once every row has failed, which
-    for a single vector is its first non-finite value.  The step sets no
+    A stack never raises: each row whose loss or gradient is not finite, if
+    need be every row, is marked in ``report.failed`` (None while all are
+    finite), and its outputs are meaningless.  A single vector raises
+    NonFiniteError at its first non-finite value.  The step sets no
     floating-point policy: numpy's warnings on an overflowing row are the
     caller's to silence, as the training loop does for a whole run.
     """

@@ -4,10 +4,18 @@ Each test prints a single ``PASS criterion-NN ...`` / ``FAIL criterion-NN ...``
 line (run ``pytest tests/test_acceptance.py -v -s`` to see them as they
 happen) and then asserts.  Every check is deterministic: all randomness is
 drawn from fixed Philox seeds, so the observed values never move between
-runs.
+runs.  Each line, bar its elapsed-seconds field, is also pinned to the one
+in ``data/acceptance_lines.json``, recorded with the numpy version and
+machine named there; regenerate it with UPDATE_GOLDENS=1 only in a change
+that declares which lines it changes and why.
 """
 
+import json
 import math
+import os
+import pathlib
+import platform
+import re
 import time
 
 import numpy as np
@@ -24,10 +32,25 @@ from vasso_opt.optimizers import (ArmKnobs, OptimizerConfig, sam_adversary,
                                   sam_step, sfw_solve, sgd_step, vasso_step)
 
 
+LINES = pathlib.Path(__file__).parent / "data" / "acceptance_lines.json"
+HOST = {"machine": platform.machine(), "numpy": np.__version__}
+_ELAPSED = re.compile(r" \(\d+(\.\d+)?s < \d+s\)")   # e.g. " (2.3s < 30s)"
+
+
 def _check(num: int, slug: str, ok: bool, detail: str) -> None:
     line = f"{'PASS' if ok else 'FAIL'} criterion-{num:02d} {slug}: {detail}"
     print(line)
     assert ok, line
+    key, got = f"criterion-{num:02d}", _ELAPSED.sub("", line)
+    recorded = json.loads(LINES.read_text()) if LINES.exists() else {}
+    if os.environ.get("UPDATE_GOLDENS"):
+        recorded[key] = {"line": got, "recorded_with": HOST}
+        LINES.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
+    want, was = recorded[key]["line"], recorded[key]["recorded_with"]
+    assert got == want, (
+        f"{key}: the line differs from the one recorded with numpy {was['numpy']} on "
+        f"{was['machine']} (now numpy {HOST['numpy']} on {HOST['machine']})\n"
+        f"recorded: {want}\nnow:      {got}")
 
 
 def _cfg(objective, optimizer, T, batch_size=1, metrics_every=None, seeds=(0,)):

@@ -8,58 +8,12 @@ from vasso_opt.analysis import (delta_stability, ema_chain, ema_slope_sampler,
                                 ema_steady_state_mse, landscape_slice,
                                 lanczos_spectrum, mean_gaussian_norm,
                                 mse_suppression, noise_scale_for_snr,
-                                noisy_grad_sampler, snr_adversary_spread,
-                                track_drift)
+                                noisy_grad_sampler, snr_adversary_spread)
 from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import InvalidParameterError
 from vasso_opt.objectives import (Mlp, NoisyQuadratic, make_blobs_dataset,
                                   mlp_objective)
-from vasso_opt.optimizers import AdversaryState, sam_adversary, vasso_update
-
-
-# ---------------------------------------------------------------------------
-# drift
-
-
-def test_drift_of_constant_direction_is_zero():
-    eps = np.tile(sam_adversary(np.array([1.0, 2.0]), 0.5), (10, 1))
-    trace = track_drift(list(eps))
-    assert trace.drifts.shape == (9,)
-    assert np.all(trace.drifts == 0.0)
-
-
-def test_drift_of_antipodal_flips_is_diameter():
-    e = sam_adversary(np.array([3.0, -4.0]), 0.25)
-    trace = track_drift([e, -e, e], rho=0.25)
-    assert np.allclose(trace.drifts, [0.5, 0.5], rtol=1e-15)
-
-
-def test_drift_infers_radius_from_largest_norm():
-    e = np.array([0.3, 0.4])
-    trace = track_drift([e, -e])
-    assert trace.rho == pytest.approx(0.5, rel=1e-12)
-
-
-def test_drift_short_sequences_are_empty():
-    assert track_drift([np.ones(2)]).drifts.size == 0
-    assert track_drift([]).drifts.size == 0
-
-
-def test_drift_is_bounded_by_sphere_diameter():
-    rng = make_rng(0, 16)
-    rho = 0.7
-    eps = [sam_adversary(rng.standard_normal(6), rho) for _ in range(200)]
-    trace = track_drift(eps, rho=rho)
-    assert np.all(trace.drifts <= 2 * rho + 1e-10)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 7, 64, 257])
-def test_drift_equals_the_pairwise_loop_bit_for_bit(dim):
-    rng = make_rng(dim, 16)
-    eps = list(rng.standard_normal((30, dim)) * rng.uniform(0.1, 2.0, (30, 1)))
-    trace = track_drift(eps)
-    assert trace.drifts.tolist() == [norm2(b - a) for a, b in zip(eps, eps[1:])]
-    assert trace.rho == max(norm2(e) for e in eps)
+from vasso_opt.optimizers import AdversaryState, vasso_update
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +240,8 @@ def test_exact_direction_has_zero_gap():
 def test_zero_direction_gap_is_radius_times_gradient_norm():
     obj = NoisyQuadratic(np.ones(2))
     x = np.array([3.0, 4.0])
-    gap = delta_stability(obj, x, np.zeros(2), 0.1, 100, make_rng(0, 16))
+    gap = delta_stability(obj, x, lambda n, rng: np.zeros((n, 2)), 0.1, 100,
+                          make_rng(0, 16))
     assert gap == pytest.approx(0.5, rel=1e-12)
 
 

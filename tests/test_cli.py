@@ -544,6 +544,49 @@ def test_progress_goes_to_stderr_results_to_stdout(tmp_path, capsys):
     assert "seed=0 done" not in captured.out
 
 
+# finite final losses near the float64 maximum: seed 0's first loss
+# overflows, and seeds 1-3 end at 1.0-1.2e308 each, whose sum overflows
+HUGE_FINAL_LOSSES = dict(
+    objective={"kind": "quadratic", "diag": [1.0, 1.0], "sigma": 0.0, "init_scale": 1.2e154},
+    optimizer={"kind": "sgd", "lr": {"kind": "constant", "base": 1e-30}}, T=2)
+# a radius so large that the chord between two noisy adversaries overflows:
+# every drift cell, and so every mean_drift, is inf
+INF_DRIFT = dict(
+    objective={"kind": "quadratic", "diag": [1e-300, 1e-300], "sigma": 1.0},
+    optimizer={"kind": "sam", "rho": 1e308, "lr": {"kind": "constant", "base": 0.05}}, T=5)
+
+
+def _errors(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("vasso-opt: error:")]
+
+
+def test_the_mean_of_finite_final_losses_whose_sum_overflows_is_finite(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, **HUGE_FINAL_LOSSES)
+    rc = main(["train", "--config", cfg, "--seed", "0,1,2,3",
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 0 and _errors(capsys.readouterr().err) == []
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    summary = json.loads((tmp_path / "m.csv.summary.json").read_text(),
+                         parse_constant=reject)
+    finals = [s["final_loss"] for s in summary["per_seed"][1:]]
+    assert summary["aggregate"]["n_aborted"] == 1 and min(finals) > 1e308
+    assert summary["aggregate"]["mean_final_loss"] == sum(f / 3 for f in finals)
+
+
+def test_a_summary_value_json_cannot_hold_exits_2_naming_it_and_writes_nothing(
+        tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, **INF_DRIFT)
+    rc = main(["train", "--config", cfg, "--seed", "0,1", "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert _errors(capsys.readouterr().err) == [
+        "vasso-opt: error: the summary's per_seed[0].mean_drift is inf, which JSON "
+        "cannot hold; no file written"]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 # ---------------------------------------------------------------------------
 # comparison and sweep commands
 
@@ -572,6 +615,21 @@ def test_compare_of_identical_configs_is_all_ties(tmp_path, capsys):
                "--seed", "0,1"])
     assert rc == 0
     assert "ties=2 p_value=1.0" in capsys.readouterr().out
+
+
+def test_compare_refuses_a_metric_that_is_not_finite(tmp_path, capsys):
+    # two inf drifts differ by NaN, which is neither a win nor a tie
+    cfg_a = _write_cfg(tmp_path, "a.json", **INF_DRIFT)
+    cfg_b = _write_cfg(tmp_path, "b.json", **INF_DRIFT)
+    pairs = tmp_path / "pairs.csv"
+    rc = main(["compare", "--config-a", cfg_a, "--config-b", cfg_b, "--seed", "0,1",
+               "--metric", "mean_drift", "--out", str(pairs)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _errors(captured.err) == [
+        "vasso-opt: error: seed 0: mean_drift is inf under A and inf under B"]
+    assert not pairs.exists()
 
 
 def test_tradeoff_writes_the_sweep_table(tmp_path):

@@ -9,7 +9,7 @@ from vasso_opt.core import (DEGENERATE_NORM_TOL, MAX_SEED, STREAM_ADV_BATCH,
                             STREAM_BATCH, STREAM_DATA, STREAM_DIRECTION,
                             STREAM_GATE, STREAM_INIT, Schedule,
                             as_param_vector, make_rng, norm2,
-                            normalize_to_sphere, schedule_value)
+                            normalize_to_sphere, row_norms, schedule_value)
 from vasso_opt.errors import DimensionMismatchError, InvalidParameterError
 
 
@@ -17,6 +17,15 @@ def test_norm2_values():
     assert norm2(np.zeros(3)) == 0.0
     assert norm2(np.array([3.0, 4.0])) == 5.0
     assert norm2(np.ones(4)) == 2.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 64, 257])
+def test_row_norms_of_a_sequence_of_steps_equal_the_pairwise_loop_bit_for_bit(dim):
+    # a drift trace of adversaries already in hand: row_norms(np.diff(E, axis=0))
+    rng = make_rng(dim, 16)
+    E = rng.standard_normal((30, dim)) * rng.uniform(0.1, 2.0, (30, 1))
+    assert row_norms(np.diff(E, axis=0)).tolist() == [norm2(b - a) for a, b in zip(E, E[1:])]
+    assert row_norms(E).tolist() == [norm2(e) for e in E]
 
 
 def test_as_param_vector_validation():

@@ -3,18 +3,22 @@
 Each case runs one ``vasso-opt`` command in process, in a fresh directory
 that holds the case's configs, and compares the SHA-256 of its exit code,
 standard output, standard error and every file it writes with the digests
-in ``data/replay_sha256.json``.  Each case's entry also records the numpy
-version and machine (``platform.machine()``) it was recorded with; a
-mismatch names the command, the output, and those two values beside the
-current ones.  Regenerate the digests with UPDATE_GOLDENS=1 only in a change
-that declares which outputs it changes and why.
+in ``data/replay_sha256.json``.  The cases are the commands below, and the
+benchmark's commands at workload seeds 5 and 6, built by
+``benchmarks/workloads.py``'s ``build``.  Each case's entry also records
+the numpy version and machine (``platform.machine()``) it was recorded
+with; a mismatch names the command, the output, and those two values beside
+the current ones.  Regenerate the digests with UPDATE_GOLDENS=1 only in a
+change that declares which outputs it changes and why.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
 import platform
+import tempfile
 
 import numpy as np
 import pytest
@@ -96,35 +100,51 @@ CASES = {
 }
 
 
+# the benchmark's workload definitions, loaded by path: benchmarks/ is not a package
+_spec = importlib.util.spec_from_file_location(
+    "benchmark_workloads", pathlib.Path(__file__).parents[1] / "benchmarks" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
+BENCH_SEEDS = (5, 6)
+CONFIG_DIR = "cfg"   # relative, so no output names the directory a case runs in
+
+
+def _bench_cases() -> dict:
+    """Case name ``workload/seed/id`` -> (workload, seed, the command's index)."""
+    with tempfile.TemporaryDirectory() as folder:
+        return {f"{w}/{s}/{c['id']}": (w, s, i) for w in workloads.WORKLOADS
+                for s in BENCH_SEEDS
+                for i, c in enumerate(workloads.build(w, s, folder)["commands"])}
+
+
+BENCH_CASES = _bench_cases()
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def replay(name: str, folder: pathlib.Path, capsys) -> dict:
-    """The digests of case ``name``, run in ``folder`` (the working directory)."""
-    for file, cfg in CONFIGS.items():
-        (folder / file).write_text(json.dumps(cfg))
+def _digests(argv: list, folder: pathlib.Path, inputs, capsys) -> dict:
+    """The digests of ``main(argv)``, run in ``folder`` (the working directory)
+    beside the files named in ``inputs``, which are not digested."""
     capsys.readouterr()
-    rc = main(CASES[name])
+    rc = main(argv)
     out = capsys.readouterr()
     digests = {"exit": str(rc), "stdout": _sha(out.out.encode()),
                "stderr": _sha(out.err.encode())}
     digests.update((p.name, _sha(p.read_bytes())) for p in sorted(folder.iterdir())
-                   if p.name not in CONFIGS)
+                   if p.name not in inputs)
     return digests
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_a_command_replays_its_recorded_bytes(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    got = replay(name, tmp_path, capsys)
+def _check_recorded(name: str, argv: list, got: dict) -> None:
     recorded = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     if os.environ.get("UPDATE_GOLDENS"):
         recorded[name] = dict(got, recorded_with=HOST)
         DIGESTS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n")
     want = dict(recorded[name])
     was = want.pop("recorded_with")
-    command = " ".join(["vasso-opt", *CASES[name]])
+    command = " ".join(["vasso-opt", *argv])
     assert got["exit"] == "0", f"{command}: exit {got['exit']}"
     for output in sorted(set(want) | set(got)):
         assert got.get(output) == want.get(output), (
@@ -132,8 +152,25 @@ def test_a_command_replays_its_recorded_bytes(name, tmp_path, monkeypatch, capsy
             f"{was['machine']}, replayed with numpy {HOST['numpy']} on {HOST['machine']}")
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_a_command_replays_its_recorded_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for file, cfg in CONFIGS.items():
+        (tmp_path / file).write_text(json.dumps(cfg))
+    _check_recorded(name, CASES[name], _digests(CASES[name], tmp_path, CONFIGS, capsys))
+
+
+@pytest.mark.parametrize("name", BENCH_CASES)
+def test_a_benchmark_command_replays_its_recorded_bytes(name, tmp_path, monkeypatch,
+                                                        capsys):
+    monkeypatch.chdir(tmp_path)
+    workload, seed, i = BENCH_CASES[name]
+    argv = workloads.build(workload, seed, CONFIG_DIR)["commands"][i]["argv"]
+    _check_recorded(name, argv, _digests(argv, tmp_path, {CONFIG_DIR}, capsys))
+
+
 def test_every_case_records_the_numpy_and_machine_it_was_recorded_with():
     recorded = json.loads(DIGESTS.read_text())
-    assert sorted(recorded) == sorted(CASES)
-    for name in CASES:
+    assert sorted(recorded) == sorted([*CASES, *BENCH_CASES])
+    for name in recorded:
         assert sorted(recorded[name]["recorded_with"]) == ["machine", "numpy"], name

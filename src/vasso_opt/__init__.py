@@ -16,9 +16,9 @@ from .objectives import (Dataset, Mlp, MlpObjective, NoisyQuadratic,
                          load_dataset_csv, m_sharpness_example,
                          m_sharpness_objective, make_blobs_dataset,
                          mlp_objective)
-from .optimizers import (AdversaryState, ArmKnobs, OptimizerConfig, StepReport,
-                         base_update, sam_adversary, sam_step, sfw_solve,
-                         sgd_step, vasso_step, vasso_update)
+from .optimizers import (ArmKnobs, OptimizerConfig, StepReport, base_update,
+                         sam_adversary, sam_step, sfw_solve, sgd_step, vasso_step,
+                         vasso_update)
 from .analysis import (SpectrumEstimate, SpreadStat, delta_stability,
                        ema_slope_sampler, ema_steady_state_mse, landscape_slice,
                        lanczos_spectrum, mse_suppression, noise_scale_for_snr,

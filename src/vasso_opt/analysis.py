@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEGENERATE_NORM_TOL, block_steps, norm2, row_norms
+from .core import DEGENERATE_NORM_TOL, _scale_safe, block_steps, norm2, row_norms
 from .errors import InvalidParameterError
 
 
@@ -210,21 +210,6 @@ def noise_scale_for_snr(true_grad: np.ndarray, snr: float) -> float:
     if snr <= 0:
         raise InvalidParameterError(f"snr must be positive, got {snr}")
     return norm2(true_grad) / (snr * mean_gaussian_norm(true_grad.shape[0]))
-
-
-def _scale_safe(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``norms`` of ``rows``, redone where squaring overflowed or underflowed.
-
-    A norm is redone where it is not finite, or is 0, for a finite non-zero
-    row: the row is divided by its largest magnitude and that magnitude
-    multiplies the norm back.  Every other norm keeps its bits.
-    """
-    big = np.max(np.abs(rows), axis=1)
-    redo = np.isfinite(big) & (big > 0.0) & ~(np.isfinite(norms) & (norms > 0.0))
-    if redo.any():
-        scaled = rows[redo] / big[redo, np.newaxis]
-        norms[redo] = big[redo] * np.linalg.norm(scaled, axis=1)
-    return norms
 
 
 def snr_adversary_spread(true_grad: np.ndarray, noise_scales, n_draws: int,

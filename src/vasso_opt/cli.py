@@ -30,9 +30,9 @@ from .analysis import (check_spectrum_sizes, delta_stability, ema_slope_sampler,
                        noisy_grad_sampler, snr_adversary_spread)
 from .core import MAX_SEED, STREAM_DIRECTION, STREAM_INIT, STREAM_USER, make_rng
 from .errors import VassoOptError
-from .harness import (TRADEOFF_HEADER, Drift, build_objective, fmt, load_config,
-                      paired_compare, run_experiment, run_seeds, trained_point,
-                      tradeoff_sweep)
+from .harness import (SUMMARY_SUFFIX, TRADEOFF_HEADER, Drift, build_objective, fmt,
+                      load_config, paired_compare, run_experiment, run_seeds,
+                      trained_point, tradeoff_sweep)
 from .objectives import NoisyQuadratic
 from .optimizers import sam_adversary, sfw_solve
 
@@ -277,6 +277,7 @@ def cmd_train(args) -> int:
     if cfg.output_path is None:
         raise VassoOptError("no metrics path: give --out or set output_path in the config")
     _writable(cfg.output_path)
+    _writable(cfg.output_path + SUMMARY_SUFFIX)
     result = run_experiment(cfg, record_wallclock=args.record_wallclock)
     if result.aggregate["n_aborted"] == len(cfg.seeds):
         raise VassoOptError("every seed aborted on non-finite loss; see " +

@@ -106,6 +106,21 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
+def _scale_safe(norms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``norms`` of ``rows``, redone where squaring overflowed or underflowed.
+
+    A norm is redone where it is not finite, or is 0, for a finite non-zero
+    row: the row is divided by its largest magnitude and that magnitude
+    multiplies the norm back.  Every other norm keeps its bits.
+    """
+    big = np.max(np.abs(rows), axis=1)
+    redo = np.isfinite(big) & (big > 0.0) & ~(np.isfinite(norms) & (norms > 0.0))
+    if redo.any():
+        scaled = rows[redo] / big[redo, np.newaxis]
+        norms[redo] = big[redo] * np.linalg.norm(scaled, axis=1)
+    return norms
+
+
 def normalize_to_sphere(x: np.ndarray, rho: float) -> np.ndarray:
     """Project ``x`` radially onto the sphere of radius ``rho``.
 

@@ -50,7 +50,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (MAX_SEED, STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                   STREAM_INIT, _as_number, _Fields, block_steps, make_rng, row_norms)
+                   STREAM_INIT, _as_number, _Fields, _scale_safe, block_steps, make_rng,
+                   row_norms)
 from .core import norm2  # noqa: F401  (benchmarks/test_checks.py reads harness.norm2)
 from .errors import ConfigError, NonFiniteError, VassoOptError
 from .objectives import MlpObjective, NoisyQuadratic
@@ -337,7 +338,9 @@ class Drift(Recorder):
     Its running sum, added in step order over the row's live steps, gives
     the summary's ``mean_drift`` over the row's k-1 drift steps (0.0 under
     two).  With ``table`` the norms also fill a (T, rows) table, and a row's
-    result pairs its drift cells (t = 1..k-1) with its summary.
+    result pairs its drift cells (t = 1..k-1) with its summary.  A finite
+    drift whose square overflows is redone, on its row alone, by
+    ``core._scale_safe``.
     """
 
     def __init__(self, run, table: bool = False):
@@ -347,6 +350,9 @@ class Drift(Recorder):
     def step(self, t, x, rep):
         if self.prev is not None:
             d = row_norms(rep.epsilon - self.prev)
+            if not math.isfinite(np.add.reduce(d, None)):   # one reduction per step
+                big = np.isinf(d)   # a square that overflowed; a failed row's NaN is kept
+                d[big] = _scale_safe(d[big], rep.epsilon[big] - self.prev[big])
             np.add(self.sum, d, out=self.sum, where=self.run.live)   # a retired row's stays
             if self.table is not None:
                 self.table[t] = d
@@ -634,12 +640,15 @@ def _aggregate(summaries: list[dict]) -> dict:
     return agg
 
 
+SUMMARY_SUFFIX = ".summary.json"   # a run's summary path is its metrics path plus this
+
+
 def run_experiment(cfg: ExperimentConfig,
                    record_wallclock: bool = False) -> ExperimentResult:
     """Run every seed, write the metrics CSV and a JSON summary.
 
-    Output goes to cfg.output_path (the summary beside it with a
-    ``.summary.json`` suffix); passing output_path=None skips file output.
+    Output goes to cfg.output_path (the summary beside it with the
+    ``SUMMARY_SUFFIX``); passing output_path=None skips file output.
     The summary is strict JSON: a value it cannot hold (inf or NaN) raises
     NonFiniteError, naming its field, before either file is opened.
     """
@@ -656,7 +665,7 @@ def run_experiment(cfg: ExperimentConfig,
         text = json.dumps({"config": cfg.to_dict(), "per_seed": summaries,
                            "aggregate": aggregate}, sort_keys=True, indent=2, allow_nan=False)
         metrics_path = cfg.output_path
-        summary_path = cfg.output_path + ".summary.json"
+        summary_path = cfg.output_path + SUMMARY_SUFFIX
         with open(metrics_path, "w") as fh:
             fh.write(METRICS_HEADER + "\n")
             ints = _IntCells()   # the file's integer cells, shared by its seeds

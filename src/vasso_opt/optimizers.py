@@ -11,12 +11,13 @@ exponential moving average of the gradient with weight theta, and a
 Bernoulli(p) gate decides whether the second gradient is taken; on skipped
 steps the unperturbed gradient is reused.  theta=1 gives SAM, p=0 gives SGD,
 p=1 gives VASSO, 0<p<1 gives eVASSO, and theta=1 with the slope fed fresh
-adversary rows (``adv_batch`` > 0) gives SAM-db.  ``sgd_step`` and
-``sam_step`` are independent reference implementations of the two limits.
-``sfw_solve`` runs the Frank-Wolfe recursion over the sphere that the
-one-step adversary is a special case of.
+adversary rows (``adv_batch`` > 0) gives SAM-db.  Every kind turns its slope
+into an adversary through ``sam_adversary``, and VASSO's state is the slope
+array itself.  ``sgd_step`` and ``sam_step`` are independent reference
+implementations of the two limits.  ``sfw_solve`` runs the Frank-Wolfe
+recursion over the sphere that the one-step adversary is a special case of.
 
-``vasso_step``, ``vasso_update``, ``base_update`` and ``AdversaryState`` also
+``vasso_step``, ``vasso_update``, ``sam_adversary`` and ``base_update`` also
 take a stack of S seeds: x, batches, the slope and the momentum buffer carry
 a leading seed axis, and every row is computed exactly as the one-vector
 call on that row would compute it.  ``OptimizerConfig`` holds one validated
@@ -228,35 +229,6 @@ class ArmKnobs:
 
 
 @dataclass
-class AdversaryState:
-    """EMA slope d_t plus its cached norm (the memory-efficient form).
-
-    For a stack, ``d`` is (S, dim) and ``d_norm`` holds one norm per row.
-    """
-
-    d: np.ndarray
-    d_norm: float | np.ndarray
-
-    def epsilon(self, rho) -> np.ndarray:
-        """Reconstruct the adversary rho * d/||d|| on demand.
-
-        ``rho`` is one radius, or one per row of a stack.  The adversary is
-        zero where rho == 0, and on every row whose slope is degenerate.
-        """
-        # NaN compares false: a failed row never moves the others off this path
-        zero = np.less_equal(self.d_norm, DEGENERATE_NORM_TOL)
-        if isinstance(rho, np.ndarray):
-            zero |= rho == 0.0
-        elif rho == 0.0:
-            return np.zeros(self.d.shape)
-        if not np.count_nonzero(zero):
-            return np.divide(rho, self.d_norm)[..., np.newaxis] * self.d
-        eps = np.divide(rho, np.where(zero, 1.0, self.d_norm))[..., np.newaxis] * self.d
-        eps[zero] = 0.0
-        return eps
-
-
-@dataclass
 class StepReport:
     """What a step did; for a stack every field but ``epsilon`` may be per row."""
 
@@ -266,25 +238,39 @@ class StepReport:
     failed: np.ndarray | None = None   # rows with a non-finite value (stacks only)
 
 
-def sam_adversary(g: np.ndarray, rho: float) -> np.ndarray:
-    """epsilon = rho * g/||g||, or zero when rho == 0 or g is degenerate."""
-    if rho < 0:
+def sam_adversary(g: np.ndarray, rho) -> np.ndarray:
+    """The adversary rho * g/||g|| of slope g, or of each row of a stack.
+
+    Every kind's step forms its adversary here.  ``rho`` is one radius, or
+    one per row, and a negative one raises.  The adversary is zero where
+    rho == 0 and on every row whose norm is degenerate.
+    """
+    per_row = isinstance(rho, np.ndarray)   # only an array is reduced
+    if np.less(rho, 0.0).any() if per_row else rho < 0:
         raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    if rho == 0.0:
-        return np.zeros_like(g)
-    return normalize_to_sphere(g, rho)
+    if not per_row and rho == 0.0:
+        return np.zeros(g.shape)
+    norm = row_norms(g)
+    # NaN compares false: a failed row never moves the others off this path
+    zero = np.less_equal(norm, DEGENERATE_NORM_TOL)
+    if per_row:
+        zero |= rho == 0.0
+    if not np.count_nonzero(zero):
+        return np.divide(rho, norm)[..., np.newaxis] * g
+    eps = np.divide(rho, np.where(zero, 1.0, norm))[..., np.newaxis] * g
+    eps[zero] = 0.0
+    return eps
 
 
-def vasso_update(state: AdversaryState | None, g: np.ndarray, theta, rho
-                 ) -> tuple[AdversaryState, np.ndarray]:
-    """One EMA update d <- (1-theta) d + theta g, plus the resulting adversary.
+def vasso_update(d: np.ndarray | None, g: np.ndarray, theta, rho
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One EMA update d <- (1-theta) d + theta g of the slope, and its adversary.
 
-    ``state=None`` means the warm start d_{-1} := g, so the first adversary
-    coincides with SAM's regardless of theta.  For a stack, theta may be an
-    (S, 1) column and rho one radius per row.  ``theta`` may also be the
-    ``ArmKnobs`` that hold it: their configs validated theta and the knobs
-    settled 1 - theta once per run, so the step checks and subtracts
-    nothing.  A number or column is checked here on every call.
+    The adversary is ``sam_adversary(d, rho)``; ``d=None`` is the warm start
+    d_{-1} := g, so the first one is SAM's whatever theta.  For a stack,
+    theta may be an (S, 1) column and rho one radius per row.  ``theta`` may
+    also be the ``ArmKnobs`` that hold it, which validated theta and settled
+    1 - theta once per run; a number or column is checked on every call.
     """
     if isinstance(theta, ArmKnobs):
         theta, keep = theta.theta, theta.keep
@@ -294,11 +280,9 @@ def vasso_update(state: AdversaryState | None, g: np.ndarray, theta, rho
         if not ok:
             raise InvalidParameterError(f"theta must be in (0,1], got {theta}")
         keep = 1.0 - theta
-    prev = g if state is None else state.d
-    d = keep * prev
-    d += theta * g
-    new_state = AdversaryState(d=d, d_norm=row_norms(d))
-    return new_state, new_state.epsilon(rho)
+    new = keep * (g if d is None else d)
+    new += theta * g
+    return new, sam_adversary(new, rho)
 
 
 def _is_zero(knob) -> bool:
@@ -377,23 +361,24 @@ def _fail(failed, ok, message: str, t: int):
     return ~ok if failed is None else failed | ~ok
 
 
-def vasso_step(obj, x, state: AdversaryState | None, batch, cfg: ArmKnobs, rng, *,
+def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, rng, *,
                t: int = 0, momentum_buffer=None, adv_batch=None):
     """One sharpness-aware step with knobs theta, p, rho and ``fresh`` from ``cfg``.
 
-    The EMA slope is fed the gradient on ``adv_batch`` on the fresh rows
-    (SAM-db) and on ``batch`` otherwise.  ``adv_batch`` is given exactly
-    when some row is fresh; the other rows' entries there are never read.
-    For p > 0 the slope is updated on every step, whether or not the gate
-    opens.  ``rng.random`` draws the Bernoulli(p) gates only when 0 < p < 1,
-    one uniform per row of a stack, in row order; a forced outcome consumes
-    no draw.  p=0 returns right after the base update: one gradient
-    evaluation and no slope work, exactly SGD, its adversary zero.  With an
-    adversary batch and p=1 the gradient at x on ``batch`` is never used, so
-    only its loss is computed, and the slope's gradient is taken on every
-    row: on ``adv_batch`` where the row is fresh and on ``batch`` elsewhere.
-    Otherwise only the fresh rows take a gradient on ``adv_batch``, and the
-    other rows' slope is their gradient at x.
+    ``state`` is the EMA slope d, an array (None at the warm start), fed the
+    gradient on ``adv_batch`` on the fresh rows (SAM-db) and on ``batch``
+    otherwise.  ``adv_batch`` is given exactly when some row is fresh; the
+    other rows' entries there are never read.  For p > 0 the slope is
+    updated on every step, whether or not the gate opens.  ``rng.random``
+    draws the Bernoulli(p) gates only when 0 < p < 1, one uniform per row of
+    a stack, in row order; a forced outcome consumes no draw.  p=0 returns
+    right after the base update: one gradient evaluation and no slope work,
+    exactly SGD, its adversary zero.  With an adversary batch and p=1 the
+    gradient at x on ``batch`` is never used, so only its loss is computed,
+    and the slope's gradient is taken on every row: on ``adv_batch`` where
+    the row is fresh and on ``batch`` elsewhere.  Otherwise only the fresh
+    rows take a gradient on ``adv_batch``, and the other rows' slope is
+    their gradient at x.
 
     When some gates of a stack stay closed, the second gradient is taken on
     the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps

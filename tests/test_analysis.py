@@ -13,7 +13,7 @@ from vasso_opt.core import make_rng, norm2
 from vasso_opt.errors import InvalidParameterError
 from vasso_opt.objectives import (Mlp, NoisyQuadratic, make_blobs_dataset,
                                   mlp_objective)
-from vasso_opt.optimizers import AdversaryState, vasso_update
+from vasso_opt.optimizers import vasso_update
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +60,14 @@ def _mse_suppression_step_by_step(obj, x_fixed, theta, n_steps, rng):
     truth = obj.full_grad(x_fixed)
     sampler = obj.make_sampler(1, rng)
     burn = math.ceil(10.0 / theta)
-    state = None
+    d = None
     acc_d = 0.0
     acc_g = 0.0
     for i in range(burn + n_steps):
         g = obj.grad(x_fixed, sampler())
-        state, _ = vasso_update(state, g, theta, 0.0)
+        d, _ = vasso_update(d, g, theta, 0.0)
         if i >= burn:
-            acc_d += _square(norm2(state.d - truth))
+            acc_d += _square(norm2(d - truth))
             acc_g += _square(norm2(g - truth))
     return acc_d / n_steps, acc_g / n_steps
 
@@ -152,10 +152,10 @@ def test_chain_matches_sequential_updates_exactly():
     gs = rng.standard_normal((500, 4))
     theta = 0.3
     chain = ema_chain(gs, theta)
-    state = None
+    d = None
     for t in range(500):
-        state, _ = vasso_update(state, gs[t], theta, 1.0)
-        assert np.array_equal(chain[t], state.d)
+        d, _ = vasso_update(d, gs[t], theta, 1.0)
+        assert np.array_equal(chain[t], d)
 
 
 def test_chain_accepts_explicit_warm_start():
@@ -166,11 +166,10 @@ def test_chain_accepts_explicit_warm_start():
 
 
 def _update_loop(gs, theta, d_init=None):
-    state = None if d_init is None else AdversaryState(d_init, norm2(d_init))
-    states = []
+    d, states = d_init, []
     for g in gs:
-        state, _ = vasso_update(state, g, theta, 1.0)
-        states.append(state.d)
+        d, _ = vasso_update(d, g, theta, 1.0)
+        states.append(d)
     return np.array(states)
 
 

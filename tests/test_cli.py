@@ -261,6 +261,20 @@ def test_a_config_output_path_in_no_directory_exits_2_before_training(
     assert runs == [] and [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_a_summary_path_that_is_a_directory_exits_2_before_training(
+        tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(tmp_path, T=5)
+    out, summary = tmp_path / "m.csv", tmp_path / "m.csv.summary.json"
+    summary.mkdir()
+    steps = []
+    monkeypatch.setattr(harness, "vasso_step",
+                        lambda *a, real=harness.vasso_step, **k: steps.append(a) or real(*a, **k))
+    assert main(["train", "--config", cfg, "--seed", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"vasso-opt: error: cannot write {summary}: it is a directory"]
+    assert steps == [] and not out.exists()
+
+
 def test_main_leaves_the_callers_logging_as_it_found_it(tmp_path, monkeypatch, capsys):
     host = logging.FileHandler(tmp_path / "host.log")
     logging.root.addHandler(host)
@@ -585,6 +599,23 @@ def test_a_summary_value_json_cannot_hold_exits_2_naming_it_and_writes_nothing(
         "vasso-opt: error: the summary's per_seed[0].mean_drift is inf, which JSON "
         "cannot hold; no file written"]
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+# a radius whose drifts are finite (at most 2e200) though their squares overflow
+BIG_FINITE_DRIFT = dict(INF_DRIFT, T=20, optimizer=dict(INF_DRIFT["optimizer"], rho=1e200))
+
+
+def test_a_finite_drift_whose_square_overflows_stays_finite(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, **BIG_FINITE_DRIFT)
+    out = tmp_path / "drift.csv"
+    assert main(["stability", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    drifts = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(drifts) == 19 and all(0.0 < d <= 2e200 for d in drifts)
+    assert main(["train", "--config", cfg, "--seed", "0,1",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    summary = json.loads((tmp_path / "m.csv.summary.json").read_text())
+    assert all(0.0 < s["mean_drift"] <= 2e200 for s in summary["per_seed"])
+    assert _errors(capsys.readouterr().err) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,21 @@ seed of a stack, whatever the other seeds of the stack do.
 import json
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from vasso_opt import core, harness
 from vasso_opt.core import (STREAM_ADV_BATCH, STREAM_BATCH, STREAM_GATE,
-                            Schedule, make_rng, norm2, row_norms)
+                            Schedule, make_rng, norm2)
 from vasso_opt.cli import main
 from vasso_opt.errors import NonFiniteError
 from vasso_opt.harness import (METRICS_HEADER, Columns, Drift, FinalX, MetricsColumns,
                                MetricsRow, build_objective, init_x,
                                parse_config, run_experiment, run_seed, run_seeds)
 from vasso_opt.objectives import EpochSampler, Mlp, MlpObjective, NoisyQuadratic
-from vasso_opt.optimizers import AdversaryState, ArmKnobs, OptimizerConfig, vasso_step
+from vasso_opt.optimizers import ArmKnobs, OptimizerConfig, sam_adversary, vasso_step
 
 
 def reference_run(cfg, seed):
@@ -235,8 +236,8 @@ BESIDE_A_NAN_ROW = pytest.mark.parametrize(
 @BESIDE_A_NAN_ROW
 def test_a_nan_slope_row_leaves_the_adversary_of_the_others_alone(slope):
     d = np.array([[np.nan, 0.0, 0.0], slope])
-    eps = AdversaryState(d, row_norms(d)).epsilon(0.1)
-    alone = AdversaryState(d[1:], row_norms(d[1:])).epsilon(0.1)
+    eps = sam_adversary(d, 0.1)
+    alone = sam_adversary(d[1:], 0.1)
     assert eps[1].tolist() == alone[0].tolist() == [0.0, 0.0, 0.0]
 
 
@@ -250,8 +251,7 @@ def test_a_nan_gradient_row_leaves_the_step_of_the_others_alone(slope):
     x_one, state_one, rep_one, _ = vasso_step(obj, x[1:], None, batch[1:], cfg, None)
     assert rep.failed.tolist() == [True, False]
     for stack, one in ((x_new, x_one), (rep.epsilon, rep_one.epsilon),
-                       (rep.loss, rep_one.loss), (state.d, state_one.d),
-                       (state.d_norm, state_one.d_norm)):
+                       (rep.loss, rep_one.loss), (state, state_one)):
         assert np.array_equal(stack[1], one[0])
 
 
@@ -509,6 +509,16 @@ def test_a_stack_whose_gate_never_opens_drifts_by_plus_zero():
     for t in range(2):
         eps = vasso_step(obj, x, None, np.zeros((3, 5)), knobs, None, t=t)[2].epsilon
         assert eps.shape == x.shape and not eps.any() and not np.signbit(eps).any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_a_drift_redone_for_overflow_leaves_the_other_rows_bits_alone():
+    # row 0's squared drift overflows; row 1's underflows to 0.0, as it does alone
+    eps = np.array([[1e200, 0.0], [1e-170, 0.0]])
+    rec = Drift(SimpleNamespace(n=2, T=2, live=np.ones(2, bool)), table=True)
+    rec.step(0, None, SimpleNamespace(epsilon=-eps))
+    rec.step(1, None, SimpleNamespace(epsilon=eps))
+    assert rec.table[1].tolist() == [2e200, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from vasso_opt.core import Schedule, make_rng, norm2, schedule_value
 from vasso_opt.errors import InvalidParameterError, NonFiniteError
 from vasso_opt.harness import Columns, FinalX, parse_config, run_seeds
 from vasso_opt.objectives import NoisyQuadratic
-from vasso_opt.optimizers import (AdversaryState, ArmKnobs, OptimizerConfig,
-                                  base_update, sam_adversary, sam_step, sfw_solve,
-                                  sgd_step, vasso_step, vasso_update)
+from vasso_opt.optimizers import (ArmKnobs, OptimizerConfig, base_update,
+                                  sam_adversary, sam_step, sfw_solve, sgd_step,
+                                  vasso_step, vasso_update)
 
 
 def _cfg(**kw):
@@ -94,43 +94,56 @@ def test_adversary_is_feasible_and_aligned(g, rho):
         assert float(g @ eps) == pytest.approx(rho * norm2(g), rel=1e-10)
 
 
+def test_a_stack_adversary_equals_each_rows_own():
+    rng = make_rng(4, 16)
+    g = rng.standard_normal((6, 5)) * np.array([[1.0], [1e3], [1e-3], [1.0], [1.0], [1.0]])
+    g[3] = [1e-13, 0.0, 0.0, 0.0, 0.0]   # degenerate
+    g[4, 2] = np.nan
+    rhos = np.array([0.1, 0.0, 2.5, 0.3, 0.7, 1.0])   # one radius of 0
+    eps = sam_adversary(g, rhos)
+    for row, rho, e in zip(g, rhos, eps):
+        assert sam_adversary(row, float(rho)).tobytes() == e.tobytes()
+    assert not eps[1].any() and not eps[3].any() and np.isnan(eps[4]).all()
+    # one shared radius equals one radius per row that holds it
+    assert sam_adversary(g, 0.7).tobytes() == sam_adversary(g, np.full(6, 0.7)).tobytes()
+    for bad in (-0.5, np.where(rhos == 2.5, -2.5, rhos)):   # a float, and inside an array
+        with pytest.raises(InvalidParameterError, match="rho must be >= 0"):
+            sam_adversary(g, bad)
+
+
 # ---------------------------------------------------------------------------
 # the averaged slope
 
 
 def test_slope_update_hand_example():
-    state = AdversaryState(d=np.array([1.0, 0.0]), d_norm=1.0)
-    state, eps = vasso_update(state, np.array([0.0, 1.0]), 0.5, math.sqrt(2.0))
-    assert np.array_equal(state.d, [0.5, 0.5])
+    d, eps = vasso_update(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5, math.sqrt(2.0))
+    assert np.array_equal(d, [0.5, 0.5])
     assert np.allclose(eps, [1.0, 1.0], rtol=1e-15)
 
 
 def test_slope_update_theta_one_reduces_to_raw_gradient():
-    state = AdversaryState(d=np.array([9.0, 9.0]), d_norm=norm2(np.array([9.0, 9.0])))
-    state, eps = vasso_update(state, np.array([3.0, 4.0]), 1.0, 0.5)
-    assert np.array_equal(state.d, [3.0, 4.0])
+    d, eps = vasso_update(np.array([9.0, 9.0]), np.array([3.0, 4.0]), 1.0, 0.5)
+    assert np.array_equal(d, [3.0, 4.0])
     assert np.allclose(eps, [0.3, 0.4], rtol=1e-15)
 
 
 def test_slope_warm_start_matches_plain_adversary():
     g = np.array([0.3, -1.2, 0.4])
-    state, eps = vasso_update(None, g, 0.2, 0.7)
-    assert np.allclose(state.d, g, rtol=1e-15)
+    d, eps = vasso_update(None, g, 0.2, 0.7)
+    assert np.allclose(d, g, rtol=1e-15)
     assert np.allclose(eps, sam_adversary(g, 0.7), rtol=1e-14, atol=1e-16)
 
 
 def test_slope_state_invariants():
     rng = make_rng(0, 16)
-    state = None
+    d = None
     for _ in range(50):
         g = rng.standard_normal(5)
-        state, eps = vasso_update(state, g, 0.3, 0.9)
-        assert state.d_norm == pytest.approx(norm2(state.d), abs=1e-12)
+        d, eps = vasso_update(d, g, 0.3, 0.9)
         # adversary and slope share a direction
-        assert float(eps @ state.d) == pytest.approx(0.9 * state.d_norm,
-                                                     rel=1e-10)
-        # reconstruction on demand reproduces the same vector
-        assert np.allclose(state.epsilon(0.9), eps, rtol=1e-12, atol=1e-15)
+        assert float(eps @ d) == pytest.approx(0.9 * norm2(d), rel=1e-10)
+        # the adversary is the slope's plain adversary
+        assert np.array_equal(sam_adversary(d, 0.9), eps)
 
 
 def test_slope_update_rejects_bad_theta():

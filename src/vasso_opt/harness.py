@@ -276,14 +276,13 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     width)`` steps, where ``width`` counts the floats a row draws per step
     across all the run's block streams: each stream passes the same width,
     so they draw the same steps per block and their blocks share one
-    budget.  ``samplers`` is read at the first step's draw: samplers made
-    lazily are made only if a step asks.  With ``epochs`` the samplers are
-    epoch samplers, which share their sizes, and draw an epoch at a time: at
-    the epoch's first step each draws its whole order (``next_epoch``), and
-    the rows' orders form one (rows, n) table whose column slices are the
-    epoch's batches, as the samplers' own calls would give them, the short
-    last one included: epoch k is the ``batches_per_epoch`` steps from step
-    k * ``batches_per_epoch``.  An epoch table does not count in ``width``.
+    budget.  With ``epochs`` the samplers are epoch samplers, which share
+    their sizes, and draw an epoch at a time: at the epoch's first step each
+    draws its whole order (``next_epoch``), and the rows' orders form one
+    (rows, n) table whose column slices are the epoch's batches, as the
+    samplers' own calls would give them, the short last one included: epoch
+    k is the ``batches_per_epoch`` steps from step k * ``batches_per_epoch``.
+    An epoch table does not count in ``width``.
 
     A block stream holds one resident (k, rows[, dim]) block, allocated at
     its first draw and refilled in place at every later block; each seed's
@@ -339,8 +338,8 @@ class Drift(Recorder):
     the summary's ``mean_drift`` over the row's k-1 drift steps (0.0 under
     two).  With ``table`` the norms also fill a (T, rows) table, and a row's
     result pairs its drift cells (t = 1..k-1) with its summary.  A finite
-    drift whose square overflows is redone, on its row alone, by
-    ``core._scale_safe``.
+    drift whose square overflows, or underflows to 0 on a row that moved, is
+    redone, on its row alone, by ``core._scale_safe``.
     """
 
     def __init__(self, run, table: bool = False):
@@ -349,10 +348,12 @@ class Drift(Recorder):
 
     def step(self, t, x, rep):
         if self.prev is not None:
-            d = row_norms(rep.epsilon - self.prev)
-            if not math.isfinite(np.add.reduce(d, None)):   # one reduction per step
-                big = np.isinf(d)   # a square that overflowed; a failed row's NaN is kept
-                d[big] = _scale_safe(d[big], rep.epsilon[big] - self.prev[big])
+            d = row_norms(diff := rep.epsilon - self.prev)
+            if not (math.isfinite(np.add.reduce(d, None)) and d.all()):
+                redo, zero = np.isinf(d), d == 0.0   # a failed row's NaN is kept
+                redo[zero] = diff[zero].any(axis=1)
+                if redo.any():
+                    d[redo] = _scale_safe(d[redo], diff[redo])
             np.add(self.sum, d, out=self.sum, where=self.run.live)   # a retired row's stays
             if self.table is not None:
                 self.table[t] = d
@@ -470,10 +471,12 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
     under arm a, through ``vasso_step`` with the arms' knobs (``ArmKnobs``,
     whose knobs are scalars where every arm shares them).  Each row keeps its
     seed's data, initial point and Philox streams: the rows of one seed
-    read the same batches, adversary batches and gate draws, each drawn
-    once.  A row flagged in ``rep.failed`` is retired at that step
-    (``aborted_at``) and the others run on, to T or until none is live; the
-    row stays in the stack, but nothing it computes after that step is read.
+    read the same batches, adversary batches and gate uniforms, each drawn
+    once and zipped into the step; a stream that no row reads (adversary
+    batches with no fresh arm, uniforms with no random gate) gives None.  A
+    row flagged in ``rep.failed`` is retired at that step (``aborted_at``)
+    and the others run on, to T or until none is live; the row stays in the
+    stack, but nothing it computes after that step is read.
 
     The loop steps the stack and alone retires rows: it keeps the live mask
     (``run.live``) and freezes a retired row's step count, its grad-eval
@@ -526,11 +529,10 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
              for o, s in zip(objs, seeds)], T, width, seed_of, epochs=epochs)
-    # one uniform per seed and step, from streams made at the first draw; a
-    # step's draw holds the uniform of every row that the step's gates ask for
-    gate_draws = _batch_stream((make_rng(s, STREAM_GATE).random for s in seeds),
-                               T, width, seed_of)
-    gates = SimpleNamespace(random=lambda rows: next(gate_draws))
+    gates = itertools.repeat(None)   # a forced gate reads no uniform
+    if ocfg.gated:   # one uniform per seed and step, which the seed's rows read
+        gates = _batch_stream([make_rng(s, STREAM_GATE).random for s in seeds],
+                              T, width, seed_of)
     obj = type(objs[0]).stack([objs[i] for i in seed_of])
     objs.clear()   # the stack holds all it reads of them
 
@@ -550,8 +552,8 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
         live[mask] = False
 
     state = buf = None
-    for t, batch, adv_batch in zip(range(T), batches, adv_batches):
-        x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gates, t=t,
+    for t, batch, adv_batch, u in zip(range(T), batches, adv_batches, gates):
+        x_new, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, u, t=t,
                                             momentum_buffer=buf, adv_batch=adv_batch)
         if rep.failed is not None:   # a retired row may be flagged again
             retire(rep.failed, t)

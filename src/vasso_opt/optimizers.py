@@ -9,13 +9,15 @@ schedules and is passed keyword-only.
 ``vasso_step`` is the one step the harness runs.  Its adversary follows an
 exponential moving average of the gradient with weight theta, and a
 Bernoulli(p) gate decides whether the second gradient is taken; on skipped
-steps the unperturbed gradient is reused.  theta=1 gives SAM, p=0 gives SGD,
-p=1 gives VASSO, 0<p<1 gives eVASSO, and theta=1 with the slope fed fresh
-adversary rows (``adv_batch`` > 0) gives SAM-db.  Every kind turns its slope
-into an adversary through ``sam_adversary``, and VASSO's state is the slope
-array itself.  ``sgd_step`` and ``sam_step`` are independent reference
-implementations of the two limits.  ``sfw_solve`` runs the Frank-Wolfe
-recursion over the sphere that the one-step adversary is a special case of.
+steps the unperturbed gradient is reused.  The gate's uniforms are an input
+of the step, as its batches are: this module draws nothing.  theta=1 gives
+SAM, p=0 gives SGD, p=1 gives VASSO, 0<p<1 gives eVASSO, and theta=1 with
+the slope fed fresh adversary rows (``adv_batch`` > 0) gives SAM-db.  Every
+kind turns its slope into an adversary through ``sam_adversary``, and
+VASSO's state is the slope array itself.  ``sgd_step`` and ``sam_step`` are
+independent reference implementations of the two limits.  ``sfw_solve``
+runs the Frank-Wolfe recursion over the sphere that the one-step adversary
+is a special case of.
 
 ``vasso_step``, ``vasso_update``, ``sam_adversary`` and ``base_update`` also
 take a stack of S seeds: x, batches, the slope and the momentum buffer carry
@@ -164,8 +166,7 @@ class ArmKnobs:
     the slope reads fresh adversary rows) hold one value per row.  An
     elementwise product with a column equals the product with the row's
     scalar, so every row steps bit for bit as a stack of its arm alone
-    would.  ``gate`` draws only when some row has 0 < p < 1 (``gated``);
-    rows of p 0 and 1 read the outcome their p forces.
+    would.  ``gated``: some row has 0 < p < 1, so the step reads gate uniforms.
 
     What does not change over a run is settled here, once: the EMA's
     ``keep`` = 1 - theta, the lr and rho of schedules that do not depend on
@@ -221,11 +222,6 @@ class ArmKnobs:
         if self._rho_value is not None and 0 <= t < self._t_end:
             return self._rho_value
         return self._knob([c.rho_at(t) for c in self._rho], column=False)
-
-    def gate(self, rng, rows=None):
-        """The outcome of each of ``rows`` rows' gates, or of one gate: one
-        ``rng.random`` uniform per row, in row order, when some p is random."""
-        return rng.random(rows) < self.p if self.gated else self._forced
 
 
 @dataclass
@@ -361,7 +357,7 @@ def _fail(failed, ok, message: str, t: int):
     return ~ok if failed is None else failed | ~ok
 
 
-def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, rng, *,
+def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, u, *,
                t: int = 0, momentum_buffer=None, adv_batch=None):
     """One sharpness-aware step with knobs theta, p, rho and ``fresh`` from ``cfg``.
 
@@ -369,16 +365,17 @@ def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, rng, *,
     gradient on ``adv_batch`` on the fresh rows (SAM-db) and on ``batch``
     otherwise.  ``adv_batch`` is given exactly when some row is fresh; the
     other rows' entries there are never read.  For p > 0 the slope is
-    updated on every step, whether or not the gate opens.  ``rng.random``
-    draws the Bernoulli(p) gates only when 0 < p < 1, one uniform per row of
-    a stack, in row order; a forced outcome consumes no draw.  p=0 returns
-    right after the base update: one gradient evaluation and no slope work,
-    exactly SGD, its adversary zero.  With an adversary batch and p=1 the
-    gradient at x on ``batch`` is never used, so only its loss is computed,
-    and the slope's gradient is taken on every row: on ``adv_batch`` where
-    the row is fresh and on ``batch`` elsewhere.  Otherwise only the fresh
-    rows take a gradient on ``adv_batch``, and the other rows' slope is
-    their gradient at x.
+    updated on every step, whether or not the gate opens.  A row's gate
+    opens when its uniform in ``u`` is below p.  ``u`` holds one per row (a
+    float for one vector) when some 0 < p < 1 (``cfg.gated``), else it is
+    not read and may be None; a wrong count raises InvalidParameterError.
+    p=0 returns right after the base update: one gradient evaluation and no
+    slope work, exactly SGD, its adversary zero.  With an adversary batch
+    and p=1 the gradient at x on ``batch`` is never used, so only its loss
+    is computed, and the slope's gradient is taken on every row: on
+    ``adv_batch`` where the row is fresh and on ``batch`` elsewhere.
+    Otherwise only the fresh rows take a gradient on ``adv_batch``, and the
+    other rows' slope is their gradient at x.
 
     When some gates of a stack stay closed, the second gradient is taken on
     the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps
@@ -393,6 +390,8 @@ def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, rng, *,
     fresh = cfg.fresh   # False, True, or one per row when the arms differ
     if (adv_batch is None) != (fresh is False):
         raise InvalidParameterError("adv_batch is given exactly when some row is fresh")
+    if cfg.gated and (u is None or np.shape(u) != x.shape[:-1]):
+        raise InvalidParameterError("a random gate reads one uniform per row")
     failed = None
     if adv_batch is not None and cfg.always_opens:
         loss, g = obj.loss(x, batch), None
@@ -418,7 +417,7 @@ def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, rng, *,
         failed = _fail(failed, _finite_rows(g_adv),
                        "non-finite gradient on the adversary batch", t)
     state, eps = vasso_update(state, g_adv, cfg, cfg.rho_at(t))
-    opened = cfg.gate(rng, len(x) if x.ndim > 1 else None)   # one outcome per row
+    opened = u < cfg.p if cfg.gated else cfg._forced   # one outcome per row
     n_closed = 0 if cfg.always_opens else np.count_nonzero(np.logical_not(opened))
     if not n_closed:
         g_upd = obj.grad(x + eps, batch)

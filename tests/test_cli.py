@@ -67,6 +67,22 @@ def test_the_cli_imports_no_scipy():
     assert out == "[] True\n"
 
 
+def test_the_package_namespace_holds_only_its_modules():
+    # each name is imported from its module, vasso_opt.<module>
+    public = {k: v for k, v in vars(vasso_opt).items() if not k.startswith("_")}
+    assert "cli" in public
+    assert {k: getattr(v, "__name__", None) for k, v in public.items()} == \
+        {k: f"vasso_opt.{k}" for k in public}
+
+
+@pytest.mark.parametrize("module", ["core", "errors", "objectives", "optimizers",
+                                    "analysis", "harness", "cli"])
+def test_each_module_imports_on_its_own(module):
+    # the package imports none of its modules, so a cycle would show here
+    done = _fresh_python("-c", f"import vasso_opt.{module}")
+    assert done.returncode == 0, done.stderr
+
+
 # ---------------------------------------------------------------------------
 # help output, golden-file pinned (regenerate with UPDATE_GOLDENS=1)
 
@@ -615,6 +631,26 @@ def test_a_finite_drift_whose_square_overflows_stays_finite(tmp_path, capsys):
                  "--out", str(tmp_path / "m.csv")]) == 0
     summary = json.loads((tmp_path / "m.csv.summary.json").read_text())
     assert all(0.0 < s["mean_drift"] <= 2e200 for s in summary["per_seed"])
+    assert _errors(capsys.readouterr().err) == []
+
+
+# a radius whose drifts (about 1.6e-171 to 6.0e-171) are positive though
+# their squares underflow
+TINY_DRIFT = dict(
+    objective={"kind": "quadratic", "diag": [1.0, 2.0], "sigma": 1.0},
+    optimizer={"kind": "sam", "rho": 1e-170, "lr": {"kind": "constant", "base": 0.05}}, T=6)
+
+
+def test_a_positive_drift_whose_square_underflows_stays_positive(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, **TINY_DRIFT)
+    out = tmp_path / "drift.csv"
+    assert main(["stability", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    drifts = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert len(drifts) == 5 and all(1e-171 < d <= 2e-170 for d in drifts)
+    assert main(["train", "--config", cfg, "--seed", "0,1",
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    summary = json.loads((tmp_path / "m.csv.summary.json").read_text())
+    assert all(1e-171 < s["mean_drift"] <= 2e-170 for s in summary["per_seed"])
     assert _errors(capsys.readouterr().err) == []
 
 

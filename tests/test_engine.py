@@ -46,8 +46,8 @@ def reference_run(cfg, seed):
         fg_norm = norm2(obj.full_grad(x)) if t % cfg.metrics_every == 0 else None
         adv_batch = None if adv_sampler is None else adv_sampler()
         try:
-            x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg, gate_rng,
-                                            t=t, momentum_buffer=buf,
+            x, state, rep, buf = vasso_step(obj, x, state, batch, ocfg,
+                                            gate_rng.random(), t=t, momentum_buffer=buf,
                                             adv_batch=adv_batch)
         except NonFiniteError:
             aborted_at = t
@@ -297,6 +297,35 @@ def test_each_seed_draws_its_gate_once_per_step_only_when_random(p, draws,
             assert (seed, STREAM_GATE) not in made
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_the_step_is_handed_each_seeds_gate_uniform_only_when_a_gate_is_random(
+        p, monkeypatch):
+    # two arms over three seeds: a step's u holds each seed's next uniform on
+    # both of its rows; a forced gate builds no gate stream and is handed None
+    handed, real_step = [], vasso_step
+
+    def spy(obj, x, state, batch, cfg, u, **kwargs):
+        handed.append(None if u is None else u.copy())   # a view of the block
+        return real_step(obj, x, state, batch, cfg, u, **kwargs)
+
+    made = _capture_gates(monkeypatch)
+    monkeypatch.setattr(harness, "vasso_step", spy)
+    cfg = parse_config({
+        "objective": OBJECTIVES["quadratic-diag"],
+        "optimizer": {"kind": "evasso", "rho": 0.1, "p": p,
+                      "lr": {"kind": "constant", "base": 0.05}},
+        "T": 40, "batch_size": 1, "seeds": [2, 5, 8]})
+    harness.run_arms([cfg, cfg.derive(optimizer={"rho": 0.2})], [2, 5, 8])
+    if p in (0.0, 1.0):
+        assert handed == [None] * 40
+        assert not [key for key in made if key[1] == STREAM_GATE]
+        return
+    refs = [make_rng(s, STREAM_GATE) for s in (2, 5, 8)]
+    want = [np.tile([ref.random() for ref in refs], 2) for _ in range(40)]
+    assert np.array(handed).tobytes() == np.array(want).tobytes()
+    assert [_draws_taken(made[s, STREAM_GATE], s) for s in (2, 5, 8)] == [40] * 3
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_a_retired_seed_keeps_its_row_until_the_run_ends(monkeypatch):
     shapes, real_step = [], vasso_step
@@ -513,12 +542,13 @@ def test_a_stack_whose_gate_never_opens_drifts_by_plus_zero():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_a_drift_redone_for_overflow_leaves_the_other_rows_bits_alone():
-    # row 0's squared drift overflows; row 1's underflows to 0.0, as it does alone
-    eps = np.array([[1e200, 0.0], [1e-170, 0.0]])
-    rec = Drift(SimpleNamespace(n=2, T=2, live=np.ones(2, bool)), table=True)
+    # row 0's squared drift overflows and row 1's underflows, each redone on
+    # its own row; row 2 needs no redo, and row 3, which did not move, drifts by 0
+    eps = np.array([[1e200, 0.0], [1e-170, 0.0], [3.0, 4.0], [0.0, 0.0]])
+    rec = Drift(SimpleNamespace(n=4, T=2, live=np.ones(4, bool)), table=True)
     rec.step(0, None, SimpleNamespace(epsilon=-eps))
     rec.step(1, None, SimpleNamespace(epsilon=eps))
-    assert rec.table[1].tolist() == [2e200, 0.0]
+    assert rec.table[1].tolist() == [2e200, 2e-170, 10.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -379,37 +379,37 @@ def test_gate_probability_zero_reuses_unperturbed_gradient():
         assert np.array_equal(ra.epsilon, np.zeros(2))
 
 
-def test_gate_draws_once_per_step_only_when_the_outcome_is_random():
+def test_a_stacks_row_opens_exactly_when_its_uniform_is_below_its_p():
     obj = _quad(sigma=0.2)
-    for p, draws in ((0.0, 0), (0.5, 25), (1.0, 0)):
-        cfg = _knobs(rho=0.1, p=p)
-        gate = make_rng(9, 3)
-        x, state = np.array([1.0, 1.0]), None
-        sampler = obj.make_sampler(1, make_rng(9, 1))
-        for t in range(25):
-            x, state, _, _ = vasso_step(obj, x, state, sampler(), cfg, gate,
-                                        t=t)
-        reference = make_rng(9, 3)
-        reference.random(draws)
-        assert gate.random() == reference.random()
-
-
-def test_a_directly_stepped_stack_draws_one_gate_per_row():
-    obj = _quad(sigma=0.2)
-    knobs = _knobs(rho=0.1, p=0.5)
-    gate, reference = make_rng(0, 3), make_rng(0, 3)
+    p = np.repeat([0.3, 0.7], 4)   # two arms, four rows each
+    knobs = ArmKnobs([_cfg(rho=0.1, p=0.3), _cfg(rho=0.1, p=0.7)], [0] * 4 + [1] * 4)
+    rng = make_rng(0, 3)
     x, state = np.ones((8, 2)), None
-    for t in range(4):
-        x, state, rep, _ = vasso_step(obj, x, state, np.zeros((8, 2)), knobs, gate, t=t)
-        assert np.array_equal(rep.grad_evals, 1 + (reference.random(8) < 0.5))
-    assert gate.random() == reference.random()   # 8 draws a step, in row order
+    for t in range(8):
+        u = rng.random(8)
+        x, state, rep, _ = vasso_step(obj, x, state, np.zeros((8, 2)), knobs, u, t=t)
+        assert np.array_equal(rep.grad_evals, 1 + (u < p))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
-def test_a_forced_gate_consumes_no_draw(p):
-    gate = make_rng(0, 3)
-    assert ArmKnobs([OptimizerConfig(p=p)]).gate(gate) == (p == 1.0)
-    assert gate.random() == make_rng(0, 3).random()
+@pytest.mark.parametrize("x", [np.ones(2), np.ones((3, 2))], ids=["vector", "stack"])
+def test_a_forced_gate_steps_on_no_uniform(p, x):
+    # u=None: a forced outcome reads no uniform
+    _, _, rep, _ = vasso_step(_quad(sigma=0.2), x, None, np.zeros(x.shape),
+                              _knobs(rho=0.1, p=p), None)
+    assert np.all(rep.grad_evals == 1 + (p == 1.0)) and rep.epsilon.shape == x.shape
+
+
+@pytest.mark.parametrize("x, u", [
+    (np.ones(2), None), (np.ones(2), np.full(1, 0.5)),
+    (np.ones((3, 2)), None), (np.ones((3, 2)), 0.5), (np.ones((3, 2)), np.full(2, 0.5)),
+    (np.ones((3, 2)), np.full((3, 1), 0.5))],
+    ids=["vector-none", "vector-array", "stack-none", "stack-float", "stack-short",
+         "stack-column"])
+def test_a_random_gate_given_other_than_one_uniform_per_row_raises(x, u):
+    obj, knobs = _quad(sigma=0.2), _knobs(rho=0.1, p=0.5)
+    with pytest.raises(InvalidParameterError, match="one uniform per row"):
+        vasso_step(obj, x, None, np.zeros(x.shape), knobs, u)
 
 
 def test_gate_rate_concentrates_around_p():
@@ -420,7 +420,7 @@ def test_gate_rate_concentrates_around_p():
     x, state = np.ones(2), None
     hits = 0
     for t in range(2000):
-        x, state, rep, _ = vasso_step(obj, x, state, sampler(), cfg, gate, t=t)
+        x, state, rep, _ = vasso_step(obj, x, state, sampler(), cfg, gate.random(), t=t)
         hits += rep.grad_evals - 1
     assert 0.25 <= hits / 2000 <= 0.35
 

@@ -12,6 +12,7 @@ numerical maximization.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,6 +325,16 @@ def landscape_slice(obj, x_center, directions, alphas, betas=None) -> np.ndarray
     or (len(alphas), len(betas)).  The points of a 1-D slice, and of each
     alpha-row of a 2-D one, go to ``obj.full_loss`` as one (points, dim)
     stack; each loss equals the one-point call bit for bit.
+
+    The alpha-rows of a 2-D slice run in a thread pool of ``_row_workers``
+    threads that lives for this call, each row written into its own row of
+    the output; numpy releases the GIL in a pass's array operations, so the
+    rows overlap.  A row's bits do not depend on the thread that computes
+    it.  Each row runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` (a context variable) holds in every worker.  A failed
+    row cancels the rows not yet started; once the running rows have
+    finished, the exception of the first failed row in alpha order is
+    raised, and no worker thread outlives the call.
     """
     dirs = [_normalized_direction(obj, np.asarray(d, dtype=np.float64), x_center)
             for d in directions]
@@ -334,11 +345,35 @@ def landscape_slice(obj, x_center, directions, alphas, betas=None) -> np.ndarray
     if len(dirs) == 2:
         if betas is None:
             raise InvalidParameterError("two directions need a beta grid")
+        import contextvars
+        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
         out = np.empty((len(alphas), len(betas)))
-        for i, a in enumerate(alphas):
+
+        def fill_row(i, a):
             out[i] = obj.full_loss(_line(x_center + a * dirs[0], betas, dirs[1]))
+
+        with ThreadPoolExecutor(_row_workers(len(out))) as pool:
+            rows = [pool.submit(contextvars.copy_context().run, fill_row, i, a)
+                    for i, a in enumerate(alphas)]
+            wait(rows, return_when=FIRST_EXCEPTION)
+            for row in rows:
+                row.cancel()   # a no-op unless some row failed
+        for row in rows:
+            if not row.cancelled():
+                row.result()   # raises the first failed row's exception
         return out
     raise InvalidParameterError("directions must hold 1 or 2 vectors")
+
+
+def _row_workers(n_rows: int) -> int:
+    """Threads for ``n_rows`` rows: one per CPU this process may run on, at
+    most one per row, and at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_rows))
 
 
 def _line(x: np.ndarray, steps, d: np.ndarray) -> np.ndarray:

@@ -1,5 +1,10 @@
+import itertools
 import math
 import re
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -557,11 +562,8 @@ def _slice_by_points(obj, x, directions, alphas, betas=None):
     return out
 
 
-# the blobs net is [2,3,2] on 12 rows: a point's widest activation holds 36
-# floats, so a block of 2 * 8 * 36 * 3 bytes runs 7 points as chunks of 3, 3, 1
-@pytest.mark.parametrize("two_d", [False, True], ids=["1-d", "2-d"])
-@pytest.mark.parametrize("kind", ["blobs", "quadratic"])
-def test_a_slice_of_point_stacks_equals_the_per_point_loop(kind, two_d, monkeypatch):
+def _slice_case(kind, two_d):
+    """A seeded objective, centre, raw directions, alphas and betas."""
     rng = make_rng(8, 16)
     if kind == "blobs":
         obj = mlp_objective([2, 3, 2], "tanh", make_blobs_dataset(6, 2, 2, 2.0, rng))
@@ -572,25 +574,110 @@ def test_a_slice_of_point_stacks_equals_the_per_point_loop(kind, two_d, monkeypa
     dirs = list(rng.standard_normal((1 + two_d, obj.dim)))
     alphas = np.linspace(-0.7, 0.7, 7)
     betas = np.linspace(-0.4, 0.5, 7) if two_d else None
+    return obj, x, dirs, alphas, betas
+
+
+# the blobs net is [2,3,2] on 12 rows: a point's widest activation holds 36
+# floats, so a block of 2 * 8 * 36 * 3 bytes runs 7 points as chunks of 3, 3, 1
+@pytest.mark.parametrize("two_d", [False, True], ids=["1-d", "2-d"])
+@pytest.mark.parametrize("kind", ["blobs", "quadratic"])
+def test_a_slice_of_point_stacks_equals_the_per_point_loop(kind, two_d, monkeypatch):
+    obj, x, dirs, alphas, betas = _slice_case(kind, two_d)
     want = _slice_by_points(obj, x, dirs, alphas, betas)
     monkeypatch.setattr(core, "BLOCK_BYTES", 2 * 8 * 36 * 3)
-    calls, passes = [], []
+    # the rows of a 2-D slice run concurrently, so each forward pass is
+    # recorded under the full_loss call of its own thread
+    calls, local = [], threading.local()
     full_loss, forward = type(obj).full_loss, Mlp._forward
 
     def counting_loss(self, points):
-        calls.append(points.shape)
+        local.passes = []
+        calls.append((points.shape, local.passes))
         return full_loss(self, points)
 
     def counting_forward(self, layers, feats):
-        passes.append(feats.shape[0])
+        local.passes.append(feats.shape[0])
         return forward(self, layers, feats)
 
     monkeypatch.setattr(type(obj), "full_loss", counting_loss)
     monkeypatch.setattr(Mlp, "_forward", counting_forward)
     got = landscape_slice(obj, x, dirs, alphas, betas)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert calls == [(7, obj.dim)] * (7 if two_d else 1)
-    assert passes == ([3, 3, 1] * len(calls) if kind == "blobs" else [])
+    assert [shape for shape, _ in calls] == [(7, obj.dim)] * (7 if two_d else 1)
+    assert [passes for _, passes in calls] == \
+        [[3, 3, 1] if kind == "blobs" else []] * len(calls)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 64])
+@pytest.mark.parametrize("kind", ["blobs", "quadratic"])
+def test_a_2d_slice_is_the_same_bytes_at_any_worker_count(kind, workers, monkeypatch):
+    obj, x, dirs, alphas, betas = _slice_case(kind, True)
+    want = _slice_by_points(obj, x, dirs, alphas, betas)
+    monkeypatch.setattr(analysis, "_row_workers", lambda n_rows: workers)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)   # switch threads as often as the interpreter can
+    try:
+        got = landscape_slice(obj, x, dirs, alphas, betas)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert threading.active_count() == threads
+
+
+def test_row_workers_are_the_usable_cpus_capped_by_the_rows(monkeypatch):
+    monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert [analysis._row_workers(n) for n in (0, 1, 2, 3, 51)] == [1, 1, 2, 3, 3]
+    monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: 5)
+    assert [analysis._row_workers(n) for n in (4, 51)] == [4, 5]
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: None)
+    assert analysis._row_workers(51) == 1
+
+
+def test_an_overflowing_2d_slice_keeps_the_callers_errstate_in_every_row(monkeypatch):
+    # numpy's errstate is a context variable, which a worker thread does not
+    # inherit: each row runs in a copy of the caller's context
+    obj, x, dirs, _, _ = _slice_case("quadratic", True)
+    alphas = np.linspace(-1e200, 1e200, 5)   # x'Ax at |x| = 1e200 overflows
+    monkeypatch.setattr(analysis, "_row_workers", lambda n_rows: 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = landscape_slice(obj, x, dirs, alphas, alphas)
+    assert not np.isfinite(grid).all()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failed_row_surfaces_from_the_slice_and_leaves_no_thread(workers, monkeypatch):
+    obj, x, dirs, alphas, betas = _slice_case("quadratic", True)
+    error, count, full_loss = KeyError("row"), itertools.count(), type(obj).full_loss
+
+    def failing_loss(self, points):
+        if next(count) == 3:
+            raise error
+        return full_loss(self, points)
+
+    monkeypatch.setattr(type(obj), "full_loss", failing_loss)
+    monkeypatch.setattr(analysis, "_row_workers", lambda n_rows: workers)
+    threads = threading.active_count()
+    with pytest.raises(KeyError) as raised:
+        landscape_slice(obj, x, dirs, alphas, betas)
+    assert raised.value is error
+    assert threading.active_count() == threads
+
+
+def test_a_2d_slice_holds_about_one_chunk_per_worker(monkeypatch, traced_peak):
+    # the diagnostics network, [2,32,2] on 512 blob rows: a point's hidden
+    # activation is 128 KiB, so a chunk of 4 points holds 512 KiB at its
+    # widest; a whole 51-point row would hold 6.4 MiB
+    obj = mlp_objective([2, 32, 2], "tanh", make_blobs_dataset(256, 2, 2, 3.0, make_rng(0, 4)))
+    rng = make_rng(1, 16)
+    x = obj.init_params(make_rng(0, 0))
+    dirs = list(rng.standard_normal((2, obj.dim)))
+    alphas = np.linspace(-1.0, 1.0, 51)
+    assert core.chunk_points(512 * 32) == 4
+    monkeypatch.setattr(analysis, "_row_workers", lambda n_rows: 2)
+    assert traced_peak(landscape_slice, obj, x, dirs, alphas, alphas) < 2 * core.BLOCK_BYTES
 
 
 def test_slice_validates_inputs():

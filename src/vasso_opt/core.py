@@ -50,12 +50,15 @@ MAX_SEED = 2**63 - 1
 # rows (a landscape slice's line) runs a chunk of points at a time, the
 # chunk's widest activation holding at most half of BLOCK_BYTES, the other
 # half left for the pass's narrower arrays: a chunk of several points pays the
-# per-pass overhead once, and a pass holds about a block at most.  A 2-D
-# slice runs its alpha-rows on every CPU the process may use, one row per
-# worker thread (analysis._row_workers; no flag, key or variable sets the
-# count), so each worker holds one chunk and the slice about a block per
-# worker; its output is byte-identical at any count.  A block holds at
-# least one step, a chunk at least one seed or point.
+# per-pass overhead once, and a pass holds about a block at most.  A loss over
+# points allocates its buffers (each layer's activation, the softmax scratch,
+# the label index) once per call, sized for one such chunk, and every chunk
+# writes into them; the shared rows are read as they are, not broadcast to
+# the chunk.  A 2-D slice runs its alpha-rows on every CPU the process may
+# use, one row per worker thread (analysis._row_workers; no flag, key or
+# variable sets the count), so each worker holds one chunk's buffers and the
+# slice about a block per worker; its output is byte-identical at any count.
+# A block holds at least one step, a chunk at least one seed or point.
 BLOCK_BYTES = 1 << 20
 PASS_BYTES = 1 << 16
 

@@ -392,37 +392,48 @@ def _act_deriv(a: np.ndarray, kind: str) -> np.ndarray:
     return np.subtract(1.0, a, out=a)
 
 
-def _fold_columns(op, a: np.ndarray) -> np.ndarray:
-    """``op`` applied along the last axis, one column at a time from the left."""
+def _fold_columns(op, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op`` applied along the last axis, one column at a time from the left,
+    written into ``out`` when given."""
     if a.shape[-1] == 1:
-        return a[..., 0].copy()
-    out = op(a[..., 0], a[..., 1])
+        return np.positive(a[..., 0], out=out)   # a copy, bit for bit
+    out = op(a[..., 0], a[..., 1], out=out)
     for c in range(2, a.shape[-1]):
         op(out, a[..., c], out=out)
     return out
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray):
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, at=None, scratch=None):
     """Mean cross-entropy by a stable log-softmax over the rows of ``logits``.
 
     ``logits`` is (n, classes), or (S, n, classes) for a stack, which gives
-    S means.  Also returns the max-shifted exponentials, built C-ordered in
+    S means; ``labels`` is (n,) or (S, n), or (n,) shared by every member of
+    the stack.  Also returns the max-shifted exponentials, built C-ordered in
     one array, their row sums and the flat index of each row's label entry,
-    ``labels`` shaped: row r's entry sits at ``classes * r + labels[r]`` of
-    a C-ordered (..., classes) array read as one flat vector.  From these
-    the backward pass forms its error.  The class-axis max, and below 8
-    classes the sum, run as column scans: numpy reduces a short axis slowly,
-    and each scan equals its reduction bit for bit.
+    shaped as the rows of ``logits``: row r's entry sits at
+    ``classes * r + labels[r]`` of a C-ordered (..., classes) array read as
+    one flat vector.  From these the backward pass forms its error.  The
+    class-axis max, and below 8 classes the sum, run as column scans: numpy
+    reduces a short axis slowly, and each scan equals its reduction bit for
+    bit.  A caller that runs many passes on the same labels may give ``at``,
+    that index, built once, and ``scratch``: an array shaped as ``logits``
+    for the exponentials and three shaped as its rows, which the pass writes
+    in place of fresh ones.
     """
     classes = logits.shape[-1]
-    zmax = _fold_columns(np.maximum, logits)
-    exps = np.subtract(logits, zmax[..., np.newaxis], out=np.empty(logits.shape))
+    exps, zmax, sums, logs = (None,) * 4 if scratch is None else scratch
+    zmax = _fold_columns(np.maximum, logits, out=zmax)
+    exps = np.subtract(logits, zmax[..., np.newaxis],
+                       out=np.empty(logits.shape) if exps is None else exps)
     np.exp(exps, out=exps)
     # below 8 terms numpy sums in a plain left-to-right loop; from 8 it sums pairwise
-    sums = _fold_columns(np.add, exps) if classes < 8 else exps.sum(axis=-1)
-    logsumexp = zmax + np.log(sums)
-    at = labels + classes * np.arange(labels.size).reshape(labels.shape)
-    loss = _as_loss(np.add.reduce(logsumexp - logits.reshape(-1).take(at), axis=-1)
+    sums = _fold_columns(np.add, exps, out=sums) if classes < 8 \
+        else np.add.reduce(exps, axis=-1, out=sums)
+    logsumexp = np.add(zmax, np.log(sums, out=logs), out=zmax)
+    if at is None:
+        at = labels + classes * np.arange(zmax.size).reshape(zmax.shape)
+    picked = logits.reshape(-1).take(at)
+    loss = _as_loss(np.add.reduce(np.subtract(logsumexp, picked, out=picked), axis=-1)
                     / labels.shape[-1])
     return loss, exps, sums[..., np.newaxis], at
 
@@ -455,7 +466,8 @@ class Mlp:
     ``layer_sizes`` = [d_in, hidden..., n_classes].  Layer l stores a weight
     matrix W_l of shape (out, in) followed by its bias, so the parameter count
     is sum((in+1)*out).  ``forward``, ``loss`` and ``loss_and_grad`` also take
-    a stack: x of shape (S, dim) with features (S, n, d_in) and labels (S, n).
+    a stack: x of shape (S, dim) with features (S, n, d_in) and labels (S, n),
+    or with one seed's features (n, d_in) and labels (n,) shared by every row.
     """
 
     def __init__(self, layer_sizes, activation: str = "tanh"):
@@ -496,15 +508,39 @@ class Mlp:
         """Return the activations per layer, ``feats`` first and the logits last."""
         return self._forward(self.unpack(x), feats)
 
-    def _forward(self, layers, feats: np.ndarray):
+    def _forward(self, layers, feats: np.ndarray, out=None):
         # each activation is written over its pre-activation, which nothing
-        # reads again: a layer holds one array, not two
+        # reads again: a layer holds one array, not two, and that array is
+        # out[i] when the caller gives one buffer per layer.  A stack's
+        # layers may share one seed's (n, d_in) rows: matmul broadcasts them
         acts = [feats]
         for i, (W, b) in enumerate(layers):
-            z = acts[-1] @ W.mT
+            z = np.matmul(acts[-1], W.mT, out=None if out is None else out[i])
             z += b[..., np.newaxis, :]
             acts.append(_act(z, self.activation, out=z) if i < len(layers) - 1 else z)
         return acts
+
+    def _shared_rows_loss(self, feats: np.ndarray, labels: np.ndarray, points: int):
+        """``loss`` of a stack of at most ``points`` points, all on the rows
+        ``feats`` (n, d_in) and ``labels`` (n,), as a function of the stack.
+
+        Its buffers, one activation per layer and the softmax scratch, and
+        the label index are allocated here, once, sized for ``points``; each
+        call writes into their leading rows, so a loop over chunks allocates
+        them once, not once per chunk.  Each loss equals the one-point
+        ``loss`` bit for bit.
+        """
+        n, classes = labels.shape[0], self.layer_sizes[-1]
+        acts = [np.empty((points, n, width)) for width in self.layer_sizes[1:]]
+        scratch = [np.empty_like(acts[-1])] + [np.empty((points, n)) for _ in range(3)]
+        at = labels + classes * np.arange(points * n).reshape(points, n)
+
+        def loss(x: np.ndarray) -> np.ndarray:
+            k = len(x)
+            logits = self._forward(self.unpack(x), feats, [a[:k] for a in acts])[-1]
+            return _cross_entropy(logits, labels, at[:k], [s[:k] for s in scratch])[0]
+
+        return loss
 
     def loss(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray) -> float:
         """Mean cross-entropy over the batch: a forward pass, no backward."""
@@ -707,55 +743,60 @@ class MlpObjective:
             x[picked], *self._rows(batch[picked], self._offsets[picked]))[1]
         return g
 
-    def _by_chunks(self, pass_, x, feats, labels, shape=()):
-        """``pass_(x, feats, labels)`` over a stack, a chunk at a time.
+    def _by_chunks(self, x, feats, labels, grad=False):
+        """The loss, or with ``grad`` the gradient, of each row of ``x`` on a
+        split, a chunk of rows at a time.
 
         ``feats`` and ``labels`` are a split as the objective keeps it,
         gathered when it was built, so a pass gathers no rows.  A stack is
         either of seeds, whose rows carry a seed axis, or of points that
-        share one seed's rows (a landscape slice's line).  A
-        chunk holds as many as keep its widest activation (the rows times
-        the widest layer, per seed or point) within ``core.PASS_BYTES`` for
-        seeds (``core.chunk_seeds``) or half of ``core.BLOCK_BYTES`` for
-        points (``core.chunk_points``), and at least one.  A chunk of k
-        points is passed as a stack of k seeds: read-only ``np.broadcast_to``
-        views of the shared rows, (k, n, d) and (k, n).
-        Each chunk's results, of ``shape`` per row of ``x``, go into one
-        preallocated output.  Each row's slice of a stacked pass is computed
-        independently of the others, so the output equals the per-row calls
-        bit for bit.  A single vector, or a seed stack that fits in one
-        chunk, is the one-chunk case: passed whole.
+        share one seed's rows (a landscape slice's line).  A chunk holds as
+        many as keep its widest activation (the rows times the widest layer,
+        per seed or point) within ``core.PASS_BYTES`` for seeds
+        (``core.chunk_seeds``) or half of ``core.BLOCK_BYTES`` for points
+        (``core.chunk_points``), and at least one.  A chunk of points reads
+        the shared (n, d) rows and (n,) labels as they are, not broadcast to
+        the chunk: matmul broadcasts them.  A loss over points allocates its
+        buffers, each layer's activation and the softmax scratch, and its
+        label index once per call, sized for one chunk, and every chunk
+        writes into them (``Mlp._shared_rows_loss``).  Each chunk's results
+        go into one preallocated output.  Each row's slice of a stacked pass
+        is computed independently of the others, so the output equals the
+        per-row calls bit for bit.  A single vector, or a seed stack that
+        fits in one chunk, is the one-chunk case: passed whole.
         """
+        mlp = self.mlp
+        pass_ = (lambda *rows: mlp.loss_and_grad(*rows)[1]) if grad else mlp.loss
         if x.ndim == 1:
             return pass_(x, feats, labels)
-        n, width = len(x), labels.shape[-1] * max(self.mlp.layer_sizes)
+        n, width = len(x), labels.shape[-1] * max(mlp.layer_sizes)
         points = feats.ndim == 2   # one seed's rows under a stack of points
         step = chunk_points(width) if points else chunk_seeds(width)
         if not points and n <= step:
             return pass_(x, feats, labels)
-        out = np.empty((n,) + shape)
+        if points:   # every chunk reads the same rows
+            pass_ = mlp._shared_rows_loss(feats, labels, min(step, n)) if not grad \
+                else lambda chunk: mlp.loss_and_grad(chunk, feats, labels)[1]
+        out = np.empty((n, self.dim) if grad else n)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            rows = (np.broadcast_to(feats, (hi - lo,) + feats.shape),
-                    np.broadcast_to(labels, (hi - lo,) + labels.shape)) if points \
-                else (feats[lo:hi], labels[lo:hi])
-            out[lo:hi] = pass_(x[lo:hi], *rows)
+            out[lo:hi] = pass_(x[lo:hi]) if points \
+                else pass_(x[lo:hi], feats[lo:hi], labels[lo:hi])
         return out
 
     def full_loss(self, x) -> float:
         """Mean loss over the training rows, in chunks (see ``_by_chunks``)."""
-        return self._by_chunks(self.mlp.loss, x, *self._train)
+        return self._by_chunks(x, *self._train)
 
     def full_grad(self, x) -> np.ndarray:
         """Mean gradient over the training rows, in chunks (see ``_by_chunks``)."""
-        return self._by_chunks(lambda *a: self.mlp.loss_and_grad(*a)[1], x,
-                               *self._train, shape=(self.dim,))
+        return self._by_chunks(x, *self._train, grad=True)
 
     def holdout_loss(self, x) -> float:
         """Mean loss over the held-out rows, in chunks (see ``_by_chunks``)."""
         if not self.has_holdout():
             raise InvalidParameterError("objective has no held-out split")
-        return self._by_chunks(self.mlp.loss, x, *self._holdout)
+        return self._by_chunks(x, *self._holdout)
 
     def final_loss(self, x) -> float:
         return self.holdout_loss(x) if self.has_holdout() else self.full_loss(x)

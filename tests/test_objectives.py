@@ -778,12 +778,14 @@ def test_a_stack_reads_each_seeds_own_rows(seeds, n_classes, holdout, data):
 
 
 def _pass_sizes(monkeypatch):
-    """The number of seeds of each forward pass the MLP runs, in call order."""
+    """The number of seeds or points of each forward pass the MLP runs, in
+    call order, read from the leading axis of its layers."""
     sizes, forward = [], Mlp._forward
 
-    def counting(self, layers, feats):
-        sizes.append(feats.shape[0] if feats.ndim == 3 else 1)
-        return forward(self, layers, feats)
+    def counting(self, layers, feats, *buffers):
+        W = layers[0][0]
+        sizes.append(W.shape[0] if W.ndim == 3 else 1)
+        return forward(self, layers, feats, *buffers)
 
     monkeypatch.setattr(Mlp, "_forward", counting)
     return sizes
@@ -820,7 +822,7 @@ def test_stacked_full_passes_in_seed_chunks_equal_the_per_seed_calls(
 
 # a [2,4,2] net on 24 rows: a point's widest activation holds 96 floats, so a
 # block of 2 * 8 * 96 * 3 bytes gives chunks of 3 points, and 7 points run as
-# chunks of 3, 3 and 1, each a stack of seeds to the network
+# chunks of 3, 3 and 1, each on the shared rows
 def test_full_passes_over_a_point_stack_equal_the_per_point_calls(monkeypatch):
     obj = _blob_objective()
     points = 0.5 * make_rng(2, 16).standard_normal((7, obj.dim))
@@ -833,6 +835,31 @@ def test_full_passes_over_a_point_stack_equal_the_per_point_calls(monkeypatch):
         sizes.clear()
         got = getattr(obj, name)(points)
         assert sizes == [3, 3, 1], name
+        assert _same_bits(got, want[name]), name
+
+
+# below 8 classes _cross_entropy folds its sums column by column, from 8 it
+# sums them; one class copies its only column as the max
+@pytest.mark.parametrize("n_points, chunks", [(7, [3, 3, 1]), (0, [])],
+                         ids=["remainder", "empty"])
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_point_stack_losses_on_both_splits_equal_the_per_point_calls(
+        activation, n_classes, n_points, chunks, monkeypatch):
+    rng = make_rng(n_classes, 16)
+    labels = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, 32 - n_classes)])
+    obj = mlp_objective([3, 5, n_classes], activation,
+                        Dataset(rng.standard_normal((32, 3)), labels),
+                        holdout_fraction=0.25, rng=make_rng(1, 4))
+    points = 0.8 * rng.standard_normal((n_points, obj.dim))
+    want = {name: np.array([getattr(obj, name)(p) for p in points])
+            for name in ("full_loss", "holdout_loss")}
+    monkeypatch.setattr(objectives, "chunk_points", lambda width: 3)
+    sizes = _pass_sizes(monkeypatch)
+    for name in want:
+        sizes.clear()
+        got = getattr(obj, name)(points)
+        assert sizes == chunks, name
         assert _same_bits(got, want[name]), name
 
 

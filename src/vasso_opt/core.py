@@ -43,10 +43,14 @@ MAX_SEED = 2**63 - 1
 # block of steps at a time, each stream refilling one resident block; a run's
 # block streams (noise, adversary noise, gates) draw the same steps per block,
 # so their blocks together hold at most about BLOCK_BYTES for the whole stack.
-# Only the callers that read metrics columns keep (T, rows) tables (see
-# harness.run_arms).  A full-data pass over a stack runs a chunk of seeds at a
-# time, the chunk's widest activation holding at most about PASS_BYTES, a size
-# that stays in cache.  A full-data pass over points that share one seed's
+# A network run's batch orders are drawn a block of epochs at a time, each
+# epoch stream (batches, adversary batches) refilling one resident (k, rows,
+# n) table from one seed's (k, n) draw at a time; a run's epoch streams draw
+# the same epochs per block, so their tables and draws hold at most about
+# BLOCK_BYTES, a budget of their own.  Only the callers that read metrics
+# columns keep (T, rows) tables (see harness.run_arms).  A full-data pass over
+# a stack runs a chunk of seeds at a time, the chunk's widest activation
+# holding at most about PASS_BYTES, a size that stays in cache.  A full-data pass over points that share one seed's
 # rows (a landscape slice's line) runs a chunk of points at a time, the
 # chunk's widest activation holding at most half of BLOCK_BYTES, the other
 # half left for the pass's narrower arrays: a chunk of several points pays the
@@ -58,14 +62,15 @@ MAX_SEED = 2**63 - 1
 # use, one row per worker thread (analysis._row_workers; no flag, key or
 # variable sets the count), so each worker holds one chunk's buffers and the
 # slice about a block per worker; its output is byte-identical at any count.
-# A block holds at least one step, a chunk at least one seed or point.
+# A block holds at least one step or epoch, a chunk at least one seed or point.
 BLOCK_BYTES = 1 << 20
 PASS_BYTES = 1 << 16
 
 
 def block_steps(n_rows: int, width: int) -> int:
     """Steps per block when each of ``n_rows`` rows draws ``width`` floats a step:
-    the floats of every stream that shares the budget, counted together."""
+    the floats of every stream that shares the budget, counted together.  An
+    epoch stream asks it for epochs per block, its width an epoch's ints."""
     return max(1, BLOCK_BYTES // (8 * n_rows * width))
 
 

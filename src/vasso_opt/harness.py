@@ -277,32 +277,46 @@ def _batch_stream(samplers, T: int, width: int, rows, *, epochs: bool = False):
     across all the run's block streams: each stream passes the same width,
     so they draw the same steps per block and their blocks share one
     budget.  With ``epochs`` the samplers are epoch samplers, which share
-    their sizes, and draw an epoch at a time: at the epoch's first step each
-    draws its whole order (``next_epoch``), and the rows' orders form one
-    (rows, n) table whose column slices are the epoch's batches, as the
-    samplers' own calls would give them, the short last one included: epoch
-    k is the ``batches_per_epoch`` steps from step k * ``batches_per_epoch``.
-    An epoch table does not count in ``width``.
+    their sizes, and draw a block of epochs at a time: each draws the
+    block's orders in one call (``next_epochs``), and the rows' orders form
+    one (k, rows, n) table whose column slices are the epochs' batches, as
+    the samplers' own calls would give them, the short last one included:
+    epoch e is the ``batches_per_epoch`` steps from step e *
+    ``batches_per_epoch``.  Each sampler counts an epoch (``epoch``) as the
+    epoch's first batch is yielded, and the last block holds only the
+    epochs that the T steps begin, so a stream read to its end leaves each
+    sampler where its own calls would.  An epoch stream's ``width`` counts
+    the run's epoch streams, which share a budget of their own: a block
+    holds ``core.block_steps(len(rows) + 1, n * width)`` epochs, n ints per
+    epoch for each row of its table and for the one seed's draw beside it.
 
     A block stream holds one resident (k, rows[, dim]) block, allocated at
     its first draw and refilled in place at every later block; each seed's
     draw goes into one (k, ...) array, made by the stream's first draw
     (``sample(k)``) and refilled by the others (``sample(k, out=draw)``),
-    and is copied into the seed's rows.  A yielded batch is a view of the
-    block, valid only until the stream draws its next block.  Each epoch
-    table is a (rows, n) array of its own, written straight from each
-    seed's order; its batches stay valid as long as they are held.
+    and is copied into the seed's rows.  An epoch stream holds its table and
+    its one (k, n) draw alike, each seed's orders drawn into the draw and
+    copied into the seed's rows in one assignment.  A yielded batch is a
+    view of the block or table, valid only until the stream draws its next
+    block.
     """
     samplers = list(samplers)
     at = [np.flatnonzero(rows == i) for i in range(len(samplers))]   # each seed's rows
     if epochs:
-        n, size = samplers[0].n, samplers[0].batch_size
-        for t in range(0, T, samplers[0].batches_per_epoch):
-            table = np.empty((len(rows), n), dtype=np.intp)
+        n, size, per = samplers[0].n, samplers[0].batch_size, samplers[0].batches_per_epoch
+        begun = -(-T // per)   # the epochs the T steps begin
+        per_block = min(block_steps(len(rows) + 1, n * width), begun)
+        table = np.empty((per_block, len(rows), n), dtype=np.intp)
+        draw = np.empty((per_block, n), dtype=np.intp)
+        for e0 in range(0, begun, per_block):
+            k = min(per_block, begun - e0)
             for sample, where in zip(samplers, at):
-                table[where] = sample.next_epoch()
-            for start in range(0, min(n, (T - t) * size), size):
-                yield table[:, start:start + size]
+                table[:k, where] = sample.next_epochs(k, out=draw[:k])[:, np.newaxis]
+            for e in range(e0, e0 + k):
+                for sample in samplers:
+                    sample.epoch += 1
+                for start in range(0, min(n, (T - e * per) * size), size):
+                    yield table[e - e0, :, start:start + size]
         return
     steps = block_steps(len(rows), width)
     block = draw = None
@@ -494,10 +508,11 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
     line goes out in one record, and where batches come in epochs the run
     records its epoch lines (``_EpochLog``).  The block streams (noise,
     adversary noise, gates) draw the same steps per block, their blocks
-    within one ``core.BLOCK_BYTES`` budget; a batch is read only during its
-    own step, as ``_batch_stream`` requires.  Once the stack's objective is
-    built, ``objs`` is emptied: each seed's objective is then released unless
-    the caller holds it.
+    within one ``core.BLOCK_BYTES`` budget, and the epoch streams (batches,
+    adversary batches) the same epochs per block, their tables within
+    another; a batch is read only during its own step, as ``_batch_stream``
+    requires.  Once the stack's objective is built, ``objs`` is emptied:
+    each seed's objective is then released unless the caller holds it.
 
     At 0<p<1 only the rows whose gate opens take the second gradient, a
     retired row among them; on a network objective the other rows cost
@@ -521,14 +536,17 @@ def _lockstep(cfgs: list, seeds: list, objs: list, record=(Columns,)) -> list[li
     # the fresh arms' adversary batch size, which run_arms makes one per stack
     adv_bs = max(c.adv_batch for c in arm_cfgs)
     # the floats a row draws per step across the block streams, which share
-    # one budget: a noise stream's dim each, and a float of the gate stream
-    width = (0 if epochs else x.shape[1] * (1 + bool(adv_bs))) + int(ocfg.gated)
-    batches = _batch_stream(samplers, T, width, seed_of, epochs=epochs)
+    # one budget: a noise stream's dim each, and a float of the gate stream;
+    # the epoch streams share a budget of their own, counted in streams
+    streams = 1 + bool(adv_bs)   # batches, and adversary batches if fresh
+    width = (0 if epochs else x.shape[1] * streams) + int(ocfg.gated)
+    batch_width = streams if epochs else width
+    batches = _batch_stream(samplers, T, batch_width, seed_of, epochs=epochs)
     adv_batches = itertools.repeat(None)
     if adv_bs:
         adv_batches = _batch_stream(
             [o.make_sampler(adv_bs, make_rng(s, STREAM_ADV_BATCH))
-             for o, s in zip(objs, seeds)], T, width, seed_of, epochs=epochs)
+             for o, s in zip(objs, seeds)], T, batch_width, seed_of, epochs=epochs)
     gates = itertools.repeat(None)   # a forced gate reads no uniform
     if ocfg.gated:   # one uniform per seed and step, which the seed's rows read
         gates = _batch_stream([make_rng(s, STREAM_GATE).random for s in seeds],
@@ -693,8 +711,8 @@ class PairedCompareResult:
     wins_b: int
     ties: int
     p_value: float
-    summaries_a: list[dict]   # each seed's run_seeds summary, with final_x
-    summaries_b: list[dict]
+    summaries_a: list[dict]   # each seed's run_seeds summary, with final_x, and
+    summaries_b: list[dict]   # mean_drift None unless it is the metric
 
 
 def sign_test_p_value(wins_a: int, wins_b: int) -> float:
@@ -718,8 +736,11 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     their ``seeds``, which are not read: both arms run ``seeds``, as rows of
     one stack (``run_arms``).  Lower is better for both metrics; a win for A
     on a seed means metric_a < metric_b.  Ties are excluded from the test.
-    The result keeps every seed's summary, final iterate included, so
-    callers can derive other metrics without rerunning.
+    The run records ``FinalX``, and ``Drift`` only for the drift metric: a
+    final-loss compare takes no drift norm, and its summaries carry
+    ``mean_drift: None``.  The result keeps every seed's summary, final
+    iterate included, so callers can derive metrics of the final iterates
+    without rerunning.
     """
     if metric not in ("final_loss", "mean_drift"):
         raise ConfigError("metric", f"must be final_loss or mean_drift, got {metric!r}")
@@ -727,7 +748,8 @@ def paired_compare(cfg_a: ExperimentConfig, cfg_b: ExperimentConfig, seeds,
     # both arms step in one stack; the metrics cadence is never read here
     summaries_a, summaries_b = run_arms(
         [c.derive(seeds=seeds, metrics_every=c.T, output_path=None)
-         for c in (cfg_a, cfg_b)], seeds, (Drift, FinalX))
+         for c in (cfg_a, cfg_b)], seeds,
+        (Drift, FinalX) if metric == "mean_drift" else (FinalX,))
     for summary in (s for pair in zip(summaries_a, summaries_b) for s in pair):
         if summary["aborted"]:
             raise NonFiniteError(f"seed {summary['seed']} aborted",

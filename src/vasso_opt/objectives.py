@@ -42,6 +42,7 @@ quadratic, whose gradient costs less than picking rows, computes them all.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,8 +65,21 @@ def _as_loss(v):
     return float(v) if np.ndim(v) == 0 else v
 
 
+@functools.lru_cache(maxsize=8)
+def _epoch_rows(k: int, n: int) -> np.ndarray:
+    """A read-only (k, n) view each of whose rows is ``arange(n)``: the rows of
+    k epochs in order, which ``Generator.permuted`` shuffles row by row."""
+    return np.broadcast_to(np.arange(n), (k, n))
+
+
 class EpochSampler:
-    """Without-replacement minibatch sampler with per-epoch reshuffle."""
+    """Without-replacement minibatch sampler with per-epoch reshuffle.
+
+    A call serves the next batch, and the first call of an epoch draws the
+    epoch's order (``Generator.permutation``) and counts it (``epoch``).
+    ``next_epochs(k)`` draws the orders of k epochs at once, for a caller
+    that serves their batches itself.
+    """
 
     def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
         if n < 1:
@@ -80,20 +94,24 @@ class EpochSampler:
         self._pos = 0
         self.batches_per_epoch = math.ceil(n / self.batch_size)
 
-    def next_epoch(self) -> np.ndarray:
-        """Begin the next epoch and return its whole order of rows.
+    def next_epochs(self, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The orders of rows of the next k epochs, a (k, n) array.
 
-        Draws the permutation that the epoch's first call would draw, and
-        counts the epoch as served: the next call begins another.
+        Row j is the order that the first call of the j-th epoch would draw,
+        bit for bit: one ``Generator.permuted`` call over a read-only (k, n)
+        ``arange`` shuffles its rows in turn, as k ``permutation(n)`` calls
+        would.  With ``out``, a C-contiguous (k, n) intp array, the orders
+        are drawn into it and it is returned.  The caller serves the epochs
+        and counts each one as it begins (``epoch += 1``); the next call
+        begins the epoch after them.
         """
-        self._order, self._pos = self.rng.permutation(self.n), self.n
-        self.epoch += 1
-        return self._order
+        self._order = None
+        return self.rng.permuted(_epoch_rows(k, self.n), axis=1, out=out)
 
     def __call__(self) -> np.ndarray:
         if self._order is None or self._pos >= self.n:
-            self.next_epoch()
-            self._pos = 0
+            self._order, self._pos = self.rng.permutation(self.n), 0
+            self.epoch += 1
         batch = self._order[self._pos:self._pos + self.batch_size]
         self._pos += self.batch_size
         return batch

@@ -370,6 +370,30 @@ def test_the_sweep_and_a_training_prefix_take_no_drift_norm(record_wallclock,
     assert norms
 
 
+@pytest.mark.parametrize("objective", ["quadratic-diag", "blobs-holdout"])
+def test_a_final_loss_compare_takes_no_drift_norm(objective, monkeypatch):
+    # the default metric reads no drift: the values, wins, p-value and final
+    # iterates are those of a compare whose run takes it, and each summary
+    # carries no mean_drift, as the sweep's do
+    base = _arms(objective, "mixed", T=16)[0]   # eVASSO, p=0.5
+    other = base.derive({"kind": "sam"})
+    with monkeypatch.context() as m:
+        m.setattr(harness, "run_arms", _drifting)
+        want = paired_compare(base, other, [3, 0, 5, 1])
+    norms = []
+    monkeypatch.setattr(harness, "row_norms", lambda a: norms.append(1) or row_norms(a))
+    got = paired_compare(base, other, [3, 0, 5, 1])
+    assert norms == []
+    for name in ("values_a", "values_b", "diffs"):
+        assert np.array(getattr(got, name)).tobytes() == np.array(getattr(want, name)).tobytes()
+    assert (got.wins_a, got.wins_b, got.ties) == (want.wins_a, want.wins_b, want.ties)
+    assert np.float64(got.p_value).tobytes() == np.float64(want.p_value).tobytes()
+    for g, w in zip(got.summaries_a + got.summaries_b, want.summaries_a + want.summaries_b):
+        assert g.pop("final_x").tobytes() == w.pop("final_x").tobytes()
+        assert w["mean_drift"] is not None
+        assert json.dumps(g) == json.dumps(dict(w, mean_drift=None))
+
+
 @pytest.mark.parametrize("arm_set, stacks", [("mixed", 1), ("sam-db-own-adv-size", 2)])
 def test_each_seeds_objective_is_released_once_its_last_stack_is_built(
         arm_set, stacks, monkeypatch):

@@ -584,6 +584,82 @@ def test_the_epoch_table_yields_the_batches_of_the_per_seed_samplers(
     assert [s.rng.random() for s in table] == [ref.rng.random() for ref in refs]
 
 
+@pytest.mark.parametrize("stream, size, width", [(STREAM_BATCH, 4, 1), (STREAM_ADV_BATCH, 6, 2)],
+                         ids=["update-batches", "sam-db-adversary-batches"])
+@pytest.mark.parametrize("begun", [5, 7])
+@pytest.mark.parametrize("last", ["first-batch", "short-batch"])
+def test_epoch_blocks_yield_the_batches_of_the_per_seed_samplers(
+        stream, size, width, begun, last, monkeypatch):
+    # 15 training rows: batches of 4 and of 6 end each epoch on a batch of 3;
+    # blocks of 2 epochs, so the 5 or 7 epochs the steps begin end on a block
+    # of one, the third or the fourth, whose epoch the run leaves at its first
+    # batch or at its short last one
+    seeds, rows = [3, 0, 7], np.array([0, 1, 2, 0, 1, 2])
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * (len(rows) + 1) * 15 * width * 2)
+    assert core.block_steps(len(rows) + 1, 15 * width) == 2
+
+    def samplers():
+        spec = _case_cfg("blobs-holdout", "sgd", "plain", seeds).objective
+        objs = harness.OBJECTIVES[spec["kind"]].build(spec, seeds)
+        return [o.make_sampler(size, make_rng(s, stream)) for o, s in zip(objs, seeds)]
+
+    refs, table = samplers(), samplers()
+    per = refs[0].batches_per_epoch
+    T = per * (begun - 1) + (1 if last == "first-batch" else per)
+    want = [(np.array([ref() for ref in refs])[rows], [ref.epoch for ref in refs])
+            for _ in range(T)]
+    monkeypatch.setattr(EpochSampler, "__call__",
+                        lambda self: pytest.fail("a single batch was drawn"))
+    # a batch is valid until the stream's next block: each is copied
+    got = [(batch.copy(), [s.epoch for s in table])
+           for batch in harness._batch_stream(table, T, width, rows, epochs=True)]
+    assert len(got) == T
+    assert {len(b) for b, _ in want} == {6} and {b.shape[1] for b, _ in want} == {size, 3}
+    for (batch, epochs), (ref_batch, ref_epochs) in zip(got, want):
+        assert batch.shape == ref_batch.shape
+        assert batch.tobytes() == ref_batch.tobytes() and epochs == ref_epochs
+    # the last block drew only the epochs begun: the streams stand together
+    assert [s.rng.random() for s in table] == [ref.rng.random() for ref in refs]
+
+
+def test_an_epoch_stream_holds_one_block_of_epochs(traced_peak):
+    # 16 seeds of 512 rows over two arms, batches of 64: a block of 7 epochs
+    # (a (7, 32, 512) table and one seed's (7, 512) draw) fills about
+    # BLOCK_BYTES, and the stream reads three blocks and part of a fourth,
+    # holding each batch while it draws the next
+    spec = _case_cfg("blobs-holdout", "sgd", "plain", [0]).objective
+    spec = dict(spec, n_per_class=256, holdout_fraction=0.0, label_noise=0.0)
+    objs = harness.OBJECTIVES["blobs"].build(spec, range(16))
+    samplers = [o.make_sampler(64, make_rng(s, STREAM_BATCH)) for s, o in enumerate(objs)]
+    rows = np.tile(np.arange(16), 2)
+    k = core.block_steps(len(rows) + 1, 512)
+    assert k == 7
+    batches = harness._batch_stream(samplers, 8 * (3 * k + 2), 1, rows, epochs=True)
+
+    def read_all():
+        for _ in batches:
+            pass
+
+    assert traced_peak(read_all) <= 1.1 * core.BLOCK_BYTES
+    assert [s.epoch for s in samplers] == [3 * k + 1] * 16
+
+
+@pytest.mark.parametrize("kind", ["sgd", "sam_db"])
+@pytest.mark.parametrize("epochs_per_block", [1, 2])
+def test_network_runs_drawn_in_epoch_blocks_reproduce_the_per_seed_loop(
+        kind, epochs_per_block, monkeypatch):
+    # three seeds of 15 training rows in batches of 3 (5 batches an epoch) and
+    # SAM-db's adversary batches of 4: T=16 begins 4 epochs of each stream
+    cfg = _case_cfg("blobs-holdout", kind, "adv-batch-4" if kind == "sam_db" else "plain",
+                    [3, 0, 7])
+    streams = 1 + (kind == "sam_db")
+    monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 4 * 15 * streams * epochs_per_block)
+    assert core.block_steps(3 + 1, 15 * streams) == epochs_per_block
+    for (columns, summary), seed in zip(run_seeds(cfg, [3, 0, 7]), [3, 0, 7]):
+        ref_rows, ref = reference_run(cfg, seed)
+        assert _csv(columns) == _csv(ref_rows) and summary == ref
+
+
 def test_an_evasso_stack_takes_the_perturbed_gradient_on_opened_rows_only(
         monkeypatch):
     # p=0.5 over 8 seeds: most steps open some gates and not others

@@ -54,6 +54,37 @@ def test_epoch_sampler_rejects_bad_batch_size():
         EpochSampler(4, 0, make_rng(0, 1))
 
 
+@pytest.mark.parametrize("k, n", [(1, 1), (1, 15), (5, 15), (17, 96)])
+def test_permuted_over_k_aranges_draws_k_permutations(k, n):
+    # the numpy behaviour that EpochSampler.next_epochs stands on: a read-only
+    # (k, n) arange shuffled row by row, into a fresh array or into ``out``,
+    # is k permutation(n) calls, and leaves the generator where they do
+    rows = np.broadcast_to(np.arange(n), (k, n))
+    want_rng, fresh_rng, out_rng = (make_rng(5, 1) for _ in range(3))
+    want = np.array([want_rng.permutation(n) for _ in range(k)])
+    out = np.empty((k, n), dtype=np.intp)
+    assert fresh_rng.permuted(rows, axis=1).tobytes() == want.tobytes()
+    assert out_rng.permuted(rows, axis=1, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    assert fresh_rng.random() == out_rng.random() == want_rng.random()
+
+
+def test_next_epochs_draws_the_orders_that_calls_would_draw():
+    # 15 rows in batches of 4: an epoch begun by a call, the next three drawn
+    # in one block, and a call that begins the epoch after them
+    block, calls = EpochSampler(15, 4, make_rng(2, 1)), EpochSampler(15, 4, make_rng(2, 1))
+    first = block()
+    out = np.empty((3, 15), dtype=np.intp)
+    assert block.next_epochs(3, out=out) is out
+    assert block.epoch == 0   # the caller counts the epochs it serves
+    orders = [np.concatenate([calls() for _ in range(calls.batches_per_epoch)])
+              for _ in range(4)]
+    assert first.tobytes() == orders[0][:4].tobytes()
+    assert out.tobytes() == np.array(orders[1:]).tobytes()
+    assert block.next_epochs(1).tobytes() == calls.next_epochs(1).tobytes()
+    assert block().tobytes() == calls().tobytes()
+
+
 # ---------------------------------------------------------------------------
 # noisy quadratic
 

@@ -363,11 +363,16 @@ class Drift(Recorder):
     def step(self, t, x, rep):
         if self.prev is not None:
             d = row_norms(diff := rep.epsilon - self.prev)
-            if not (math.isfinite(np.add.reduce(d, None)) and d.all()):
-                redo, zero = np.isinf(d), d == 0.0   # a failed row's NaN is kept
-                redo[zero] = diff[zero].any(axis=1)
-                if redo.any():
-                    d[redo] = _scale_safe(d[redo], diff[redo])
+            total = np.add.reduce(d, None)
+            if not (math.isfinite(total) and d.all()):
+                zero = d == 0.0
+                # a zero drift whose difference is zero, as a closed gate's
+                # twice, is exact: only one whose square underflowed is redone
+                if not math.isfinite(total) or np.count_nonzero(diff[zero]):
+                    redo = np.isinf(d)   # a failed row's NaN is kept
+                    redo[zero] = diff[zero].any(axis=1)
+                    if redo.any():
+                        d[redo] = _scale_safe(d[redo], diff[redo])
             np.add(self.sum, d, out=self.sum, where=self.run.live)   # a retired row's stays
             if self.table is not None:
                 self.table[t] = d

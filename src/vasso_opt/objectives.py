@@ -11,6 +11,8 @@ engine and the diagnostics read::
     dim                  -- number of parameters
     init_params(rng)     -- the initial point
     loss(x, batch) / grad(x, batch) / loss_and_grad(x, batch)
+    loss_and_slope(x, batch, adv_batch, fresh) -- the loss on ``batch`` and the
+                            gradient on ``adv_batch`` where a row is fresh
     full_loss(x)         -- exact (noise-free) objective, or mean over the dataset
     full_grad(x)         -- exact gradient, or mean over the dataset
     final_loss(x)        -- the run's reported loss: held-out where there is
@@ -70,6 +72,26 @@ def _epoch_rows(k: int, n: int) -> np.ndarray:
     """A read-only (k, n) view each of whose rows is ``arange(n)``: the rows of
     k epochs in order, which ``Generator.permuted`` shuffles row by row."""
     return np.broadcast_to(np.arange(n), (k, n))
+
+
+@functools.lru_cache(maxsize=8)
+def _slope_layout(fresh: bytes | None, n: int):
+    """The rows of ``MlpObjective.loss_and_slope``'s pass over a stack of n
+    rows, which are all fresh (``fresh`` None) or fresh where the bools of
+    ``fresh`` are set: the stack row each pass row runs, the row of
+    ``[batch; adv_batch]`` it reads, and the pass row that gives each
+    stack row's loss.  The n leading pass rows are the stack's, each on its
+    slope batch; the trailing rows are its fresh rows again, on ``batch``.
+    """
+    is_fresh = np.ones(n, dtype=bool) if fresh is None else np.frombuffer(fresh, dtype=bool)
+    again, leading = np.flatnonzero(is_fresh), np.arange(n)
+    losses = leading.copy()
+    losses[again] = n + np.arange(len(again))
+    layout = (np.concatenate([leading, again]),
+              np.concatenate([leading + n * is_fresh, again]), losses)
+    for a in layout:
+        a.flags.writeable = False   # shared by every pass of this layout
+    return layout
 
 
 class EpochSampler:
@@ -238,9 +260,18 @@ class NoisyQuadratic:
         return self.full_grad(x) + batch
 
     def loss_and_grad(self, x, batch):
+        return self.loss_and_slope(x, batch, batch, True)
+
+    def loss_and_slope(self, x, batch, adv_batch, fresh):
+        """The loss at x on ``batch``, and the gradient at x on ``adv_batch``
+        where the row is ``fresh`` (True, or one bool per row of a stack), on
+        ``batch`` elsewhere.  One ``Ax`` serves both, and nothing is stacked:
+        merging SAM-db's passes into one stack costs a quadratic more than it saves."""
+        if fresh is not True:
+            adv_batch = np.where(fresh[:, np.newaxis], adv_batch, batch)
         ax = self._Ax(x)
         return (_as_loss(self._value(x, ax) + np.vecdot(batch, x)),
-                self._plus_b(ax) + batch)
+                self._plus_b(ax) + adv_batch)
 
     def hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self._Ax(v)
@@ -421,7 +452,18 @@ def _fold_columns(op, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray, at=None, scratch=None):
+@functools.lru_cache(maxsize=16)
+def _label_base(shape: tuple, classes: int) -> np.ndarray:
+    """A read-only array shaped as the rows of a C-ordered (..., classes)
+    array, each entry the flat index of its row's first class: ``classes * r``
+    for row r.  Adding the labels gives each row's label entry."""
+    base = classes * np.arange(math.prod(shape)).reshape(shape)
+    base.flags.writeable = False   # shared by every pass of this shape
+    return base
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, at=None, scratch=None,
+                   with_loss: bool = True):
     """Mean cross-entropy by a stable log-softmax over the rows of ``logits``.
 
     ``logits`` is (n, classes), or (S, n, classes) for a stack, which gives
@@ -430,13 +472,15 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, at=None, scratch=None
     one array, their row sums and the flat index of each row's label entry,
     shaped as the rows of ``logits``: row r's entry sits at
     ``classes * r + labels[r]`` of a C-ordered (..., classes) array read as
-    one flat vector.  From these the backward pass forms its error.  The
-    class-axis max, and below 8 classes the sum, run as column scans: numpy
-    reduces a short axis slowly, and each scan equals its reduction bit for
-    bit.  A caller that runs many passes on the same labels may give ``at``,
-    that index, built once, and ``scratch``: an array shaped as ``logits``
-    for the exponentials and three shaped as its rows, which the pass writes
-    in place of fresh ones.
+    one flat vector.  From these the backward pass forms its error; a pass
+    that reads no loss gives ``with_loss=False``, and None stands in for the
+    loss, whose log-sum-exp and label pick are never formed.  The class-axis
+    max, and below 8 classes the sum, run as column scans: numpy reduces a
+    short axis slowly, and each scan equals its reduction bit for bit.  A
+    caller that runs many passes on the same labels may give ``at``, that
+    index, built once, and ``scratch``: an array shaped as ``logits`` for the
+    exponentials and three shaped as its rows, which the pass writes in place
+    of fresh ones.
     """
     classes = logits.shape[-1]
     exps, zmax, sums, logs = (None,) * 4 if scratch is None else scratch
@@ -447,9 +491,11 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, at=None, scratch=None
     # below 8 terms numpy sums in a plain left-to-right loop; from 8 it sums pairwise
     sums = _fold_columns(np.add, exps, out=sums) if classes < 8 \
         else np.add.reduce(exps, axis=-1, out=sums)
-    logsumexp = np.add(zmax, np.log(sums, out=logs), out=zmax)
     if at is None:
-        at = labels + classes * np.arange(zmax.size).reshape(zmax.shape)
+        at = labels + _label_base(zmax.shape, classes)
+    if not with_loss:
+        return None, exps, sums[..., np.newaxis], at
+    logsumexp = np.add(zmax, np.log(sums, out=logs), out=zmax)
     picked = logits.reshape(-1).take(at)
     loss = _as_loss(np.add.reduce(np.subtract(logsumexp, picked, out=picked), axis=-1)
                     / labels.shape[-1])
@@ -551,7 +597,7 @@ class Mlp:
         n, classes = labels.shape[0], self.layer_sizes[-1]
         acts = [np.empty((points, n, width)) for width in self.layer_sizes[1:]]
         scratch = [np.empty_like(acts[-1])] + [np.empty((points, n)) for _ in range(3)]
-        at = labels + classes * np.arange(points * n).reshape(points, n)
+        at = labels + _label_base((points, n), classes)
 
         def loss(x: np.ndarray) -> np.ndarray:
             k = len(x)
@@ -564,27 +610,36 @@ class Mlp:
         """Mean cross-entropy over the batch: a forward pass, no backward."""
         return _cross_entropy(self.forward(x, feats)[-1], labels)[0]
 
-    def loss_and_grad(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray):
-        """Mean cross-entropy over the batch and its gradient in x."""
-        lead = x.shape[:-1]
+    def loss_and_grad(self, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, *,
+                      with_loss: bool = True, forward_only: int = 0):
+        """Mean cross-entropy over the batch and its gradient in x.
+
+        Without ``with_loss`` the loss is not reduced, and None stands in its
+        place.  On a stack, ``forward_only`` = k runs the last k rows forward
+        alone: the losses cover every row, and the gradient only the leading
+        rows, (S - k, dim).  Each row's loss and gradient equal those of the
+        one-vector call on that row, bit for bit.
+        """
         layers = self.unpack(x)
         acts = self._forward(layers, feats)
-        loss, exps, sums, at = _cross_entropy(acts[-1], labels)
-
-        grad = np.empty(x.shape)   # every layer's slices are written below
+        loss, exps, sums, at = _cross_entropy(acts[-1], labels, with_loss=with_loss)
+        Ws = [W for W, _ in layers]
+        if forward_only:   # the backward pass reads the leading rows alone
+            m = len(x) - forward_only
+            Ws, exps, sums, at = [W[:m] for W in Ws], exps[:m], sums[:m], at[:m]
+            acts = [a if a.ndim < exps.ndim else a[:m] for a in acts]   # shared rows stay
+        grad = np.empty(exps.shape[:-2] + (self.dim,))   # every layer's slices are written below
         # the label write goes through delta's flat view, which is delta itself
         # only while delta is C-ordered: the softmax goes over exps, which
         # _cross_entropy builds C-ordered, copied into C order if it is not
         delta = np.ascontiguousarray(np.divide(exps, sums, out=exps))
         delta.reshape(-1)[at] -= 1.0
         delta /= feats.shape[-2]
-        for i in range(len(layers) - 1, -1, -1):
-            W, _ = layers[i]
-            w0, b0, end = self._offsets[i]
-            grad[..., w0:b0] = (delta.mT @ acts[i]).reshape(lead + (-1,))
-            _sum_rows(delta, out=grad[..., b0:end])
+        for i, (gW, gb) in reversed(list(enumerate(self.unpack(grad)))):
+            np.matmul(delta.mT, acts[i], out=gW)
+            _sum_rows(delta, out=gb)
             if i > 0:   # the last read of acts[i]: its derivative, then delta, go over it
-                delta = np.multiply(delta @ W, _act_deriv(acts[i], self.activation),
+                delta = np.multiply(delta @ Ws[i], _act_deriv(acts[i], self.activation),
                                     out=acts[i])
         return loss, grad
 
@@ -647,6 +702,7 @@ class MlpObjective:
             holdout, train = np.arange(0), np.arange(dataset.n_samples)
         self._train, self._holdout = self._gather(train), self._gather(holdout)
         self._offsets = 0   # each row's first flat training row: a stack's (S, 1) column
+        self._flat = self._flat_train()
 
     @classmethod
     def parse(cls, fields, kind: str) -> dict:
@@ -717,6 +773,7 @@ class MlpObjective:
             setattr(out, name, tuple(np.stack(part) for part in
                                      zip(*(getattr(o, name) for o in objectives))))
         out._offsets = first.n_samples * np.arange(len(objectives))[:, np.newaxis]
+        out._flat = out._flat_train()
         return out
 
     @property
@@ -730,36 +787,71 @@ class MlpObjective:
         """The features and labels of the dataset's rows ``idx``, in that order."""
         return self.dataset.features[idx], self.dataset.labels[idx]
 
+    def _flat_train(self):
+        """The training split's views as flat rows, (S * n, d) and (S * n,),
+        which every batch reads; kept, as the split is, for the objective's life."""
+        feats, labels = self._train
+        return feats.reshape(-1, feats.shape[-1]), labels.reshape(-1)
+
     def _rows(self, batch: np.ndarray, offsets=None):
         """A batch's features and labels, each read by one ``take`` of the
         training split's flat rows at ``batch + offsets``; ``offsets`` are
         the stack's own unless given, as a row mask's are."""
-        feats, labels = self._train
+        feats, labels = self._flat
         at = batch + (self._offsets if offsets is None else offsets)
-        return feats.reshape(-1, feats.shape[-1]).take(at, axis=0), labels.reshape(-1).take(at)
+        return feats.take(at, axis=0), labels.take(at)
 
     def loss_and_grad(self, x, batch):
-        feats, labels = self._rows(batch)
-        return self.mlp.loss_and_grad(x, feats, labels)
+        return self.mlp.loss_and_grad(x, *self._rows(batch))
 
     def loss(self, x, batch) -> float:
-        feats, labels = self._rows(batch)
-        return self.mlp.loss(x, feats, labels)
+        return self.mlp.loss(x, *self._rows(batch))
 
     def grad(self, x, batch, rows=None) -> np.ndarray:
         """The batch gradient; on a stack, ``rows`` may mask the rows wanted.
 
         Only the masked rows are computed, each as the whole stack computes
         it, by reading their batches at their own offsets; the other rows
-        stay zero.
+        stay zero.  The pass forms no loss.
         """
         if rows is None:
-            return self.loss_and_grad(x, batch)[1]
+            return self.mlp.loss_and_grad(x, *self._rows(batch), with_loss=False)[1]
         picked = np.flatnonzero(rows)
         g = np.zeros(x.shape)
         g[picked] = self.mlp.loss_and_grad(
-            x[picked], *self._rows(batch[picked], self._offsets[picked]))[1]
+            x[picked], *self._rows(batch[picked], self._offsets[picked]),
+            with_loss=False)[1]
         return g
+
+    def loss_and_slope(self, x, batch, adv_batch, fresh):
+        """The loss at x on ``batch``, and the gradient at x on each row's
+        slope batch: ``adv_batch`` where the row is ``fresh`` (True for every
+        row, or one bool per row of a stack), ``batch`` elsewhere.
+
+        One network pass computes both.  Its leading rows are the rows of
+        ``x``, each on its slope batch, forward and backward; its trailing
+        rows are the fresh rows again, on ``batch``, forward only, and give
+        those rows' losses.  A single vector steps as a stack of one.  Rows
+        of two lengths share no stack: where the adversary batches' length
+        differs from the update batches', every row is fresh and two passes
+        run, the loss on ``batch`` and the gradient on ``adv_batch``.  Each
+        row's loss and gradient equal those of ``loss`` and ``grad`` on that
+        row, bit for bit.
+        """
+        if fresh is True and np.shape(adv_batch) != np.shape(batch):
+            return self.loss(x, batch), self.grad(x, adv_batch)
+        if x.ndim == 1:
+            loss, g = self.loss_and_slope(x[np.newaxis], batch[np.newaxis],
+                                          adv_batch[np.newaxis], np.reshape(fresh, 1))
+            return float(loss[0]), g[0]
+        rows, picks, losses = _slope_layout(None if fresh is True else fresh.tobytes(), len(x))
+        offsets = self._offsets if np.ndim(self._offsets) == 0 else \
+            self._offsets.take(rows, axis=0)
+        feats, labels = self._rows(np.concatenate([batch, adv_batch]).take(picks, axis=0),
+                                   offsets)
+        loss, g = self.mlp.loss_and_grad(x.take(rows, axis=0), feats, labels,
+                                         forward_only=len(rows) - len(x))
+        return loss.take(losses), g
 
     def _by_chunks(self, x, feats, labels, grad=False):
         """The loss, or with ``grad`` the gradient, of each row of ``x`` on a
@@ -784,7 +876,8 @@ class MlpObjective:
         fits in one chunk, is the one-chunk case: passed whole.
         """
         mlp = self.mlp
-        pass_ = (lambda *rows: mlp.loss_and_grad(*rows)[1]) if grad else mlp.loss
+        pass_ = (lambda *rows: mlp.loss_and_grad(*rows, with_loss=False)[1]) if grad \
+            else mlp.loss
         if x.ndim == 1:
             return pass_(x, feats, labels)
         n, width = len(x), labels.shape[-1] * max(mlp.layer_sizes)
@@ -794,7 +887,7 @@ class MlpObjective:
             return pass_(x, feats, labels)
         if points:   # every chunk reads the same rows
             pass_ = mlp._shared_rows_loss(feats, labels, min(step, n)) if not grad \
-                else lambda chunk: mlp.loss_and_grad(chunk, feats, labels)[1]
+                else lambda chunk: mlp.loss_and_grad(chunk, feats, labels, with_loss=False)[1]
         out = np.empty((n, self.dim) if grad else n)
         for lo in range(0, n, step):
             hi = min(lo + step, n)

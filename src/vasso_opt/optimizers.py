@@ -88,6 +88,8 @@ class OptimizerConfig:
             raise InvalidParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.adv_batch < 0:
             raise InvalidParameterError(f"adv_batch must be >= 0, got {self.adv_batch}")
+        if self.adv_batch and self.p != 1.0:   # a fresh row never reads its gradient at x
+            raise InvalidParameterError(f"a fresh adversary batch needs p = 1, got {self.p}")
 
     @classmethod
     def parse(cls, fields, T: int) -> dict:
@@ -170,8 +172,8 @@ class ArmKnobs:
 
     What does not change over a run is settled here, once: the EMA's
     ``keep`` = 1 - theta, the lr and rho of schedules that do not depend on
-    t (returned for every t their horizons allow), the forced gate outcome,
-    and the rows whose gradient at x is never read.  A momentum or weight
+    t (returned for every t their horizons allow) and the forced gate
+    outcome, which a fresh row's p = 1 always gives.  A momentum or weight
     decay that is zero on every row stays the scalar 0, and ``base_update``
     then never computes its term.
     """
@@ -189,8 +191,6 @@ class ArmKnobs:
         self._forced = self.p == 1.0
         fresh = [bool(c.adv_batch) for c in configs]
         self.fresh = fresh[0] if len(set(fresh)) == 1 else np.array(fresh)[self._arm]
-        # a fresh row whose gate always opens never reads its gradient at x
-        self._unread_g = self.fresh & self._forced
         # a schedule that every arm shares is evaluated once per step, and
         # one that does not depend on t once per run
         self._lr = configs[:1] if len({c.lr for c in configs}) == 1 else configs
@@ -370,53 +370,42 @@ def vasso_step(obj, x, state: np.ndarray | None, batch, cfg: ArmKnobs, u, *,
     float for one vector) when some 0 < p < 1 (``cfg.gated``), else it is
     not read and may be None; a wrong count raises InvalidParameterError.
     p=0 returns right after the base update: one gradient evaluation and no
-    slope work, exactly SGD, its adversary zero.  With an adversary batch
-    and p=1 the gradient at x on ``batch`` is never used, so only its loss
-    is computed, and the slope's gradient is taken on every row: on
-    ``adv_batch`` where the row is fresh and on ``batch`` elsewhere.
-    Otherwise only the fresh rows take a gradient on ``adv_batch``, and the
-    other rows' slope is their gradient at x.
+    slope work, exactly SGD, its adversary zero.
 
+    The step makes one objective call at x, which gives every row's loss on
+    ``batch`` and its slope's gradient: ``loss_and_grad`` on ``batch``, or,
+    with an adversary batch, ``loss_and_slope``, whose gradient a fresh row
+    takes on ``adv_batch`` and every other row on ``batch``.  A fresh row's
+    gate always opens (its p is 1), so no row reads any other gradient at x.
     When some gates of a stack stay closed, the second gradient is taken on
     the opened rows (``obj.grad``'s ``rows`` hint), and a closed row keeps
     its gradient at x: a row of p=0 takes SGD's step and one evaluation.
     A stack never raises: each row whose loss or gradient is not finite, if
     need be every row, is marked in ``report.failed`` (None while all are
     finite), and its outputs are meaningless.  A single vector raises
-    NonFiniteError at its first non-finite value.  The step sets no
-    floating-point policy: numpy's warnings on an overflowing row are the
-    caller's to silence, as the training loop does for a whole run.
+    NonFiniteError at its first non-finite value, its loss before its
+    gradient.  The step sets no floating-point policy: numpy's warnings on
+    an overflowing row are the caller's to silence, as the training loop
+    does for a whole run.
     """
-    fresh = cfg.fresh   # False, True, or one per row when the arms differ
-    if (adv_batch is None) != (fresh is False):
+    if (adv_batch is None) != (cfg.fresh is False):
         raise InvalidParameterError("adv_batch is given exactly when some row is fresh")
     if cfg.gated and (u is None or np.shape(u) != x.shape[:-1]):
         raise InvalidParameterError("a random gate reads one uniform per row")
     failed = None
-    if adv_batch is not None and cfg.always_opens:
-        loss, g = obj.loss(x, batch), None
-        if not _all_finite(loss):
-            failed = _fail(None, np.isfinite(loss), "non-finite loss or gradient", t)
-    else:
+    if adv_batch is None:
         loss, g = obj.loss_and_grad(x, batch)
-        if not _all_finite(loss, g):   # a row that never reads g may hold a non-finite one
-            failed = _fail(None, np.isfinite(loss) & (_finite_rows(g) | cfg._unread_g),
-                           "non-finite loss or gradient", t)
+        at_g = "non-finite loss or gradient"
+    else:
+        loss, g = obj.loss_and_slope(x, batch, adv_batch, cfg.fresh)
+        at_g = "non-finite gradient on the adversary batch"
+    if not _all_finite(loss, g):
+        failed = _fail(None, np.isfinite(loss), "non-finite loss or gradient", t)
+        failed = _fail(failed, _finite_rows(g), at_g, t)
     if cfg.never_opens:
         x_new, buf = base_update(x, g, cfg, momentum_buffer, t=t)
         return x_new, state, StepReport(loss, 1, np.zeros(x.shape), failed), buf
-    if adv_batch is None:
-        g_adv = g
-    elif fresh is True:
-        g_adv = obj.grad(x, adv_batch)
-    elif g is None:   # the other rows' slope reads their own batch
-        g_adv = obj.grad(x, np.where(fresh[:, np.newaxis], adv_batch, batch))
-    else:   # the other rows' slope is their gradient at x
-        g_adv = np.where(fresh[:, np.newaxis], obj.grad(x, adv_batch, rows=fresh), g)
-    if adv_batch is not None and not _all_finite(g_adv):
-        failed = _fail(failed, _finite_rows(g_adv),
-                       "non-finite gradient on the adversary batch", t)
-    state, eps = vasso_update(state, g_adv, cfg, cfg.rho_at(t))
+    state, eps = vasso_update(state, g, cfg, cfg.rho_at(t))
     opened = u < cfg.p if cfg.gated else cfg._forced   # one outcome per row
     n_closed = 0 if cfg.always_opens else np.count_nonzero(np.logical_not(opened))
     if not n_closed:

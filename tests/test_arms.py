@@ -126,10 +126,10 @@ def test_only_sam_db_rows_take_a_gradient_on_the_adversary_batch(monkeypatch):
         steps.append((x, []))
         return vasso_step(obj, x, *args, **kwargs)
 
-    def loss_and_grad(self, x, feats, labels):
+    def loss_and_grad(self, x, feats, labels, **kwargs):
         if steps:
-            steps[-1][1].append(x.copy())
-        return real_grad(self, x, feats, labels)
+            steps[-1][1].append((x.copy(), kwargs.get("forward_only", 0)))
+        return real_grad(self, x, feats, labels, **kwargs)
 
     monkeypatch.setattr(harness, "vasso_step", step)
     monkeypatch.setattr(Mlp, "loss_and_grad", loss_and_grad)
@@ -137,11 +137,74 @@ def test_only_sam_db_rows_take_a_gradient_on_the_adversary_batch(monkeypatch):
     monkeypatch.undo()
     assert len(steps) == 16
     for x, calls in steps:
-        at_x = [c for c in calls if all((x == row).all(axis=1).any() for row in c)]
-        # the update batch on every row, then the adversary batch on SAM-db's
-        assert [len(c) for c in at_x] == [6, 3]
-        assert np.array_equal(at_x[1], x[3:])
+        at_x = [(c, k) for c, k in calls if all((x == row).all(axis=1).any() for row in c)]
+        # one call: every row on its slope batch, backward too, then SAM-db's
+        # rows again on the update batch, forward only
+        assert [(len(c), len(c) - k) for c, k in at_x] == [(9, 6)]
+        assert np.array_equal(at_x[0][0][6:], x[3:])
     _same_runs(got, per_arm(cfgs, [3, 0, 7], (Columns, FinalX)))
+
+
+# per step on three seeds: the forward and backward rows of the one network
+# call at x, and the rows that take the perturbed gradient whatever the gates
+_SAM_DB = {"kind": "sam_db", "rho": 0.1, "lr": _LR}
+_EVASSO = {"kind": "evasso", "rho": 0.1, "theta": 0.3, "p": 0.5, "lr": _LR}
+PASS_BUDGET = {
+    "sgd": ([{"kind": "sgd", "lr": _LR}], (3, 3), 0),
+    "sam": ([{"kind": "sam", "rho": 0.1, "lr": _LR}], (3, 3), 3),
+    "vasso": ([{"kind": "vasso", "rho": 0.1, "theta": 0.3, "lr": _LR}], (3, 3), 3),
+    "evasso": ([_EVASSO], (3, 3), 0),
+    # SAM-db's rows again on the update batch, forward only
+    "sam_db": ([_SAM_DB], (6, 3), 3),
+    "vasso+sam_db": ([{"kind": "vasso", "rho": 0.1, "theta": 0.3, "lr": _LR}, _SAM_DB],
+                     (9, 6), 6),
+    "evasso+sam_db": ([_EVASSO, _SAM_DB], (9, 6), 3),
+}
+
+
+@pytest.mark.parametrize("arms", list(PASS_BUDGET))
+def test_a_step_makes_the_network_passes_its_budget_allows(arms, monkeypatch):
+    # one call at x, then one at the perturbed point over the rows that open:
+    # the rows of a random gate add k, the opened ones, to the fixed rows
+    specs, (at_x_forward, at_x_backward), fixed = PASS_BUDGET[arms]
+    cfgs = [parse_config({"objective": OBJECTIVES["blobs-holdout"], "optimizer": opt,
+                          "T": 12, "batch_size": 3, "seeds": [3, 0, 7],
+                          "metrics_every": 12}) for opt in specs]
+    steps = []   # per step: (calls, forward rows, backward rows), and the opened rows
+    real_step, real_pass, real_loss = harness.vasso_step, Mlp.loss_and_grad, Mlp.loss
+
+    def step(obj, x, *args, **kwargs):
+        steps.append([0, 0, 0])
+        out = real_step(obj, x, *args, **kwargs)
+        steps[-1] = (tuple(steps[-1]), int(np.sum(np.broadcast_to(out[2].grad_evals,
+                                                                  len(x)) - 1)))
+        return out
+
+    def count(x, forward_only):
+        if steps and isinstance(steps[-1], list):   # inside a step
+            rows = 1 if x.ndim == 1 else len(x)
+            steps[-1][0] += 1
+            steps[-1][1] += rows
+            steps[-1][2] += rows - forward_only
+
+    def loss_and_grad(self, x, feats, labels, **kwargs):
+        count(x, kwargs.get("forward_only", 0))
+        return real_pass(self, x, feats, labels, **kwargs)
+
+    def loss(self, x, feats, labels):
+        count(x, 1 if x.ndim == 1 else len(x))
+        return real_loss(self, x, feats, labels)
+
+    monkeypatch.setattr(harness, "vasso_step", step)
+    monkeypatch.setattr(Mlp, "loss_and_grad", loss_and_grad)
+    monkeypatch.setattr(Mlp, "loss", loss)
+    run_arms(cfgs, [3, 0, 7], ())
+    assert len(steps) == 12
+    for counts, opened in steps:
+        k = opened - fixed   # the opened rows of a random gate
+        assert 0 <= k <= (3 if _EVASSO in specs else 0)
+        want = (1 + bool(opened), at_x_forward + opened, at_x_backward + opened)
+        assert counts == want, (counts, want)
 
 
 def test_one_arm_steps_on_scalar_knobs_and_several_on_columns(monkeypatch):

@@ -671,10 +671,10 @@ def test_an_evasso_stack_takes_the_perturbed_gradient_on_opened_rows_only(
         "T": T, "batch_size": 5, "seeds": seeds, "metrics_every": T})
     batch_passes, real = [], Mlp.loss_and_grad
 
-    def counting(self, x, feats, labels):
+    def counting(self, x, feats, labels, **kwargs):
         if feats.shape[-2] == 5:   # not the full 15-row training set
             batch_passes.append(x.shape[0])
-        return real(self, x, feats, labels)
+        return real(self, x, feats, labels, **kwargs)
 
     monkeypatch.setattr(Mlp, "loss_and_grad", counting)
     runs = run_seeds(cfg, seeds)

@@ -537,9 +537,9 @@ def test_decoupled_batches_take_two_backward_passes_per_step(monkeypatch):
     calls = []
     loss_and_grad = Mlp.loss_and_grad
 
-    def counted(self, *args):
+    def counted(self, *args, **kwargs):
         calls.append(1)
-        return loss_and_grad(self, *args)
+        return loss_and_grad(self, *args, **kwargs)
 
     monkeypatch.setattr(Mlp, "loss_and_grad", counted)
     blobs = {"kind": "blobs", "n_per_class": 8, "dim": 2, "separation": 2.0,

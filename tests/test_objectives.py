@@ -571,7 +571,10 @@ def _reference_loss(mlp, x, feats, labels):
     return _reference_cross_entropy(_reference_forward(mlp, x, feats)[2], labels)[0]
 
 
-def _reference_loss_and_grad(mlp, x, feats, labels):
+def _reference_loss_and_grad(mlp, x, feats, labels, with_loss=True, forward_only=0):
+    if forward_only:   # every row's loss, the leading rows' gradient
+        loss, grad = _reference_loss_and_grad(mlp, x, feats, labels, with_loss)
+        return loss, grad[:len(x) - forward_only]
     lead = x.shape[:-1]
     layers = mlp.unpack(x)
     zs, acts, logits = _reference_forward(mlp, x, feats)
@@ -587,7 +590,7 @@ def _reference_loss_and_grad(mlp, x, feats, labels):
         grad[..., b0:end] = delta.sum(axis=-2)
         if i > 0:
             delta = (delta @ W) * _reference_act_deriv(zs[i - 1], mlp.activation)
-    return loss, grad
+    return loss if with_loss else None, grad
 
 
 def _same_bits(a, b):
@@ -722,9 +725,9 @@ def test_a_row_mask_computes_only_those_rows_of_a_stacked_gradient(monkeypatch):
     every = obj.grad(x, batch)
     passes, real = [], Mlp.loss_and_grad
 
-    def counting(self, x, feats, labels):
+    def counting(self, x, feats, labels, **kwargs):
         passes.append(x.shape[0])
-        return real(self, x, feats, labels)
+        return real(self, x, feats, labels, **kwargs)
 
     monkeypatch.setattr(Mlp, "loss_and_grad", counting)
     mask = np.array([True, False, False, True])
@@ -751,8 +754,8 @@ def test_the_label_write_lands_in_delta_whatever_the_layout_of_exps(layout, stac
     feats, labels = rng.standard_normal(lead + (20, 3)), rng.integers(0, 4, lead + (20,))
     real = objectives._cross_entropy
 
-    def relaid(logits, labels):
-        loss, exps, sums, at = real(logits, labels)
+    def relaid(logits, labels, **kwargs):
+        loss, exps, sums, at = real(logits, labels, **kwargs)
         if layout == "fortran":
             out = np.asfortranarray(exps)
         else:   # rows and classes swapped in memory
@@ -1007,6 +1010,100 @@ def test_a_quadratic_scales_a_slice_direction_to_unit_length():
     obj = NoisyQuadratic(np.ones(3))
     d = np.array([0.3, -1.7, 2.2])
     assert obj.normalize_direction(d, np.ones(3)).tobytes() == (d / norm2(d)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one call at x: the loss on the update batch and the slope's gradient
+
+# each shape: every row's fresh flag (None for one vector, True for every row
+# of a stack) and the adversary batch's length, the update batch's being 5
+_SLOPE_SHAPES = {
+    "vector": (None, 5),
+    "all-fresh": (True, 5),
+    "arm-major-mixed": ([False] * 3 + [True] * 3, 5),   # VASSO's seeds, then SAM-db's
+    "gated-mixed": ([False] * 2 + [True] * 2 + [False] * 2, 5),   # eVASSO, SAM-db, SGD
+    "all-fresh-own-size": (True, 3),
+}
+
+
+def _slope_case(objective, shape, activation="tanh", classes=2):
+    """An objective, a point, update and adversary batches and the ``fresh``
+    argument of one of ``_SLOPE_SHAPES``, plus the batch each row's slope reads."""
+    fresh, adv_len = _SLOPE_SHAPES[shape]
+    n = 1 if fresh is None else 3 if fresh is True else len(fresh)
+    rng = make_rng(n + classes, adv_len)
+    if objective == "network":
+        parts = [mlp_objective([2, 6, classes], activation,
+                               make_blobs_dataset(8, classes, 2, 2.0, make_rng(r, 4)),
+                               holdout_fraction=0.25, rng=make_rng(r, 5))
+                 for r in range(n)]
+        obj = parts[0] if fresh is None else MlpObjective.stack(parts)
+        x = np.stack([o.init_params(rng) for o in parts]) + \
+            0.3 * rng.standard_normal((n, obj.dim))
+        batch, adv = (np.stack([rng.permutation(obj.n_samples)[:k] for _ in range(n)])
+                      for k in (5, adv_len))
+    else:
+        obj = NoisyQuadratic([[2.0, 0.3, 0.1], [0.3, 1.0, -0.2], [0.1, -0.2, 0.5]],
+                             b=[0.1, -0.2, 0.3], sigma=0.5) if objective == "matrix" \
+            else NoisyQuadratic([0.5, 1.0, 4.0], sigma=0.5)
+        x, batch, adv = rng.standard_normal((3, n, obj.dim))
+    if fresh is None:
+        return obj, x[0], batch[0], adv[0], True, adv[0]
+    if fresh is True:
+        return obj, x, batch, adv, True, adv
+    fresh = np.array(fresh)
+    return obj, x, batch, adv, fresh, np.where(fresh[:, np.newaxis], adv, batch)
+
+
+@pytest.mark.parametrize("shape", sorted(_SLOPE_SHAPES))
+@pytest.mark.parametrize("net", [("tanh", 2), ("relu", 3), ("relu", 2), ("tanh", 3)])
+def test_a_network_loss_and_slope_equals_the_separate_calls(shape, net):
+    obj, x, batch, adv, fresh, slope = _slope_case("network", shape, *net)
+    loss, g = obj.loss_and_slope(x, batch, adv, fresh)
+    # the separate calls: a forward-only loss, and a full pass on the slope batch
+    assert _same_bits(loss, obj.loss(x, batch))
+    assert _same_bits(g, obj.loss_and_grad(x, slope)[1])
+    assert type(loss) is (float if x.ndim == 1 else np.ndarray)
+
+
+@pytest.mark.parametrize("shape", sorted(_SLOPE_SHAPES))
+@pytest.mark.parametrize("objective", ["diag", "matrix"])
+def test_a_quadratic_loss_and_slope_equals_the_separate_calls(shape, objective, monkeypatch):
+    obj, x, batch, adv, fresh, slope = _slope_case(objective, shape)
+    want = obj.loss(x, batch), obj.grad(x, slope)
+    calls = []
+    real = NoisyQuadratic._Ax
+    monkeypatch.setattr(NoisyQuadratic, "_Ax", lambda self, v: calls.append(1) or real(self, v))
+    loss, g = obj.loss_and_slope(x, batch, adv, fresh)
+    assert _same_bits(loss, want[0]) and _same_bits(g, want[1])
+    assert len(calls) == 1   # one Ax for both, and nothing stacked
+
+
+@pytest.mark.parametrize("shape", sorted(_SLOPE_SHAPES))
+@pytest.mark.parametrize("net", [("tanh", 2), ("relu", 3)])
+def test_a_gradient_pass_without_its_loss_keeps_the_bits(shape, net):
+    obj, x, batch, adv, fresh, slope = _slope_case("network", shape, *net)
+    assert _same_bits(obj.grad(x, batch), obj.loss_and_grad(x, batch)[1])
+    assert obj.mlp.loss_and_grad(x, *obj._rows(batch), with_loss=False)[0] is None
+    if x.ndim == 2:
+        mask = np.arange(len(x)) % 2 == 0
+        assert _same_bits(obj.grad(x, batch, rows=mask)[mask],
+                          obj.loss_and_grad(x, batch)[1][mask])
+    # the metrics gradient, over the training split, and over a stack of
+    # points on one seed's rows (finite-difference HVPs take those)
+    assert _same_bits(obj.full_grad(x), obj.mlp.loss_and_grad(x, *obj._train)[1])
+    if x.ndim == 1:
+        points = x + 0.1 * make_rng(1, 9).standard_normal((7, obj.dim))
+        want = [obj.mlp.loss_and_grad(p, *obj._train)[1] for p in points]
+        assert _same_bits(obj.full_grad(points), np.stack(want))
+
+
+def test_a_forward_only_tail_computes_no_gradient_for_its_rows():
+    obj, x, batch, *_ = _slope_case("network", "all-fresh", "relu", 3)
+    feats, labels = obj._rows(batch)
+    loss, g = obj.mlp.loss_and_grad(x, feats, labels, forward_only=2)
+    full_loss, full_g = obj.mlp.loss_and_grad(x, feats, labels)
+    assert _same_bits(loss, full_loss) and _same_bits(g, full_g[:1])
 
 
 # ---------------------------------------------------------------------------

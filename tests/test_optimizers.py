@@ -10,7 +10,8 @@ from vasso_opt import optimizers
 from vasso_opt.core import Schedule, make_rng, norm2, schedule_value
 from vasso_opt.errors import InvalidParameterError, NonFiniteError
 from vasso_opt.harness import Columns, FinalX, parse_config, run_seeds
-from vasso_opt.objectives import NoisyQuadratic
+from vasso_opt.objectives import (MlpObjective, NoisyQuadratic, make_blobs_dataset,
+                                  mlp_objective)
 from vasso_opt.optimizers import (ArmKnobs, OptimizerConfig, base_update,
                                   sam_adversary, sam_step, sfw_solve, sgd_step,
                                   vasso_step, vasso_update)
@@ -36,6 +37,14 @@ def test_an_adversary_batch_is_given_exactly_when_a_row_reads_fresh_rows():
         vasso_step(obj, x, None, batch, _knobs(rho=0.1), None, adv_batch=batch)
     with pytest.raises(InvalidParameterError, match="adv_batch is given exactly"):
         vasso_step(obj, x, None, batch, _knobs(rho=0.1, adv_batch=1), None)
+
+
+def test_a_fresh_adversary_batch_needs_a_gate_that_always_opens():
+    # a fresh row reads no gradient at x on its update batch, so none can close
+    for p in (0.0, 0.5):
+        with pytest.raises(InvalidParameterError, match="fresh adversary batch needs p = 1"):
+            _cfg(p=p, adv_batch=2)
+    assert _cfg(p=1.0, adv_batch=2).adv_batch == 2
 
 
 def test_optimizer_config_rejects_bad_values():
@@ -486,6 +495,66 @@ def test_perturbed_second_moment_bound():
         bound = 2 * L ** 2 * rho ** 2 + 2 * norm2(gf) ** 2 + 2 * obj.sigma2
         slack = 3 * float(np.std(sq)) / math.sqrt(n)
         assert float(np.mean(sq)) <= bound + slack
+
+
+# ---------------------------------------------------------------------------
+# non-finite values at x, with an adversary batch
+
+
+def _poisoned_network(rows):
+    """A network whose training row 0 has a NaN feature, as one seed's
+    objective (rows None) or a stack of ``rows`` rows on that seed's data."""
+    ds = make_blobs_dataset(6, 2, 2, 2.0, make_rng(0, 4))
+    ds.features[0, 0] = np.nan
+    obj = mlp_objective([2, 4, 2], "tanh", ds)
+    return obj if rows is None else MlpObjective.stack([obj] * rows)
+
+
+_ARMS = {"sam_db": [dict(theta=1.0, adv_batch=4)],
+         "vasso+sam_db": [dict(theta=0.3), dict(theta=1.0, adv_batch=4)],
+         "evasso+sam_db": [dict(theta=0.3, p=0.5), dict(theta=1.0, adv_batch=4)]}
+
+
+@pytest.mark.parametrize("arms", sorted(_ARMS))
+@pytest.mark.parametrize("poisoned", ["update", "adversary"])
+def test_a_non_finite_value_at_x_fails_the_rows_the_separate_calls_fail(arms, poisoned):
+    # row 0 of the data sits in the poisoned batch of rows 1 and 2 only: in
+    # the update batch it makes a SAM-db row's forward-only loss NaN, and in
+    # the adversary batch its slope's gradient
+    configs = _ARMS[arms]
+    arm_of_row = np.repeat(np.arange(len(configs)), 4 // len(configs))
+    knobs = ArmKnobs([_cfg(rho=0.1, **c) for c in configs], arm_of_row)
+    obj = _poisoned_network(4)
+    rng = make_rng(3, 7)
+    x = np.stack([obj.mlp.init_params(rng) for _ in range(4)])
+    clean = np.stack([1 + rng.permutation(obj.n_samples - 1)[:4] for _ in range(2 * 4)])
+    batch, adv = clean[:4], clean[4:]
+    (batch if poisoned == "update" else adv)[[1, 2], 0] = 0
+    fresh = np.broadcast_to(knobs.fresh, 4)
+    u = np.full(4, 0.25) if knobs.gated else None
+    with np.errstate(invalid="ignore"):
+        _, _, rep, _ = vasso_step(obj, x, None, batch, knobs, u, t=3, adv_batch=adv)
+        # the separate calls: the loss on the update batch, the slope's gradient
+        bad = ~np.isfinite(obj.loss(x, batch)) | ~np.isfinite(
+            obj.loss_and_grad(x, np.where(fresh[:, np.newaxis], adv, batch))[1]).all(axis=1)
+    # a poisoned update batch fails every row it feeds; a poisoned adversary
+    # batch only the fresh rows
+    want = np.array([False, True, True, False]) & (fresh | (poisoned == "update"))
+    assert bad.tolist() == want.tolist() and rep.failed.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("poisoned, message", [
+    ("update", "non-finite loss or gradient (iteration t=3)"),
+    ("adversary", "non-finite gradient on the adversary batch (iteration t=3)")])
+def test_one_vector_raises_at_its_first_non_finite_value_at_x(poisoned, message):
+    obj = _poisoned_network(None)
+    x = obj.init_params(make_rng(3, 7))
+    batch, adv = np.array([1, 2, 3, 4]), np.array([5, 6, 7, 8])
+    (batch if poisoned == "update" else adv)[0] = 0
+    knobs = _knobs(rho=0.1, theta=1.0, adv_batch=4)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError) as err:
+        vasso_step(obj, x, None, batch, knobs, None, t=3, adv_batch=adv)
+    assert str(err.value) == message and err.value.t == 3
 
 
 # ---------------------------------------------------------------------------
